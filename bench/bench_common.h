@@ -18,18 +18,36 @@
 #include "support/table.h"
 #include "tensor/kernels.h"
 
+#ifndef CHIMERA_BUILD_TYPE
+#define CHIMERA_BUILD_TYPE "unknown"  // the root CMakeLists defines it
+#endif
+
 namespace chimera::bench {
+
+/// The compiler that built this bench binary, e.g. "gcc 12.2.0".
+inline std::string compiler_name() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
 
 /// Machine-readable bench output. Every fig/ablation binary accepts
 /// `--json <path>` and mirrors its headline rows into a JSON array of
 ///   {"bench": ..., "name": ..., "config": ..., "kernel_policy": ...,
-///    "kernel_tier": ..., "throughput": ..., "iteration_seconds": ...,
-///    <extra metrics>}
+///    "kernel_tier": ..., "build_type": ..., "compiler": ...,
+///    "throughput": ..., "iteration_seconds": ..., <extra metrics>}
 /// records (convention: BENCH_<figure>.json), so the perf trajectory can be
 /// tracked by tooling instead of scraping tables. kernel_policy is the
 /// configured KernelPolicy (env pin included); kernel_tier is the tier it
 /// resolved to on this host — artifacts from different tiers are never
-/// compared as if they were the same machine state.
+/// compared as if they were the same machine state. build_type and
+/// compiler fingerprint the code generation: fast-tier GFLOP/s depends on
+/// the -O level and the compiler's register allocation, so records from
+/// different builds are not comparable either.
 class JsonReporter {
  public:
   JsonReporter(int argc, char** argv, std::string bench_name)
@@ -55,6 +73,8 @@ class JsonReporter {
                     escape(kernel_policy_name(kernel_policy())) +
                     "\", \"kernel_tier\": \"" +
                     escape(kernel_tier_name(active_kernel_tier())) +
+                    "\", \"build_type\": \"" + escape(CHIMERA_BUILD_TYPE) +
+                    "\", \"compiler\": \"" + escape(compiler_name()) +
                     "\", \"throughput\": " + num(throughput) +
                     ", \"iteration_seconds\": " + num(iteration_seconds);
     for (const auto& [k, v] : extra)

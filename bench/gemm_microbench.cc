@@ -6,7 +6,12 @@
 // Shapes are the ones the GPT-2-like default of bench_runtime_throughput
 // actually executes (rows = B·seq = 64, hidden 192, mlp 768, vocab 768,
 // per-head dk 24), so the reported speedups are the kernel-level view of
-// the end-to-end iters/s gains. Helpers are pinned to 0: this measures the
+// the end-to-end iters/s gains, plus the decode step's 1–4-row GEMMs
+// (rows = live lanes), where the fast tier reads B in place instead of
+// packing it, and the fused bias+GELU Linear forward (gemm_bias_gelu;
+// its y is bitwise, its GELU output tolerance-equal across tiers). Every
+// JSON record carries the build type and compiler: fast-tier GFLOP/s
+// depends on the -O level. Helpers are pinned to 0: this measures the
 // microkernels, not the pool. While measuring, the bench also checks each
 // op's cross-tier contract — bitwise equality for the ops the table marks
 // bitwise (gemm, gemm_tn, add_bias, bias_backward, the optimizer), abs
@@ -36,13 +41,14 @@ using namespace chimera::bench;
 
 namespace {
 
-enum class Variant { kNN, kTN, kNT };
+enum class Variant { kNN, kTN, kNT, kBiasGelu };
 
 const char* variant_name(Variant v) {
   switch (v) {
     case Variant::kNN: return "gemm";
     case Variant::kTN: return "gemm_tn";
     case Variant::kNT: return "gemm_nt";
+    case Variant::kBiasGelu: return "gemm_bias_gelu";
   }
   return "?";
 }
@@ -53,7 +59,8 @@ struct Shape {
   const char* site;  ///< which model GEMM this shape is
 };
 
-/// The GPT-2 bench shapes (bench_runtime_throughput defaults).
+/// The GPT-2 bench shapes (bench_runtime_throughput defaults), then the
+/// decode step's shapes at 1 and 4 live lanes.
 const Shape kShapes[] = {
     {Variant::kNN, 64, 192, 576, "qkv fwd"},
     {Variant::kNN, 64, 192, 768, "mlp fc fwd"},
@@ -63,25 +70,37 @@ const Shape kShapes[] = {
     {Variant::kNN, 64, 64, 24, "attn ctx"},
     {Variant::kTN, 64, 192, 768, "mlp fc dW"},
     {Variant::kNT, 64, 768, 192, "mlp fc dX"},
+    {Variant::kBiasGelu, 64, 192, 768, "mlp fc fwd fused"},
+    {Variant::kNN, 1, 192, 768, "decode head"},
+    {Variant::kNN, 4, 192, 576, "decode qkv"},
+    {Variant::kNN, 4, 768, 192, "decode mlp proj"},
+    {Variant::kBiasGelu, 4, 192, 768, "decode mlp fc fused"},
 };
 
-void run(const Shape& s, const Tensor& a, const Tensor& b, Tensor& c) {
+/// One op's operands; `bias` and `g` (the GELU output) are used by the
+/// fused variant only.
+struct Operands {
+  Tensor a, b, bias, c, g;
+};
+
+void run(const Shape& s, Operands& o) {
   switch (s.variant) {
-    case Variant::kNN: gemm(a, b, c); break;
-    case Variant::kTN: gemm_tn(a, b, c); break;
-    case Variant::kNT: gemm_nt(a, b, c); break;
+    case Variant::kNN: gemm(o.a, o.b, o.c); break;
+    case Variant::kTN: gemm_tn(o.a, o.b, o.c); break;
+    case Variant::kNT: gemm_nt(o.a, o.b, o.c); break;
+    case Variant::kBiasGelu: gemm_bias_gelu(o.a, o.b, o.bias, o.c, o.g); break;
   }
 }
 
-/// GFLOP/s over enough repetitions to make timer noise irrelevant.
-double measure(const Shape& s, const Tensor& a, const Tensor& b, Tensor& c,
-               double target_ms) {
+/// GFLOP/s over enough repetitions to make timer noise irrelevant (the
+/// fused epilogue's work is not counted).
+double measure(const Shape& s, Operands& o, double target_ms) {
   const double flop = 2.0 * s.m * s.k * s.n;
-  run(s, a, b, c);  // warm (and populate c for the parity check)
+  run(s, o);  // warm (and populate the outputs for the parity check)
   long reps = 4;
   for (;;) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (long r = 0; r < reps; ++r) run(s, a, b, c);
+    for (long r = 0; r < reps; ++r) run(s, o);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -156,39 +175,52 @@ int main(int argc, char** argv) {
   bool contract_broken = false;
   Rng rng(31);
   for (const Shape& s : kShapes) {
-    Tensor a = s.variant == Variant::kTN ? Tensor(s.k, s.m) : Tensor(s.m, s.k);
-    Tensor b = s.variant == Variant::kNT ? Tensor(s.n, s.k) : Tensor(s.k, s.n);
-    a.randn(rng, 1.0f);
-    b.randn(rng, 1.0f);
+    Operands o;
+    o.a = s.variant == Variant::kTN ? Tensor(s.k, s.m) : Tensor(s.m, s.k);
+    o.b = s.variant == Variant::kNT ? Tensor(s.n, s.k) : Tensor(s.k, s.n);
+    o.bias = Tensor(1, s.n);
+    o.a.randn(rng, 1.0f);
+    o.b.randn(rng, 1.0f);
+    o.bias.randn(rng, 1.0f);
     const std::string shape = std::to_string(s.m) + "x" + std::to_string(s.k) +
                               "x" + std::to_string(s.n);
     double scalar_gflops = 0.0;
-    Tensor scalar_c;
+    Tensor scalar_c, scalar_g;
     for (KernelTier tier : tiers) {
       set_kernel_policy(tier == KernelTier::kScalar
                             ? KernelPolicy::kScalarReference
                             : KernelPolicy::kFast);
-      Tensor c(s.m, s.n);
-      const double gflops = measure(s, a, b, c, target_ms);
+      o.c = Tensor(s.m, s.n);
+      o.g = Tensor(s.m, s.n);
+      const double gflops = measure(s, o, target_ms);
       const bool is_fast = tier == KernelTier::kFast;
       if (!is_fast) {
         scalar_gflops = gflops;
-        scalar_c = c;
+        scalar_c = o.c;
+        scalar_g = o.g;
       } else if (scalar_gflops > 0.0) {
-        // Tier contract check on the measured outputs.
-        for (std::size_t i = 0; i < c.numel(); ++i) {
-          const bool ok = s.variant == Variant::kNT
-                              ? std::fabs(c[i] - scalar_c[i]) <= 1e-5f * s.k
-                              : c[i] == scalar_c[i];
-          if (!ok) {
+        // Tier contract check on the measured outputs: gemm_nt within
+        // 1e-5·k, the fused GELU output within GELU's 1e-5, the rest
+        // bitwise.
+        auto check = [&](const Tensor& got, const Tensor& want, float tol,
+                         const char* what) {
+          for (std::size_t i = 0; i < got.numel(); ++i) {
+            const bool ok = tol > 0.0f ? std::fabs(got[i] - want[i]) <= tol
+                                       : got[i] == want[i];
+            if (ok) continue;
             std::fprintf(stderr,
-                         "FAIL: %s %s element %zu: fast %.9g vs scalar %.9g\n",
-                         variant_name(s.variant), shape.c_str(), i, c[i],
-                         scalar_c[i]);
+                         "FAIL: %s %s %s element %zu: fast %.9g vs scalar "
+                         "%.9g\n",
+                         variant_name(s.variant), shape.c_str(), what, i,
+                         got[i], want[i]);
             contract_broken = true;
-            break;
+            return;
           }
-        }
+        };
+        check(o.c, scalar_c, s.variant == Variant::kNT ? 1e-5f * s.k : 0.0f,
+              "y");
+        if (s.variant == Variant::kBiasGelu)
+          check(o.g, scalar_g, 1e-5f, "gelu");
       }
       const double speedup =
           is_fast && scalar_gflops > 0.0 ? gflops / scalar_gflops : 0.0;

@@ -11,7 +11,10 @@
 // the pool speedup and the kernel-tier speedup; serial and pooled share a
 // tier and the kernels' fixed split points keep those two runs bitwise
 // identical (DESIGN.md §2 items 17–18), so the pool speedup is pure
-// execution, not arithmetic drift.
+// execution, not arithmetic drift. Each leg's resolved helper count is
+// printed; when the pooled leg resolves to the serial leg's count (every
+// host with no more hardware threads than W·D ranks) the two legs are the
+// same configuration, so no pool speedup is reported.
 //
 //   $ ./bench_runtime_throughput [--json BENCH_runtime_throughput.json]
 //       [--small] [--iters N] [--hidden H] [--heads A] [--layers L]
@@ -64,26 +67,35 @@ nn::MicroBatch make_batch(const nn::SmallModelConfig& cfg, int samples) {
   return mb;
 }
 
-/// Iterations/s of one trainer configuration at the given intra-op and
+/// One measured leg: iterations/s, the final loss, and the intra-op helper
+/// count the trainer resolved `intra_op` to on this host.
+struct Leg {
+  double iters_per_s = 0.0;
+  double loss = 0.0;
+  int helpers = 0;
+};
+
+/// Measures one trainer configuration at the given intra-op and
 /// kernel-tier settings.
-double measure(const nn::SmallModelConfig& model, Scheme scheme,
-               const ScheduleConfig& sc, bool recompute, int intra_op,
-               KernelPolicy kernel, const BenchConfig& bc, double* loss_out) {
+Leg measure(const nn::SmallModelConfig& model, Scheme scheme,
+            const ScheduleConfig& sc, bool recompute, int intra_op,
+            KernelPolicy kernel, const BenchConfig& bc) {
   rt::TrainerOptions opts;
   opts.recompute = recompute;
   opts.intra_op = intra_op;
   opts.kernel = kernel;
   rt::PipelineTrainer t(model, scheme, sc, opts);
+  Leg leg;
+  leg.helpers = ComputePool::instance().helpers();
   const nn::MicroBatch batch = make_batch(model, bc.micro * sc.num_micro);
   for (int i = 0; i < bc.warmup; ++i) t.train_iteration(batch);
   const auto t0 = std::chrono::steady_clock::now();
-  double loss = 0.0;
-  for (int i = 0; i < bc.iters; ++i) loss = t.train_iteration(batch).loss;
+  for (int i = 0; i < bc.iters; ++i) leg.loss = t.train_iteration(batch).loss;
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (loss_out) *loss_out = loss;
-  return bc.iters / secs;
+  leg.iters_per_s = bc.iters / secs;
+  return leg;
 }
 
 }  // namespace
@@ -132,8 +144,12 @@ int main(int argc, char** argv) {
               bc.hidden, bc.layers, bc.seq, bc.vocab, bc.micro,
               std::thread::hardware_concurrency());
 
-  TextTable table({"scheme", "config", "scalar it/s", "serial it/s",
-                   "pooled it/s", "pool x", "kernel x", "seq/s", "loss"});
+  std::printf("helpers: intra-op helper threads each leg resolved to "
+              "(scalar/serial/pooled); pool x is '-' when serial and pooled "
+              "resolve alike\n\n");
+  TextTable table({"scheme", "config", "helpers", "scalar it/s",
+                   "serial it/s", "pooled it/s", "pool x", "kernel x",
+                   "seq/s", "loss"});
   bool determinism_broken = false;
   struct Case {
     Scheme scheme;
@@ -153,21 +169,18 @@ int main(int argc, char** argv) {
       // with CHIMERA_KERNEL_TIER pinned all three share one tier and the
       // kernel speedup reads 1×). Serial vs pooled run the same tier, so
       // their losses must stay bitwise equal.
-      double loss_scalar = 0.0, loss_serial = 0.0, loss_pooled = 0.0;
-      const double scalar =
+      const Leg scalar =
           measure(model, c.scheme, sc, recompute, /*intra_op=*/-1,
-                  KernelPolicy::kScalarReference, bc, &loss_scalar);
-      const double serial =
-          measure(model, c.scheme, sc, recompute, /*intra_op=*/0,
-                  KernelPolicy::kAuto, bc, &loss_serial);
-      const double pooled =
-          measure(model, c.scheme, sc, recompute, /*intra_op=*/-1,
-                  KernelPolicy::kAuto, bc, &loss_pooled);
-      if (loss_serial != loss_pooled) {
+                  KernelPolicy::kScalarReference, bc);
+      const Leg serial = measure(model, c.scheme, sc, recompute,
+                                 /*intra_op=*/0, KernelPolicy::kAuto, bc);
+      const Leg pooled = measure(model, c.scheme, sc, recompute,
+                                 /*intra_op=*/-1, KernelPolicy::kAuto, bc);
+      if (serial.loss != pooled.loss) {
         std::fprintf(stderr,
                      "FAIL: pooled loss %.17g != serial loss %.17g "
                      "(determinism contract broken)\n",
-                     loss_pooled, loss_serial);
+                     pooled.loss, serial.loss);
         determinism_broken = true;
       }
       const int samples = bc.micro * c.num_micro;
@@ -193,19 +206,33 @@ int main(int argc, char** argv) {
       const std::string config = "D=" + std::to_string(c.depth) +
                                  ", N=" + std::to_string(c.num_micro) +
                                  ", B=" + std::to_string(bc.micro);
-      char pool_x[16], kernel_x[16];
-      std::snprintf(pool_x, sizeof pool_x, "%.2fx", pooled / serial);
-      std::snprintf(kernel_x, sizeof kernel_x, "%.2fx", pooled / scalar);
-      table.add_row(name, config, scalar, serial, pooled, pool_x, kernel_x,
-                    pooled * samples, loss_pooled);
-      json.add(name, config, pooled * samples, 1.0 / pooled,
-               {{"iters_per_s", pooled},
-                {"serial_iters_per_s", serial},
-                {"scalar_iters_per_s", scalar},
-                {"speedup_vs_serial", pooled / serial},
-                {"kernel_speedup", pooled / scalar},
-                {"bubble_fraction", bubble_fraction},
-                {"loss", loss_pooled}});
+      // Same helper count on both legs = same configuration: a ratio of
+      // the two would be run-to-run noise, not a pool speedup.
+      const bool pool_differs = pooled.helpers != serial.helpers;
+      const double pool_speedup = pooled.iters_per_s / serial.iters_per_s;
+      char helpers[32], pool_x[16], kernel_x[16];
+      std::snprintf(helpers, sizeof helpers, "%d/%d/%d", scalar.helpers,
+                    serial.helpers, pooled.helpers);
+      std::snprintf(pool_x, sizeof pool_x, pool_differs ? "%.2fx" : "-",
+                    pool_speedup);
+      std::snprintf(kernel_x, sizeof kernel_x, "%.2fx",
+                    pooled.iters_per_s / scalar.iters_per_s);
+      table.add_row(name, config, helpers, scalar.iters_per_s,
+                    serial.iters_per_s, pooled.iters_per_s, pool_x, kernel_x,
+                    pooled.iters_per_s * samples, pooled.loss);
+      std::vector<std::pair<std::string, double>> extra = {
+          {"iters_per_s", pooled.iters_per_s},
+          {"serial_iters_per_s", serial.iters_per_s},
+          {"scalar_iters_per_s", scalar.iters_per_s},
+          {"serial_helpers", static_cast<double>(serial.helpers)},
+          {"pooled_helpers", static_cast<double>(pooled.helpers)}};
+      if (pool_differs) extra.emplace_back("speedup_vs_serial", pool_speedup);
+      extra.insert(extra.end(),
+                   {{"kernel_speedup", pooled.iters_per_s / scalar.iters_per_s},
+                    {"bubble_fraction", bubble_fraction},
+                    {"loss", pooled.loss}});
+      json.add(name, config, pooled.iters_per_s * samples,
+               1.0 / pooled.iters_per_s, extra);
     }
   }
   table.print();

@@ -10,9 +10,9 @@
 // Every dense kernel has two tiers (DESIGN.md §2 item 18): the scalar
 // reference (the bitwise anchor every parity/grad-sync/decode contract
 // pins) and a vectorized fast tier (tensor/kernels_simd.cc: AVX2
-// microkernels — cache-blocked GEMMs with packed B panels plus a portable
-// mirror, and lane-parallel elementwise/normalize/reduce kernels for the
-// non-GEMM ops). Tier selection is the process-wide KernelPolicy below,
+// microkernels — register-tiled GEMMs over 16-column B panels plus a
+// portable mirror, and lane-parallel elementwise/normalize/reduce kernels
+// for the non-GEMM ops). Tier selection is the process-wide KernelPolicy below,
 // overridable by the CHIMERA_KERNEL_TIER environment variable. The
 // cross-tier contract is per op (the full table lives in DESIGN.md §2
 // item 18): ops whose fast tier keeps each element's serial accumulation

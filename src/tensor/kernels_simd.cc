@@ -1,13 +1,24 @@
-// Fast GEMM tier: cache-blocked, register-tiled microkernels with packed B
-// panels (DESIGN.md §2 item 18).
+// Fast GEMM tier: register-tiled microkernels over 16-column B panels
+// (DESIGN.md §2 item 18).
 //
-// Layout. Every variant packs B once per op into 16-column panels
-// (zero-padded to the panel width, 64-byte aligned via the arena's
-// allocator) on the calling thread, then shards output rows onto the
-// ComputePool with the same shape-only split points the scalar tier uses.
-// Inside a shard, gemm/gemm_tn walk panel-major over 6×16 register tiles;
-// gemm_nt walks 48-row blocks with 4-column dot groups so the four B rows
-// of a group stay L1-resident across the block.
+// Layout. gemm/gemm_tn shard over 16-wide column panels of C, with the same
+// shape-only split points every kernel uses. A shard walks its own panels
+// and sweeps all m rows of each with 6×16 register tiles. When m > 6 the
+// row tiles share the panel, so the shard first copies it — k rows of 16
+// floats — into a thread-local k×16 buffer with vector copies; when m ≤ 6
+// a single tile covers every row, so it reads B in place at row stride n
+// (masked loads on a tail panel) and nothing is packed. gemm_nt shards
+// output rows and walks 48-row blocks with 4-column dot groups so the four
+// B rows of a group stay L1-resident across the block.
+//
+// Registers. The AVX2 tile's 12 accumulators (6 rows × two 8-float
+// vectors) and a dot group's 4 lane partials must stay in registers across
+// the whole k loop at the default build type (RelWithDebInfo, -O2). gcc
+// does not unroll the short row/group loops there by itself, and then
+// every accumulator makes a round trip through the stack on each k step —
+// about a third of the tile's throughput. Those loops therefore carry
+// `#pragma GCC unroll`, which fully unrolls them so every accumulator
+// index is a compile-time constant and the arrays become registers.
 //
 // Two implementations share that structure: AVX2+FMA microkernels behind
 // __attribute__((target)) with __builtin_cpu_supports dispatch, and a
@@ -18,18 +29,20 @@
 // Determinism. gemm/gemm_tn tiles broadcast one A element against 16 B
 // lanes and pair every multiply with a separate add (vmulps + vaddps), so
 // each output element performs the exact serial ascending-l reduction of
-// the scalar reference — bitwise identical on every host, which is why
-// this file must be compiled with -ffp-contract=off (gcc otherwise
-// contracts mul+add — intrinsic or not — into one differently-rounded FMA
-// inside an fma-target function; CMakeLists pins the flag). gemm_nt
-// reduces a dot product across lanes: 8 strided partials, a fixed combine
-// tree, explicit FMA intrinsics in the vector body, and a scalar tail —
-// tolerance-equal to the reference, but a pure function of k and the data,
-// so results never depend on the row count or the shard split.
+// the scalar reference — bitwise identical on every host, whatever the
+// panel split or whether B was packed, which is why this file must be
+// compiled with -ffp-contract=off (gcc otherwise contracts mul+add —
+// intrinsic or not — into one differently-rounded FMA inside an fma-target
+// function; CMakeLists pins the flag). gemm_nt reduces a dot product
+// across lanes: 8 strided partials, a fixed combine tree, explicit FMA
+// intrinsics in the vector body, and a scalar tail — tolerance-equal to
+// the reference, but a pure function of k and the data, so results never
+// depend on the row count or the shard split.
 #include "tensor/kernels_simd.h"
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 
 #include "tensor/arena.h"
 #include "tensor/compute_pool.h"
@@ -50,10 +63,10 @@ constexpr int kMR = 6;        ///< register-tile rows (12 acc regs + 4 live)
 constexpr int kNtBlock = 48;  ///< gemm_nt row block (matches scalar kBlock)
 constexpr int kNtGroup = 4;   ///< gemm_nt dot-product columns per pass
 
-/// Per-thread packing workspace, grow-only so the steady state neither
-/// allocates nor memsets (packing overwrites every element, including the
-/// zero padding). Seeded from the arena so warm parked buffers get reused.
-float* pack_workspace(std::size_t n) {
+/// Per-thread k×16 panel buffer, grow-only so the steady state neither
+/// allocates nor memsets (packing overwrites every row it hands to a
+/// tile). Seeded from the arena so warm parked buffers get reused.
+float* panel_workspace(std::size_t n) {
   static thread_local detail::FloatBuffer buf;
   if (buf.size() < n) {
     detail::arena_release(std::move(buf));
@@ -63,31 +76,16 @@ float* pack_workspace(std::size_t n) {
   return buf.data();
 }
 
-/// Packs B[k,n] (row-major) into ⌈n/16⌉ column panels: panel p holds
-/// columns [16p, 16p+16) contiguously as k rows of 16 floats, the tail
-/// panel zero-padded. One pass over B, reused by every row tile of the op.
-void pack_b_panels(const float* pb, int k, int n, float* packed) {
-  const int panels = (n + kNR - 1) / kNR;
-  for (int p = 0; p < panels; ++p) {
-    const int j0 = p * kNR;
-    const int w = std::min(kNR, n - j0);
-    float* dst = packed + static_cast<std::size_t>(p) * k * kNR;
-    for (int l = 0; l < k; ++l) {
-      const float* src = pb + static_cast<std::size_t>(l) * n + j0;
-      for (int j = 0; j < w; ++j) dst[j] = src[j];
-      for (int j = w; j < kNR; ++j) dst[j] = 0.0f;
-      dst += kNR;
-    }
-  }
-}
-
-/// One MR×16 tile of C (+)= A·panel. `pa` points at the tile's first A
-/// element; element (r, l) of the tile's A slice lives at pa[r·ra + l·rl]
-/// (NN: ra=k, rl=1; TN: ra=1, rl=m — the strides absorb the transpose so
-/// both variants share every microkernel). `width` ∈ [1, 16] live columns.
+/// One MR×width tile of C (+)= A·B[:, j0..j0+width). `pa` points at the
+/// tile's first A element; element (r, l) of the tile's A slice lives at
+/// pa[r·ra + l·rl] (NN: ra=k, rl=1; TN: ra=1, rl=m — the strides absorb
+/// the transpose so both variants share every microkernel). `pb` points at
+/// the strip's first B element and row l of the strip lives at pb[l·ldb]
+/// (ldb = 16 for a packed panel, n for B read in place). `width` ∈ [1, 16]
+/// live columns; B lanes past it are never read.
 using TileFn = void (*)(const float* pa, std::size_t ra, std::size_t rl,
-                        int k, const float* panel, float* pc, std::size_t ldc,
-                        int width, bool accumulate);
+                        int k, const float* pb, std::size_t ldb, float* pc,
+                        std::size_t ldc, int width, bool accumulate);
 
 /// One row of C[j0..j0+JT) (+)= dot(A row, B rows j0..). `pb` points at B
 /// row j0; row j0+g lives at pb[g·ldb].
@@ -98,16 +96,24 @@ using DotFn = void (*)(const float* arow, const float* pb, std::size_t ldb,
 // Portable mirror. Same blocking, same per-element accumulation orders.
 // ---------------------------------------------------------------------------
 
-template <int MR>
-void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
-                   const float* panel, float* pc, std::size_t ldc, int width,
-                   bool accumulate) {
-  float acc[MR][kNR];
-  for (int r = 0; r < MR; ++r)
-    for (int j = 0; j < kNR; ++j)
-      acc[r][j] = (accumulate && j < width) ? pc[r * ldc + j] : 0.0f;
+// Unlike the AVX2 tile's, the 96 float accumulators here exceed baseline
+// x86-64's 16 SSE registers, so they live in L1 whatever the unrolling.
+template <int MR, bool kTail>
+void tile_portable_strip(const float* pa, std::size_t ra, std::size_t rl,
+                         int k, const float* pb, std::size_t ldb, float* pc,
+                         std::size_t ldc, int width, bool accumulate) {
+  float acc[MR][kNR] = {};
+  if (accumulate)
+    for (int r = 0; r < MR; ++r)
+      for (int j = 0; j < width; ++j) acc[r][j] = pc[r * ldc + j];
   for (int l = 0; l < k; ++l) {
-    const float* brow = panel + static_cast<std::size_t>(l) * kNR;
+    const float* brow = pb + static_cast<std::size_t>(l) * ldb;
+    float tail[kNR] = {};
+    if (kTail) {
+      // The AVX2 tile's masked B load: dead lanes read as 0, never stored.
+      for (int j = 0; j < width; ++j) tail[j] = brow[j];
+      brow = tail;
+    }
     for (int r = 0; r < MR; ++r) {
       const float av = pa[r * ra + static_cast<std::size_t>(l) * rl];
       for (int j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
@@ -117,12 +123,25 @@ void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
     for (int j = 0; j < width; ++j) pc[r * ldc + j] = acc[r][j];
 }
 
+template <int MR>
+void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
+                   const float* pb, std::size_t ldb, float* pc,
+                   std::size_t ldc, int width, bool accumulate) {
+  if (width == kNR)
+    tile_portable_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
+                                   accumulate);
+  else
+    tile_portable_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
+                                  accumulate);
+}
+
 template <int JT>
 void dot_portable(const float* arow, const float* pb, std::size_t ldb, int k,
                   float* cdst, bool accumulate) {
   float lanes[JT][8] = {};
   int l = 0;
   for (; l + 8 <= k; l += 8)
+#pragma GCC unroll 4
     for (int g = 0; g < JT; ++g) {
       const float* brow = pb + g * ldb;
       for (int t = 0; t < 8; ++t) lanes[g][t] += arow[l + t] * brow[l + t];
@@ -163,36 +182,43 @@ inline __m256i lane_mask(int live) {
       reinterpret_cast<const __m256i*>(kMaskTable + 8 - live));
 }
 
-template <int MR>
+/// Eight lanes at p: a plain load, or on a tail strip a masked one (dead
+/// lanes read as 0 and never touch memory).
+template <bool kTail>
+CHIMERA_TARGET_AVX2 inline __m256 load8(const float* p, __m256i mask) {
+  return kTail ? _mm256_maskload_ps(p, mask) : _mm256_loadu_ps(p);
+}
+
+template <bool kTail>
+CHIMERA_TARGET_AVX2 inline void store8(float* p, __m256i mask, __m256 v) {
+  if (kTail)
+    _mm256_maskstore_ps(p, mask, v);
+  else
+    _mm256_storeu_ps(p, v);
+}
+
+template <int MR, bool kTail>
 CHIMERA_TARGET_AVX2
-void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
-               const float* panel, float* pc, std::size_t ldc, int width,
-               bool accumulate) {
-  // 2·MR accumulators (≤ 12 ymm) + two panel vectors + one broadcast stay
-  // within the 16 ymm registers for MR = 6.
+void tile_avx2_strip(const float* pa, std::size_t ra, std::size_t rl, int k,
+                     const float* pb, std::size_t ldb, float* pc,
+                     std::size_t ldc, int width, bool accumulate) {
+  // 2·MR accumulators (≤ 12 ymm) + two B vectors + one broadcast stay
+  // within the 16 ymm registers for MR = 6; the unrolled row loops make
+  // every acc index a constant so none of them lives on the stack.
+  const __m256i m0 = lane_mask(std::min(width, 8));
+  const __m256i m1 = lane_mask(std::max(width - 8, 0));
   __m256 acc[MR][2];
-  const bool full = width == kNR;
-  const __m256i m0 = full ? __m256i{} : lane_mask(std::min(width, 8));
-  const __m256i m1 = full ? __m256i{} : lane_mask(std::max(width - 8, 0));
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) {
-    float* crow = pc + r * ldc;
-    if (!accumulate) {
-      acc[r][0] = _mm256_setzero_ps();
-      acc[r][1] = _mm256_setzero_ps();
-    } else if (full) {
-      acc[r][0] = _mm256_loadu_ps(crow);
-      acc[r][1] = _mm256_loadu_ps(crow + 8);
-    } else {
-      acc[r][0] = _mm256_maskload_ps(crow, m0);
-      acc[r][1] = _mm256_maskload_ps(crow + 8, m1);
-    }
+    const float* crow = pc + r * ldc;
+    acc[r][0] = accumulate ? load8<kTail>(crow, m0) : _mm256_setzero_ps();
+    acc[r][1] = accumulate ? load8<kTail>(crow + 8, m1) : _mm256_setzero_ps();
   }
-  for (int l = 0; l < k; ++l) {
-    // Panels are 64-byte aligned and 16 floats wide: aligned loads, no peel.
-    const __m256 b0 = _mm256_load_ps(panel);
-    const __m256 b1 = _mm256_load_ps(panel + 8);
-    panel += kNR;
+  for (int l = 0; l < k; ++l, pb += ldb) {
+    const __m256 b0 = load8<kTail>(pb, m0);
+    const __m256 b1 = load8<kTail>(pb + 8, m1);
     const float* al = pa + static_cast<std::size_t>(l) * rl;
+#pragma GCC unroll 6
     for (int r = 0; r < MR; ++r) {
       const __m256 av = _mm256_broadcast_ss(al + r * ra);
       // Separate multiply and add — never vfmadd — so each element keeps
@@ -201,16 +227,25 @@ void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
       acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
     }
   }
+#pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) {
     float* crow = pc + r * ldc;
-    if (full) {
-      _mm256_storeu_ps(crow, acc[r][0]);
-      _mm256_storeu_ps(crow + 8, acc[r][1]);
-    } else {
-      _mm256_maskstore_ps(crow, m0, acc[r][0]);
-      _mm256_maskstore_ps(crow + 8, m1, acc[r][1]);
-    }
+    store8<kTail>(crow, m0, acc[r][0]);
+    store8<kTail>(crow + 8, m1, acc[r][1]);
   }
+}
+
+template <int MR>
+CHIMERA_TARGET_AVX2
+void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
+               const float* pb, std::size_t ldb, float* pc, std::size_t ldc,
+               int width, bool accumulate) {
+  if (width == kNR)
+    tile_avx2_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
+                               accumulate);
+  else
+    tile_avx2_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
+                              accumulate);
 }
 
 /// Fixed-tree horizontal sum: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) —
@@ -228,13 +263,16 @@ CHIMERA_TARGET_AVX2
 void dot_avx2(const float* arow, const float* pb, std::size_t ldb, int k,
               float* cdst, bool accumulate) {
   __m256 acc[JT];
+#pragma GCC unroll 4
   for (int g = 0; g < JT; ++g) acc[g] = _mm256_setzero_ps();
   int l = 0;
   for (; l + 8 <= k; l += 8) {
     const __m256 av = _mm256_loadu_ps(arow + l);
+#pragma GCC unroll 4
     for (int g = 0; g < JT; ++g)
       acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(pb + g * ldb + l), acc[g]);
   }
+#pragma GCC unroll 4
   for (int g = 0; g < JT; ++g) {
     float sum = hsum8(acc[g]);
     const float* brow = pb + g * ldb;
@@ -649,34 +687,57 @@ const Tables& tables() {
   return kPortable;
 }
 
-/// Shared panel driver for gemm (ra=k, rl=1) and gemm_tn (ra=1, rl=m): pack
-/// B, shard output rows, then panel-major 6×16 tiles inside each shard so
-/// the active panel stays cache-hot across row tiles. When `bias`/`pg` are
-/// set, the fused epilogue runs on each finished tile: the bias add is the
-/// same single add per element as add_bias, and the GELU goes through the
-/// table's gelu_row — the evaluation this host's fast-tier gelu_forward
-/// also uses — so fusion is bitwise-identical to the unfused
-/// add_bias/gelu_forward passes within the tier.
+/// Copies the k×width strip at pb (row stride ldb) into a dense k×16
+/// panel. A full-width row is a fixed 64-byte copy, which the compiler
+/// emits as vector moves; lanes past a tail strip's width stay unset, as
+/// tiles never read them.
+void pack_panel(const float* pb, std::size_t ldb, int k, int width,
+                float* panel) {
+  if (width == kNR)
+    for (int l = 0; l < k; ++l, pb += ldb, panel += kNR)
+      std::memcpy(panel, pb, sizeof(float) * kNR);
+  else
+    for (int l = 0; l < k; ++l, pb += ldb, panel += kNR)
+      std::memcpy(panel, pb, sizeof(float) * width);
+}
+
+/// Shared panel loop for gemm (ra=k, rl=1) and gemm_tn (ra=1, rl=m):
+/// shard the 16-column panels of C, then sweep all m rows of each panel
+/// with 6×16 tiles. With more than kMR rows the row tiles share the panel,
+/// so it is packed once into the thread's k×16 buffer, where it stays
+/// cache-hot; with m ≤ kMR one tile covers all rows and reads B in place.
+/// When `bias`/`pg` are set, the fused epilogue runs on each finished tile:
+/// the bias add is the same single add per element as add_bias, and the
+/// GELU goes through the table's gelu_row — the evaluation this host's
+/// fast-tier gelu_forward also uses — so fusion is bitwise-identical to the
+/// unfused add_bias/gelu_forward passes within the tier.
 void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
                  int n, int k, const float* pb, float* pc, bool accumulate,
                  const float* bias, float* pg) {
-  const int panels = (n + kNR - 1) / kNR;
-  float* packed =
-      pack_workspace(static_cast<std::size_t>(panels) * k * kNR);
-  pack_b_panels(pb, k, n, packed);
   const Tables& t = tables();
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
+  const int panels = (n + kNR - 1) / kNR;
+  const bool in_place = m <= kMR;
+  const int shards =
+      plan_shards(panels, static_cast<std::size_t>(m) * k * kNR);
   ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(m, shards, s);
-    const int r1 = shard_begin(m, shards, s + 1);
-    for (int p = 0; p < panels; ++p) {
+    float* buf = in_place ? nullptr
+                          : panel_workspace(static_cast<std::size_t>(k) * kNR);
+    const int p1 = shard_begin(panels, shards, s + 1);
+    for (int p = shard_begin(panels, shards, s); p < p1; ++p) {
       const int j0 = p * kNR;
       const int width = std::min(kNR, n - j0);
-      const float* panel = packed + static_cast<std::size_t>(p) * k * kNR;
-      for (int i = r0; i < r1; i += kMR) {
-        const int mr = std::min(kMR, r1 - i);
+      const float* panel = pb + j0;
+      std::size_t ldb = n;
+      if (!in_place) {
+        pack_panel(panel, ldb, k, width, buf);
+        panel = buf;
+        ldb = kNR;
+      }
+      for (int i = 0; i < m; i += kMR) {
+        const int mr = std::min(kMR, m - i);
         float* ctile = pc + static_cast<std::size_t>(i) * n + j0;
-        t.tile[mr](pa + i * ra, ra, rl, k, panel, ctile, n, width, accumulate);
+        t.tile[mr](pa + i * ra, ra, rl, k, panel, ldb, ctile, n, width,
+                   accumulate);
         if (bias || pg) {
           for (int r = i; r < i + mr; ++r) {
             float* yrow = pc + static_cast<std::size_t>(r) * n + j0;

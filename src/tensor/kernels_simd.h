@@ -1,6 +1,6 @@
 // Internal interface of the fast kernel tier (DESIGN.md §2 item 18):
-// cache-blocked, register-tiled GEMM microkernels with packed B panels and
-// fused epilogues, plus lane-parallel implementations of the non-GEMM
+// register-tiled GEMM microkernels over 16-column B panels (packed per
+// panel for m > 6, read in place for m ≤ 6) with fused epilogues, plus lane-parallel implementations of the non-GEMM
 // dense ops (bias, GELU, LayerNorm, softmax, cross-entropy) and the comm
 // inner loops. The GEMMs ship an AVX2+FMA path selected by runtime CPU
 // dispatch plus a portable mirror with the same blocking and the same
@@ -19,8 +19,10 @@
 //    dgamma/dbeta pass of layernorm_backward_fast (column lanes, ascending
 //    rows) and the comm loops (one exact op per element).
 //  - gemm_nt_fast reduces a dot product across lanes (8 strided partials,
-//    fixed combine tree, FMA where available) — tolerance-equal; bitwise
-//    stable in the row count for fixed k.
+//    fixed combine tree, FMA where available, serial tail, then C + sum)
+//    — tolerance-equal to the reference, bitwise to that documented order
+//    (tests/kernel_tier_test.cc models it); bitwise stable in the row
+//    count for fixed k.
 //  - gelu_*_fast, softmax_rows_fast, cross_entropy_fast and the row
 //    statistics of layernorm_*_fast use a vector exp/tanh polynomial and
 //    lane-summed row reductions — tolerance-equal; every element is a pure

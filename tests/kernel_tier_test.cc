@@ -4,9 +4,10 @@
 // microkernels keep every output element's serial ascending reduction over
 // the contraction dimension and never contract mul+add into FMA. gemm_nt's
 // fast tier reduces dot products across vector lanes, so it is only
-// tolerance-equal to the reference — but each element is a pure function of
-// k and the data, so it must be bitwise stable in the row count (the decode
-// step-vs-reforward contract) and in the shard split.
+// tolerance-equal to the reference — but it follows one documented order
+// (pinned bitwise by an in-test model below), and each element is a pure
+// function of k and the data, so it must be bitwise stable in the row count
+// (the decode step-vs-reforward contract) and in the shard split.
 //
 // The tests verify against a test-local serial replica of the scalar
 // reference (same blocking, same accumulation orders), so they hold under
@@ -106,10 +107,16 @@ void expect_bitwise(const Tensor& got, const Tensor& want) {
 }
 
 /// Shapes deliberately off the 6×16 tile and 48 block grids (plus exact
-/// multiples and degenerate edges).
+/// multiples and degenerate edges), as {m, k, n}. The fast gemm/gemm_tn
+/// tier reads B in place for m ≤ 6 and packs it per panel above that, so
+/// m ∈ {1, 2, 4, 6, 7} covers both sides; n ∈ {1, 8, 15, 17, 24} puts 1-,
+/// 8-, 15-column tail panels behind zero or one full panel; k = 1 is the
+/// shortest reduction.
 const std::tuple<int, int, int> kShapes[] = {
-    {1, 1, 1},   {3, 5, 7},    {6, 16, 32},  {13, 48, 33},
-    {17, 31, 9}, {48, 64, 96}, {7, 129, 65}, {65, 7, 130}};
+    {1, 1, 1},    {3, 5, 7},    {6, 16, 32},  {13, 48, 33},
+    {17, 31, 9},  {48, 64, 96}, {7, 129, 65}, {65, 7, 130},
+    {1, 40, 17},  {2, 33, 8},   {4, 64, 15},  {6, 1, 24},
+    {7, 20, 17},  {7, 1, 1},    {2, 300, 24}, {13, 1, 15}};
 
 TEST(KernelTier, DispatchRespectsEnvPinAndPolicy) {
   PolicyGuard guard;
@@ -212,6 +219,59 @@ TEST(KernelTier, GemmNtToleranceAgainstReference) {
       }
     }
   }
+}
+
+/// The fast tier's documented gemm_nt order for one output element: eight
+/// strided lane partials over the k/8·8 prefix (lane t takes l ≡ t mod 8;
+/// fused multiply-add on AVX2+FMA hosts, separate mul+add on the portable
+/// path), the fixed ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)) combine tree, a
+/// serial mul+add tail, and finally C + sum.
+float model_gemm_nt_element(const float* a, const float* b, int k, float c,
+                            bool fused) {
+  float lane[8] = {};
+  int l = 0;
+  for (; l + 8 <= k; l += 8)
+    for (int t = 0; t < 8; ++t)
+      lane[t] = fused ? std::fmaf(a[l + t], b[l + t], lane[t])
+                      : lane[t] + a[l + t] * b[l + t];
+  float sum = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+              ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+  for (; l < k; ++l) sum += a[l] * b[l];
+  return c + sum;
+}
+
+TEST(KernelTier, GemmNtFastTierBitwiseMatchesOrderModel) {
+  // Tolerance alone would let a reordering of the fast tier's reduction
+  // pass silently; this pins the order itself.
+  PolicyGuard guard;
+  Rng rng(37);
+  const bool fused = simd::cpu_supports_avx2_fma();
+  bool checked = false;
+  for (auto [m, k, n] : kShapes) {
+    const Tensor a = random_tensor(m, k, rng);
+    const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
+    for (bool accumulate : {false, true}) {
+      const Tensor seed = random_tensor(m, n, rng, 0.5f);
+      Tensor want(m, n);
+      for (int i = 0; i < m; ++i)
+        for (int j = 0; j < n; ++j)
+          want.at(i, j) = model_gemm_nt_element(
+              a.data() + static_cast<std::size_t>(i) * k,
+              b.data() + static_cast<std::size_t>(j) * k, k,
+              accumulate ? seed.at(i, j) : 0.0f, fused);
+      for (KernelPolicy p : testable_policies()) {
+        set_kernel_policy(p);
+        if (active_kernel_tier() != KernelTier::kFast) continue;
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                     std::to_string(n) + (accumulate ? " acc" : ""));
+        Tensor c = seed;
+        gemm_nt(a, b, c, accumulate);
+        expect_bitwise(c, want);
+        checked = true;
+      }
+    }
+  }
+  if (!checked) GTEST_SKIP() << "fast tier not reachable under this pin";
 }
 
 TEST(KernelTier, GemmNtRowsAreBitwiseStableInRowCount) {
@@ -673,31 +733,45 @@ TEST(KernelTier, PooledNonGemmOpsBitwiseMatchSerialInEveryTier) {
 }
 
 TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
-  // Shard-split independence of the fast tier (packed panels are built on
-  // the calling thread; helpers only consume them). Shapes large enough
-  // that plan_shards genuinely splits at the default grain.
+  // Shard-split independence of the fast tier: gemm/gemm_tn shard over
+  // 16-column panels, and each shard packs its panels into the running
+  // thread's own buffer (m > 6) or reads B in place (m ≤ 6); gemm_nt shards
+  // rows. Shapes large enough that plan_shards genuinely splits at the
+  // default grain, so helpers > 0 runs shards — and packs — on the helper
+  // threads too.
   PolicyGuard guard;
   Rng rng(26);
-  const Tensor a = random_tensor(130, 70, rng);
-  const Tensor b = random_tensor(70, 90, rng);
-  const Tensor bt = random_tensor(90, 70, rng);
-  const Tensor at = random_tensor(70, 130, rng);
-  for (KernelPolicy p : testable_policies()) {
-    set_kernel_policy(p);
-    ComputePool::instance().set_helpers(0);
-    Tensor c1(130, 90), c2(130, 90), c3(130, 90);
-    gemm(a, b, c1);
-    gemm_tn(at, b, c2);
-    gemm_nt(a, bt, c3);
-    ComputePool::instance().set_helpers(4);
-    Tensor d1(130, 90), d2(130, 90), d3(130, 90);
-    gemm(a, b, d1);
-    gemm_tn(at, b, d2);
-    gemm_nt(a, bt, d3);
-    ComputePool::instance().set_helpers(0);
-    expect_bitwise(d1, c1);
-    expect_bitwise(d2, c2);
-    expect_bitwise(d3, c3);
+  for (auto [m, k, n] : {std::tuple{130, 70, 90}, std::tuple{4, 192, 768}}) {
+    const Tensor a = random_tensor(m, k, rng);
+    const Tensor b = random_tensor(k, n, rng);
+    const Tensor bt = random_tensor(n, k, rng);
+    const Tensor at = random_tensor(k, m, rng);
+    const Tensor bias = random_tensor(1, n, rng);
+    for (KernelPolicy p : testable_policies()) {
+      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                   std::to_string(n));
+      set_kernel_policy(p);
+      struct Out {
+        Tensor nn, tn, nt, y, g;
+      };
+      Out outs[2];
+      for (int h : {0, 1}) {
+        ComputePool::instance().set_helpers(h == 0 ? 0 : 4);
+        Out& o = outs[h];
+        o = {Tensor(m, n), Tensor(m, n), Tensor(m, n), Tensor(m, n),
+             Tensor(m, n)};
+        gemm(a, b, o.nn);
+        gemm_tn(at, b, o.tn);
+        gemm_nt(a, bt, o.nt);
+        gemm_bias_gelu(a, b, bias, o.y, o.g);
+      }
+      ComputePool::instance().set_helpers(0);
+      expect_bitwise(outs[1].nn, outs[0].nn);
+      expect_bitwise(outs[1].tn, outs[0].tn);
+      expect_bitwise(outs[1].nt, outs[0].nt);
+      expect_bitwise(outs[1].y, outs[0].y);
+      expect_bitwise(outs[1].g, outs[0].g);
+    }
   }
 }
 
