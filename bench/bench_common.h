@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,9 @@
 
 #ifndef CHIMERA_BUILD_TYPE
 #define CHIMERA_BUILD_TYPE "unknown"  // the root CMakeLists defines it
+#endif
+#ifndef CHIMERA_CXX_FLAGS
+#define CHIMERA_CXX_FLAGS "unknown"  // the root CMakeLists defines it
 #endif
 
 namespace chimera::bench {
@@ -39,7 +43,8 @@ inline std::string compiler_name() {
 /// `--json <path>` and mirrors its headline rows into a JSON array of
 ///   {"bench": ..., "name": ..., "config": ..., "kernel_policy": ...,
 ///    "kernel_tier": ..., "build_type": ..., "compiler": ...,
-///    "throughput": ..., "iteration_seconds": ..., <extra metrics>}
+///    "cxx_flags": ..., "cores": ..., "throughput": ...,
+///    "iteration_seconds": ..., <extra metrics>}
 /// records (convention: BENCH_<figure>.json), so the perf trajectory can be
 /// tracked by tooling instead of scraping tables. kernel_policy is the
 /// configured KernelPolicy (env pin included); kernel_tier is the tier it
@@ -47,7 +52,9 @@ inline std::string compiler_name() {
 /// compared as if they were the same machine state. build_type and
 /// compiler fingerprint the code generation: fast-tier GFLOP/s depends on
 /// the -O level and the compiler's register allocation, so records from
-/// different builds are not comparable either.
+/// different builds are not comparable either. cxx_flags are the exact
+/// flags the build type compiles with (CMAKE_CXX_FLAGS plus the build
+/// type's), and cores the host's hardware_concurrency().
 class JsonReporter {
  public:
   JsonReporter(int argc, char** argv, std::string bench_name)
@@ -75,7 +82,10 @@ class JsonReporter {
                     escape(kernel_tier_name(active_kernel_tier())) +
                     "\", \"build_type\": \"" + escape(CHIMERA_BUILD_TYPE) +
                     "\", \"compiler\": \"" + escape(compiler_name()) +
-                    "\", \"throughput\": " + num(throughput) +
+                    "\", \"cxx_flags\": \"" + escape(CHIMERA_CXX_FLAGS) +
+                    "\", \"cores\": " +
+                    num(std::thread::hardware_concurrency()) +
+                    ", \"throughput\": " + num(throughput) +
                     ", \"iteration_seconds\": " + num(iteration_seconds);
     for (const auto& [k, v] : extra)
       r += ", \"" + escape(k) + "\": " + num(v);

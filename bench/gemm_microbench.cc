@@ -1,7 +1,8 @@
-// Single-core kernel microbench, per tier: GFLOP/s of the GEMM variants
-// plus GB/s of every other dense hot loop behind the KernelPolicy — GELU,
+// Single-core kernel microbench, per tier: GFLOP/s of the GEMM variants,
+// GB/s of every other dense hot loop behind the KernelPolicy — GELU,
 // LayerNorm, softmax, cross-entropy, bias ops, the Adam step and the
-// gradient norm (DESIGN.md §2 item 18's perf trajectory).
+// gradient norm — and µs plus GFLOP/s of the fused attention forward,
+// backward and decode (DESIGN.md §2 item 18's perf trajectory).
 //
 // Shapes are the ones the GPT-2-like default of bench_runtime_throughput
 // actually executes (rows = B·seq = 64, hidden 192, mlp 768, vocab 768,
@@ -115,7 +116,7 @@ double measure(const Shape& s, Operands& o, double target_ms) {
 struct OpSpec {
   std::string name;
   std::string shape;
-  double bytes;  ///< per run: reads + writes, the GB/s numerator
+  double work;   ///< per run: bytes read + written (GB/s) or flops (GFLOP/s)
   bool bitwise;  ///< cross-tier contract: exact, or |Δ| ≤ tol
   float tol;
   std::function<void()> reset;
@@ -123,9 +124,10 @@ struct OpSpec {
   std::function<std::vector<float>()> outputs;
 };
 
-/// GB/s over enough repetitions to make timer noise irrelevant.
-double measure_gbs(const std::function<void()>& run, double bytes,
-                   double target_ms) {
+/// Work units per ns (GB/s or GFLOP/s) over enough repetitions to make
+/// timer noise irrelevant.
+double measure_rate(const std::function<void()>& run, double work,
+                    double target_ms) {
   run();  // warm
   long reps = 4;
   for (;;) {
@@ -135,7 +137,7 @@ double measure_gbs(const std::function<void()>& run, double bytes,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (secs * 1e3 >= target_ms || reps > (1L << 24))
-      return bytes * reps / secs / 1e9;
+      return work * reps / secs / 1e9;
     reps *= 4;
   }
 }
@@ -325,50 +327,121 @@ int main(int argc, char** argv) {
                    return std::vector<float>{static_cast<float>(gnorm)};
                  }});
 
-  TextTable optable({"op", "shape", "tier", "GB/s", "speedup"});
-  for (OpSpec& op : ops) {
-    double scalar_gbs = 0.0;
-    std::vector<float> scalar_out;
-    for (KernelTier tier : tiers) {
-      set_kernel_policy(tier == KernelTier::kScalar
-                            ? KernelPolicy::kScalarReference
-                            : KernelPolicy::kFast);
-      const bool is_fast = tier == KernelTier::kFast;
-      // Contract check on one clean application, before the timed runs.
-      if (op.reset) op.reset();
-      op.run();
-      const std::vector<float> out = op.outputs();
-      if (!is_fast) {
-        scalar_out = out;
-      } else if (!scalar_out.empty()) {
-        CHIMERA_CHECK(out.size() == scalar_out.size());
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          const bool ok = op.bitwise
-                              ? out[i] == scalar_out[i]
-                              : std::fabs(out[i] - scalar_out[i]) <= op.tol;
-          if (!ok) {
-            std::fprintf(stderr,
-                         "FAIL: %s element %zu: fast %.9g vs scalar %.9g\n",
-                         op.name.c_str(), i, out[i], scalar_out[i]);
-            contract_broken = true;
-            break;
+  // Per op and tier: one clean application checked against the scalar
+  // tier's outputs, then the timed runs. `flops` ops report µs and GFLOP/s,
+  // the rest GB/s.
+  auto measure_ops = [&](std::vector<OpSpec>& list, bool flops) {
+    TextTable t(flops ? std::vector<std::string>{"op", "shape", "tier", "us",
+                                                 "GFLOP/s", "speedup"}
+                      : std::vector<std::string>{"op", "shape", "tier",
+                                                 "GB/s", "speedup"});
+    for (OpSpec& op : list) {
+      double scalar_rate = 0.0;
+      std::vector<float> scalar_out;
+      for (KernelTier tier : tiers) {
+        set_kernel_policy(tier == KernelTier::kScalar
+                              ? KernelPolicy::kScalarReference
+                              : KernelPolicy::kFast);
+        const bool is_fast = tier == KernelTier::kFast;
+        if (op.reset) op.reset();
+        op.run();
+        const std::vector<float> out = op.outputs();
+        if (!is_fast) {
+          scalar_out = out;
+        } else if (!scalar_out.empty()) {
+          CHIMERA_CHECK(out.size() == scalar_out.size());
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const bool ok = op.bitwise
+                                ? out[i] == scalar_out[i]
+                                : std::fabs(out[i] - scalar_out[i]) <= op.tol;
+            if (!ok) {
+              std::fprintf(stderr,
+                           "FAIL: %s element %zu: fast %.9g vs scalar %.9g\n",
+                           op.name.c_str(), i, out[i], scalar_out[i]);
+              contract_broken = true;
+              break;
+            }
           }
         }
+        if (op.reset) op.reset();
+        const double rate = measure_rate(op.run, op.work, target_ms);
+        if (!is_fast) scalar_rate = rate;
+        const double speedup =
+            is_fast && scalar_rate > 0.0 ? rate / scalar_rate : 0.0;
+        char sp[16];
+        std::snprintf(sp, sizeof sp, speedup > 0 ? "%.2fx" : "-", speedup);
+        const char* tier_name = is_fast ? "fast" : "scalar";
+        std::vector<std::pair<std::string, double>> extra;
+        if (flops) {
+          const double us = op.work / (rate * 1e3);
+          t.add_row(op.name, op.shape, tier_name, us, rate, sp);
+          extra = {{"us", us}, {"gflops", rate}};
+        } else {
+          t.add_row(op.name, op.shape, tier_name, rate, sp);
+          extra = {{"gbs", rate}};
+        }
+        if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
+        json.add(op.name, op.shape + " tier=" + tier_name,
+                 /*throughput=*/0.0, 0.0, extra);
       }
-      if (op.reset) op.reset();
-      const double gbs = measure_gbs(op.run, op.bytes, target_ms);
-      if (!is_fast) scalar_gbs = gbs;
-      const double speedup =
-          is_fast && scalar_gbs > 0.0 ? gbs / scalar_gbs : 0.0;
-      char sp[16];
-      std::snprintf(sp, sizeof sp, speedup > 0 ? "%.2fx" : "-", speedup);
-      optable.add_row(op.name, op.shape, is_fast ? "fast" : "scalar", gbs, sp);
-      std::vector<std::pair<std::string, double>> extra = {{"gbs", gbs}};
-      if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
-      json.add(op.name, op.shape + " tier=" + (is_fast ? "fast" : "scalar"),
-               /*throughput=*/0.0, 0.0, extra);
     }
+    t.print();
+  };
+  measure_ops(ops, /*flops=*/false);
+
+  // ---- Fused attention: µs and GFLOP/s over the causal triangle ----------
+  // The GPT-2 bench block (B=1, seq 64, 8 heads of dk 24) forward and
+  // backward, and a 4-lane decode step over 32 cached positions in pages
+  // of 16. Flops count only the causal triangle: 4·dk per (query, key)
+  // pair forward (scores, context), 8·dk backward (dP, dQ, dK, dV).
+  // Cross-tier tolerance comes from gemm_nt's lane-reduced scores and the
+  // vector-exp softmax.
+  print_banner("Fused attention per tier (single core, causal-triangle flops)");
+  constexpr int S = 64, kHeads = 8, kDk = H / kHeads;
+  constexpr int kLanes = 4, kCtx = 32, kPage = 16;
+  const double pairs = S * (S + 1) / 2.0;
+  Tensor qkv(R, 3 * H), dmerged(R, H), aprobs, amerged, bprobs, bmerged, dqkv;
+  Tensor qrows(kLanes, 3 * H), kv(kLanes * 2 * kCtx, H), decoded;
+  qkv.randn(rng, 1.0f);
+  dmerged.randn(rng, 1.0f);
+  qrows.randn(rng, 1.0f);
+  kv.randn(rng, 1.0f);
+  // The backward consumes the scalar forward's probs in both tiers, so its
+  // cross-tier delta is the backward's own.
+  set_kernel_policy(KernelPolicy::kScalarReference);
+  attention_forward(qkv, S, kHeads, /*causal=*/true, bprobs, bmerged);
+  // Lane r's pages p = 0, 1: each a block of kPage K rows then kPage V rows.
+  std::vector<KvRun> runs;
+  std::vector<int> row_runs{0};
+  for (int r = 0; r < kLanes; ++r) {
+    for (int p = 0; p < kCtx / kPage; ++p) {
+      const float* block =
+          kv.data() + static_cast<std::size_t>(r * kCtx + p * kPage) * 2 * H;
+      runs.push_back({block, block + kPage * H, kPage});
+    }
+    row_runs.push_back(static_cast<int>(runs.size()));
   }
-  optable.print();
+  std::vector<OpSpec> attn;
+  attn.push_back({"attention_forward", "64x192 h8 causal",
+                  4.0 * kHeads * pairs * kDk, false, 1e-5f, nullptr,
+                  [&] {
+                    attention_forward(qkv, S, kHeads, true, aprobs, amerged);
+                  },
+                  [&] { return flat({&aprobs, &amerged}); }});
+  attn.push_back({"attention_backward", "64x192 h8 causal",
+                  8.0 * kHeads * pairs * kDk, false, 1e-5f, nullptr,
+                  [&] {
+                    attention_backward(qkv, bprobs, dmerged, S, kHeads, true,
+                                       dqkv);
+                  },
+                  [&] { return flat({&dqkv}); }});
+  attn.push_back({"attention_decode", "4 lanes ctx32 page16",
+                  4.0 * kLanes * kHeads * kCtx * kDk, false, 1e-5f, nullptr,
+                  [&] {
+                    attention_decode(qrows, kHeads, runs, row_runs, H,
+                                     decoded);
+                  },
+                  [&] { return flat({&decoded}); }});
+  measure_ops(attn, /*flops=*/true);
   return contract_broken ? 1 : 0;
 }

@@ -118,7 +118,9 @@ class PagedKvCache {
 
   /// K row of (layer, session) at position `pos`: `hidden` floats. Pure
   /// table lookup — the position's page must be mapped. Writes are legal
-  /// only to positions the engine pre-ensured via ensure_writable().
+  /// only to positions the engine pre-ensured via ensure_writable(). The
+  /// rows of one page are consecutive at stride `hidden`, so the row of a
+  /// page's first position spans the whole page (decode reads it in place).
   float* k_row(int layer, int session, int pos) {
     return pool_.data(page_at(session, pos)) + offset(layer, 0, pos);
   }

@@ -1,6 +1,6 @@
 #include "nn/layers.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace chimera::nn {
 
@@ -77,7 +77,6 @@ MultiHeadAttention::MultiHeadAttention(std::string name, int hidden, int heads,
     : hidden_(hidden),
       heads_(heads),
       seq_(seq),
-      dk_(hidden / heads),
       causal_(causal),
       qkv_(name + ".qkv", hidden, 3 * hidden, rng,
            0.02f),
@@ -85,72 +84,13 @@ MultiHeadAttention::MultiHeadAttention(std::string name, int hidden, int heads,
   CHIMERA_CHECK_MSG(hidden % heads == 0, "heads must divide hidden size");
 }
 
-namespace {
-
-/// Copies head `h` of tensor region `which` (0=Q,1=K,2=V) for batch item `b`
-/// out of the fused [B·s, 3h] qkv activation into a contiguous [s, dk]
-/// matrix.
-void gather_head(const Tensor& qkv, int b, int which, int h, int seq, int dk,
-                 int hidden, Tensor& out) {
-  for (int t = 0; t < seq; ++t) {
-    const float* src = qkv.data() +
-                       static_cast<std::size_t>(b * seq + t) * 3 * hidden +
-                       which * hidden + h * dk;
-    float* dst = out.data() + static_cast<std::size_t>(t) * dk;
-    std::copy(src, src + dk, dst);
-  }
-}
-
-void scatter_head_add(Tensor& dqkv, int b, int which, int h, int seq, int dk,
-                      int hidden, const Tensor& grad) {
-  for (int t = 0; t < seq; ++t) {
-    float* dst = dqkv.data() +
-                 static_cast<std::size_t>(b * seq + t) * 3 * hidden +
-                 which * hidden + h * dk;
-    const float* src = grad.data() + static_cast<std::size_t>(t) * dk;
-    for (int i = 0; i < dk; ++i) dst[i] += src[i];
-  }
-}
-
-}  // namespace
-
 Tensor MultiHeadAttention::forward(const Tensor& x, Ctx& ctx, int seq) const {
   const int S = seq > 0 ? seq : seq_;
-  const int rows = x.rows();
-  CHIMERA_CHECK_MSG(rows % S == 0, "rows must be a multiple of seq");
-  const int batch = rows / S;
-  ctx.batch = batch;
+  CHIMERA_CHECK_MSG(x.rows() % S == 0, "rows must be a multiple of seq");
   ctx.seq = S;
   qkv_.forward_into(x, ctx.qkv_ctx, ctx.qkv);
-  // Keep the per-head prob tensors alive across micro-batches/iterations:
-  // re-assignment below reuses their storage (zero-realloc hot path).
-  if (ctx.probs.size() != static_cast<std::size_t>(batch) * heads_)
-    ctx.probs.assign(static_cast<std::size_t>(batch) * heads_, Tensor());
-
   Tensor merged;
-  merged.reshape(rows, hidden_);  // fully written by the head-merge loops
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk_));
-  Tensor q(S, dk_), k(S, dk_), v(S, dk_);
-  Tensor scores(S, S), probs(S, S), context(S, dk_);
-  for (int b = 0; b < batch; ++b) {
-    for (int h = 0; h < heads_; ++h) {
-      gather_head(ctx.qkv, b, 0, h, S, dk_, hidden_, q);
-      gather_head(ctx.qkv, b, 1, h, S, dk_, hidden_, k);
-      gather_head(ctx.qkv, b, 2, h, S, dk_, hidden_, v);
-      gemm_nt(q, k, scores);  // [s, s]
-      scores.scale(scale);
-      if (causal_) {
-        for (int i = 0; i < S; ++i)
-          for (int j = i + 1; j < S; ++j) scores.at(i, j) = -1e9f;
-      }
-      softmax_rows(scores, probs);
-      ctx.probs[static_cast<std::size_t>(b) * heads_ + h] = probs;
-      gemm(probs, v, context);
-      for (int t = 0; t < S; ++t)
-        for (int i = 0; i < dk_; ++i)
-          merged.at(b * S + t, h * dk_ + i) = context.at(t, i);
-    }
-  }
+  attention_forward(ctx.qkv, S, heads_, causal_, ctx.probs, merged);
   return proj_.forward(merged, ctx.proj_ctx);
 }
 
@@ -175,76 +115,29 @@ Tensor MultiHeadAttention::decode_step(const Tensor& x,
               cache.v_row(layer, slots[r], positions[r]));
   }
 
-  ws.merged.reshape(rows, hidden_);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk_));
+  // Row r attends over positions 0..positions[r], read in place one page
+  // at a time — the same row kernel forward() runs over the full prefix.
+  const int page = cache.page_size();
+  ws.runs.clear();
+  ws.row_runs.assign(1, 0);
   for (int r = 0; r < rows; ++r) {
-    const int ctx_len = positions[r] + 1;
-    const float* qkv_row = ws.qkv.data() + static_cast<std::size_t>(r) * 3 * hidden_;
-    for (int h = 0; h < heads_; ++h) {
-      ws.q.reshape(1, dk_);
-      std::copy(qkv_row + h * dk_, qkv_row + (h + 1) * dk_, ws.q.data());
-      ws.k.reshape(ctx_len, dk_);
-      ws.v.reshape(ctx_len, dk_);
-      for (int j = 0; j < ctx_len; ++j) {
-        const float* kr = cache.k_row(layer, slots[r], j) + h * dk_;
-        const float* vr = cache.v_row(layer, slots[r], j) + h * dk_;
-        std::copy(kr, kr + dk_, ws.k.data() + static_cast<std::size_t>(j) * dk_);
-        std::copy(vr, vr + dk_, ws.v.data() + static_cast<std::size_t>(j) * dk_);
-      }
-      // Same kernel sequence as forward(): gemm_nt → scale → softmax → gemm.
-      // The masked tail forward() carries beyond ctx_len contributes exact
-      // zeros to its sums, so the shorter row here is bitwise identical.
-      ws.scores.reshape(1, ctx_len);
-      gemm_nt(ws.q, ws.k, ws.scores);
-      ws.scores.scale(scale);
-      ws.probs.reshape(1, ctx_len);
-      softmax_rows(ws.scores, ws.probs);
-      ws.ctx.reshape(1, dk_);
-      gemm(ws.probs, ws.v, ws.ctx);
-      std::copy(ws.ctx.data(), ws.ctx.data() + dk_,
-                ws.merged.data() + static_cast<std::size_t>(r) * hidden_ + h * dk_);
-    }
+    const int len = positions[r] + 1;
+    for (int p0 = 0; p0 < len; p0 += page)
+      ws.runs.push_back({cache.k_row(layer, slots[r], p0),
+                         cache.v_row(layer, slots[r], p0),
+                         std::min(page, len - p0)});
+    ws.row_runs.push_back(static_cast<int>(ws.runs.size()));
   }
+  attention_decode(ws.qkv, heads_, ws.runs, ws.row_runs, cache.hidden(),
+                   ws.merged);
   return proj_.forward(ws.merged, ws.proj_ctx);
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& dy, const Ctx& ctx) {
-  const int batch = ctx.batch;
-  const int S = ctx.seq > 0 ? ctx.seq : seq_;
-  Tensor dmerged = proj_.backward(dy, ctx.proj_ctx);
-
-  Tensor dqkv(ctx.qkv.rows(), ctx.qkv.cols());
-  dqkv.zero();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk_));
-  Tensor q(S, dk_), k(S, dk_), v(S, dk_);
-  Tensor dctx(S, dk_), dprobs(S, S), dscores(S, S);
-  Tensor dq(S, dk_), dk_grad(S, dk_), dv(S, dk_);
-  for (int b = 0; b < batch; ++b) {
-    for (int h = 0; h < heads_; ++h) {
-      gather_head(ctx.qkv, b, 0, h, S, dk_, hidden_, q);
-      gather_head(ctx.qkv, b, 1, h, S, dk_, hidden_, k);
-      gather_head(ctx.qkv, b, 2, h, S, dk_, hidden_, v);
-      const Tensor& probs = ctx.probs[static_cast<std::size_t>(b) * heads_ + h];
-      for (int t = 0; t < S; ++t)
-        for (int i = 0; i < dk_; ++i)
-          dctx.at(t, i) = dmerged.at(b * S + t, h * dk_ + i);
-      gemm_nt(dctx, v, dprobs);   // dP = dC·Vᵀ
-      gemm_tn(probs, dctx, dv);   // dV = Pᵀ·dC
-      // Softmax backward: ds = P ⊙ (dP − rowsum(dP ⊙ P)).
-      for (int i = 0; i < S; ++i) {
-        float dot = 0.0f;
-        for (int j = 0; j < S; ++j) dot += dprobs.at(i, j) * probs.at(i, j);
-        for (int j = 0; j < S; ++j)
-          dscores.at(i, j) = probs.at(i, j) * (dprobs.at(i, j) - dot);
-      }
-      dscores.scale(scale);
-      gemm(dscores, k, dq);        // dQ = dS·K
-      gemm_tn(dscores, q, dk_grad);  // dK = dSᵀ·Q
-      scatter_head_add(dqkv, b, 0, h, S, dk_, hidden_, dq);
-      scatter_head_add(dqkv, b, 1, h, S, dk_, hidden_, dk_grad);
-      scatter_head_add(dqkv, b, 2, h, S, dk_, hidden_, dv);
-    }
-  }
+  const Tensor dmerged = proj_.backward(dy, ctx.proj_ctx);
+  Tensor dqkv;
+  attention_backward(ctx.qkv, ctx.probs, dmerged, ctx.seq, heads_, causal_,
+                     dqkv);
   return qkv_.backward(dqkv, ctx.qkv_ctx);
 }
 

@@ -98,24 +98,19 @@ class MultiHeadAttention {
 
   struct Ctx {
     Linear::Ctx qkv_ctx, proj_ctx;
-    Tensor qkv;                 ///< [B·s, 3h]
-    std::vector<Tensor> probs;  ///< per (batch, head) softmax matrices [s, s]
-    int batch = 0;
-    int seq = 0;  ///< sequence length of this activation (≤ construction seq)
+    Tensor qkv;    ///< [B·s, 3h]
+    Tensor probs;  ///< [B·heads·s, s] softmax rows (see attention_forward)
+    int seq = 0;   ///< sequence length of this activation (≤ construction seq)
   };
 
-  /// Scratch of the incremental decode path: per-head K/V gathers and the
-  /// per-row score/prob/context rows, all re-shaped in place so steady-state
-  /// decoding allocates nothing.
+  /// Scratch of the incremental decode path, reused across steps so
+  /// steady-state decoding allocates nothing.
   struct DecodeWs {
     Linear::Ctx qkv_ctx, proj_ctx;
-    Tensor qkv;     ///< [R, 3h]
-    Tensor q;       ///< [1, dk]
-    Tensor k, v;    ///< [ctx_len, dk] per-head gathers from the cache
-    Tensor scores;  ///< [1, ctx_len]
-    Tensor probs;   ///< [1, ctx_len]
-    Tensor ctx;     ///< [1, dk]
-    Tensor merged;  ///< [R, h]
+    Tensor qkv;                 ///< [R, 3h]
+    std::vector<KvRun> runs;    ///< each row's cache pages, in order
+    std::vector<int> row_runs;  ///< row r's runs: [row_runs[r], row_runs[r+1])
+    Tensor merged;              ///< [R, h]
   };
 
   /// `seq` overrides the construction-time sequence length for this call
@@ -128,11 +123,10 @@ class MultiHeadAttention {
   /// session. Row r belongs to cache slot `slots[r]` whose prefix holds
   /// `positions[r]` cached tokens; the row's K/V projections are appended at
   /// that position in `cache` layer `layer`, then the row attends over
-  /// positions 0..positions[r]. Bitwise contract (DESIGN.md §6): the result
-  /// row equals row positions[r] of forward() over the full prefix — same
-  /// kernels, same accumulation orders; the causal mask's −1e9 entries
-  /// underflow to exact zero probability in forward(), so the shorter decode
-  /// softmax/context sums see identical partial-sum sequences.
+  /// positions 0..positions[r], reading the cached K/V rows in place page by
+  /// page. Bitwise contract (DESIGN.md §6): the result row equals row
+  /// positions[r] of forward() over the full prefix — both run the same
+  /// attention row kernel over the same causal prefix.
   Tensor decode_step(const Tensor& x, const std::vector<int>& slots,
                      const std::vector<int>& positions, PagedKvCache& cache,
                      int layer, DecodeWs& ws) const;
@@ -147,7 +141,7 @@ class MultiHeadAttention {
   }
 
  private:
-  int hidden_, heads_, seq_, dk_;
+  int hidden_, heads_, seq_;
   bool causal_;
   Linear qkv_;
   Linear proj_;

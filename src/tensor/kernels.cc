@@ -58,6 +58,20 @@ bool use_fast_nongemm() {
   return use_fast_tier() && simd::cpu_supports_avx2_fma();
 }
 
+/// The scalar reference of one softmax_rows row; x and y may alias.
+void softmax_row_ref(const float* x, float* y, int C) {
+  float mx = x[0];
+  for (int c = 1; c < C; ++c) mx = std::max(mx, x[c]);
+  float sum = 0.0f;
+  for (int c = 0; c < C; ++c) {
+    const float e = std::exp(x[c] - mx);
+    y[c] = e;
+    sum += e;
+  }
+  const float inv = 1.0f / sum;
+  for (int c = 0; c < C; ++c) y[c] *= inv;
+}
+
 }  // namespace
 
 void set_kernel_policy(KernelPolicy policy) {
@@ -374,18 +388,9 @@ void softmax_rows(const Tensor& x, Tensor& y) {
   ComputePool::instance().parallel_for(shards, [&](int s) {
     const int r0 = shard_begin(R, shards, s);
     const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r) {
-      float mx = x.at(r, 0);
-      for (int c = 1; c < C; ++c) mx = std::max(mx, x.at(r, c));
-      float sum = 0.0f;
-      for (int c = 0; c < C; ++c) {
-        const float e = std::exp(x.at(r, c) - mx);
-        y.at(r, c) = e;
-        sum += e;
-      }
-      const float inv = 1.0f / sum;
-      for (int c = 0; c < C; ++c) y.at(r, c) *= inv;
-    }
+    for (int r = r0; r < r1; ++r)
+      softmax_row_ref(x.data() + static_cast<std::size_t>(r) * C,
+                      y.data() + static_cast<std::size_t>(r) * C, C);
   });
 }
 
@@ -427,6 +432,203 @@ float cross_entropy(const Tensor& logits, const std::vector<int>& targets,
   float loss = 0.0f;
   for (int r = 0; r < R; ++r) loss -= row_logp[r];
   return loss * inv_rows;
+}
+
+// ---- Fused attention ----------------------------------------------------
+
+namespace {
+
+/// gemm_nt's scalar per-element order for one A row against the n B rows
+/// at b + j·ldb: kBlock partial dots added to 0.0f in ascending order.
+void dot_rows_ref(const float* a, const float* b, std::size_t ldb, int k,
+                  int n, float* out) {
+  for (int j = 0; j < n; ++j, b += ldb) {
+    float c = 0.0f;
+    for (int l0 = 0; l0 < k; l0 += kBlock) {
+      const int l1 = std::min(k, l0 + kBlock);
+      float acc = 0.0f;
+      for (int l = l0; l < l1; ++l) acc += a[l] * b[l];
+      c += acc;
+    }
+    out[j] = c;
+  }
+}
+
+/// out += Σⱼ w[j]·x_j, j ascending (gemm's per-element order).
+void combine_rows_ref(const float* w, int n, const float* x, std::size_t ld,
+                      int dk, float* out) {
+  for (int j = 0; j < n; ++j, x += ld)
+    for (int c = 0; c < dk; ++c) out[c] += w[j] * x[c];
+}
+
+/// y_j += w[j]·x (gemm_tn's order when called for ascending query rows).
+void outer_rows_ref(const float* w, int n, const float* x, int dk, float* y,
+                    std::size_t ld) {
+  for (int j = 0; j < n; ++j, y += ld)
+    for (int c = 0; c < dk; ++c) y[c] += w[j] * x[c];
+}
+
+/// The row primitives the composed attention ops dispatch to in the
+/// active tier. combine/outer are bitwise identical across tiers; the
+/// fast tier's dots are gemm_nt_fast's (AVX2 or portable) and its softmax
+/// row is AVX2-only, like softmax_rows_fast.
+struct AttnRowOps {
+  void (*dots)(const float*, const float*, std::size_t, int, int, float*);
+  void (*softmax)(const float*, float*, int);
+  void (*combine)(const float*, int, const float*, std::size_t, int, float*);
+  void (*outer)(const float*, int, const float*, int, float*, std::size_t);
+};
+
+const AttnRowOps& attn_row_ops() {
+  static constexpr AttnRowOps kScalar{dot_rows_ref, softmax_row_ref,
+                                      combine_rows_ref, outer_rows_ref};
+  static constexpr AttnRowOps kFastPortable{
+      simd::dot_rows_fast, softmax_row_ref, combine_rows_ref, outer_rows_ref};
+  static constexpr AttnRowOps kFastAvx2{
+      simd::dot_rows_fast, simd::softmax_row_fast, simd::combine_rows_fast,
+      simd::outer_rows_fast};
+  if (!use_fast_tier()) return kScalar;
+  return simd::cpu_supports_avx2_fma() ? kFastAvx2 : kFastPortable;
+}
+
+/// One query row of one head over the keys of `runs` (L rows in total):
+/// p[0..L) = softmax(scale·(q·k_j)), out[0..dk) = Σⱼ p[j]·v_j, both fully
+/// written. `off` is the head's column offset inside each K/V row.
+void attend_row(const AttnRowOps& ops, const float* q, const KvRun* runs,
+                int nruns, std::size_t ld, std::size_t off, int dk,
+                float scale, float* p, float* out) {
+  int len = 0;
+  for (int r = 0; r < nruns; ++r) {
+    ops.dots(q, runs[r].k + off, ld, dk, runs[r].rows, p + len);
+    len += runs[r].rows;
+  }
+  for (int j = 0; j < len; ++j) p[j] *= scale;
+  ops.softmax(p, p, len);
+  std::fill(out, out + dk, 0.0f);
+  for (int r = 0, j0 = 0; r < nruns; j0 += runs[r].rows, ++r)
+    ops.combine(p + j0, runs[r].rows, runs[r].v + off, ld, dk, out);
+}
+
+/// Thread-local grow-only scratch row (each pool thread keeps its own).
+float* row_scratch(std::size_t n) {
+  static thread_local std::vector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+}  // namespace
+
+void attention_forward(const Tensor& qkv, int seq, int heads, bool causal,
+                       Tensor& probs, Tensor& merged) {
+  const int rows = qkv.rows(), hidden = qkv.cols() / 3;
+  CHIMERA_CHECK(qkv.cols() == 3 * hidden && heads > 0 &&
+                hidden % heads == 0 && seq > 0 && rows % seq == 0);
+  const int dk = hidden / heads, units = rows / seq * heads;
+  const std::size_t ld = 3 * static_cast<std::size_t>(hidden);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+  probs.reshape(units * seq, seq);
+  merged.reshape(rows, hidden);
+  const AttnRowOps& ops = attn_row_ops();
+  const int shards =
+      plan_shards(units, static_cast<std::size_t>(seq) * seq * dk * 2);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    const int u1 = shard_begin(units, shards, s + 1);
+    for (int u = shard_begin(units, shards, s); u < u1; ++u) {
+      const int b = u / heads;
+      const std::size_t off = static_cast<std::size_t>(u % heads) * dk;
+      const float* base = qkv.data() + static_cast<std::size_t>(b) * seq * ld;
+      KvRun run{base + hidden, base + 2 * hidden, 0};
+      for (int i = 0; i < seq; ++i) {
+        run.rows = causal ? i + 1 : seq;
+        float* p =
+            probs.data() + (static_cast<std::size_t>(u) * seq + i) * seq;
+        attend_row(ops, base + i * ld + off, &run, 1, ld, off, dk, scale, p,
+                   merged.data() +
+                       (static_cast<std::size_t>(b) * seq + i) * hidden + off);
+        std::fill(p + run.rows, p + seq, 0.0f);
+      }
+    }
+  });
+}
+
+void attention_backward(const Tensor& qkv, const Tensor& probs,
+                        const Tensor& dmerged, int seq, int heads,
+                        bool causal, Tensor& dqkv) {
+  const int rows = qkv.rows(), hidden = qkv.cols() / 3;
+  CHIMERA_CHECK(qkv.cols() == 3 * hidden && heads > 0 &&
+                hidden % heads == 0 && seq > 0 && rows % seq == 0);
+  const int dk = hidden / heads, units = rows / seq * heads;
+  CHIMERA_CHECK(probs.rows() == units * seq && probs.cols() == seq);
+  CHIMERA_CHECK(dmerged.rows() == rows && dmerged.cols() == hidden);
+  const std::size_t ld = 3 * static_cast<std::size_t>(hidden);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+  dqkv.reshape(rows, 3 * hidden);
+  dqkv.zero();  // dQ/dK/dV accumulate from +0, as the composed gemms did
+  const AttnRowOps& ops = attn_row_ops();
+  const int shards =
+      plan_shards(units, static_cast<std::size_t>(seq) * seq * dk * 4);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    float* dp = row_scratch(2 * static_cast<std::size_t>(seq));
+    float* ds = dp + seq;
+    const int u1 = shard_begin(units, shards, s + 1);
+    for (int u = shard_begin(units, shards, s); u < u1; ++u) {
+      const int b = u / heads;
+      const std::size_t off = static_cast<std::size_t>(u % heads) * dk;
+      const std::size_t row0 = static_cast<std::size_t>(b) * seq;
+      // The head's Q, K and V (and their gradients) are the column blocks
+      // at q (dq), +hidden and +2·hidden.
+      const float* q = qkv.data() + row0 * ld + off;
+      const float* dmr = dmerged.data() + row0 * hidden + off;
+      float* dq = dqkv.data() + row0 * ld + off;
+      // Query rows ascend, so every dK/dV element sums its rows in the
+      // ascending order gemm_tn used.
+      for (int i = 0; i < seq; ++i) {
+        const int len = causal ? i + 1 : seq;
+        const float* p =
+            probs.data() + (static_cast<std::size_t>(u) * seq + i) * seq;
+        const float* dc = dmr + static_cast<std::size_t>(i) * hidden;
+        ops.dots(dc, q + 2 * hidden, ld, dk, len, dp);  // dP = dC·Vᵀ
+        // Softmax backward: dS = P ⊙ (dP − rowsum(dP ⊙ P)), then the scale.
+        float dot = 0.0f;
+        for (int j = 0; j < len; ++j) dot += dp[j] * p[j];
+        for (int j = 0; j < len; ++j) ds[j] = p[j] * (dp[j] - dot) * scale;
+        ops.combine(ds, len, q + hidden, ld, dk, dq + i * ld);  // dQ = dS·K
+        ops.outer(ds, len, q + i * ld, dk, dq + hidden, ld);    // dK += dSᵀ·Q
+        ops.outer(p, len, dc, dk, dq + 2 * hidden, ld);         // dV += Pᵀ·dC
+      }
+    }
+  });
+}
+
+void attention_decode(const Tensor& qkv, int heads,
+                      const std::vector<KvRun>& runs,
+                      const std::vector<int>& row_runs, std::size_t ld,
+                      Tensor& merged) {
+  const int rows = qkv.rows(), hidden = qkv.cols() / 3;
+  CHIMERA_CHECK(qkv.cols() == 3 * hidden && heads > 0 &&
+                hidden % heads == 0 &&
+                row_runs.size() == static_cast<std::size_t>(rows) + 1 &&
+                row_runs.back() == static_cast<int>(runs.size()));
+  const int dk = hidden / heads, units = rows * heads;
+  std::size_t keys = 0;
+  for (const KvRun& run : runs) keys += run.rows;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+  merged.reshape(rows, hidden);
+  const AttnRowOps& ops = attn_row_ops();
+  const int shards =
+      plan_shards(units, keys * dk * 4 / std::max(rows, 1) + 1);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    float* p = row_scratch(keys);
+    const int u1 = shard_begin(units, shards, s + 1);
+    for (int u = shard_begin(units, shards, s); u < u1; ++u) {
+      const int r = u / heads;
+      const std::size_t off = static_cast<std::size_t>(u % heads) * dk;
+      const float* q = qkv.data() + r * 3 * static_cast<std::size_t>(hidden);
+      attend_row(ops, q + off, runs.data() + row_runs[r],
+                 row_runs[r + 1] - row_runs[r], ld, off, dk, scale, p,
+                 merged.data() + static_cast<std::size_t>(r) * hidden + off);
+    }
+  });
 }
 
 // ---- Comm / codec inner loops (bitwise identical across tiers) ----------

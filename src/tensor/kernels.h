@@ -1,11 +1,12 @@
 // Dense kernels for the training runtime: blocked GEMM (with transpose
-// variants), bias, GELU, LayerNorm, row softmax and cross-entropy — each
-// with its backward. Kernels shard their outer loops onto the shared
-// ComputePool (tensor/compute_pool.h) with shape-only split points and
-// fixed per-element accumulation orders, so results are bit-deterministic
-// and identical to the serial path at any thread count — which the
-// gradient-equivalence tests (pipeline vs sequential SGD) and the runtime
-// parity tests rely on (DESIGN.md §2 item 17).
+// variants), bias, GELU, LayerNorm, row softmax, cross-entropy and fused
+// multi-head attention — each with its backward. Kernels shard their
+// outer loops onto the shared ComputePool (tensor/compute_pool.h) with
+// shape-only split points and fixed per-element accumulation orders, so
+// results are bit-deterministic and identical to the serial path at any
+// thread count — which the gradient-equivalence tests (pipeline vs
+// sequential SGD) and the runtime parity tests rely on (DESIGN.md §2
+// item 17).
 //
 // Every dense kernel has two tiers (DESIGN.md §2 item 18): the scalar
 // reference (the bitwise anchor every parity/grad-sync/decode contract
@@ -20,14 +21,17 @@
 // bias_backward, layernorm's dgamma/dbeta, the comm inner loops below)
 // are bitwise identical across tiers; ops that reduce across vector lanes
 // or substitute a polynomial exp/tanh for the libm call (gemm_nt, GELU,
-// layernorm's row statistics, softmax, cross-entropy) are tolerance-equal
+// layernorm's row statistics, softmax, cross-entropy, and attention, which
+// is built from gemm_nt's dot and the softmax row) are tolerance-equal
 // only — but every fast-tier element stays a pure function of its row's
 // data, so the pooled≡serial and decode step-vs-reforward bitwise
 // contracts hold *within* either tier.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -120,13 +124,14 @@ void layernorm_backward(const Tensor& x, const Tensor& gamma,
                         Tensor& dbeta);
 
 /// Row-wise softmax (numerically stabilized). Fast tier is tolerance-equal
-/// (vector exp + lane-summed denominator) with two hard guarantees the
-/// decode path relies on: (1) the vector exp flushes arguments below
-/// ≈−87.34 to exactly 0.0f, so masked −1e9 scores still produce exact-zero
-/// probabilities; (2) the lane sum assigns element i to lane i%8 with
-/// zeroed tail lanes, so a row extended with masked (−1e9) columns yields
-/// bitwise the same live prefix as the unextended row — decode
-/// step-vs-reforward stays bitwise within either tier.
+/// (vector exp + lane-summed denominator) with two hard guarantees: (1) the
+/// vector exp flushes arguments below ≈−87.34 to exactly 0.0f, so masked
+/// −1e9 scores still produce exact-zero probabilities; (2) the lane sum
+/// assigns element i to lane i%8 with zeroed tail lanes, so a row extended
+/// with masked (−1e9) columns yields bitwise the same live prefix as the
+/// unextended row. Together they make the fused attention, which runs the
+/// softmax row over the causal prefix only, bitwise equal to a masked
+/// full-row softmax.
 void softmax_rows(const Tensor& x, Tensor& y);
 
 /// Mean cross-entropy of row-softmax(logits) against integer targets.
@@ -135,6 +140,51 @@ void softmax_rows(const Tensor& x, Tensor& y);
 /// over rows in the same serial order in both tiers.
 float cross_entropy(const Tensor& logits, const std::vector<int>& targets,
                     Tensor& dlogits, float loss_scale = 1.0f);
+
+// ---- Fused multi-head attention -----------------------------------------
+// One row-wise driver serves training forward, backward and decode. Query
+// row i of a head reads its Q, K and V rows in place and works only over
+// its key prefix (j ≤ i when causal, all keys otherwise), calling the row
+// primitives the composed ops dispatch to in the active tier: gemm_nt's
+// dot for scores and dP, the softmax_rows row, and ascending separate
+// mul+add sums for the context, dQ, dK and dV (gemm/gemm_tn's order).
+// The composed gemm_nt → scale → −1e9 mask → softmax_rows → gemm path
+// (and its backward) would add only exact ±0 terms past the prefix, so
+// every output is bitwise equal to it within each tier; across tiers it
+// inherits gemm_nt's and softmax's tolerance (DESIGN.md §2 item 18).
+// Shards split (batch, head) pairs, or (row, head) pairs in decode, with
+// shape-only split points: pooled ≡ serial bitwise.
+
+/// A run of consecutive key positions whose K and V rows sit at a fixed
+/// stride: a training sequence's keys, or one page of a decode session's
+/// KV cache. `k`/`v` point at the run's first row, head 0's column.
+struct KvRun {
+  const float* k;
+  const float* v;
+  int rows;
+};
+
+/// Self-attention forward over the fused [B·seq, 3h] qkv activation
+/// (Q | K | V column blocks, `heads` heads of dk = h/heads each, scaled
+/// by 1/√dk). `probs` becomes [B·heads·seq, seq] — the softmax row of
+/// (batch b, head h, query i) at row (b·heads + h)·seq + i, exact zeros
+/// past a causal prefix — and `merged` [B·seq, h], the heads' contexts.
+void attention_forward(const Tensor& qkv, int seq, int heads, bool causal,
+                       Tensor& probs, Tensor& merged);
+/// Backward of attention_forward given its `probs` and the gradient of
+/// `merged`: `dqkv` becomes [B·seq, 3h].
+void attention_backward(const Tensor& qkv, const Tensor& probs,
+                        const Tensor& dmerged, int seq, int heads,
+                        bool causal, Tensor& dqkv);
+/// Incremental decode: query row r of `qkv` ([R, 3h]; only its Q block is
+/// read) attends over the keys of runs[row_runs[r] .. row_runs[r+1]) in
+/// that order — K/V rows read in place at stride `ld`. `merged` becomes
+/// [R, h]. Row r is bitwise the matching row of attention_forward over
+/// the same keys.
+void attention_decode(const Tensor& qkv, int heads,
+                      const std::vector<KvRun>& runs,
+                      const std::vector<int>& row_runs, std::size_t ld,
+                      Tensor& merged);
 
 // ---- Shared dense inner loops for the comm layer and optimizer ----------
 // These back the collectives' local reduction, gradient compression codecs

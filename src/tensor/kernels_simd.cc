@@ -37,7 +37,10 @@
 // across lanes: 8 strided partials, a fixed combine tree, explicit FMA
 // intrinsics in the vector body, and a scalar tail — tolerance-equal to
 // the reference, but a pure function of k and the data, so results never
-// depend on the row count or the shard split.
+// depend on the row count or the shard split. The fused attention row
+// primitives reuse both: dot_rows_fast runs gemm_nt's dot groups, and
+// combine/outer_rows_fast pair each multiply with a separate add like the
+// gemm tiles.
 #include "tensor/kernels_simd.h"
 
 #include <algorithm>
@@ -654,6 +657,77 @@ void dequant_add_int8_avx2(const std::int8_t* q, std::size_t n, float unit,
   for (; j < n; ++j) out[j] += unit * static_cast<float>(q[j]);
 }
 
+/// Fused-attention row updates (tensor/kernels.cc's attention driver):
+/// NV vectors cover a column block of width w ∈ (8(NV−1), 8NV]; a tail
+/// block's last vector is masked. Every term is one separate multiply and
+/// add, so each element is bitwise the scalar loop's — the same rounding
+/// gemm/gemm_tn's tiles produce.
+
+/// out[0..w) += Σⱼ wts[j]·x_j over rows x_j = x + j·ld, j ascending.
+template <int NV, bool kTail>
+CHIMERA_TARGET_AVX2
+void combine_avx2(const float* wts, int n, const float* x, std::size_t ld,
+                  int w, float* out) {
+  const __m256i mt = lane_mask(w - 8 * (NV - 1));
+  __m256 acc[NV];
+#pragma GCC unroll 4
+  for (int v = 0; v < NV - 1; ++v) acc[v] = _mm256_loadu_ps(out + 8 * v);
+  acc[NV - 1] = load8<kTail>(out + 8 * (NV - 1), mt);
+  for (int j = 0; j < n; ++j, x += ld) {
+    const __m256 bw = _mm256_broadcast_ss(wts + j);
+#pragma GCC unroll 4
+    for (int v = 0; v < NV - 1; ++v)
+      acc[v] = _mm256_add_ps(acc[v],
+                             _mm256_mul_ps(bw, _mm256_loadu_ps(x + 8 * v)));
+    acc[NV - 1] = _mm256_add_ps(
+        acc[NV - 1], _mm256_mul_ps(bw, load8<kTail>(x + 8 * (NV - 1), mt)));
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < NV - 1; ++v) _mm256_storeu_ps(out + 8 * v, acc[v]);
+  store8<kTail>(out + 8 * (NV - 1), mt, acc[NV - 1]);
+}
+
+/// y_j[0..w) += wts[j]·x for rows y_j = y + j·ld.
+template <int NV, bool kTail>
+CHIMERA_TARGET_AVX2
+void outer_avx2(const float* wts, int n, const float* x, int w, float* y,
+                std::size_t ld) {
+  const __m256i mt = lane_mask(w - 8 * (NV - 1));
+  __m256 xv[NV];
+#pragma GCC unroll 4
+  for (int v = 0; v < NV - 1; ++v) xv[v] = _mm256_loadu_ps(x + 8 * v);
+  xv[NV - 1] = load8<kTail>(x + 8 * (NV - 1), mt);
+  for (int j = 0; j < n; ++j, y += ld) {
+    const __m256 bw = _mm256_broadcast_ss(wts + j);
+#pragma GCC unroll 4
+    for (int v = 0; v < NV - 1; ++v)
+      _mm256_storeu_ps(y + 8 * v,
+                       _mm256_add_ps(_mm256_loadu_ps(y + 8 * v),
+                                     _mm256_mul_ps(bw, xv[v])));
+    float* yt = y + 8 * (NV - 1);
+    store8<kTail>(yt, mt,
+                  _mm256_add_ps(load8<kTail>(yt, mt),
+                                _mm256_mul_ps(bw, xv[NV - 1])));
+  }
+}
+
+using CombineFn = void (*)(const float*, int, const float*, std::size_t, int,
+                           float*);
+using OuterFn = void (*)(const float*, int, const float*, int, float*,
+                         std::size_t);
+
+/// [tail][NV] (NV index 0 unused).
+constexpr CombineFn kCombine[2][5] = {
+    {nullptr, combine_avx2<1, false>, combine_avx2<2, false>,
+     combine_avx2<3, false>, combine_avx2<4, false>},
+    {nullptr, combine_avx2<1, true>, combine_avx2<2, true>,
+     combine_avx2<3, true>, combine_avx2<4, true>}};
+constexpr OuterFn kOuter[2][5] = {
+    {nullptr, outer_avx2<1, false>, outer_avx2<2, false>,
+     outer_avx2<3, false>, outer_avx2<4, false>},
+    {nullptr, outer_avx2<1, true>, outer_avx2<2, true>, outer_avx2<3, true>,
+     outer_avx2<4, true>}};
+
 #endif  // CHIMERA_SIMD_X86
 
 /// mr/jt-indexed dispatch tables (index 0 unused). `gelu_row` is the GELU
@@ -818,6 +892,14 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
   });
 }
 
+void dot_rows_fast(const float* a, const float* b, std::size_t ldb, int k,
+                   int n, float* out) {
+  const Tables& t = tables();
+  for (int j0 = 0; j0 < n; j0 += kNtGroup)
+    t.dot[std::min(kNtGroup, n - j0)](a, b + j0 * ldb, ldb, k, out + j0,
+                                      /*accumulate=*/false);
+}
+
 // ---------------------------------------------------------------------------
 // Non-GEMM fast-tier entry points. The dispatcher in tensor/kernels.cc only
 // routes here when cpu_supports_avx2_fma() is true (there is no portable
@@ -960,6 +1042,27 @@ void cross_entropy_grad_fast(Tensor& probs, const std::vector<int>& targets,
   });
 }
 
+void softmax_row_fast(const float* x, float* y, int n) {
+  softmax_row_avx2(x, y, n);
+}
+
+void combine_rows_fast(const float* w, int n, const float* x, std::size_t ld,
+                       int dk, float* out) {
+  for (int c0 = 0; c0 < dk; c0 += 4 * 8) {
+    const int width = std::min(4 * 8, dk - c0);
+    kCombine[width % 8 != 0][(width + 7) / 8](w, n, x + c0, ld, width,
+                                              out + c0);
+  }
+}
+
+void outer_rows_fast(const float* w, int n, const float* x, int dk, float* y,
+                     std::size_t ld) {
+  for (int c0 = 0; c0 < dk; c0 += 4 * 8) {
+    const int width = std::min(4 * 8, dk - c0);
+    kOuter[width % 8 != 0][(width + 7) / 8](w, n, x + c0, width, y + c0, ld);
+  }
+}
+
 void vector_add_fast(float* dst, const float* src, std::size_t n) {
   add_row_avx2(dst, src, n);
 }
@@ -997,6 +1100,15 @@ void layernorm_backward_fast(const Tensor&, const Tensor&, const Tensor&,
 }
 void softmax_rows_fast(const Tensor&, Tensor&) { CHIMERA_CHECK(false); }
 void cross_entropy_grad_fast(Tensor&, const std::vector<int>&, float, float*) {
+  CHIMERA_CHECK(false);
+}
+void softmax_row_fast(const float*, float*, int) { CHIMERA_CHECK(false); }
+void combine_rows_fast(const float*, int, const float*, std::size_t, int,
+                       float*) {
+  CHIMERA_CHECK(false);
+}
+void outer_rows_fast(const float*, int, const float*, int, float*,
+                     std::size_t) {
   CHIMERA_CHECK(false);
 }
 void vector_add_fast(float*, const float*, std::size_t) {

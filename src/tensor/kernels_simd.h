@@ -1,11 +1,14 @@
 // Internal interface of the fast kernel tier (DESIGN.md §2 item 18):
 // register-tiled GEMM microkernels over 16-column B panels (packed per
-// panel for m > 6, read in place for m ≤ 6) with fused epilogues, plus lane-parallel implementations of the non-GEMM
-// dense ops (bias, GELU, LayerNorm, softmax, cross-entropy) and the comm
-// inner loops. The GEMMs ship an AVX2+FMA path selected by runtime CPU
-// dispatch plus a portable mirror with the same blocking and the same
-// per-element accumulation orders. The non-GEMM ops are AVX2-only: the
-// tier dispatcher in tensor/kernels.cc routes to them only when
+// panel for m > 6, read in place for m ≤ 6) with fused epilogues, plus
+// lane-parallel implementations of the non-GEMM dense ops (bias, GELU,
+// LayerNorm, softmax, cross-entropy), the fused attention driver's row
+// primitives (gemm_nt's dot, the softmax row, row combine/outer updates)
+// and the comm inner loops. The GEMMs ship an AVX2+FMA path selected by
+// runtime CPU dispatch plus a portable mirror with the same blocking and
+// the same per-element accumulation orders (dot_rows_fast runs either).
+// The non-GEMM ops and the other attention row primitives are AVX2-only:
+// the tier dispatcher in tensor/kernels.cc routes to them only when
 // cpu_supports_avx2_fma() is true, and runs the scalar reference otherwise
 // (a scalar "fast tier" trivially satisfies every contract). Only
 // tensor/kernels.cc includes this header for dispatch; tests include it to
@@ -31,6 +34,11 @@
 //    depend on the shard split, the row count, or zero-extension of masked
 //    softmax columns. The vector exp flushes arguments < −87.34 to exactly
 //    0.0f, preserving the masked-softmax exact-zero contract.
+//  - The attention row primitives reuse those orders: dot_rows_fast is
+//    gemm_nt_fast's dot, softmax_row_fast softmax_rows_fast's row, and
+//    combine/outer_rows_fast pair each multiply with a separate add like
+//    gemm/gemm_tn — so the fused attention over a causal prefix is bitwise
+//    the composed ops over the masked full rows, within the tier.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +69,13 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
 /// bitwise within the tier.
 void gemm_bias_act_fast(const Tensor& x, const Tensor& w, const Tensor& bias,
                         Tensor& y, Tensor* g);
+
+/// gemm_nt_fast's per-element dot for one A row against the n B rows at
+/// b + j·ldb: out[j] = 0.0f + a·b_j, in 4-row dot groups (AVX2 or the
+/// portable mirror, whichever gemm_nt_fast runs on this host). The fused
+/// attention driver's score and dP rows.
+void dot_rows_fast(const float* a, const float* b, std::size_t ldb, int k,
+                   int n, float* out);
 
 // ---- Non-GEMM dense ops (AVX2 hosts only — see header comment) ----------
 // Pool sharding uses the same shape-only split points as the scalar
@@ -93,6 +108,19 @@ void softmax_rows_fast(const Tensor& x, Tensor& y);
 /// The dispatcher runs softmax first and sums the loss afterwards.
 void cross_entropy_grad_fast(Tensor& probs, const std::vector<int>& targets,
                              float k, float* row_logp);
+
+/// softmax_rows_fast on one row of n ≥ 1 elements; x and y may alias.
+void softmax_row_fast(const float* x, float* y, int n);
+/// out[0..dk) += Σⱼ w[j]·x_j over the n rows x_j = x + j·ld, j ascending,
+/// one separate multiply and add per term — bitwise ≡ the scalar loop
+/// (and ≡ gemm's per-element order). The attention context and dQ rows.
+void combine_rows_fast(const float* w, int n, const float* x, std::size_t ld,
+                       int dk, float* out);
+/// y_j[0..dk) += w[j]·x for the n rows y_j = y + j·ld — bitwise ≡ the
+/// scalar loop. Called for ascending query rows, it is gemm_tn's
+/// per-element order: the attention dK and dV updates.
+void outer_rows_fast(const float* w, int n, const float* x, int dk, float* y,
+                     std::size_t ld);
 
 // ---- Comm / optimizer inner loops (AVX2 hosts only) ---------------------
 // All bitwise ≡ their scalar loops: one exact operation per element.

@@ -191,42 +191,49 @@ TEST(Decode, StepLogitsBitwiseEqualFullReforward) {
                         {Scheme::kChimera, 2, 4},
                         {Scheme::kGPipe, 1, 2},
                         {Scheme::kDapple, 1, 2}};
+  // Page size 3 splits each session's prefix into several pages, so the
+  // in-place paged K/V read crosses page boundaries inside the dot groups
+  // and the context sums; the default page holds a whole sequence.
+  const int page_sizes[] = {DecodeOptions().kv_page_size, 3};
   std::map<std::uint64_t, Generation> reference;
-  for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(scheme_name(c.scheme)) + " f=" +
-                 std::to_string(c.f));
-    const auto gens = generate(model, c.scheme, c.f, c.n, requests, opts);
-    ASSERT_EQ(gens.size(), requests.size());
-    for (const auto& [id, gen] : gens) {
-      ASSERT_FALSE(gen.tokens.empty());
-      std::vector<int> prefix = gen.prompt;
-      for (std::size_t i = 0; i < gen.tokens.size(); ++i) {
-        // Token i was sampled from the logits at the last position of
-        // prompt + tokens[0..i): re-forward that prefix directly.
-        nn::MicroBatch mb;
-        mb.batch = 1;
-        mb.seq = static_cast<int>(prefix.size());
-        mb.tokens = prefix;
-        const Tensor want = direct.infer(mb, Tensor());
-        const Tensor& got = gen.logits[i];
-        ASSERT_EQ(got.rows(), 1);
-        ASSERT_EQ(got.cols(), model.vocab);
-        const float* want_row =
-            want.data() +
-            static_cast<std::size_t>(mb.seq - 1) * model.vocab;
-        for (int v = 0; v < model.vocab; ++v)
-          ASSERT_EQ(want_row[v], got[static_cast<std::size_t>(v)])
-              << "id " << id << " token " << i << " vocab " << v;
-        prefix.push_back(gen.tokens[i]);
+  for (int page : page_sizes) {
+    opts.kv_page_size = page;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(scheme_name(c.scheme)) + " f=" +
+                   std::to_string(c.f) + " page=" + std::to_string(page));
+      const auto gens = generate(model, c.scheme, c.f, c.n, requests, opts);
+      ASSERT_EQ(gens.size(), requests.size());
+      for (const auto& [id, gen] : gens) {
+        ASSERT_FALSE(gen.tokens.empty());
+        std::vector<int> prefix = gen.prompt;
+        for (std::size_t i = 0; i < gen.tokens.size(); ++i) {
+          // Token i was sampled from the logits at the last position of
+          // prompt + tokens[0..i): re-forward that prefix directly.
+          nn::MicroBatch mb;
+          mb.batch = 1;
+          mb.seq = static_cast<int>(prefix.size());
+          mb.tokens = prefix;
+          const Tensor want = direct.infer(mb, Tensor());
+          const Tensor& got = gen.logits[i];
+          ASSERT_EQ(got.rows(), 1);
+          ASSERT_EQ(got.cols(), model.vocab);
+          const float* want_row =
+              want.data() +
+              static_cast<std::size_t>(mb.seq - 1) * model.vocab;
+          for (int v = 0; v < model.vocab; ++v)
+            ASSERT_EQ(want_row[v], got[static_cast<std::size_t>(v)])
+                << "id " << id << " token " << i << " vocab " << v;
+          prefix.push_back(gen.tokens[i]);
+        }
       }
-    }
-    // Greedy decoding is a pure function of the (bitwise identical) logits,
-    // so every scheme must generate the same text.
-    if (reference.empty()) {
-      reference = gens;
-    } else {
-      for (const auto& [id, gen] : gens)
-        EXPECT_EQ(gen.tokens, reference.at(id).tokens) << "id " << id;
+      // Greedy decoding is a pure function of the (bitwise identical) logits,
+      // so every scheme and page size must generate the same text.
+      if (reference.empty()) {
+        reference = gens;
+      } else {
+        for (const auto& [id, gen] : gens)
+          EXPECT_EQ(gen.tokens, reference.at(id).tokens) << "id " << id;
+      }
     }
   }
   ComputePool::instance().set_helpers(0);

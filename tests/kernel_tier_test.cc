@@ -9,6 +9,11 @@
 // function of k and the data, so it must be bitwise stable in the row count
 // (the decode step-vs-reforward contract) and in the shard split.
 //
+// The fused attention driver must be bitwise equal to the composed ops it
+// replaced (gather → gemm_nt → scale → −1e9 mask → softmax_rows → gemm and
+// the matching backward) within each tier; an in-test composed reference
+// pins that, along with decode over paged key runs.
+//
 // The tests verify against a test-local serial replica of the scalar
 // reference (same blocking, same accumulation orders), so they hold under
 // either CHIMERA_KERNEL_TIER pin: pinned runs check the pinned tier against
@@ -26,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/layers.h"
 #include "tensor/compute_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/kernels_simd.h"
@@ -773,6 +779,202 @@ TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
       expect_bitwise(outs[1].g, outs[0].g);
     }
   }
+}
+
+// The composed attention path the fused driver replaced: per (batch, head)
+// gather → gemm_nt → scale → −1e9 causal mask → softmax_rows → gemm, and
+// the matching backward, all through the dispatching kernels so it runs in
+// the active tier. Probs are per (batch, head) [s, s] matrices.
+void composed_attention_forward(const Tensor& qkv, int S, int heads,
+                                bool causal, Tensor& merged,
+                                std::vector<Tensor>& probs) {
+  const int hidden = qkv.cols() / 3, dk = hidden / heads;
+  const int batch = qkv.rows() / S;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+  Tensor q(S, dk), k(S, dk), v(S, dk), scores(S, S), context(S, dk);
+  probs.assign(static_cast<std::size_t>(batch) * heads, Tensor(S, S));
+  for (int b = 0; b < batch; ++b)
+    for (int h = 0; h < heads; ++h) {
+      for (int t = 0; t < S; ++t)
+        for (int i = 0; i < dk; ++i) {
+          q.at(t, i) = qkv.at(b * S + t, h * dk + i);
+          k.at(t, i) = qkv.at(b * S + t, hidden + h * dk + i);
+          v.at(t, i) = qkv.at(b * S + t, 2 * hidden + h * dk + i);
+        }
+      gemm_nt(q, k, scores);
+      scores.scale(scale);
+      if (causal)
+        for (int i = 0; i < S; ++i)
+          for (int j = i + 1; j < S; ++j) scores.at(i, j) = -1e9f;
+      Tensor& p = probs[static_cast<std::size_t>(b) * heads + h];
+      softmax_rows(scores, p);
+      gemm(p, v, context);
+      for (int t = 0; t < S; ++t)
+        for (int i = 0; i < dk; ++i)
+          merged.at(b * S + t, h * dk + i) = context.at(t, i);
+    }
+}
+
+void composed_attention_backward(const Tensor& qkv,
+                                 const std::vector<Tensor>& probs,
+                                 const Tensor& dmerged, int S, int heads,
+                                 Tensor& dqkv) {
+  const int hidden = qkv.cols() / 3, dk = hidden / heads;
+  const int batch = qkv.rows() / S;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+  Tensor q(S, dk), k(S, dk), v(S, dk), dctx(S, dk), dprobs(S, S), ds(S, S);
+  Tensor dq(S, dk), dkg(S, dk), dv(S, dk);
+  dqkv.zero();
+  for (int b = 0; b < batch; ++b)
+    for (int h = 0; h < heads; ++h) {
+      for (int t = 0; t < S; ++t)
+        for (int i = 0; i < dk; ++i) {
+          q.at(t, i) = qkv.at(b * S + t, h * dk + i);
+          k.at(t, i) = qkv.at(b * S + t, hidden + h * dk + i);
+          v.at(t, i) = qkv.at(b * S + t, 2 * hidden + h * dk + i);
+          dctx.at(t, i) = dmerged.at(b * S + t, h * dk + i);
+        }
+      const Tensor& p = probs[static_cast<std::size_t>(b) * heads + h];
+      gemm_nt(dctx, v, dprobs);
+      gemm_tn(p, dctx, dv);
+      for (int i = 0; i < S; ++i) {
+        float dot = 0.0f;
+        for (int j = 0; j < S; ++j) dot += dprobs.at(i, j) * p.at(i, j);
+        for (int j = 0; j < S; ++j)
+          ds.at(i, j) = p.at(i, j) * (dprobs.at(i, j) - dot);
+      }
+      ds.scale(scale);
+      gemm(ds, k, dq);
+      gemm_tn(ds, q, dkg);
+      for (int t = 0; t < S; ++t)
+        for (int i = 0; i < dk; ++i) {
+          dqkv.at(b * S + t, h * dk + i) += dq.at(t, i);
+          dqkv.at(b * S + t, hidden + h * dk + i) += dkg.at(t, i);
+          dqkv.at(b * S + t, 2 * hidden + h * dk + i) += dv.at(t, i);
+        }
+    }
+}
+
+/// Bit-pattern equality: unlike ==, tells +0.0f from −0.0f.
+void expect_same_bits(const float* got, const float* want, std::size_t n,
+                      const char* what) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t g, w;
+    std::memcpy(&g, got + i, sizeof g);
+    std::memcpy(&w, want + i, sizeof w);
+    ASSERT_EQ(g, w) << what << " element " << i << ": " << got[i] << " vs "
+                    << want[i];
+  }
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  expect_same_bits(got.data(), want.data(), got.numel(), what);
+}
+
+TEST(KernelTier, AttentionBitwiseMatchesComposedOpsInEveryTier) {
+  // The fused attention driver computes only each row's key prefix and
+  // reads Q/K/V in place; the composed ops add exact ±0 terms past it, so
+  // MultiHeadAttention's output, probs, dx and weight grads must carry the
+  // composed path's bit patterns in every tier, pooled or serial. dk = 10
+  // exercises the dot products' serial tail; S spans the 8-lane and
+  // 4-row dot-group edges. Decode over the same keys, split into pages of
+  // 1, 3 and 5 rows, must reproduce the forward's context rows.
+  PolicyGuard guard;
+  for (KernelPolicy pol : testable_policies()) {
+    set_kernel_policy(pol);
+    for (int helpers : {0, 4}) {
+      ComputePool::instance().set_helpers(helpers);
+      for (bool causal : {true, false})
+        for (int S : {1, 2, 5, 7, 8, 9, 17, 33, 64})
+          for (int batch : {1, 3})
+            for (int dk : {24, 10}) {
+              SCOPED_TRACE(std::string(causal ? "causal" : "full") +
+                           " S=" + std::to_string(S) + " batch=" +
+                           std::to_string(batch) + " dk=" +
+                           std::to_string(dk) + " helpers=" +
+                           std::to_string(helpers));
+              const int heads = 2, hidden = heads * dk, rows = batch * S;
+              Rng rng(400 + S * 4 + batch * 2 + dk + causal);
+              nn::MultiHeadAttention attn("attn", hidden, heads, S, causal,
+                                          rng);
+              const Tensor x = random_tensor(rows, hidden, rng);
+              const Tensor dy = random_tensor(rows, hidden, rng);
+              nn::MultiHeadAttention::Ctx ctx;
+              // A recycled stash: forward must overwrite every prob, the
+              // zeros past each causal prefix included.
+              ctx.probs = Tensor(batch * heads * S, S);
+              ctx.probs.fill(std::nanf(""));
+              const Tensor y = attn.forward(x, ctx);
+              const Tensor dx = attn.backward(dy, ctx);
+              std::vector<const nn::Param*> ps;  // qkv.w, qkv.b, proj.w, .b
+              attn.collect(ps);
+              ASSERT_EQ(ps.size(), 4u);
+
+              Tensor merged(rows, hidden);
+              std::vector<Tensor> probs;
+              composed_attention_forward(ctx.qkv, S, heads, causal, merged,
+                                         probs);
+              // The kernel's own outputs too: a signed zero in merged or
+              // dqkv would vanish in the projections' sums.
+              Tensor fused_probs, fused_merged, fused_dqkv;
+              attention_forward(ctx.qkv, S, heads, causal, fused_probs,
+                                fused_merged);
+              expect_same_bits(fused_merged, merged, "merged");
+              Tensor y_ref(rows, hidden);
+              gemm_bias(merged, ps[2]->value, ps[3]->value, y_ref);
+              expect_same_bits(y, y_ref, "output");
+              ASSERT_EQ(ctx.probs.rows(), batch * heads * S);
+              for (std::size_t u = 0; u < probs.size(); ++u)
+                expect_same_bits(ctx.probs.data() + u * S * S,
+                                 probs[u].data(),
+                                 static_cast<std::size_t>(S) * S, "probs");
+
+              Tensor gpw(hidden, hidden), gpb(1, hidden);
+              Tensor gqw(hidden, 3 * hidden), gqb(1, 3 * hidden);
+              gemm_tn(merged, dy, gpw, /*accumulate=*/true);
+              bias_backward(dy, gpb);
+              Tensor dmerged(rows, hidden), dqkv(rows, 3 * hidden);
+              gemm_nt(dy, ps[2]->value, dmerged);
+              composed_attention_backward(ctx.qkv, probs, dmerged, S, heads,
+                                          dqkv);
+              attention_backward(ctx.qkv, fused_probs, dmerged, S, heads,
+                                 causal, fused_dqkv);
+              expect_same_bits(fused_dqkv, dqkv, "dqkv");
+              gemm_tn(x, dqkv, gqw, /*accumulate=*/true);
+              bias_backward(dqkv, gqb);
+              Tensor dx_ref(rows, hidden);
+              gemm_nt(dqkv, ps[0]->value, dx_ref);
+              expect_same_bits(dx, dx_ref, "dx");
+              expect_same_bits(ps[0]->grad, gqw, "qkv.w grad");
+              expect_same_bits(ps[1]->grad, gqb, "qkv.b grad");
+              expect_same_bits(ps[2]->grad, gpw, "proj.w grad");
+              expect_same_bits(ps[3]->grad, gpb, "proj.b grad");
+
+              if (!causal) continue;
+              const std::size_t ld = 3 * static_cast<std::size_t>(hidden);
+              for (int page : {1, 3, 5}) {
+                std::vector<KvRun> runs;
+                std::vector<int> row_runs{0};
+                for (int b = 0; b < batch; ++b)
+                  for (int i = 0; i < S; ++i) {
+                    for (int p0 = 0; p0 <= i; p0 += page) {
+                      const float* row =
+                          ctx.qkv.data() + (b * S + p0) * ld;
+                      runs.push_back({row + hidden, row + 2 * hidden,
+                                      std::min(page, i + 1 - p0)});
+                    }
+                    row_runs.push_back(static_cast<int>(runs.size()));
+                  }
+                Tensor decoded;
+                attention_decode(ctx.qkv, heads, runs, row_runs, ld, decoded);
+                expect_same_bits(decoded, merged, "decode context");
+              }
+            }
+    }
+  }
+  ComputePool::instance().set_helpers(0);
 }
 
 }  // namespace
