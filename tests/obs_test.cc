@@ -2,7 +2,8 @@
 //  1. The per-thread ring retains the most recent events, in order.
 //  2. Spans nest correctly and record nothing while tracing is disabled.
 //  3. Under an injected constant clock, two identical runs produce
-//     identical event streams (collection is deterministic).
+//     identical event streams (collection is deterministic), and one
+//     serving round and one decode step record a pinned span stream.
 //  4. Tracing on vs off leaves all computed results bitwise identical —
 //     training losses/weights and decoded token streams alike.
 //  5. The Chrome-trace JSON round-trips exactly through the strict parser,
@@ -27,6 +28,7 @@
 #include "obs/trace_json.h"
 #include "runtime/decode.h"
 #include "runtime/latency.h"
+#include "runtime/serving.h"
 #include "runtime/trainer.h"
 #include "tensor/compute_pool.h"
 
@@ -154,6 +156,106 @@ TEST(ObsClock, ConstantFakeClockMakesTwoRunsIdentical) {
     EXPECT_EQ(e.t0_us, 42.0);
     EXPECT_EQ(e.t1_us, 42.0);
   }
+}
+
+/// One "kind worker micro stage pipe tag" line per collected event.
+std::vector<std::string> span_stream() {
+  std::vector<std::string> out;
+  for (const TraceEvent& e : collect())
+    out.push_back(std::string(event_kind_name(e.kind)) + " " +
+                  std::to_string(e.worker) + " " + std::to_string(e.micro) +
+                  " " + std::to_string(e.stage) + " " +
+                  std::to_string(e.pipe) + " " + std::to_string(e.tag));
+  return out;
+}
+
+TEST(ObsClock, ServeAndDecodeSpanStreamsArePinned) {
+  ObsGuard guard;
+  const nn::SmallModelConfig model = tiny_model();
+  const ScheduleConfig sc{2, 2, 1, ScaleMethod::kDirect};
+  set_clock([] { return 42.0; });
+
+  // One serving round: two single-request slots, one per pipe.
+  rt::ServeOptions sopts;
+  sopts.max_batch = 1;
+  sopts.intra_op = 0;  // no helper threads: their spans are not pinned here
+  rt::ServingEngine server(model, Scheme::kChimera, sc, sopts);
+  for (int r = 0; r < 2; ++r)
+    server.submit(make_batch(model, 1, 80 + r).tokens);
+  set_enabled(true);
+  ASSERT_EQ(server.serve_pending().size(), 2u);
+  set_enabled(false);
+  const std::vector<std::string> serve_want = {
+      "serve_round -1 2 -1 -1 2",
+      "send 0 0 0 0 32768",
+      "forward 0 0 0 0 0",
+      "recv 0 1 1 1 2129924",
+      "forward 0 1 1 1 0",
+      "send 1 1 0 1 2129924",
+      "forward 1 1 0 1 0",
+      "recv 1 0 1 0 32768",
+      "forward 1 0 1 0 0",
+  };
+  EXPECT_EQ(span_stream(), serve_want);
+  reset();
+
+  // One decode step: three admissions (the third shares stream 0 and so
+  // offsets its prefill tags), a prefill round and a decode round.
+  rt::DecodeOptions dopts;
+  dopts.max_batch = 2;
+  dopts.max_new_tokens = 4;
+  dopts.kv_page_size = 4;
+  dopts.intra_op = 0;
+  rt::DecodeEngine decoder(model, Scheme::kChimera, sc, dopts);
+  for (int r = 0; r < 3; ++r) {
+    std::vector<int> prompt = make_batch(model, 1, 90 + r).tokens;
+    prompt.resize(3 + r);
+    decoder.submit(prompt);
+  }
+  set_enabled(true);
+  EXPECT_EQ(decoder.step(), 6);
+  set_enabled(false);
+  const std::vector<std::string> decode_want = {
+      "admit -1 0 -1 0 1",
+      "admit -1 1 -1 1 2",
+      "admit -1 0 -1 0 3",
+      "prefill_round -1 -1 -1 -1 0",
+      "token -1 0 -1 0 1",
+      "token -1 0 -1 0 3",
+      "token -1 1 -1 1 2",
+      "cow_split -1 0 -1 0 1",
+      "decode_round -1 -1 -1 -1 0",
+      "token -1 0 -1 0 1",
+      "token -1 0 -1 0 3",
+      "token -1 1 -1 1 2",
+      "cache_acquire 0 0 0 0 0",
+      "send 0 0 0 0 32768",
+      "send 0 0 0 0 1099511660544",
+      "prefill_op 0 0 0 0 0",
+      "recv 0 1 1 1 2129924",
+      "cache_release 0 1 1 1 1",
+      "prefill_op 0 1 1 1 0",
+      "cache_acquire 0 0 0 0 0",
+      "send 0 0 0 0 32768",
+      "decode_op 0 0 0 0 0",
+      "recv 0 1 1 1 2129924",
+      "cache_release 0 1 1 1 1",
+      "decode_op 0 1 1 1 0",
+      "cache_acquire 1 1 0 1 1",
+      "send 1 1 0 1 2129924",
+      "prefill_op 1 1 0 1 0",
+      "recv 1 0 1 0 32768",
+      "recv 1 0 1 0 1099511660544",
+      "cache_release 1 0 1 0 0",
+      "prefill_op 1 0 1 0 0",
+      "cache_acquire 1 1 0 1 1",
+      "send 1 1 0 1 2129924",
+      "decode_op 1 1 0 1 0",
+      "recv 1 0 1 0 32768",
+      "cache_release 1 0 1 0 0",
+      "decode_op 1 0 1 0 0",
+  };
+  EXPECT_EQ(span_stream(), decode_want);
 }
 
 // ------------------------------------------------------------------ 4 ----
