@@ -1,7 +1,7 @@
 // Shared metrics primitives: the latency reservoir + nearest-rank
-// percentile logic previously duplicated across rt::percentile_us,
-// DecodeStats and ServingStats, plus a small registry that gives every
-// engine one emission path into the BENCH_*.json records (DESIGN.md §9).
+// percentile logic of DecodeStats and ServingStats, plus a small registry
+// that gives every engine one emission path into the BENCH_*.json records
+// (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>

@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <thread>
 
 #include "core/plan_json.h"
 #include "obs/trace.h"
-#include "tensor/compute_pool.h"
 
 namespace chimera::rt {
 
 DecodeEngine::DecodeEngine(const nn::SmallModelConfig& model, Scheme scheme,
                            const ScheduleConfig& sched_cfg,
                            const DecodeOptions& opts)
-    : model_(model), opts_(opts), epoch_(std::chrono::steady_clock::now()) {
+    : model_(model), opts_(opts), clock_(opts.clock) {
   CHIMERA_CHECK_MSG(opts.max_batch >= 1, "max_batch must be positive");
   CHIMERA_CHECK_MSG(opts.max_new_tokens >= 1, "max_new_tokens must be >= 1");
   CHIMERA_CHECK_MSG(opts.top_k >= 1, "top_k must be >= 1");
@@ -25,78 +23,56 @@ DecodeEngine::DecodeEngine(const nn::SmallModelConfig& model, Scheme scheme,
                     "kv_page_size must be in [1, model.seq]");
   CHIMERA_CHECK_MSG(opts.kv_pool_pages >= 0,
                     "kv_pool_pages must be >= 0 (0 = arena-equivalent)");
-  schedule_ = build_decode_schedule(scheme, sched_cfg);
-  plan_ = std::make_unique<ExecutionPlan>(schedule_);
+  PipelineSchedule sched = build_decode_schedule(scheme, sched_cfg);
   geometry_ = KvPageGeometry{opts.kv_page_size, model.seq, opts.max_batch,
                              opts.kv_pool_pages};
 
-  const int D = schedule_.depth;
-  const int N = schedule_.num_micro;
-  partition_ = std::make_unique<Partition>(
-      plan_partition(model_.spec(), D, opts.partition));
-  CHIMERA_CHECK_MSG(partition_->depth() == D &&
-                        partition_->range(0).begin == 0 &&
-                        partition_->range(D - 1).end == model_.layers,
-                    "decode partition does not cover the model's "
-                        << model_.layers << " layers across " << D
-                        << " stages");
-
+  const int D = sched.depth;
+  const int N = sched.num_micro;
+  const int P = sched.num_pipes;
   // Stream geometry: micro slot m is the stream_pos_[m]-th stream of its
   // pipe; its sessions' cache indices are stream_pos_[m]·max_batch + lane in
   // every stage replica of that pipe.
-  std::vector<int> streams_on_pipe(schedule_.num_pipes, 0);
+  std::vector<int> streams_on_pipe(P, 0);
   stream_pos_.resize(N);
   for (int m = 0; m < N; ++m)
-    stream_pos_[m] = streams_on_pipe[schedule_.pipe_of_micro[m]]++;
+    stream_pos_[m] = streams_on_pipe[sched.pipe_of_micro[m]]++;
 
-  world_ = std::make_unique<comm::World>(D);
-  comms_.resize(D);
-  units_.resize(D);
-  pipe_units_.resize(schedule_.num_pipes);
-  for (int w = 0; w < D; ++w) {
-    comms_[w] = std::make_unique<comm::Communicator>(*world_, w);
-    for (auto [pipe, stage] : schedule_.hosted_stages(w)) {
-      // A streamless pipe (N < num_pipes) still hosts replicas; give its
-      // caches one never-claimed lane so construction stays uniform.
-      const int lanes = std::max(1, streams_on_pipe[pipe] * opts_.max_batch);
-      const int pool_pages = opts_.kv_pool_pages > 0
-                                 ? opts_.kv_pool_pages
-                                 : lanes * geometry_.pages_per_session();
-      units_[w].push_back(std::unique_ptr<StageUnit>(new StageUnit{
-          pipe, stage,
-          nn::StageModule(model_, stage, D, partition_->range(stage)),
-          nn::PagedKvCache(partition_->range(stage).size(), lanes, model_.seq,
-                           model_.hidden, opts_.kv_page_size, pool_pages)}));
-      cache_bytes_ += units_[w].back()->cache.bytes();
-    }
-  }
-  for (int w = 0; w < D; ++w)
-    for (auto& u : units_[w]) pipe_units_[u->pipe].push_back(u.get());
-  for (auto& pu : pipe_units_) {
-    std::sort(pu.begin(), pu.end(),
-              [](const StageUnit* a, const StageUnit* b) {
-                return a->stage < b->stage;
-              });
-    CHIMERA_CHECK(static_cast<int>(pu.size()) == D);
-  }
+  Partition partition = plan_partition(model_.spec(), D, opts.partition);
+  dep_ = std::make_unique<Deployment<StageUnit>>(
+      std::move(sched), std::move(partition), /*groups=*/1, opts_,
+      [&](int, int pipe, int stage, StageRange layers) {
+        // A streamless pipe (N < num_pipes) still hosts replicas; give its
+        // caches one never-claimed lane so construction stays uniform.
+        const int lanes = std::max(1, streams_on_pipe[pipe] * opts_.max_batch);
+        const int pool_pages = opts_.kv_pool_pages > 0
+                                   ? opts_.kv_pool_pages
+                                   : lanes * geometry_.pages_per_session();
+        return StageUnit{nn::StageModule(model_, stage, D, layers),
+                         nn::PagedKvCache(layers.size(), lanes, model_.seq,
+                                          model_.hidden, opts_.kv_page_size,
+                                          pool_pages)};
+      });
 
   // The plan's cache-slot events must agree with the lane sizing: each
   // worker's binding capacity is exactly the streams its replicas cache.
-  const std::vector<int> bindings = max_live_cache_bindings(*plan_);
-  for (int w = 0; w < D; ++w) {
-    int streams = 0;
-    for (const auto& u : units_[w]) streams += streams_on_pipe[u->pipe];
-    CHIMERA_CHECK_MSG(streams == bindings[w],
-                      "plan cache events disagree with cache sizing on "
-                      "worker " << w);
-  }
   // And the page generalization: the pools just constructed must add up to
   // the budget the planning layer derives from the same geometry — the
   // claim plan_json() exports and verify/ re-checks (kPageBudget).
-  const std::vector<int> budget = kv_page_budget(*plan_, geometry_);
+  const std::vector<int> bindings = max_live_cache_bindings(plan());
+  const std::vector<int> budget = kv_page_budget(plan(), geometry_);
   for (int w = 0; w < D; ++w) {
+    int streams = 0;
+    for (auto [pipe, stage] : schedule().hosted_stages(w))
+      streams += streams_on_pipe[pipe];
+    CHIMERA_CHECK_MSG(streams == bindings[w],
+                      "plan cache events disagree with cache sizing on "
+                      "worker " << w);
     int pages = 0;
-    for (const auto& u : units_[w]) pages += u->cache.pool_pages();
+    for (const auto& u : dep_->units(w)) {
+      pages += u->cache.pool_pages();
+      cache_bytes_ += u->cache.bytes();
+    }
     CHIMERA_CHECK_MSG(pages == budget[w],
                       "plan page budget disagrees with constructed pools on "
                       "worker " << w << ": " << budget[w] << " vs " << pages);
@@ -104,7 +80,7 @@ DecodeEngine::DecodeEngine(const nn::SmallModelConfig& model, Scheme scheme,
 
   capacity_ = N * opts_.max_batch;
   lanes_.assign(N, std::vector<std::uint64_t>(opts_.max_batch, 0));
-  registry_.resize(schedule_.num_pipes);
+  registry_.resize(P);
   slot_active_.assign(N, 0);
   round_prefill_.resize(N);
   prefill_logits_.resize(N);
@@ -112,32 +88,10 @@ DecodeEngine::DecodeEngine(const nn::SmallModelConfig& model, Scheme scheme,
   rd_slots_.resize(N);
   rd_positions_.resize(N);
   round_logits_.resize(N);
-
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  ComputePool::instance().set_helpers(
-      opts_.intra_op >= 0 ? opts_.intra_op : std::max(0, hw - D));
-  set_kernel_policy(opts_.kernel);
-  pool_ = std::make_unique<WorkerPool>(D);
-}
-
-long DecodeEngine::now_us() const {
-  if (opts_.clock) return opts_.clock();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-DecodeEngine::StageUnit& DecodeEngine::find_unit(int worker, int pipe,
-                                                 int stage) {
-  for (auto& u : units_[worker])
-    if (u->pipe == pipe && u->stage == stage) return *u;
-  CHIMERA_CHECK_MSG(false, "stage not hosted: worker " << worker << " pipe "
-                                                       << pipe << " stage "
-                                                       << stage);
 }
 
 std::string DecodeEngine::plan_json() const {
-  return plan_to_json(*plan_, partition_.get(), &geometry_);
+  return plan_to_json(plan(), &partition(), &geometry_);
 }
 
 std::uint64_t DecodeEngine::submit(std::vector<int> prompt,
@@ -154,14 +108,15 @@ std::uint64_t DecodeEngine::submit(std::vector<int> prompt,
   const std::uint64_t id = next_id_++;
   const int cap = max_new_tokens > 0 ? max_new_tokens : opts_.max_new_tokens;
   queue_.push_back(
-      PendingDecode{id, std::move(prompt), cap, priority, now_us()});
+      PendingDecode{id, std::move(prompt), cap, priority, clock_.now_us()});
   stats_.max_queue_depth =
       std::max(stats_.max_queue_depth, static_cast<long>(queue_.size()));
   return id;
 }
 
 void DecodeEngine::run_worker(int w) {
-  const std::vector<PlannedOp>& wplan = plan_->worker_plan(w);
+  Deployment<StageUnit>& dep = *dep_;
+  const std::vector<PlannedOp>& wplan = dep.plan().worker_plan(w);
   for (std::size_t opi = 0; opi < wplan.size(); ++opi) {
     const PlannedOp& pop = wplan[opi];
     const MicroUnit& u = pop.units.front();
@@ -177,7 +132,7 @@ void DecodeEngine::run_worker(int w) {
     if (u.acquires_cache_slot)
       obs::instant(obs::EventKind::kCacheAcquire, w, u.micro, pop.op.stage,
                    pop.op.pipe, u.micro);
-    StageUnit& unit = find_unit(w, pop.op.pipe, pop.op.stage);
+    StageUnit& unit = dep.unit(w, pop.op.pipe, pop.op.stage);
     if (round_is_prefill_) {
       // One batch-1 pass per admitted session, in admission order. Several
       // jobs flow through one plan op, so each job offsets the op's p2p
@@ -188,41 +143,25 @@ void DecodeEngine::run_worker(int w) {
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const std::int64_t jtag = static_cast<std::int64_t>(i) << 40;
         Tensor x;
-        if (u.recv_from >= 0) {
-          obs::Span recv_span(obs::EventKind::kRecv, w, u.micro, pop.op.stage,
-                              pop.op.pipe,
-                              static_cast<long>(u.recv_tag + jtag));
-          x = comms_[w]->recv(u.recv_from, u.recv_tag + jtag);
-        }
+        if (u.recv_from >= 0) x = dep.recv(w, pop.op, u, jtag);
         Tensor y = unit.module.prefill(jobs[i].mb, x, unit.cache,
                                        jobs[i].slot, jobs[i].write_start);
-        if (u.send_to >= 0) {
-          obs::Span send_span(obs::EventKind::kSend, w, u.micro, pop.op.stage,
-                              pop.op.pipe,
-                              static_cast<long>(u.send_tag + jtag));
-          comms_[w]->send(u.send_to, u.send_tag + jtag, std::move(y));
-        } else if (u.releases_cache_slot) {
+        if (u.send_to >= 0)
+          dep.send(w, pop.op, u, std::move(y), jtag);
+        else if (u.releases_cache_slot)
           prefill_logits_[u.micro][i] = std::move(y);
-        }
       }
     } else {
       Tensor x;
-      if (u.recv_from >= 0) {
-        obs::Span recv_span(obs::EventKind::kRecv, w, u.micro, pop.op.stage,
-                            pop.op.pipe, static_cast<long>(u.recv_tag));
-        x = comms_[w]->recv(u.recv_from, u.recv_tag);
-      }
+      if (u.recv_from >= 0) x = dep.recv(w, pop.op, u);
       Tensor y = unit.module.decode_step(rd_tokens_[u.micro],
                                          rd_slots_[u.micro],
                                          rd_positions_[u.micro], x,
                                          unit.cache);
-      if (u.send_to >= 0) {
-        obs::Span send_span(obs::EventKind::kSend, w, u.micro, pop.op.stage,
-                            pop.op.pipe, static_cast<long>(u.send_tag));
-        comms_[w]->send(u.send_to, u.send_tag, std::move(y));
-      } else if (u.releases_cache_slot) {
+      if (u.send_to >= 0)
+        dep.send(w, pop.op, u, std::move(y));
+      else if (u.releases_cache_slot)
         round_logits_[u.micro] = std::move(y);
-      }
     }
     if (u.releases_cache_slot)
       obs::instant(obs::EventKind::kCacheRelease, w, u.micro, pop.op.stage,
@@ -328,7 +267,7 @@ bool DecodeEngine::emit_token(Session& s, int token, long now,
     // no round barrier between unrelated requests. release() derefs the
     // session's page-table entries; pages shared with the registry or with
     // prefix siblings survive until their last reader drops.
-    for (StageUnit* u : pipe_units_[s.pipe]) u->cache.release(s.slot);
+    for_each_cache(s.pipe, [&](nn::PagedKvCache& c) { c.release(s.slot); });
     lanes_[s.micro][s.lane] = 0;
     ++stats_.retired;
     DecodeResult res;
@@ -357,7 +296,9 @@ bool DecodeEngine::unpin_lru_prefix(int pipe) {
          reg[i].id < reg[lru].id))
       lru = i;
   }
-  for (StageUnit* u : pipe_units_[pipe]) u->cache.deref_pages(reg[lru].pages);
+  for_each_cache(pipe, [&](nn::PagedKvCache& c) {
+    c.deref_pages(reg[lru].pages);
+  });
   reg.erase(reg.begin() + static_cast<std::ptrdiff_t>(lru));
   return true;
 }
@@ -366,7 +307,7 @@ void DecodeEngine::park_session(std::uint64_t sid) {
   auto it = sessions_.find(sid);
   CHIMERA_CHECK(it != sessions_.end());
   Session& s = it->second;
-  for (StageUnit* u : pipe_units_[s.pipe]) u->cache.release(s.slot);
+  for_each_cache(s.pipe, [&](nn::PagedKvCache& c) { c.release(s.slot); });
   lanes_[s.micro][s.lane] = 0;
   ++stats_.evictions;
   obs::instant(obs::EventKind::kPark, obs::thread_worker(), s.micro, -1,
@@ -442,7 +383,9 @@ void DecodeEngine::register_prefix(const Session& s, const PrefillJob& job) {
   entry.valid_len = L;
   entry.pages = pipe_cache(s.pipe).page_table(s.slot);
   entry.last_used_step = stats_.steps;
-  for (StageUnit* u : pipe_units_[s.pipe]) u->cache.ref_pages(entry.pages);
+  for_each_cache(s.pipe, [&](nn::PagedKvCache& c) {
+    c.ref_pages(entry.pages);
+  });
   reg.push_back(std::move(entry));
   while (reg.size() > kMaxPrefixEntries) unpin_lru_prefix(s.pipe);
 }
@@ -456,7 +399,7 @@ int DecodeEngine::step() {
     std::atomic<bool>& flag;
     ~StepGuard() { flag = false; }
   } guard{in_step_};
-  const int N = schedule_.num_micro;
+  const int N = schedule().num_micro;
   const int B = opts_.max_batch;
   std::vector<TokenEvent> events;
   int emitted = 0;
@@ -478,12 +421,12 @@ int DecodeEngine::step() {
   for (int m = 0; m < N; ++m) round_prefill_[m].clear();
   std::deque<Session> resume = std::move(parked_);
   parked_.clear();
-  std::vector<char> pipe_full(schedule_.num_pipes, 0);
+  std::vector<char> pipe_full(schedule().num_pipes, 0);
   for (int l = 0; l < B; ++l) {
     for (int m = 0; m < N; ++m) {
       if (resume.empty() && queue_.empty()) break;
       if (lanes_[m][l] != 0) continue;
-      const int p = schedule_.pipe_of_micro[m];
+      const int p = schedule().pipe_of_micro[m];
       if (pipe_full[p]) continue;
       const bool is_resume = !resume.empty();
       Session s;
@@ -515,7 +458,7 @@ int DecodeEngine::step() {
       tokens.insert(tokens.end(), s.generated.begin(), s.generated.end());
       const int T = static_cast<int>(tokens.size());
       CHIMERA_CHECK(T <= model_.seq);
-      for (StageUnit* u : pipe_units_[p]) u->cache.claim(s.slot);
+      for_each_cache(p, [&](nn::PagedKvCache& c) { c.claim(s.slot); });
       int write_start = 0;
       PrefixEntry* donor = match_prefix(p, tokens, &write_start);
       if (donor != nullptr) {
@@ -525,8 +468,9 @@ int DecodeEngine::step() {
             nn::PagedKvCache::pages_for(write_start, opts_.kv_page_size);
         std::vector<int> pages(donor->pages.begin(),
                                donor->pages.begin() + adopt);
-        for (StageUnit* u : pipe_units_[p])
-          u->cache.adopt_prefix(s.slot, pages);
+        for_each_cache(p, [&](nn::PagedKvCache& c) {
+          c.adopt_prefix(s.slot, pages);
+        });
       }
       nn::PagedKvCache& cache = pipe_cache(p);
       int need = cache.pages_needed(s.slot, write_start, T);
@@ -534,7 +478,7 @@ int DecodeEngine::step() {
         need = cache.pages_needed(s.slot, write_start, T);
       if (need > cache.free_pages()) {
         // Undo and wait: the pipe's pages are held by running sessions.
-        for (StageUnit* u : pipe_units_[p]) u->cache.release(s.slot);
+        for_each_cache(p, [&](nn::PagedKvCache& c) { c.release(s.slot); });
         pipe_full[p] = 1;
         if (is_resume)
           resume.push_front(std::move(s));
@@ -544,8 +488,9 @@ int DecodeEngine::step() {
                                           s.enqueue_us});
         continue;
       }
-      for (StageUnit* u : pipe_units_[p])
-        u->cache.ensure_writable(s.slot, write_start, T);
+      for_each_cache(p, [&](nn::PagedKvCache& c) {
+        c.ensure_writable(s.slot, write_start, T);
+      });
       if (write_start > 0) {
         ++stats_.prefix_hits;
         obs::instant(obs::EventKind::kPrefixHit, obs::thread_worker(), m, -1,
@@ -590,11 +535,11 @@ int DecodeEngine::step() {
     {
       obs::Span round_span(obs::EventKind::kPrefillRound,
                            obs::thread_worker());
-      pool_->run([this](int rank) { run_worker(rank); });
+      dep_->run([this](int rank) { run_worker(rank); });
     }
     lock.lock();
     ++stats_.prefill_rounds;
-    const long now = now_us();
+    const long now = clock_.now_us();
     for (int m = 0; m < N; ++m) {
       for (std::size_t i = 0; i < round_prefill_[m].size(); ++i) {
         const PrefillJob& job = round_prefill_[m][i];
@@ -641,8 +586,9 @@ int DecodeEngine::step() {
       // this one — its write target is guaranteed backed now.
       const long splits_before =
           obs::enabled() ? cache.cow_splits() : 0;
-      for (StageUnit* u : pipe_units_[s.pipe])
-        u->cache.ensure_writable(s.slot, pos, pos + 1);
+      for_each_cache(s.pipe, [&](nn::PagedKvCache& c) {
+        c.ensure_writable(s.slot, pos, pos + 1);
+      });
       if (obs::enabled() && cache.cow_splits() > splits_before)
         obs::instant(obs::EventKind::kCowSplit, obs::thread_worker(), s.micro,
                      -1, s.pipe, cache.cow_splits() - splits_before);
@@ -679,11 +625,11 @@ int DecodeEngine::step() {
     {
       obs::Span round_span(obs::EventKind::kDecodeRound,
                            obs::thread_worker());
-      pool_->run([this](int rank) { run_worker(rank); });
+      dep_->run([this](int rank) { run_worker(rank); });
     }
     lock.lock();
     ++stats_.decode_rounds;
-    const long now = now_us();
+    const long now = clock_.now_us();
     for (int m = 0; m < N; ++m) {
       if (!slot_active_[m]) continue;
       const Tensor& logits = round_logits_[m];  // [active rows, vocab]
@@ -741,8 +687,8 @@ DecodeStats DecodeEngine::stats() const {
   out.parked = static_cast<long>(parked_.size());
   // Logical paging counters: one replica per pipe (all of a pipe's replicas
   // hold identical paging state), summed across pipes.
-  for (const auto& pu : pipe_units_) {
-    const nn::PagedKvCache& cache = pu.front()->cache;
+  for (int p = 0; p < schedule().num_pipes; ++p) {
+    const nn::PagedKvCache& cache = pipe_cache(p);
     out.pool_pages += cache.pool_pages();
     out.pages_in_use_peak += cache.pool().peak_pages_in_use();
     out.cow_splits += cache.cow_splits();

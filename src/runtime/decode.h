@@ -21,8 +21,9 @@
 //                           memory tracks the tokens sessions actually hold
 //   nn::StageModule       — prefill() populates a session's pages from the
 //                           existing forward; decode_step() appends + attends
-//   runtime/worker_pool   — every round is one dispatch on the persistent
-//                           rank threads
+//   runtime/deployment    — the shared hosting layer: every stage replica's
+//                           module and cache on persistent rank threads;
+//                           every round is one pool dispatch
 //
 // Continuous batching: a session table admits queued requests into free
 // lanes *mid-flight* — finished sequences (EOS or max_new_tokens) retire the
@@ -62,7 +63,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -72,15 +72,13 @@
 #include <string>
 #include <vector>
 
-#include "comm/world.h"
 #include "core/decode_schedule.h"
-#include "core/execution_plan.h"
 #include "nn/kv_cache.h"
 #include "nn/stage.h"
 #include "obs/metrics.h"
+#include "runtime/deployment.h"
 #include "runtime/options.h"
 #include "runtime/request.h"
-#include "runtime/worker_pool.h"
 
 namespace chimera::rt {
 
@@ -158,9 +156,9 @@ class DecodeEngine {
   DecodeEngine(const nn::SmallModelConfig& model, Scheme scheme,
                const ScheduleConfig& sched_cfg, const DecodeOptions& opts);
 
-  const PipelineSchedule& schedule() const { return schedule_; }
-  const ExecutionPlan& plan() const { return *plan_; }
-  const Partition& partition() const { return *partition_; }
+  const PipelineSchedule& schedule() const { return dep_->schedule(); }
+  const ExecutionPlan& plan() const { return dep_->plan(); }
+  const Partition& partition() const { return dep_->partition(); }
 
   /// Concurrent-session capacity: decode streams × max_batch. With a
   /// shrunken pool (kv_pool_pages > 0) this is the lane count, not a
@@ -219,9 +217,8 @@ class DecodeEngine {
   DecodeStats stats() const;
 
  private:
+  /// One hosted stage replica: its module and its pipe's KV pages.
   struct StageUnit {
-    int pipe;
-    int stage;
     nn::StageModule module;
     nn::PagedKvCache cache;
   };
@@ -265,8 +262,6 @@ class DecodeEngine {
     long last_used_step = 0;   ///< LRU stamp (admission match refreshes)
   };
 
-  long now_us() const;
-  StageUnit& find_unit(int worker, int pipe, int stage);
   void run_worker(int w);
   int sample_token(const float* row, Rng& rng);
   /// Emits one sampled token for `s`: stamps, reservoirs, TokenEvent, and
@@ -274,11 +269,17 @@ class DecodeEngine {
   /// active. Caller holds the lock. Returns true if the session retired.
   bool emit_token(Session& s, int token, long now, const float* logits_row,
                   std::vector<TokenEvent>& events);
-  /// The pipe's representative cache (replica 0 in stage order) — every
+  /// The pipe's representative cache (its stage-0 replica's) — every
   /// replica of a pipe holds identical paging state, so policy decisions
-  /// read one and apply mutations to all.
-  nn::PagedKvCache& pipe_cache(int pipe) {
-    return pipe_units_[pipe].front()->cache;
+  /// read one and apply mutations to all through for_each_cache.
+  nn::PagedKvCache& pipe_cache(int pipe) const {
+    return dep_->unit(schedule().worker_of(pipe, 0), pipe, 0).cache;
+  }
+  /// Calls fn(cache) for every stage replica of `pipe`, in stage order.
+  template <class Fn>
+  void for_each_cache(int pipe, Fn fn) {
+    for (int stage = 0; stage < schedule().depth; ++stage)
+      fn(dep_->unit(schedule().worker_of(pipe, stage), pipe, stage).cache);
   }
   /// Unpins and removes the least-recently-used prefix entry of `pipe`
   /// (lowest last_used_step, oldest id on ties). Returns false when the
@@ -304,14 +305,8 @@ class DecodeEngine {
 
   nn::SmallModelConfig model_;
   DecodeOptions opts_;
-  PipelineSchedule schedule_;
+  EngineClock clock_;
   KvPageGeometry geometry_;
-  std::unique_ptr<Partition> partition_;
-  std::unique_ptr<ExecutionPlan> plan_;
-  std::unique_ptr<comm::World> world_;
-  std::vector<std::unique_ptr<comm::Communicator>> comms_;      ///< per rank
-  std::vector<std::vector<std::unique_ptr<StageUnit>>> units_;  ///< [worker]
-  std::vector<std::vector<StageUnit*>> pipe_units_;  ///< [pipe], stage order
   std::vector<int> stream_pos_;   ///< [micro] position within its pipe
   int capacity_ = 0;
   std::size_t cache_bytes_ = 0;
@@ -343,9 +338,9 @@ class DecodeEngine {
   std::vector<double> topk_weight_;
   std::atomic<bool> in_step_{false};
   std::function<void(const TokenEvent&)> on_token_;
-  std::chrono::steady_clock::time_point epoch_;
-  /// Last member: parks and joins the rank threads while state is alive.
-  std::unique_ptr<WorkerPool> pool_;
+  /// Last member: its pool parks and joins the rank threads while the state
+  /// above is still alive.
+  std::unique_ptr<Deployment<StageUnit>> dep_;
 };
 
 }  // namespace chimera::rt

@@ -62,7 +62,7 @@ class GradSyncEngine::Strategy {
         static_cast<double>(e.plan_.schedule().num_pipes) *
         e.opts_.data_parallel;
     float local = 0.0f;
-    for (const auto& r : e.me_.replicas)
+    for (const auto& r : e.replicas_)
       local += static_cast<float>(r->opt.grad_sq_norm() / replicas_per_stage);
     return local;
   }
@@ -70,7 +70,7 @@ class GradSyncEngine::Strategy {
   /// The flush-time optimizer update (identical on every replica).
   virtual void apply_update(GradSyncEngine& e, double lr_mult,
                             float grad_scale) {
-    for (auto& r : e.me_.replicas) r->opt.step(lr_mult, grad_scale);
+    for (const auto& r : e.replicas_) r->opt.step(lr_mult, grad_scale);
   }
 };
 
@@ -187,11 +187,10 @@ class GradSyncEngine::CompressedStrategy : public Strategy {
 // ------------------------------------------------------------------------
 // Engine
 
-GradSyncEngine::GradSyncEngine(const ExecutionPlan& plan,
-                               const TrainerOptions& opts,
-                               comm::Communicator& comm, WorkerState& me,
-                               int rank, long iteration)
-    : plan_(plan), opts_(opts), comm_(comm), me_(me), rank_(rank),
+GradSyncEngine::GradSyncEngine(TrainDeployment& dep, const TrainerOptions& opts,
+                               WorkerState& me, int rank, long iteration)
+    : plan_(dep.plan()), opts_(opts), comm_(dep.comm(rank)),
+      replicas_(dep.units(rank)), me_(me), rank_(rank),
       iteration_(iteration) {
   if (opts.zero_shard)
     strategy_ = std::make_unique<ZeroShardStrategy>();
@@ -227,7 +226,9 @@ std::pair<std::size_t, std::size_t> GradSyncEngine::zero_segment(
 }
 
 void GradSyncEngine::fill_bucket(int stage, StageSync& sync) {
-  sync.local = me_.stage_replicas(stage);
+  // All local replicas of `stage`, in hosting order.
+  for (const auto& r : replicas_)
+    if (r->stage == stage) sync.local.push_back(r.get());
   CHIMERA_CHECK_MSG(!sync.local.empty(), "sync for unhosted stage " << stage);
   auto first = sync.local[0]->module.params();
   sync.bucket.resize(flat_grad_size(first));

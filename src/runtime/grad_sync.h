@@ -44,9 +44,8 @@ void load_grads_flat(const std::vector<nn::Param*>& params, const float* buf);
 
 class GradSyncEngine {
  public:
-  GradSyncEngine(const ExecutionPlan& plan, const TrainerOptions& opts,
-                 comm::Communicator& comm, WorkerState& me, int rank,
-                 long iteration);
+  GradSyncEngine(TrainDeployment& dep, const TrainerOptions& opts,
+                 WorkerState& me, int rank, long iteration);
   ~GradSyncEngine();
 
   /// AllReduceBegin of `stage`: fill the bucket, strategy may launch.
@@ -90,6 +89,7 @@ class GradSyncEngine {
   const ExecutionPlan& plan_;
   const TrainerOptions& opts_;
   comm::Communicator& comm_;
+  const std::vector<std::unique_ptr<Replica>>& replicas_;  ///< this rank's
   WorkerState& me_;
   int rank_;
   long iteration_;

@@ -1,7 +1,9 @@
 // Runtime configuration shared by the trainer facade and the execution
 // units it is composed of (WorkerExecutor, GradSyncEngine, WeightStore),
-// plus the serving engine's ServeOptions. docs/OPTIONS.md is the reference
-// table for every field and which combinations compose.
+// plus the serving and decode engines' ServeOptions and DecodeOptions. All
+// three derive the settings of the hosting layer (runtime/deployment.h)
+// from EngineOptions. docs/OPTIONS.md is the reference table for every
+// field and which combinations compose.
 #pragma once
 
 #include <functional>
@@ -16,13 +18,35 @@
 
 namespace chimera::rt {
 
-struct TrainerOptions {
-  int data_parallel = 1;  ///< W: replicated pipeline groups
-  /// How transformer layers are split into stages. The trainer plans one
+/// What every engine's rt::Deployment reads: how the model splits into
+/// stages and how the kernels run.
+struct EngineOptions {
+  /// How transformer layers are split into stages. The engine plans one
   /// Partition (core/partition.h) and every stage module takes its layer
   /// range from it — the same planners the simulator and analytic models
-  /// consume.
+  /// consume. kBalancedMemory reads the trainer's stash profile; the
+  /// forward-only engines stash nothing and plan it with the flat profile.
   PartitionPolicy partition = PartitionPolicy::kEven;
+  /// Intra-op helper threads for the shared kernel ComputePool; must be
+  /// >= −1. −1 sizes the pool so the engine's ranks plus the helpers never
+  /// oversubscribe hardware_concurrency (helpers = max(0, hw − ranks), with
+  /// ranks = W·D for training and D for serving and decode); 0 forces the
+  /// serial kernel path. The pool is process-wide — the most recently
+  /// constructed engine's setting wins — and the kernels' fixed split
+  /// points make results bitwise identical at any setting (DESIGN.md §2
+  /// item 17).
+  int intra_op = -1;
+  /// GEMM implementation tier (DESIGN.md §2 item 18). Process-wide like
+  /// intra_op — the most recently constructed engine wins — and overridable
+  /// by CHIMERA_KERNEL_TIER. kAuto picks the vectorized fast tier on
+  /// AVX2+FMA hosts; kScalarReference pins the bitwise reference that the
+  /// parity/grad-sync contracts are stated against (gemm/gemm_tn stay
+  /// bitwise identical across tiers; gemm_nt is tolerance-equal on kFast).
+  KernelPolicy kernel = KernelPolicy::kAuto;
+};
+
+struct TrainerOptions : EngineOptions {
+  int data_parallel = 1;  ///< W: replicated pipeline groups, >= 1
   /// Update rule + hyper-parameters, applied identically on every replica.
   /// optimizer.clip_norm > 0 enables distributed global-gradient-norm
   /// clipping (synchronous schemes only: the norm spans all stages, so the
@@ -53,20 +77,6 @@ struct TrainerOptions {
   /// shrinks by the replica-group size. Synchronous schemes only; LAMB is
   /// excluded (per-tensor trust ratio cannot shard).
   bool zero_shard = false;
-  /// Intra-op helper threads for the shared kernel ComputePool. −1 sizes the
-  /// pool so the W·D pipeline workers plus the helpers never oversubscribe
-  /// hardware_concurrency (helpers = max(0, hw − W·D)); 0 forces the serial
-  /// kernel path. The pool is process-wide — the most recently constructed
-  /// PipelineTrainer's setting wins — and the kernels' fixed split points
-  /// make results bitwise identical at any setting (DESIGN.md §2 item 17).
-  int intra_op = -1;
-  /// GEMM implementation tier (DESIGN.md §2 item 18). Process-wide like
-  /// intra_op — the most recently constructed engine wins — and overridable
-  /// by CHIMERA_KERNEL_TIER. kAuto picks the vectorized fast tier on
-  /// AVX2+FMA hosts; kScalarReference pins the bitwise reference that the
-  /// parity/grad-sync contracts are stated against (gemm/gemm_tn stay
-  /// bitwise identical across tiers; gemm_nt is tolerance-equal on kFast).
-  KernelPolicy kernel = KernelPolicy::kAuto;
 };
 
 /// Result of one training iteration.
@@ -78,7 +88,7 @@ struct IterationResult {
 /// threaded exactly like TrainerOptions is through the trainer. See
 /// docs/OPTIONS.md for the full reference and DESIGN.md §5 for the
 /// batcher's deadline/padding contract.
-struct ServeOptions {
+struct ServeOptions : EngineOptions {
   /// B: requests the micro-batcher coalesces into one micro-batch slot.
   /// Dispatched tail batches are padded to this many rows; the padded rows'
   /// logits are computed and discarded.
@@ -86,15 +96,6 @@ struct ServeOptions {
   /// A partial batch is dispatched once its oldest request has waited this
   /// long (µs). 0 = never hold a request back waiting for company.
   long batch_deadline_us = 0;
-  /// How transformer layers split into the D stages — the same planners
-  /// the trainer uses (kBalancedMemory falls back to the flat profile:
-  /// forward-only execution stashes nothing).
-  PartitionPolicy partition = PartitionPolicy::kEven;
-  /// Intra-op kernel helper threads; see TrainerOptions::intra_op (serving
-  /// sizes −1 as max(0, hardware_concurrency − D)).
-  int intra_op = -1;
-  /// GEMM tier; see TrainerOptions::kernel.
-  KernelPolicy kernel = KernelPolicy::kAuto;
   /// Test hook: microsecond clock used for batch-deadline decisions and the
   /// enqueue→logits latency stamps. Null = monotonic wall clock. The
   /// background serving loop sleeps in real time regardless — a fake clock
@@ -112,7 +113,7 @@ enum class SamplingKind { kGreedy, kTopK };
 /// Configuration of the autoregressive decode engine (rt::DecodeEngine),
 /// threaded exactly like ServeOptions. See docs/OPTIONS.md for the
 /// reference table and DESIGN.md §6 for the scheduling/cache contract.
-struct DecodeOptions {
+struct DecodeOptions : EngineOptions {
   /// Sessions decoded concurrently per decode stream (micro slot): the
   /// continuous-batching width. Total session capacity = num_micro streams
   /// × max_batch; KV-cache memory is bounded by it (nn/kv_cache.h).
@@ -146,12 +147,6 @@ struct DecodeOptions {
   /// (copy-on-write; nn/kv_cache.h). Token streams are bitwise unchanged
   /// either way — sharing only dedupes identical cache rows.
   bool prefix_sharing = true;
-  /// Layer→stage planners, as in ServeOptions.
-  PartitionPolicy partition = PartitionPolicy::kEven;
-  /// Intra-op kernel helper threads; see TrainerOptions::intra_op.
-  int intra_op = -1;
-  /// GEMM tier; see TrainerOptions::kernel.
-  KernelPolicy kernel = KernelPolicy::kAuto;
   /// Test hook: microsecond clock for enqueue/first-token/done stamps
   /// (time-to-first-token and inter-token latency). Null = monotonic wall
   /// clock.

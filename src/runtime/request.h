@@ -1,4 +1,5 @@
-// Recoverable request validation shared by the serving and decode engines.
+// Request plumbing shared by the serving and decode engines: recoverable
+// validation and the latency clock.
 //
 // A malformed request (wrong length, out-of-vocabulary token) is the
 // *caller's* bug, not an engine invariant violation: rejecting it must not
@@ -10,8 +11,11 @@
 // invariant failed and the process state is suspect.
 #pragma once
 
+#include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace chimera::rt {
@@ -42,5 +46,25 @@ inline void validate_tokens(const std::vector<int>& tokens, int min_len,
       throw RequestError("request token " + std::to_string(t) +
                          " outside vocab of " + std::to_string(vocab));
 }
+
+/// Microsecond clock of the request stamps (enqueue, first token, done) and
+/// the batcher's deadline decisions: `fake` when set — the ServeOptions /
+/// DecodeOptions::clock test hook — else monotonic time since construction.
+class EngineClock {
+ public:
+  explicit EngineClock(std::function<long()> fake)
+      : fake_(std::move(fake)), epoch_(std::chrono::steady_clock::now()) {}
+
+  long now_us() const {
+    if (fake_) return fake_();
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - epoch_)
+        .count();
+  }
+
+ private:
+  std::function<long()> fake_;
+  std::chrono::steady_clock::time_point epoch_;
+};
 
 }  // namespace chimera::rt

@@ -1,12 +1,12 @@
 #include "runtime/serving.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <thread>
 
 #include "obs/trace.h"
-#include "tensor/compute_pool.h"
 
 namespace chimera::rt {
 
@@ -45,44 +45,21 @@ obs::MetricsRegistry ServingStats::metrics() const {
 ServingEngine::ServingEngine(const nn::SmallModelConfig& model, Scheme scheme,
                              const ScheduleConfig& sched_cfg,
                              const ServeOptions& opts)
-    : model_(model), opts_(opts), epoch_(std::chrono::steady_clock::now()) {
+    : model_(model), opts_(opts), clock_(opts.clock) {
   CHIMERA_CHECK_MSG(opts.max_batch >= 1, "max_batch must be positive");
   CHIMERA_CHECK_MSG(opts.batch_deadline_us >= 0, "deadline must be >= 0");
-  schedule_ = build_inference_schedule(scheme, sched_cfg);
-  plan_ = std::make_unique<ExecutionPlan>(schedule_);
-
-  const int D = schedule_.depth;
+  PipelineSchedule sched = build_inference_schedule(scheme, sched_cfg);
+  const int D = sched.depth;
+  round_inputs_.resize(sched.num_micro);
+  round_logits_.resize(sched.num_micro);
   // Forward-only execution stashes nothing, so kBalancedMemory gets the
   // flat profile (no schedule): it degenerates to balancing weight bytes.
-  partition_ = std::make_unique<Partition>(
-      plan_partition(model_.spec(), D, opts.partition));
-  CHIMERA_CHECK_MSG(partition_->depth() == D &&
-                        partition_->range(0).begin == 0 &&
-                        partition_->range(D - 1).end == model_.layers,
-                    "serving partition does not cover the model's "
-                        << model_.layers << " layers across " << D
-                        << " stages");
-
-  world_ = std::make_unique<comm::World>(D);
-  comms_.resize(D);
-  units_.resize(D);
-  for (int w = 0; w < D; ++w) {
-    comms_[w] = std::make_unique<comm::Communicator>(*world_, w);
-    for (auto [pipe, stage] : schedule_.hosted_stages(w))
-      units_[w].push_back(std::unique_ptr<StageUnit>(new StageUnit{
-          pipe, stage,
-          nn::StageModule(model_, stage, D, partition_->range(stage))}));
-  }
-  round_inputs_.resize(schedule_.num_micro);
-  round_logits_.resize(schedule_.num_micro);
-
-  // Same sizing rule as the trainer (DESIGN.md §2 item 17): D pipeline
-  // workers plus intra-op helpers never oversubscribe the host.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  ComputePool::instance().set_helpers(
-      opts_.intra_op >= 0 ? opts_.intra_op : std::max(0, hw - D));
-  set_kernel_policy(opts_.kernel);
-  pool_ = std::make_unique<WorkerPool>(D);
+  Partition partition = plan_partition(model_.spec(), D, opts.partition);
+  dep_ = std::make_unique<Deployment<nn::StageModule>>(
+      std::move(sched), std::move(partition), /*groups=*/1, opts_,
+      [&](int, int, int stage, StageRange layers) {
+        return nn::StageModule(model_, stage, D, layers);
+      });
 }
 
 ServingEngine::~ServingEngine() {
@@ -98,22 +75,6 @@ ServingEngine::~ServingEngine() {
     std::fprintf(stderr, "ServingEngine: dropping serving-loop error during "
                          "destruction\n");
   }
-}
-
-long ServingEngine::now_us() const {
-  if (opts_.clock) return opts_.clock();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-ServingEngine::StageUnit& ServingEngine::find_unit(int worker, int pipe,
-                                                   int stage) {
-  for (auto& u : units_[worker])
-    if (u->pipe == pipe && u->stage == stage) return *u;
-  CHIMERA_CHECK_MSG(false, "stage not hosted: worker " << worker << " pipe "
-                                                       << pipe << " stage "
-                                                       << stage);
 }
 
 std::uint64_t ServingEngine::submit(std::vector<int> tokens) {
@@ -134,7 +95,7 @@ std::uint64_t ServingEngine::submit(std::vector<int> tokens) {
                        std::to_string(queue_.size()) +
                        ") — back off and retry");
   const std::uint64_t id = next_id_++;
-  queue_.push_back(PendingRequest{id, std::move(tokens), now_us()});
+  queue_.push_back(PendingRequest{id, std::move(tokens), clock_.now_us()});
   stats_.max_queue_depth =
       std::max(stats_.max_queue_depth, static_cast<long>(queue_.size()));
   cv_.notify_all();
@@ -142,8 +103,9 @@ std::uint64_t ServingEngine::submit(std::vector<int> tokens) {
 }
 
 void ServingEngine::run_worker(int w) {
-  const int D = schedule_.depth;
-  const std::vector<PlannedOp>& wplan = plan_->worker_plan(w);
+  Deployment<nn::StageModule>& dep = *dep_;
+  const int D = dep.schedule().depth;
+  const std::vector<PlannedOp>& wplan = dep.plan().worker_plan(w);
   for (std::size_t opi = 0; opi < wplan.size(); ++opi) {
     const PlannedOp& pop = wplan[opi];
     const MicroUnit& u = pop.units.front();
@@ -156,26 +118,19 @@ void ServingEngine::run_worker(int w) {
     obs::OpSpan op_span(obs::EventKind::kForward, w, w,
                         static_cast<int>(opi), pop.op.micro, pop.op.stage,
                         pop.op.pipe);
-    StageUnit& unit = find_unit(w, pop.op.pipe, pop.op.stage);
+    nn::StageModule& module = dep.unit(w, pop.op.pipe, pop.op.stage);
     Tensor x;
-    if (u.recv_from >= 0) {
-      obs::Span recv_span(obs::EventKind::kRecv, w, u.micro, pop.op.stage,
-                          pop.op.pipe, static_cast<long>(u.recv_tag));
-      x = comms_[w]->recv(u.recv_from, u.recv_tag);
-    }
-    Tensor y = unit.module.infer(round_inputs_[u.micro], x);
-    if (u.send_to >= 0) {
-      obs::Span send_span(obs::EventKind::kSend, w, u.micro, pop.op.stage,
-                          pop.op.pipe, static_cast<long>(u.send_tag));
-      comms_[w]->send(u.send_to, u.send_tag, std::move(y));
-    } else if (pop.op.stage == D - 1) {
+    if (u.recv_from >= 0) x = dep.recv(w, pop.op, u);
+    Tensor y = module.infer(round_inputs_[u.micro], x);
+    if (u.send_to >= 0)
+      dep.send(w, pop.op, u, std::move(y));
+    else if (pop.op.stage == D - 1)
       round_logits_[u.micro] = std::move(y);
-    }
   }
 }
 
 std::vector<ServeResult> ServingEngine::execute_round(Round round) {
-  const int N = schedule_.num_micro;
+  const int N = dep_->schedule().num_micro;
   const int B = opts_.max_batch;
   const int seq = model_.seq;
   const int active = static_cast<int>(round.slots.size());
@@ -202,9 +157,9 @@ std::vector<ServeResult> ServingEngine::execute_round(Round round) {
     // carries the active slot count, tag the coalesced request count.
     obs::Span round_span(obs::EventKind::kServeRound, obs::thread_worker(),
                          active, -1, -1, round.requests());
-    pool_->run([this](int rank) { run_worker(rank); });
+    dep_->run([this](int rank) { run_worker(rank); });
   }
-  const long done = now_us();
+  const long done = clock_.now_us();
 
   std::vector<ServeResult> results;
   for (std::size_t m = 0; m < round.slots.size(); ++m) {
@@ -243,7 +198,8 @@ std::vector<ServeResult> ServingEngine::serve_pending() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (queue_.empty()) break;
-      round = form_round(queue_, drain, schedule_.num_micro, now_us());
+      round = form_round(queue_, drain, dep_->schedule().num_micro,
+                         clock_.now_us());
     }
     std::vector<ServeResult> served = execute_round(std::move(round));
     for (auto& r : served) out.push_back(std::move(r));
@@ -300,8 +256,8 @@ void ServingEngine::driver_loop() {
     // — a fake opts_.clock only steers flush *decisions* and stamps.
     if (!stopping_ &&
         !policy.should_flush(static_cast<int>(queue_.size()),
-                             queue_.front().enqueue_us, now_us())) {
-      const long waited = now_us() - queue_.front().enqueue_us;
+                             queue_.front().enqueue_us, clock_.now_us())) {
+      const long waited = clock_.now_us() - queue_.front().enqueue_us;
       const long remaining =
           std::max<long>(0, opts_.batch_deadline_us - waited);
       cv_.wait_for(lock, std::chrono::microseconds(remaining), [&] {
@@ -312,7 +268,8 @@ void ServingEngine::driver_loop() {
     }
     const BatchPolicy now_policy =
         stopping_ ? BatchPolicy{opts_.max_batch, 0} : policy;
-    Round round = form_round(queue_, now_policy, schedule_.num_micro, now_us());
+    Round round = form_round(queue_, now_policy, dep_->schedule().num_micro,
+                             clock_.now_us());
     if (round.slots.empty()) continue;  // deadline not yet reached
     lock.unlock();
     std::vector<ServeResult> served = execute_round(std::move(round));

@@ -8,8 +8,9 @@
 //   core/execution_plan     — the same lowering the trainer executes:
 //                             per-op deps, p2p endpoints + tags (no stash
 //                             events — nothing ever consumes a stash)
-//   runtime/worker_pool     — the same persistent rank threads; one serving
-//                             round = one pool dispatch over the plan
+//   runtime/deployment      — the same hosting layer: stage modules on
+//                             persistent rank threads; one serving round =
+//                             one pool dispatch over the plan
 //   nn::StageModule::infer  — logits-only head path (no loss, no dlogits)
 //
 // Request flow: submit() enqueues token sequences on a thread-safe FIFO;
@@ -33,7 +34,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -42,14 +42,12 @@
 #include <thread>
 #include <vector>
 
-#include "comm/world.h"
-#include "core/execution_plan.h"
 #include "core/inference_schedule.h"
 #include "nn/stage.h"
 #include "obs/metrics.h"
+#include "runtime/deployment.h"
 #include "runtime/options.h"
 #include "runtime/request.h"
-#include "runtime/worker_pool.h"
 
 namespace chimera::rt {
 
@@ -148,9 +146,9 @@ class ServingEngine {
                 const ScheduleConfig& sched_cfg, const ServeOptions& opts);
   ~ServingEngine();
 
-  const PipelineSchedule& schedule() const { return schedule_; }
-  const ExecutionPlan& plan() const { return *plan_; }
-  const Partition& partition() const { return *partition_; }
+  const PipelineSchedule& schedule() const { return dep_->schedule(); }
+  const ExecutionPlan& plan() const { return dep_->plan(); }
+  const Partition& partition() const { return dep_->partition(); }
 
   /// Thread-safe: enqueues one request. `tokens.size()` must equal
   /// model.seq (the batcher pads the *batch* dimension, not the sequence)
@@ -195,14 +193,6 @@ class ServingEngine {
   ServingStats stats() const;
 
  private:
-  struct StageUnit {
-    int pipe;
-    int stage;
-    nn::StageModule module;
-  };
-
-  long now_us() const;
-  StageUnit& find_unit(int worker, int pipe, int stage);
   std::vector<ServeResult> execute_round(Round round);
   void run_worker(int worker);
   void driver_main();
@@ -210,12 +200,7 @@ class ServingEngine {
 
   nn::SmallModelConfig model_;
   ServeOptions opts_;
-  PipelineSchedule schedule_;
-  std::unique_ptr<Partition> partition_;
-  std::unique_ptr<ExecutionPlan> plan_;
-  std::unique_ptr<comm::World> world_;
-  std::vector<std::unique_ptr<comm::Communicator>> comms_;  ///< per rank
-  std::vector<std::vector<std::unique_ptr<StageUnit>>> units_;  ///< [worker]
+  EngineClock clock_;
 
   /// Round state shared with the rank threads during one pool dispatch; the
   /// dispatch barrier orders every access. Slots ≥ round_active_slots_
@@ -236,10 +221,9 @@ class ServingEngine {
   std::atomic<bool> driver_running_{false};
   std::exception_ptr driver_error_;  ///< set by driver_main, rethrown by stop()
   std::thread driver_;
-  std::chrono::steady_clock::time_point epoch_;
-  /// Last member: its destructor parks and joins the rank threads while the
-  /// state above is still alive (same contract as PipelineTrainer).
-  std::unique_ptr<WorkerPool> pool_;
+  /// Last member: its pool parks and joins the rank threads while the state
+  /// above is still alive (same contract as PipelineTrainer).
+  std::unique_ptr<Deployment<nn::StageModule>> dep_;
 };
 
 }  // namespace chimera::rt

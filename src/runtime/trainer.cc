@@ -1,13 +1,10 @@
 #include "runtime/trainer.h"
 
-#include <algorithm>
 #include <map>
 #include <string>
-#include <thread>
 
 #include "runtime/grad_sync.h"
 #include "runtime/worker_executor.h"
-#include "tensor/compute_pool.h"
 
 namespace chimera::rt {
 
@@ -24,10 +21,12 @@ PipelineTrainer::PipelineTrainer(const nn::SmallModelConfig& model,
                                  Scheme scheme, const ScheduleConfig& sched_cfg,
                                  const TrainerOptions& opts)
     : model_(model), scheme_(scheme), opts_(opts) {
-  PipelineSchedule base = build_schedule(scheme, sched_cfg);
-  CHIMERA_CHECK_MSG(opts.optimizer.clip_norm <= 0.0f || base.synchronous,
+  CHIMERA_CHECK_MSG(opts.data_parallel >= 1,
+                    "data_parallel must be >= 1, got " << opts.data_parallel);
+  PipelineSchedule sched = build_schedule(scheme, sched_cfg);
+  CHIMERA_CHECK_MSG(opts.optimizer.clip_norm <= 0.0f || sched.synchronous,
                     "global-norm clipping requires synchronous gradients");
-  CHIMERA_CHECK_MSG(!opts.zero_shard || (base.synchronous &&
+  CHIMERA_CHECK_MSG(!opts.zero_shard || (sched.synchronous &&
                                          opts.optimizer.rule != optim::Rule::kLamb),
                     "ZeRO-1 sharding requires a synchronous scheme and a "
                     "shardable update rule");
@@ -35,80 +34,46 @@ PipelineTrainer::PipelineTrainer(const nn::SmallModelConfig& model,
                         opts.compression == comm::GradCompression::kNone,
                     "gradient compression and ZeRO-1 sharding are exclusive");
   CHIMERA_CHECK_MSG(opts.compression == comm::GradCompression::kNone ||
-                        base.synchronous,
+                        sched.synchronous,
                     "gradient compression targets the synchronous allreduce");
-  if (base.synchronous) {
+  if (sched.synchronous) {
     CHIMERA_CHECK_MSG(opts.sync != SyncPolicy::kNone ||
-                          (opts.data_parallel == 1 && base.num_pipes == 1),
+                          (opts.data_parallel == 1 && sched.num_pipes == 1),
                       "synchronous schemes with replicas require gradient sync");
-    schedule_ = with_gradient_sync(
-        base, opts.sync == SyncPolicy::kNone ? SyncPolicy::kAtEnd : opts.sync);
-  } else {
-    schedule_ = base;
+    sched = with_gradient_sync(
+        sched, opts.sync == SyncPolicy::kNone ? SyncPolicy::kAtEnd : opts.sync);
   }
-  plan_ = std::make_unique<ExecutionPlan>(schedule_);
   store_ = std::make_unique<WeightStore>(WeightStore::policy_for(scheme));
 
   const int W = opts.data_parallel;
-  const int D = schedule_.depth;
-  partition_ = std::make_unique<Partition>(
-      runtime_partition(model_, D, opts.partition, &schedule_));
-  // The runtime executes exactly the planned split: the ranges must cover
-  // all layers exactly once. Partition's constructor enforces a contiguous
-  // in-order cover, so checking the endpoints closes the contract.
-  CHIMERA_CHECK_MSG(partition_->depth() == D &&
-                        partition_->range(0).begin == 0 &&
-                        partition_->range(D - 1).end == model_.layers,
-                    "runtime partition covers ["
-                        << partition_->range(0).begin << ", "
-                        << partition_->range(D - 1).end << ") of "
-                        << model_.layers << " layers across "
-                        << partition_->depth() << " stages (want " << D << ")");
-
-  world_ = std::make_unique<comm::World>(W * D);
+  const int D = sched.depth;
+  Partition partition = runtime_partition(model_, D, opts.partition, &sched);
+  dep_ = std::make_unique<TrainDeployment>(
+      std::move(sched), std::move(partition), W, opts,
+      [&](int, int pipe, int stage, StageRange layers) {
+        return Replica(model_, pipe, stage, D, layers, opts.recompute,
+                       opts.optimizer);
+      });
+  for (int rank = 0; rank < W * D; ++rank)
+    for (const auto& r : dep_->units(rank)) store_->register_replica(*r);
   workers_.resize(static_cast<std::size_t>(W) * D);
-  comms_.resize(static_cast<std::size_t>(W) * D);
-  for (int g = 0; g < W; ++g) {
-    for (int w = 0; w < D; ++w) {
-      const int rank = g * D + w;
-      comms_[rank] = std::make_unique<comm::Communicator>(*world_, rank);
-      auto worker = std::make_unique<WorkerState>();
-      for (auto [pipe, stage] : schedule_.hosted_stages(w)) {
-        worker->replicas.push_back(std::make_unique<Replica>(
-            model_, pipe, stage, D, partition_->range(stage), opts.recompute,
-            opts.optimizer));
-        store_->register_replica(*worker->replicas.back());
-      }
-      workers_[static_cast<std::size_t>(g) * D + w] = std::move(worker);
-    }
-  }
-  // Threading model (DESIGN.md §2 item 17): W·D persistent pipeline workers
-  // plus shared intra-op kernel helpers, together never oversubscribing the
-  // host. The kernels' fixed split points keep results bitwise identical at
-  // any helper count.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  ComputePool::instance().set_helpers(
-      opts.intra_op >= 0 ? opts.intra_op : std::max(0, hw - W * D));
-  set_kernel_policy(opts.kernel);
   reduce_bufs_.resize(D);
-  pool_ = std::make_unique<WorkerPool>(W * D);
 }
 
 PipelineTrainer::~PipelineTrainer() = default;
 
 const Replica& PipelineTrainer::find_replica(int group, int pipe,
                                              int stage) const {
-  const int w = schedule_.worker_of(pipe, stage);
-  WorkerState& state =
-      *workers_[static_cast<std::size_t>(group) * schedule_.depth + w];
-  return state.find(pipe, stage);
+  const int D = schedule().depth;
+  return dep_->unit(group * D + schedule().worker_of(pipe, stage), pipe,
+                    stage);
 }
 
 void PipelineTrainer::run_worker(int group, int w, const nn::MicroBatch& batch,
                                  int B, std::vector<double>& losses) {
-  const int rank = group * schedule_.depth + w;
-  WorkerExecutor exec(*plan_, opts_, *store_, *workers_[rank], *comms_[rank],
-                      group, w, iteration_);
+  WorkerExecutor exec(*dep_, opts_, *store_,
+                      workers_[group * schedule().depth + w], group, w,
+                      iteration_);
   exec.run(batch, B, losses);
 }
 
@@ -120,26 +85,22 @@ void PipelineTrainer::reduce_2bw_worker(int rank) {
   // w_{t+1} = w_t − lr·g(w_{t-1}). One pool task per stage-hosting worker:
   // group 0's ranks each reduce their worker's stages, the rest idle.
   const int W = opts_.data_parallel;
-  const int D = schedule_.depth;
+  const int D = schedule().depth;
   if (rank >= D) return;
   const int w = rank;
   const double mult = opts_.lr_schedule.multiplier(iteration_);
-  WorkerState& group0 = *workers_[w];
-  reduce_bufs_[w].resize(group0.replicas.size());
-  for (std::size_t ri = 0; ri < group0.replicas.size(); ++ri) {
-    auto params0 = group0.replicas[ri]->module.params();
+  const std::size_t hosted = dep_->units(w).size();
+  reduce_bufs_[w].resize(hosted);
+  for (std::size_t ri = 0; ri < hosted; ++ri) {
+    auto params0 = dep_->units(w)[ri]->module.params();
     std::vector<float>& buf = reduce_bufs_[w][ri];  // pre-sized after iter 0
     buf.resize(flat_grad_size(params0));
     copy_grads_flat(params0, buf.data());
     // Same summation order as a serial in-place reduction: groups ascending.
     for (int g = 1; g < W; ++g)
-      add_grads_flat(workers_[static_cast<std::size_t>(g) * D + w]
-                         ->replicas[ri]
-                         ->module.params(),
-                     buf.data());
+      add_grads_flat(dep_->units(g * D + w)[ri]->module.params(), buf.data());
     for (int g = 0; g < W; ++g) {
-      Replica& r =
-          *workers_[static_cast<std::size_t>(g) * D + w]->replicas[ri];
+      Replica& r = *dep_->units(g * D + w)[ri];
       load_grads_flat(r.module.params(), buf.data());
       store_->step_double_buffered(r, mult);
     }
@@ -148,30 +109,30 @@ void PipelineTrainer::reduce_2bw_worker(int rank) {
 
 IterationResult PipelineTrainer::train_iteration(const nn::MicroBatch& batch) {
   const int W = opts_.data_parallel;
-  const int N = schedule_.num_micro;
+  const int N = schedule().num_micro;
   CHIMERA_CHECK_MSG(batch.batch % (N * W) == 0,
                     "batch size " << batch.batch << " not divisible by N*W");
   const int B = batch.batch / (N * W);
   for (int m = 0; m < N; ++m)
-    if (plan_->micro_is_halved(m))
+    if (plan().micro_is_halved(m))
       CHIMERA_CHECK_MSG(B % 2 == 0, "backward halving needs even micro-batch");
 
   // PipeDream-2BW: compute this iteration on the 1-step-stale version. The
   // module holds w_{t-1}; the store's double buffer holds w_t.
-  for (auto& worker : workers_)
-    for (auto& r : worker->replicas) store_->init_double_buffer(*r);
+  for (int rank = 0; rank < dep_->ranks(); ++rank)
+    for (const auto& r : dep_->units(rank)) store_->init_double_buffer(*r);
 
-  for (auto& worker : workers_)
-    for (auto& r : worker->replicas) r->module.zero_grads();
+  for (int rank = 0; rank < dep_->ranks(); ++rank)
+    for (const auto& r : dep_->units(rank)) r->module.zero_grads();
 
   std::vector<double> losses(static_cast<std::size_t>(N) * W * 2, 0.0);
-  pool_->run([this, &batch, B, &losses](int rank) {
-    run_worker(rank / schedule_.depth, rank % schedule_.depth, batch, B,
-               losses);
+  const int D = schedule().depth;
+  dep_->run([this, &batch, B, &losses, D](int rank) {
+    run_worker(rank / D, rank % D, batch, B, losses);
   });
 
   if (scheme_ == Scheme::kPipeDream2BW)
-    pool_->run([this](int rank) { reduce_2bw_worker(rank); });
+    dep_->run([this](int rank) { reduce_2bw_worker(rank); });
 
   ++iteration_;
   IterationResult out;

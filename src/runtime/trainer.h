@@ -9,7 +9,10 @@
 //
 // The trainer itself only assembles and drives the layers:
 //   core/execution_plan  — what runs, in which order, with which deps/tags
-//   runtime/worker_pool  — the persistent rank threads (created once)
+//   runtime/deployment   — the hosting layer shared with serving and decode:
+//                          partition, communicators, one Replica per hosted
+//                          stage and the persistent rank threads (created
+//                          once)
 //   runtime/worker_executor — the per-rank op-dispatch loop
 //   runtime/grad_sync    — gradient exchange + synchronous optimizer step
 //   runtime/weight_store — weight versioning (stashing, double buffering)
@@ -33,12 +36,9 @@
 #include <memory>
 #include <vector>
 
-#include "comm/world.h"
 #include "core/exec_config.h"
-#include "core/execution_plan.h"
 #include "runtime/options.h"
 #include "runtime/weight_store.h"
-#include "runtime/worker_pool.h"
 #include "runtime/worker_state.h"
 
 namespace chimera::rt {
@@ -62,14 +62,14 @@ class PipelineTrainer {
   /// even B).
   IterationResult train_iteration(const nn::MicroBatch& batch);
 
-  const PipelineSchedule& schedule() const { return schedule_; }
+  const PipelineSchedule& schedule() const { return dep_->schedule(); }
 
   /// The shared plan all ranks execute (also what the analyzer's replay and
   /// the simulator run for this schedule).
-  const ExecutionPlan& plan() const { return *plan_; }
+  const ExecutionPlan& plan() const { return dep_->plan(); }
 
   /// The planned layer partition every hosted stage module was built from.
-  const Partition& partition() const { return *partition_; }
+  const Partition& partition() const { return dep_->partition(); }
 
   /// Flattened weights of the replica of `stage` in data-parallel group
   /// `group` hosted via pipeline `pipe` (tests compare replicas/reference).
@@ -88,23 +88,17 @@ class PipelineTrainer {
   nn::SmallModelConfig model_;
   Scheme scheme_;
   TrainerOptions opts_;
-  PipelineSchedule schedule_;
-  std::unique_ptr<Partition> partition_;
-  std::unique_ptr<ExecutionPlan> plan_;
-  std::unique_ptr<comm::World> world_;
-  /// One persistent endpoint per rank, owned by that rank's pool thread for
-  /// the trainer's lifetime (collective tag sequences stay in lockstep
-  /// because every group member enters the same collectives each iteration).
-  std::vector<std::unique_ptr<comm::Communicator>> comms_;
-  std::vector<std::unique_ptr<WorkerState>> workers_;  ///< [group·D + worker]
+  std::vector<WorkerState> workers_;  ///< [group·D + worker]
   std::unique_ptr<WeightStore> store_;
   /// 2BW cross-replica reduction scratch: [worker][replica] flattened
   /// gradient sum, pre-sized on first use and reused every iteration.
   std::vector<std::vector<std::vector<float>>> reduce_bufs_;
   long iteration_ = 0;
-  /// Last member: its destructor parks and joins the rank threads while the
-  /// state above is still alive.
-  std::unique_ptr<WorkerPool> pool_;
+  /// Last member: its pool parks and joins the rank threads while the state
+  /// above is still alive. Each rank's Communicator lives for the trainer's
+  /// lifetime (collective tag sequences stay in lockstep because every
+  /// group member enters the same collectives each iteration).
+  std::unique_ptr<TrainDeployment> dep_;
 };
 
 /// Reference: the same model trained on one device with identical

@@ -36,7 +36,7 @@ class WeightStore {
   Policy policy() const { return policy_; }
 
   /// Pre-creates the version entry for `r` (must be called for every replica
-  /// before worker threads start).
+  /// before the first iteration is dispatched to the worker threads).
   void register_replica(const Replica& r);
 
   // --- kStashed hooks (no-ops otherwise) --------------------------------

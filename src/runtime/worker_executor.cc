@@ -19,23 +19,22 @@ obs::EventKind op_event_kind(OpKind k) {
 
 }  // namespace
 
-WorkerExecutor::WorkerExecutor(const ExecutionPlan& plan,
-                               const TrainerOptions& opts, WeightStore& store,
-                               WorkerState& me, comm::Communicator& comm,
-                               int group, int worker, long iteration)
-    : plan_(plan), opts_(opts), store_(store), me_(me), comm_(comm),
-      group_(group), worker_(worker), iteration_(iteration) {}
+WorkerExecutor::WorkerExecutor(TrainDeployment& dep, const TrainerOptions& opts,
+                               WeightStore& store, WorkerState& me, int group,
+                               int worker, long iteration)
+    : dep_(dep), opts_(opts), store_(store), me_(me), group_(group),
+      worker_(worker), iteration_(iteration) {}
 
 void WorkerExecutor::run(const nn::MicroBatch& batch, int B,
                          std::vector<double>& losses) {
-  const PipelineSchedule& s = plan_.schedule();
+  const PipelineSchedule& s = dep_.schedule();
   const int D = s.depth;
   const int N = s.num_micro;
-  const int base = group_ * D;  // this group's first rank
+  const int rank = group_ * D + worker_;
   const bool per_micro_updates =
       store_.policy() == WeightStore::Policy::kStashed;
 
-  GradSyncEngine sync(plan_, opts_, comm_, me_, base + worker_, iteration_);
+  GradSyncEngine sync(dep_, opts_, me_, rank, iteration_);
 
   // Slice of the mini-batch for (micro m, half h of `halves`).
   auto micro_slice = [&](int m, int h, int halves) {
@@ -46,8 +45,7 @@ void WorkerExecutor::run(const nn::MicroBatch& batch, int B,
   const float sync_scale =
       1.0f / (static_cast<float>(N) * opts_.data_parallel);
 
-  const int rank = base + worker_;
-  const std::vector<PlannedOp>& wplan = plan_.worker_plan(worker_);
+  const std::vector<PlannedOp>& wplan = dep_.plan().worker_plan(worker_);
   for (std::size_t opi = 0; opi < wplan.size(); ++opi) {
     const PlannedOp& pop = wplan[opi];
     // One span per executed plan op, keyed (plan worker, op index) so
@@ -58,7 +56,7 @@ void WorkerExecutor::run(const nn::MicroBatch& batch, int B,
                         pop.op.pipe);
     switch (pop.op.kind) {
       case OpKind::kForward: {
-        Replica& r = me_.find(pop.op.pipe, pop.op.stage);
+        Replica& r = dep_.unit(rank, pop.op.pipe, pop.op.stage);
         for (const MicroUnit& u : pop.units) {
           if (u.acquires_stash) {
             store_.acquire(r, u.micro);
@@ -66,33 +64,18 @@ void WorkerExecutor::run(const nn::MicroBatch& batch, int B,
                          pop.op.stage, pop.op.pipe, u.stash_key);
           }
           Tensor x;
-          if (u.recv_from >= 0) {
-            obs::Span recv_span(obs::EventKind::kRecv, rank, u.micro,
-                                pop.op.stage, pop.op.pipe,
-                                static_cast<long>(u.recv_tag));
-            x = comm_.recv(base + u.recv_from, u.recv_tag);
-          }
+          if (u.recv_from >= 0) x = dep_.recv(rank, pop.op, u);
           Tensor y = r.module.forward(micro_slice(u.micro, u.half, u.halves),
                                       x, u.stash_key);
-          if (u.send_to >= 0) {
-            obs::Span send_span(obs::EventKind::kSend, rank, u.micro,
-                                pop.op.stage, pop.op.pipe,
-                                static_cast<long>(u.send_tag));
-            comm_.send(base + u.send_to, u.send_tag, std::move(y));
-          }
+          if (u.send_to >= 0) dep_.send(rank, pop.op, u, std::move(y));
         }
         break;
       }
       case OpKind::kBackward: {
-        Replica& r = me_.find(pop.op.pipe, pop.op.stage);
+        Replica& r = dep_.unit(rank, pop.op.pipe, pop.op.stage);
         const MicroUnit& u = pop.units.front();
         Tensor grad;
-        if (u.recv_from >= 0) {
-          obs::Span recv_span(obs::EventKind::kRecv, rank, u.micro,
-                              pop.op.stage, pop.op.pipe,
-                              static_cast<long>(u.recv_tag));
-          grad = comm_.recv(base + u.recv_from, u.recv_tag);
-        }
+        if (u.recv_from >= 0) grad = dep_.recv(rank, pop.op, u);
         // Weight stashing: backward runs against the version the forward of
         // this micro-batch used.
         store_.begin_backward(r, u.micro);
@@ -106,12 +89,7 @@ void WorkerExecutor::run(const nn::MicroBatch& batch, int B,
         if (pop.op.stage == D - 1)
           losses[static_cast<std::size_t>(group_ * N + u.micro) * 2 + u.half] =
               r.module.last_loss() / u.halves;
-        if (u.send_to >= 0) {
-          obs::Span send_span(obs::EventKind::kSend, rank, u.micro,
-                              pop.op.stage, pop.op.pipe,
-                              static_cast<long>(u.send_tag));
-          comm_.send(base + u.send_to, u.send_tag, std::move(dx));
-        }
+        if (u.send_to >= 0) dep_.send(rank, pop.op, u, std::move(dx));
         if (u.releases_stash)
           obs::instant(obs::EventKind::kStashRelease, rank, u.micro,
                        pop.op.stage, pop.op.pipe, u.stash_key);

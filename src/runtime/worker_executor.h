@@ -12,8 +12,6 @@
 
 #include <vector>
 
-#include "comm/world.h"
-#include "core/execution_plan.h"
 #include "runtime/options.h"
 #include "runtime/weight_store.h"
 #include "runtime/worker_state.h"
@@ -22,9 +20,9 @@ namespace chimera::rt {
 
 class WorkerExecutor {
  public:
-  WorkerExecutor(const ExecutionPlan& plan, const TrainerOptions& opts,
-                 WeightStore& store, WorkerState& me, comm::Communicator& comm,
-                 int group, int worker, long iteration);
+  WorkerExecutor(TrainDeployment& dep, const TrainerOptions& opts,
+                 WeightStore& store, WorkerState& me, int group, int worker,
+                 long iteration);
 
   /// Runs this worker's plan for one training iteration. `B` is the
   /// micro-batch size; `losses` is indexed (group·N + micro)·2 + half and
@@ -32,11 +30,10 @@ class WorkerExecutor {
   void run(const nn::MicroBatch& batch, int B, std::vector<double>& losses);
 
  private:
-  const ExecutionPlan& plan_;
+  TrainDeployment& dep_;
   const TrainerOptions& opts_;
   WeightStore& store_;
   WorkerState& me_;
-  comm::Communicator& comm_;
   int group_;
   int worker_;
   long iteration_;

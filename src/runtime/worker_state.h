@@ -1,20 +1,21 @@
-// Per-rank runtime state: the stage replicas a worker hosts plus the
-// per-stage scratch the gradient-sync strategies keep between iterations
-// (ZeRO-1 optimizer shards, top-k error-feedback residuals).
+// Per-rank training state: the Replica unit the trainer's Deployment hosts
+// for every (pipe, stage) of a rank, plus the per-stage scratch the
+// gradient-sync strategies keep between iterations (ZeRO-1 optimizer
+// shards, top-k error-feedback residuals).
 //
 // One WorkerState belongs to exactly one rank (= one OS thread during an
 // iteration); the trainer owns the array of them across data-parallel
-// groups. The executor and GradSyncEngine operate on this structure, the
-// WeightStore keys its version bookkeeping by Replica address.
+// groups. The executor and GradSyncEngine operate on the rank's replicas
+// and this structure, the WeightStore keys its version bookkeeping by
+// Replica address.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "nn/stage.h"
 #include "optim/optimizer.h"
-#include "support/check.h"
+#include "runtime/deployment.h"
 
 namespace chimera::rt {
 
@@ -37,30 +38,16 @@ struct Replica {
   }
 };
 
+/// The trainer's hosting layer: one Replica per hosted (pipe, stage).
+using TrainDeployment = Deployment<Replica>;
+
 struct WorkerState {
-  std::vector<std::unique_ptr<Replica>> replicas;
   /// ZeRO-1: this worker's shard of the optimizer state, per hosted stage.
   /// Layout: zero_state[stage][slot] is a flat array covering the worker's
   /// segment of the stage's flattened parameters.
   std::map<int, std::vector<std::vector<float>>> zero_state;
   /// Top-k sparsification error feedback, per hosted stage.
   std::map<int, std::vector<float>> topk_residual;
-
-  Replica& find(int pipe, int stage) {
-    for (auto& r : replicas)
-      if (r->pipe == pipe && r->stage == stage) return *r;
-    CHIMERA_CHECK_MSG(false, "replica not hosted: pipe " << pipe << " stage "
-                                                         << stage);
-  }
-
-  /// All local replicas of `stage` (GEMS with odd depth can host the same
-  /// stage twice on one worker), in hosting order.
-  std::vector<Replica*> stage_replicas(int stage) {
-    std::vector<Replica*> out;
-    for (auto& r : replicas)
-      if (r->stage == stage) out.push_back(r.get());
-    return out;
-  }
 };
 
 }  // namespace chimera::rt

@@ -8,8 +8,8 @@
 //     training losses/weights and decoded token streams alike.
 //  5. The Chrome-trace JSON round-trips exactly through the strict parser,
 //     which rejects malformed documents instead of skipping fields.
-//  6. obs::Histogram preserves the historical rt::percentile_us semantics
-//     and bounds its reservoir ring-style.
+//  6. obs::Histogram reports nearest-rank percentiles and bounds its
+//     reservoir ring-style.
 //  7. With armed plan times, the measured bubble accounting of
 //     analyze_trace reproduces the dependency-exact replay *bitwise*, and
 //     check_trace flags corrupted traces.
@@ -27,7 +27,6 @@
 #include "obs/trace.h"
 #include "obs/trace_json.h"
 #include "runtime/decode.h"
-#include "runtime/latency.h"
 #include "runtime/serving.h"
 #include "runtime/trainer.h"
 #include "tensor/compute_pool.h"
@@ -386,18 +385,19 @@ TEST(ObsJson, SyntheticRoundTripAndStrictParser) {
 
 // ------------------------------------------------------------------ 6 ----
 
-TEST(ObsHistogram, MatchesHistoricalPercentileSemantics) {
-  Histogram h;
-  std::vector<long> samples;
-  Rng rng(17);
-  for (int i = 0; i < 100; ++i) {
-    const long s = static_cast<long>(rng.next_below(10'000));
-    samples.push_back(s);
-    h.add(s);
-  }
-  for (double p : {0.0, 25.0, 50.0, 90.0, 99.0, 100.0})
-    EXPECT_EQ(h.percentile(p), rt::percentile_us(samples, p)) << "p" << p;
-  EXPECT_EQ(Histogram().percentile(50.0), 0);  // empty → 0, like the alias
+TEST(ObsHistogram, NearestRankPercentilesAndBoundedReservoir) {
+  // Nearest rank: the smallest sample with at least p% of samples ≤ it —
+  // p99 of 64 samples is the maximum, not the 63rd sample.
+  Histogram h64;
+  for (long v = 1; v <= 64; ++v) h64.add(v);
+  EXPECT_EQ(h64.percentile(0.0), 1);
+  EXPECT_EQ(h64.percentile(50.0), 32);
+  EXPECT_EQ(h64.percentile(99.0), 64);
+  EXPECT_EQ(h64.percentile(100.0), 64);
+  Histogram h100;
+  for (long v = 1; v <= 100; ++v) h100.add(v);
+  EXPECT_EQ(h100.percentile(25.0), 25);
+  EXPECT_EQ(Histogram().percentile(50.0), 0);  // empty → 0
 
   // Bounded reservoir: the retained set is the most recent max_samples.
   Histogram ring(4);

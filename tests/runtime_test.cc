@@ -10,7 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <utility>
 
+#include "runtime/decode.h"
+#include "runtime/deployment.h"
+#include "runtime/serving.h"
 #include "runtime/trainer.h"
 
 namespace chimera::rt {
@@ -451,6 +457,115 @@ TEST(PipeDream2BW, FirstIterationMatchesSynchronousSecondIsStale) {
   const IterationResult r1 = bw.train_iteration(b1);
   EXPECT_NEAR(r1.loss, stale_ref.loss, 1e-4);
   EXPECT_GT(std::abs(r1.loss - seq.train_iteration(b1, 8).loss), 1e-6);
+}
+
+// ---- hosting layer and option validation ---------------------------------
+
+/// What the lookup test hosts: the factory's arguments, recorded.
+struct ProbeUnit {
+  int rank;
+  int pipe;
+  int stage;
+  StageRange layers;
+};
+
+TEST(Deployment, UnitLookupResolvesEveryHostedStageAndRejectsTheRest) {
+  struct Case {
+    const char* name;
+    Scheme scheme;
+    ScheduleConfig sc;
+  };
+  const Case cases[] = {
+      {"Chimera f=1", Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect}},
+      {"Chimera f=2", Scheme::kChimera, {4, 4, 2, ScaleMethod::kDirect}},
+      // Odd depth: GEMS hosts the middle stage twice on one worker.
+      {"GEMS D=3", Scheme::kGems, {3, 2, 1, ScaleMethod::kDirect}},
+      {"GPipe", Scheme::kGPipe, {4, 4, 1, ScaleMethod::kDirect}},
+  };
+  const int W = 2;
+  EngineOptions opts;
+  opts.intra_op = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PipelineSchedule sched = build_schedule(c.scheme, c.sc);
+    const int D = sched.depth;
+    const Partition part = plan_even(test_model().spec(), D);
+    Deployment<ProbeUnit> dep(
+        sched, part, W, opts,
+        [](int rank, int pipe, int stage, StageRange layers) {
+          return ProbeUnit{rank, pipe, stage, layers};
+        });
+    ASSERT_EQ(dep.ranks(), W * D);
+    for (int g = 0; g < W; ++g) {
+      for (int w = 0; w < D; ++w) {
+        const int rank = g * D + w;
+        const auto hosted = sched.hosted_stages(w);
+        EXPECT_EQ(dep.units(rank).size(), hosted.size());
+        const std::set<std::pair<int, int>> mine(hosted.begin(),
+                                                 hosted.end());
+        for (int pipe = 0; pipe < sched.num_pipes; ++pipe) {
+          for (int stage = 0; stage < D; ++stage) {
+            if (!mine.count({pipe, stage})) {
+              EXPECT_THROW(dep.unit(rank, pipe, stage), CheckError)
+                  << "rank " << rank << " pipe " << pipe << " stage "
+                  << stage;
+              continue;
+            }
+            const ProbeUnit& u = dep.unit(rank, pipe, stage);
+            EXPECT_EQ(u.rank, rank);
+            EXPECT_EQ(u.pipe, pipe);
+            EXPECT_EQ(u.stage, stage);
+            EXPECT_EQ(u.layers, part.range(stage));
+          }
+        }
+        EXPECT_THROW(dep.unit(rank, sched.num_pipes, 0), CheckError);
+        EXPECT_THROW(dep.unit(rank, 0, D), CheckError);
+      }
+    }
+  }
+}
+
+/// Expects `construct` to throw a CheckError whose message names `field`.
+template <class Fn>
+void expect_rejected(Fn construct, const std::string& field) {
+  EXPECT_THROW(
+      {
+        try {
+          construct();
+        } catch (const CheckError& e) {
+          EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+              << e.what();
+          throw;
+        }
+      },
+      CheckError);
+}
+
+TEST(Options, RejectsNonPositiveDataParallelAndIntraOpBelowAuto) {
+  const nn::SmallModelConfig model = test_model();
+  const ScheduleConfig sc{2, 2, 1, ScaleMethod::kDirect};
+  for (int dp : {0, -1}) {
+    TrainerOptions opts;
+    opts.data_parallel = dp;
+    expect_rejected(
+        [&] { PipelineTrainer t(model, Scheme::kChimera, sc, opts); },
+        "data_parallel");
+  }
+  // −1 means auto; anything below it used to be silently treated as auto.
+  TrainerOptions topts;
+  topts.intra_op = -7;
+  expect_rejected(
+      [&] { PipelineTrainer t(model, Scheme::kChimera, sc, topts); },
+      "intra_op");
+  ServeOptions sopts;
+  sopts.intra_op = -7;
+  expect_rejected([&] { ServingEngine e(model, Scheme::kChimera, sc, sopts); },
+                  "intra_op");
+  DecodeOptions dopts;
+  dopts.kv_page_size = 2;
+  dopts.intra_op = -7;
+  expect_rejected([&] { DecodeEngine e(model, Scheme::kChimera, sc, dopts); },
+                  "intra_op");
 }
 
 }  // namespace
