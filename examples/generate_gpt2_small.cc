@@ -75,9 +75,9 @@ int main() {
 
   const rt::DecodeStats stats = engine.stats();
   std::printf("\nbatcher efficiency: %ld occupied vs %ld idle lane-steps "
-              "over %ld decode rounds (%ld prefill rounds)\n",
+              "over %ld decode rounds (%ld prompt rows computed)\n",
               stats.occupied_lane_steps, stats.idle_lane_steps,
-              stats.decode_rounds, stats.prefill_rounds);
+              stats.decode_rounds, stats.prefill_rows);
   std::printf("every generated token's logits are bitwise equal to a full "
               "re-forward of the prefix\n(tests/decode_test.cc) — KV "
               "caching changes the cost, never the arithmetic.\n");

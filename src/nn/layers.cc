@@ -20,13 +20,21 @@ Tensor Linear::forward(const Tensor& x, Ctx& ctx) const {
 
 void Linear::forward_into(const Tensor& x, Ctx& ctx, Tensor& y) const {
   ctx.x = x;
-  y.reshape(x.rows(), w_.value.cols());  // gemm_bias overwrites in full
-  gemm_bias(x, w_.value, b_.value, y);
+  apply_into(x, y);
 }
 
 void Linear::forward_gelu_into(const Tensor& x, Ctx& ctx, Tensor& y,
                                Tensor& g) const {
   ctx.x = x;
+  apply_gelu_into(x, y, g);
+}
+
+void Linear::apply_into(const Tensor& x, Tensor& y) const {
+  y.reshape(x.rows(), w_.value.cols());  // gemm_bias overwrites in full
+  gemm_bias(x, w_.value, b_.value, y);
+}
+
+void Linear::apply_gelu_into(const Tensor& x, Tensor& y, Tensor& g) const {
   y.reshape(x.rows(), w_.value.cols());
   g.reshape(x.rows(), w_.value.cols());
   gemm_bias_gelu(x, w_.value, b_.value, y, g);
@@ -104,7 +112,7 @@ Tensor MultiHeadAttention::decode_step(const Tensor& x,
                 static_cast<int>(positions.size()) == rows &&
                 x.cols() == hidden_);
   CHIMERA_CHECK_MSG(causal_, "decode requires a causal model");
-  qkv_.forward_into(x, ws.qkv_ctx, ws.qkv);  // [R, 3h]; per-row ≡ forward()
+  qkv_.apply_into(x, ws.qkv);  // [R, 3h]; per-row ≡ forward()
 
   // Append every row's K/V before attending: position p attends to itself.
   for (int r = 0; r < rows; ++r) {
@@ -130,7 +138,9 @@ Tensor MultiHeadAttention::decode_step(const Tensor& x,
   }
   attention_decode(ws.qkv, heads_, ws.runs, ws.row_runs, cache.hidden(),
                    ws.merged);
-  return proj_.forward(ws.merged, ws.proj_ctx);
+  Tensor out;
+  proj_.apply_into(ws.merged, out);
+  return out;
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& dy, const Ctx& ctx) {
@@ -173,9 +183,9 @@ Tensor TransformerBlock::decode_step(const Tensor& x,
   Tensor a = attn_.decode_step(ln1_.forward(x, ws.ln1), slots, positions,
                                cache, layer, ws.attn);
   a.add(x);  // residual 1
-  fc_.forward_gelu_into(ln2_.forward(a, ws.ln2), ws.fc_ctx, ws.gelu_in,
-                        ws.gelu_out);
-  Tensor y = proj_.forward(ws.gelu_out, ws.proj_ctx);
+  fc_.apply_gelu_into(ln2_.forward(a, ws.ln2), ws.gelu_in, ws.gelu_out);
+  Tensor y;
+  proj_.apply_into(ws.gelu_out, y);
   y.add(a);  // residual 2
   return y;
 }

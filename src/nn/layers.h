@@ -45,6 +45,10 @@ class Linear {
   /// bitwise equal to forward_into + gelu_forward in every tier.
   void forward_gelu_into(const Tensor& x, Ctx& ctx, Tensor& y,
                          Tensor& g) const;
+  /// The forward-only variants: the same arithmetic, nothing saved for
+  /// backward (the logits head and the decode path).
+  void apply_into(const Tensor& x, Tensor& y) const;
+  void apply_gelu_into(const Tensor& x, Tensor& y, Tensor& g) const;
   Tensor backward(const Tensor& dy, const Ctx& ctx);
 
   void collect(std::vector<Param*>& out) {
@@ -106,7 +110,6 @@ class MultiHeadAttention {
   /// Scratch of the incremental decode path, reused across steps so
   /// steady-state decoding allocates nothing.
   struct DecodeWs {
-    Linear::Ctx qkv_ctx, proj_ctx;
     Tensor qkv;                 ///< [R, 3h]
     std::vector<KvRun> runs;    ///< each row's cache pages, in order
     std::vector<int> row_runs;  ///< row r's runs: [row_runs[r], row_runs[r+1])
@@ -119,10 +122,11 @@ class MultiHeadAttention {
   Tensor forward(const Tensor& x, Ctx& ctx, int seq = -1) const;
   Tensor backward(const Tensor& dy, const Ctx& ctx);
 
-  /// One incremental decode step: `x` is [R, h], one row per decoding
-  /// session. Row r belongs to cache slot `slots[r]` whose prefix holds
-  /// `positions[r]` cached tokens; the row's K/V projections are appended at
-  /// that position in `cache` layer `layer`, then the row attends over
+  /// One incremental extend step: `x` is [R, h]. Row r belongs to cache
+  /// slot `slots[r]` whose prefix holds `positions[r]` cached tokens; every
+  /// row's K/V projections are appended at its position in `cache` layer
+  /// `layer` before any row attends (a slot may carry several consecutive
+  /// positions — a prompt's uncached suffix), then the row attends over
   /// positions 0..positions[r], reading the cached K/V rows in place page by
   /// page. Bitwise contract (DESIGN.md §6): the result row equals row
   /// positions[r] of forward() over the full prefix — both run the same
@@ -160,13 +164,13 @@ class TransformerBlock {
     Tensor gelu_in;
   };
 
-  /// Decode scratch: the attention workspace plus throwaway contexts for the
-  /// row-wise sublayers (their saved inputs are never consumed — decode has
-  /// no backward — but reusing the Ctx structs recycles their storage).
+  /// Decode scratch: the attention workspace, the MLP buffers and throwaway
+  /// LayerNorm contexts (decode has no backward; reusing the Ctx structs
+  /// recycles their storage). The Linears run their apply variants, which
+  /// save nothing.
   struct DecodeWs {
     LayerNorm::Ctx ln1, ln2;
     MultiHeadAttention::DecodeWs attn;
-    Linear::Ctx fc_ctx, proj_ctx;
     Tensor gelu_in, gelu_out;  ///< fused MLP workspace, re-shaped in place
   };
 

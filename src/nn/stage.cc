@@ -1,5 +1,7 @@
 #include "nn/stage.h"
 
+#include <numeric>
+
 namespace chimera::nn {
 
 MicroBatch MicroBatch::slice(int first, int count) const {
@@ -93,10 +95,12 @@ Tensor StageModule::run_forward(const MicroBatch& mb, const Tensor& input,
 }
 
 Tensor StageModule::apply_head(const Tensor& x) {
-  // head_->forward routes through gemm_bias: on the fast kernel tier the
+  // head_->apply_into routes through gemm_bias: on the fast kernel tier the
   // [rows, vocab] head projection applies its bias as a tile epilogue.
   final_ln_->forward_into(x, head_ws_.ln, head_ws_.normed);
-  return head_->forward(head_ws_.normed, head_ws_.head);
+  Tensor logits;
+  head_->apply_into(head_ws_.normed, logits);
+  return logits;
 }
 
 StageModule::Stash StageModule::acquire_stash() {
@@ -133,34 +137,12 @@ Tensor StageModule::infer(const MicroBatch& mb, const Tensor& input) {
 }
 
 Tensor StageModule::prefill(const MicroBatch& mb, const Tensor& input,
-                            PagedKvCache& cache, int slot, int write_start) {
+                            PagedKvCache& cache, int slot) {
   CHIMERA_CHECK_MSG(mb.batch == 1, "prefill runs one session per pass");
-  CHIMERA_CHECK(mb.seq >= 1 && mb.seq <= cfg_.seq);
-  CHIMERA_CHECK(cache.layers() == static_cast<int>(blocks_.size()) &&
-                mb.seq <= cache.max_seq());
-  CHIMERA_CHECK(write_start >= 0 && write_start <= mb.seq);
-  Stash scratch = acquire_stash();
-  Tensor x = run_forward(mb, input, scratch, /*capture_head_input=*/false);
-  // Populate the cache from the existing forward: the fused qkv activation
-  // each attention context saved holds every position's K/V projections.
-  // Positions below write_start are already resident in shared prefix pages
-  // holding bitwise-identical rows (causal attention: position t's K/V
-  // depend only on tokens 0..t, which match by construction of the prefix),
-  // so their writes are skipped rather than re-landed on shared storage.
-  const int h = cfg_.hidden;
-  for (std::size_t l = 0; l < blocks_.size(); ++l) {
-    const Tensor& qkv = scratch.blocks[l].attn.qkv;  // [seq, 3h]
-    for (int t = write_start; t < mb.seq; ++t) {
-      const float* row = qkv.data() + static_cast<std::size_t>(t) * 3 * h;
-      std::copy(row + h, row + 2 * h,
-                cache.k_row(static_cast<int>(l), slot, t));
-      std::copy(row + 2 * h, row + 3 * h,
-                cache.v_row(static_cast<int>(l), slot, t));
-    }
-  }
-  Tensor out = is_last() ? apply_head(x) : std::move(x);
-  stash_pool_.push_back(std::move(scratch));
-  return out;
+  std::vector<int> positions(static_cast<std::size_t>(mb.seq));
+  std::iota(positions.begin(), positions.end(), 0);
+  return decode_step(mb.tokens, std::vector<int>(positions.size(), slot),
+                     positions, input, cache);
 }
 
 Tensor StageModule::decode_step(const std::vector<int>& tokens,

@@ -83,28 +83,22 @@ class StageModule {
   /// cfg.seq (variable-length prefix forwards).
   Tensor infer(const MicroBatch& mb, const Tensor& input);
 
-  /// Decode prefill (rt::DecodeEngine): runs the ordinary forward over one
-  /// session's prompt (mb.batch must be 1, mb.seq = prompt length ≤
-  /// cfg.seq) and populates `cache` session `slot` with every layer's K/V
-  /// projections — lifted straight out of the attention contexts the
-  /// existing forward already computes, so cached rows are bitwise the
-  /// full-forward projections. Positions below `write_start` skip the cache
-  /// write (prefix sharing: those rows are already mapped from a shared
-  /// page, and causal attention makes what the forward computes for them
-  /// bitwise identical to what is stored). The forward itself always runs
-  /// over the full prompt. Returns what infer() returns (the last stage:
+  /// Prefill of one whole prompt (mb.batch must be 1): decode_step() over
+  /// positions 0..mb.seq−1 of cache session `slot`, whose pages the caller
+  /// has made writable. Returns what decode_step() returns (the last stage:
   /// [seq, vocab] logits, whose final row seeds the first sampled token).
   Tensor prefill(const MicroBatch& mb, const Tensor& input, PagedKvCache& cache,
-                 int slot, int write_start = 0);
+                 int slot);
 
-  /// One incremental decode step over `rows = slots.size()` concurrent
-  /// sessions: row r carries token `tokens[r]` at position `positions[r]` of
-  /// cache session `slots[r]` (stage 0 embeds the tokens; later stages take the
-  /// previous stage's [rows, hidden] boundary activation). Each layer
-  /// appends the row's K/V at its position and attends over the cached
-  /// prefix. The last stage returns [rows, vocab] logits; each row is
-  /// bitwise equal to the final-position logits of a full re-forward over
-  /// that session's token prefix (DESIGN.md §6, tests/decode_test.cc).
+  /// The single extend path (decode, prefill and resume): row r carries
+  /// token `tokens[r]` at position `positions[r]` of cache session
+  /// `slots[r]` (stage 0 embeds the tokens; later stages take the previous
+  /// stage's [rows, hidden] boundary activation). Each layer appends every
+  /// row's K/V before attending over the cached prefix, so one session may
+  /// carry several consecutive positions in one call. The last stage
+  /// returns [rows, vocab] logits; each row is bitwise equal to the
+  /// final-position logits of a full re-forward over that session's token
+  /// prefix up to the row (DESIGN.md §6, tests/decode_test.cc).
   Tensor decode_step(const std::vector<int>& tokens,
                      const std::vector<int>& slots,
                      const std::vector<int>& positions, const Tensor& input,
@@ -157,9 +151,9 @@ class StageModule {
   Tensor run_forward(const MicroBatch& mb, const Tensor& input, Stash& st,
                      bool capture_head_input = true) const;
   /// Last stage only: the logits-only head path (final LayerNorm + LM head
-  /// through the persistent workspace) shared by infer/prefill/decode_step
-  /// — one definition, so the bitwise step-vs-reforward contract cannot
-  /// drift between the three.
+  /// through the persistent workspace) shared by infer and decode_step —
+  /// one definition, so the bitwise step-vs-reforward contract cannot drift
+  /// between the two.
   Tensor apply_head(const Tensor& x);
   Stash acquire_stash();
 

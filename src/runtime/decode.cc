@@ -82,12 +82,11 @@ DecodeEngine::DecodeEngine(const nn::SmallModelConfig& model, Scheme scheme,
   lanes_.assign(N, std::vector<std::uint64_t>(opts_.max_batch, 0));
   registry_.resize(P);
   slot_active_.assign(N, 0);
-  round_prefill_.resize(N);
-  prefill_logits_.resize(N);
   rd_tokens_.resize(N);
   rd_slots_.resize(N);
   rd_positions_.resize(N);
   round_logits_.resize(N);
+  rd_last_row_.assign(N, std::vector<int>(opts_.max_batch, -1));
 }
 
 std::string DecodeEngine::plan_json() const {
@@ -125,44 +124,21 @@ void DecodeEngine::run_worker(int w) {
     // recvs stay matched (same contract as the serving engine). Skipped ops
     // record no span — the trace shows only what ran.
     if (!slot_active_[u.micro]) continue;
-    obs::OpSpan op_span(round_is_prefill_ ? obs::EventKind::kPrefillOp
-                                          : obs::EventKind::kDecodeOp,
-                        w, w, static_cast<int>(opi), pop.op.micro,
-                        pop.op.stage, pop.op.pipe);
+    obs::OpSpan op_span(obs::EventKind::kDecodeOp, w, w,
+                        static_cast<int>(opi), pop.op.micro, pop.op.stage,
+                        pop.op.pipe);
     if (u.acquires_cache_slot)
       obs::instant(obs::EventKind::kCacheAcquire, w, u.micro, pop.op.stage,
                    pop.op.pipe, u.micro);
     StageUnit& unit = dep.unit(w, pop.op.pipe, pop.op.stage);
-    if (round_is_prefill_) {
-      // One batch-1 pass per admitted session, in admission order. Several
-      // jobs flow through one plan op, so each job offsets the op's p2p
-      // tags into its own high-bit band — multimap recv order for equal
-      // tags is implementation-defined, and crossing two sessions' prompts
-      // would hand each the other's logits.
-      auto& jobs = round_prefill_[u.micro];
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::int64_t jtag = static_cast<std::int64_t>(i) << 40;
-        Tensor x;
-        if (u.recv_from >= 0) x = dep.recv(w, pop.op, u, jtag);
-        Tensor y = unit.module.prefill(jobs[i].mb, x, unit.cache,
-                                       jobs[i].slot, jobs[i].write_start);
-        if (u.send_to >= 0)
-          dep.send(w, pop.op, u, std::move(y), jtag);
-        else if (u.releases_cache_slot)
-          prefill_logits_[u.micro][i] = std::move(y);
-      }
-    } else {
-      Tensor x;
-      if (u.recv_from >= 0) x = dep.recv(w, pop.op, u);
-      Tensor y = unit.module.decode_step(rd_tokens_[u.micro],
-                                         rd_slots_[u.micro],
-                                         rd_positions_[u.micro], x,
-                                         unit.cache);
-      if (u.send_to >= 0)
-        dep.send(w, pop.op, u, std::move(y));
-      else if (u.releases_cache_slot)
-        round_logits_[u.micro] = std::move(y);
-    }
+    Tensor x;
+    if (u.recv_from >= 0) x = dep.recv(w, pop.op, u);
+    Tensor y = unit.module.decode_step(rd_tokens_[u.micro], rd_slots_[u.micro],
+                                       rd_positions_[u.micro], x, unit.cache);
+    if (u.send_to >= 0)
+      dep.send(w, pop.op, u, std::move(y));
+    else if (u.releases_cache_slot)
+      round_logits_[u.micro] = std::move(y);
     if (u.releases_cache_slot)
       obs::instant(obs::EventKind::kCacheRelease, w, u.micro, pop.op.stage,
                    pop.op.pipe, u.micro);
@@ -209,7 +185,6 @@ int DecodeEngine::sample_token(const float* row, Rng& rng) {
 obs::MetricsRegistry DecodeStats::metrics() const {
   obs::MetricsRegistry reg;
   reg.set_counter("steps", static_cast<double>(steps));
-  reg.set_counter("prefill_rounds", static_cast<double>(prefill_rounds));
   reg.set_counter("decode_rounds", static_cast<double>(decode_rounds));
   reg.set_counter("tokens", static_cast<double>(tokens));
   reg.set_counter("admitted", static_cast<double>(admitted));
@@ -224,6 +199,9 @@ obs::MetricsRegistry DecodeStats::metrics() const {
   reg.set_counter("resumes", static_cast<double>(resumes));
   reg.set_counter("resume_prefill_tokens",
                   static_cast<double>(resume_prefill_tokens));
+  reg.set_counter("prefill_rows", static_cast<double>(prefill_rows));
+  reg.set_counter("prefix_rows_skipped",
+                  static_cast<double>(prefix_rows_skipped));
   reg.set_gauge("queue_depth", static_cast<double>(queue_depth));
   reg.set_gauge("max_queue_depth", static_cast<double>(max_queue_depth));
   reg.set_gauge("pool_pages", static_cast<double>(pool_pages));
@@ -317,7 +295,7 @@ void DecodeEngine::park_session(std::uint64_t sid) {
 }
 
 bool DecodeEngine::free_pipe_pages(int pipe, int need, std::uint64_t protect) {
-  nn::PagedKvCache& cache = pipe_cache(pipe);
+  const nn::PagedKvCache& cache = pipe_cache(pipe);
   while (cache.free_pages() < need) {
     // Cheapest first: a registry pin holds pages no live session needs.
     if (unpin_lru_prefix(pipe)) continue;
@@ -339,8 +317,8 @@ bool DecodeEngine::free_pipe_pages(int pipe, int need, std::uint64_t protect) {
 }
 
 DecodeEngine::PrefixEntry* DecodeEngine::match_prefix(
-    int pipe, const std::vector<int>& tokens, int* write_start) {
-  *write_start = 0;
+    int pipe, const std::vector<int>& tokens, int* skip) {
+  *skip = 0;
   if (!opts_.prefix_sharing) return nullptr;
   PrefixEntry* best = nullptr;
   int best_len = 0;
@@ -358,14 +336,16 @@ DecodeEngine::PrefixEntry* DecodeEngine::match_prefix(
     }
   }
   if (best != nullptr) {
-    *write_start = best_len;
+    // A fully covered prompt still computes its final row: its logits seed
+    // the first token.
+    *skip = std::min(best_len, static_cast<int>(tokens.size()) - 1);
     best->last_used_step = stats_.steps;
   }
   return best;
 }
 
-void DecodeEngine::register_prefix(const Session& s, const PrefillJob& job) {
-  if (!opts_.prefix_sharing || job.resume || job.write_start > 0) return;
+void DecodeEngine::register_prefix(const Session& s) {
+  if (!opts_.prefix_sharing) return;
   const int L = static_cast<int>(s.prompt.size());
   if (L < opts_.kv_page_size) return;
   auto& reg = registry_[s.pipe];
@@ -417,8 +397,6 @@ int DecodeEngine::step() {
   // unpins registry entries but never preempts running sessions (that
   // privilege is growth's, below) — a request that still does not fit marks
   // its pipe full for this step and waits.
-  bool any_prefill = false;
-  for (int m = 0; m < N; ++m) round_prefill_[m].clear();
   std::deque<Session> resume = std::move(parked_);
   parked_.clear();
   std::vector<char> pipe_full(schedule().num_pipes, 0);
@@ -440,8 +418,8 @@ int DecodeEngine::step() {
         s.prompt = std::move(req.prompt);
         const int L = static_cast<int>(s.prompt.size());
         // Cap generation so every decoded position stays inside the learned
-        // embeddings: the prefill's final position seeds token 1 "for
-        // free", hence the +1.
+        // embeddings: the prompt's final row seeds token 1 "for free",
+        // hence the +1.
         s.max_new = std::min(req.max_new, model_.seq - L + 1);
         s.priority = req.priority;
         s.enqueue_us = req.enqueue_us;
@@ -454,28 +432,27 @@ int DecodeEngine::step() {
       // The re-prefill of a resume spans everything the session has seen:
       // its final row is then bitwise the pending next-token distribution
       // (the step-vs-reforward contract applied to prompt+generated).
-      std::vector<int> tokens = s.prompt;
-      tokens.insert(tokens.end(), s.generated.begin(), s.generated.end());
-      const int T = static_cast<int>(tokens.size());
+      const int T = static_cast<int>(s.prompt.size() + s.generated.size());
       CHIMERA_CHECK(T <= model_.seq);
       for_each_cache(p, [&](nn::PagedKvCache& c) { c.claim(s.slot); });
-      int write_start = 0;
-      PrefixEntry* donor = match_prefix(p, tokens, &write_start);
+      int skip = 0;
+      std::vector<int> tokens = s.prompt;
+      tokens.insert(tokens.end(), s.generated.begin(), s.generated.end());
+      PrefixEntry* donor = match_prefix(p, tokens, &skip);
       if (donor != nullptr) {
-        // Adopt ceil(match/page_size) pages copy-on-write; a partially
-        // matched last page splits at the prefill's first write.
-        const int adopt =
-            nn::PagedKvCache::pages_for(write_start, opts_.kv_page_size);
+        // Adopt ceil(skip/page_size) pages copy-on-write; a partially
+        // matched last page splits at the first write below.
+        const int adopt = nn::PagedKvCache::pages_for(skip, opts_.kv_page_size);
         std::vector<int> pages(donor->pages.begin(),
                                donor->pages.begin() + adopt);
         for_each_cache(p, [&](nn::PagedKvCache& c) {
           c.adopt_prefix(s.slot, pages);
         });
       }
-      nn::PagedKvCache& cache = pipe_cache(p);
-      int need = cache.pages_needed(s.slot, write_start, T);
+      const nn::PagedKvCache& cache = pipe_cache(p);
+      int need = cache.pages_needed(s.slot, skip, T);
       while (need > cache.free_pages() && unpin_lru_prefix(p))
-        need = cache.pages_needed(s.slot, write_start, T);
+        need = cache.pages_needed(s.slot, skip, T);
       if (need > cache.free_pages()) {
         // Undo and wait: the pipe's pages are held by running sessions.
         for_each_cache(p, [&](nn::PagedKvCache& c) { c.release(s.slot); });
@@ -489,16 +466,16 @@ int DecodeEngine::step() {
         continue;
       }
       for_each_cache(p, [&](nn::PagedKvCache& c) {
-        c.ensure_writable(s.slot, write_start, T);
+        c.ensure_writable(s.slot, skip, T);
       });
-      if (write_start > 0) {
+      if (skip > 0) {
         ++stats_.prefix_hits;
         obs::instant(obs::EventKind::kPrefixHit, obs::thread_worker(), m, -1,
-                     p, write_start);
+                     p, skip);
       }
       if (is_resume) {
         ++stats_.resumes;
-        stats_.resume_prefill_tokens += T;
+        stats_.resume_prefill_tokens += T - skip;
         obs::instant(obs::EventKind::kResume, obs::thread_worker(), m, -1, p,
                      static_cast<long>(s.id));
       } else {
@@ -506,76 +483,32 @@ int DecodeEngine::step() {
         obs::instant(obs::EventKind::kAdmit, obs::thread_worker(), m, -1, p,
                      static_cast<long>(s.id));
       }
-      PrefillJob job;
-      job.sid = s.id;
-      job.slot = s.slot;
-      job.write_start = write_start;
-      job.resume = is_resume;
-      job.mb.batch = 1;
-      job.mb.seq = T;
-      job.mb.tokens = std::move(tokens);
-      round_prefill_[m].push_back(std::move(job));
+      s.extend_from = skip;
       lanes_[m][l] = s.id;
       sessions_.emplace(s.id, std::move(s));
-      any_prefill = true;
     }
   }
   // Resumes that found no lane or no pages stay parked, order preserved.
   for (auto it = resume.rbegin(); it != resume.rend(); ++it)
     parked_.push_front(std::move(*it));
 
-  // ---- prefill round: populate pages, seed each session's next token -----
-  if (any_prefill) {
-    for (int m = 0; m < N; ++m) {
-      slot_active_[m] = round_prefill_[m].empty() ? 0 : 1;
-      prefill_logits_[m].assign(round_prefill_[m].size(), Tensor());
-    }
-    round_is_prefill_ = true;
-    lock.unlock();
-    {
-      obs::Span round_span(obs::EventKind::kPrefillRound,
-                           obs::thread_worker());
-      dep_->run([this](int rank) { run_worker(rank); });
-    }
-    lock.lock();
-    ++stats_.prefill_rounds;
-    const long now = clock_.now_us();
-    for (int m = 0; m < N; ++m) {
-      for (std::size_t i = 0; i < round_prefill_[m].size(); ++i) {
-        const PrefillJob& job = round_prefill_[m][i];
-        Session& s = sessions_.at(job.sid);
-        // Pin fresh prompts into the prefix registry before the emit below
-        // can retire the session (retirement derefs its pages; the registry
-        // must grab its references first).
-        register_prefix(s, job);
-        const Tensor& logits = prefill_logits_[m][i];  // [T, vocab]
-        CHIMERA_CHECK(logits.rows() == job.mb.seq &&
-                      logits.cols() == model_.vocab);
-        const float* row = logits.data() +
-                           static_cast<std::size_t>(job.mb.seq - 1) *
-                               model_.vocab;
-        const int tok = sample_token(row, s.rng);
-        ++emitted;
-        if (emit_token(s, tok, now, row, events)) sessions_.erase(job.sid);
-      }
-    }
-  }
-
-  // ---- page growth / preemption for this step's decode round -------------
-  // Each active session writes K/V at one new position: at most one page
-  // (a boundary crossing, or a COW split of a shared page). Under pool
+  // ---- page growth / preemption for the decoding sessions ----------------
+  // Each decoding session writes K/V at one new position: at most one page
+  // (a boundary crossing, or a COW split of a shared page). Sessions
+  // admitted this step have their rows' pages reserved already. Under pool
   // exhaustion the lowest-priority session of the pipe parks — the grower
   // itself as last resort (the pool holds ≥ one full session, so a sole
-  // session always proceeds). Runs before the round is built so a parked
-  // session is never dispatched.
+  // session always proceeds). Runs before the round is built, so a parked
+  // session — one admitted this step included — never runs its rows.
   for (int m = 0; m < N; ++m) {
     for (int l = 0; l < B; ++l) {
       const std::uint64_t sid = lanes_[m][l];
       if (sid == 0) continue;
       Session& s = sessions_.at(sid);
+      if (s.extend_from >= 0) continue;
       const int pos = static_cast<int>(s.prompt.size()) +
                       static_cast<int>(s.generated.size()) - 1;
-      nn::PagedKvCache& cache = pipe_cache(s.pipe);
+      const nn::PagedKvCache& cache = pipe_cache(s.pipe);
       const int need = cache.pages_needed(s.slot, pos, pos + 1);
       if (need > cache.free_pages() &&
           !free_pipe_pages(s.pipe, need, sid)) {
@@ -595,32 +528,52 @@ int DecodeEngine::step() {
     }
   }
 
-  // ---- decode round: one current token per active session ----------------
-  bool any_decode = false;
+  // ---- the round: per stream, decode rows, then admitted prompt rows -----
+  bool any_rows = false;
   for (int m = 0; m < N; ++m) {
     rd_tokens_[m].clear();
     rd_slots_[m].clear();
     rd_positions_[m].clear();
+    // Rows [from, to) of lane l's session: its tokens at consecutive
+    // positions of its slot.
+    const auto add_rows = [&](int l, const Session& s, int from, int to) {
+      const int L = static_cast<int>(s.prompt.size());
+      for (int t = from; t < to; ++t) {
+        rd_tokens_[m].push_back(t < L ? s.prompt[t] : s.generated[t - L]);
+        rd_slots_[m].push_back(s.slot);
+        rd_positions_[m].push_back(t);
+      }
+      rd_last_row_[m][l] = static_cast<int>(rd_slots_[m].size()) - 1;
+    };
     int active = 0;
     for (int l = 0; l < B; ++l) {
       const std::uint64_t sid = lanes_[m][l];
       if (sid == 0) continue;
       const Session& s = sessions_.at(sid);
-      rd_tokens_[m].push_back(s.generated.back());
-      rd_slots_[m].push_back(s.slot);
-      rd_positions_[m].push_back(static_cast<int>(s.prompt.size()) +
-                                 static_cast<int>(s.generated.size()) - 1);
+      if (s.extend_from >= 0) continue;
+      const int T = static_cast<int>(s.prompt.size() + s.generated.size());
+      add_rows(l, s, T - 1, T);
+      ++active;
+    }
+    for (int l = 0; l < B; ++l) {
+      const std::uint64_t sid = lanes_[m][l];
+      if (sid == 0) continue;
+      const Session& s = sessions_.at(sid);
+      if (s.extend_from < 0) continue;
+      const int T = static_cast<int>(s.prompt.size() + s.generated.size());
+      add_rows(l, s, s.extend_from, T);
+      stats_.prefill_rows += T - s.extend_from;
+      stats_.prefix_rows_skipped += s.extend_from;
       ++active;
     }
     slot_active_[m] = active > 0 ? 1 : 0;
     if (active > 0) {
-      any_decode = true;
+      any_rows = true;
       stats_.occupied_lane_steps += active;
       stats_.idle_lane_steps += B - active;
     }
   }
-  if (any_decode) {
-    round_is_prefill_ = false;
+  if (any_rows) {
     lock.unlock();
     {
       obs::Span round_span(obs::EventKind::kDecodeRound,
@@ -632,23 +585,29 @@ int DecodeEngine::step() {
     const long now = clock_.now_us();
     for (int m = 0; m < N; ++m) {
       if (!slot_active_[m]) continue;
-      const Tensor& logits = round_logits_[m];  // [active rows, vocab]
+      const Tensor& logits = round_logits_[m];  // [rows, vocab]
       CHIMERA_CHECK(logits.rows() ==
                         static_cast<int>(rd_tokens_[m].size()) &&
                     logits.cols() == model_.vocab);
-      // Row r is the r-th occupied lane in ascending lane order; lanes_ was
-      // only mutated by this thread since the round was built.
-      int r = 0;
+      // lanes_ was only mutated by this thread since the round was built,
+      // and every occupied lane rode it.
       for (int l = 0; l < B; ++l) {
         const std::uint64_t sid = lanes_[m][l];
         if (sid == 0) continue;
         Session& s = sessions_.at(sid);
-        const float* row =
-            logits.data() + static_cast<std::size_t>(r) * model_.vocab;
+        if (s.extend_from >= 0) {
+          // Pin a fresh prompt into the prefix registry before the emit
+          // below can retire the session (retirement derefs its pages; the
+          // registry must grab its references first).
+          if (s.extend_from == 0 && s.generated.empty()) register_prefix(s);
+          s.extend_from = -1;
+        }
+        const float* row = logits.data() +
+                           static_cast<std::size_t>(rd_last_row_[m][l]) *
+                               model_.vocab;
         const int tok = sample_token(row, s.rng);
         ++emitted;
         if (emit_token(s, tok, now, row, events)) sessions_.erase(sid);
-        ++r;
       }
     }
   }

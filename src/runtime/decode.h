@@ -19,8 +19,9 @@
 //   nn/kv_cache           — paged per-session K/V state: page-table
 //                           indirection over a refcounted KvPagePool, so
 //                           memory tracks the tokens sessions actually hold
-//   nn::StageModule       — prefill() populates a session's pages from the
-//                           existing forward; decode_step() appends + attends
+//   nn::StageModule       — decode_step() is the one extend path: it appends
+//                           every row's K/V and attends, whether a row is a
+//                           decoded token or part of an admitted prompt
 //   runtime/deployment    — the shared hosting layer: every stage replica's
 //                           module and cache on persistent rank threads;
 //                           every round is one pool dispatch
@@ -30,10 +31,12 @@
 // moment their last token is sampled and their lanes refill at the next
 // step's admission; there is no round barrier between unrelated requests.
 // Each step runs (1) an admission pass (resumes first, then fresh requests)
-// that reserves pages and builds a prefill round, (2) the prefill round
-// (one batch-1 forward per admitted session, populating its KV pages and
-// seeding its next sampled token), and (3) one decode round carrying every
-// active session's current token at its position.
+// that reserves the pages of each admitted prompt's uncached suffix, (2)
+// page growth for the sessions already decoding, and (3) one decode round.
+// Per stream the round carries every decoding session's current token at
+// its position, followed by each admitted session's suffix rows
+// [skip, T) — same slot, consecutive positions. An admitted session's first
+// token comes from its last row; it decodes from the next step on.
 //
 // Paged admission and preemption (DESIGN.md §8): admission reserves the
 // pages a prompt needs before dispatch — under pressure it unpins prefix-
@@ -44,14 +47,17 @@
 // on the pipe (the grower itself as last resort) — its lanes and pages are
 // released, and it resumes later by a deterministic re-prefill over
 // prompt+generated whose final-row logits seed the next token with the
-// preserved RNG stream. The pool always holds at least one full-length
-// session, so a sole session can never deadlock.
+// preserved RNG stream. A victim admitted this step is parked before the
+// round is built, so its rows never run. The pool always holds at least
+// one full-length session, so a sole session can never deadlock.
 //
-// Prefix sharing: after a fresh prompt's prefill, its pages are pinned in a
+// Prefix sharing: after a fresh prompt's rows run, its pages are pinned in a
 // per-pipe registry; later prompts sharing a ≥page_size token prefix adopt
-// those pages copy-on-write and their prefill skips the shared positions'
-// cache writes (the forward still runs full-length — the skipped rows are
-// bitwise what it would have written, by causality).
+// those pages copy-on-write and their rows start after the shared positions,
+// which cost no compute (by causality the cached rows are bitwise what a
+// recompute would produce). A prompt the registry covers in full still
+// recomputes its final position — into a private or COW-split page, never
+// into a shared one — because that row's logits seed its first token.
 //
 // Determinism contract (tests/decode_test.cc, tests/paged_kv_test.cc): each
 // decode step's logits row is bitwise equal to the final-position logits of
@@ -111,8 +117,7 @@ struct DecodeStats {
   static constexpr std::size_t kMaxLatencySamples = 1 << 16;
 
   long steps = 0;           ///< scheduler ticks
-  long prefill_rounds = 0;  ///< pool dispatches populating new sessions
-  long decode_rounds = 0;   ///< pool dispatches advancing active sessions
+  long decode_rounds = 0;   ///< pool dispatches (one per step with work)
   long tokens = 0;          ///< generated tokens
   long admitted = 0;        ///< fresh sessions admitted into lanes
   long retired = 0;         ///< sessions completed (lanes freed)
@@ -120,7 +125,9 @@ struct DecodeStats {
   /// lane-steps a dispatched decode stream ran below its max_batch width —
   /// capacity the continuous batcher could not fill from the queue.
   long idle_lane_steps = 0;
-  long occupied_lane_steps = 0;  ///< lane-steps actually carrying a session
+  /// Lane-steps actually carrying a session — decoding, or admitted and
+  /// carried by the round as prompt rows.
+  long occupied_lane_steps = 0;
   long queue_depth = 0;          ///< waiting requests when stats() was taken
   long max_queue_depth = 0;      ///< intake high-water mark
   long dropped_results = 0;      ///< results evicted before take_completed()
@@ -133,7 +140,9 @@ struct DecodeStats {
   long prefix_hits = 0;         ///< admissions that adopted registry pages
   long evictions = 0;           ///< sessions parked under page pressure
   long resumes = 0;             ///< parked sessions re-admitted
-  long resume_prefill_tokens = 0;  ///< positions re-prefilled by resumes
+  long resume_prefill_tokens = 0;  ///< positions recomputed by resumes
+  long prefill_rows = 0;        ///< prompt rows run by admissions + resumes
+  long prefix_rows_skipped = 0; ///< prompt rows served by shared pages
   long parked = 0;              ///< sessions parked when stats() was taken
   /// Bounded most-recent reservoirs (ring overwrite past kMaxLatencySamples).
   obs::Histogram ttft_us{kMaxLatencySamples};  ///< enqueue→first-token
@@ -159,6 +168,13 @@ class DecodeEngine {
   const PipelineSchedule& schedule() const { return dep_->schedule(); }
   const ExecutionPlan& plan() const { return dep_->plan(); }
   const Partition& partition() const { return dep_->partition(); }
+
+  /// The pipe's representative KV cache (its stage-0 replica's) — every
+  /// replica of a pipe holds identical paging state, so policy decisions
+  /// read this one and mutations go to all through for_each_cache.
+  const nn::PagedKvCache& pipe_cache(int pipe) const {
+    return dep_->unit(schedule().worker_of(pipe, 0), pipe, 0).cache;
+  }
 
   /// Concurrent-session capacity: decode streams × max_batch. With a
   /// shrunken pool (kv_pool_pages > 0) this is the lane count, not a
@@ -195,11 +211,11 @@ class DecodeEngine {
   /// Prefix-registry entries kept per pipe (LRU beyond this).
   static constexpr std::size_t kMaxPrefixEntries = 8;
 
-  /// One scheduler tick: resume/admission with page reservation, a prefill
-  /// round for sessions (re-)admitted this step, page-growth/preemption for
-  /// active sessions, one decode round. Returns the number of tokens
-  /// emitted. Not reentrant; drive it from one thread (submit() may race
-  /// freely).
+  /// One scheduler tick: resume/admission with page reservation, page
+  /// growth/preemption for decoding sessions, then one decode round that
+  /// also carries the (re-)admitted sessions' prompt rows. Returns the
+  /// number of tokens emitted. Not reentrant; drive it from one thread
+  /// (submit() may race freely).
   int step();
 
   /// True when no request is queued, no session is in flight and none is
@@ -236,19 +252,12 @@ class DecodeEngine {
     int max_new = 0;  ///< effective cap (position-limited)
     int priority = 0;
     int micro = 0, lane = 0, pipe = 0, slot = 0;
+    /// ≥ 0 while (re-)admitted this step: the round carries its rows
+    /// [extend_from, T) instead of one decode row; positions below are
+    /// served by adopted prefix pages.
+    int extend_from = -1;
     long enqueue_us = 0, first_token_us = 0, last_token_us = 0;
     Rng rng;  ///< per-session sampling stream (survives preemption)
-  };
-  struct PrefillJob {
-    std::uint64_t sid = 0;
-    int slot = 0;
-    /// First position whose K/V the prefill writes; positions below it are
-    /// already resident in adopted shared pages.
-    int write_start = 0;
-    /// Resume re-prefill (mb spans prompt+generated): its final row seeds
-    /// the *next* token, not token 0, and it never registers a prefix.
-    bool resume = false;
-    nn::MicroBatch mb;
   };
   /// One pinned prompt in a pipe's prefix registry: sessions admitted later
   /// with a matching token prefix adopt `pages` copy-on-write. Page ids are
@@ -269,12 +278,6 @@ class DecodeEngine {
   /// active. Caller holds the lock. Returns true if the session retired.
   bool emit_token(Session& s, int token, long now, const float* logits_row,
                   std::vector<TokenEvent>& events);
-  /// The pipe's representative cache (its stage-0 replica's) — every
-  /// replica of a pipe holds identical paging state, so policy decisions
-  /// read one and apply mutations to all through for_each_cache.
-  nn::PagedKvCache& pipe_cache(int pipe) const {
-    return dep_->unit(schedule().worker_of(pipe, 0), pipe, 0).cache;
-  }
   /// Calls fn(cache) for every stage replica of `pipe`, in stage order.
   template <class Fn>
   void for_each_cache(int pipe, Fn fn) {
@@ -294,14 +297,15 @@ class DecodeEngine {
   /// Returns true once free_pages ≥ need, false when only `protect` is left
   /// to take pages from.
   bool free_pipe_pages(int pipe, int need, std::uint64_t protect);
-  /// Best prefix-registry match for `tokens` on `pipe`: sets `write_start`
-  /// (matched positions, ≥ page_size or 0) and returns the entry, or
-  /// nullptr. Refreshes the entry's LRU stamp.
+  /// Best prefix-registry match for `tokens` on `pipe`: sets `skip` to the
+  /// positions whose rows need no compute (the match, ≥ page_size, capped
+  /// at tokens.size() − 1 so the final row still runs; 0 on a miss) and
+  /// returns the entry, or nullptr. Refreshes the entry's LRU stamp.
   PrefixEntry* match_prefix(int pipe, const std::vector<int>& tokens,
-                            int* write_start);
-  /// Pins the freshly prefilled prompt pages of `job`'s session into the
-  /// pipe's registry (fresh full-write jobs only; capped LRU).
-  void register_prefix(const Session& s, const PrefillJob& job);
+                            int* skip);
+  /// Pins the just-computed prompt pages of `s` into the pipe's registry
+  /// (capped LRU). Caller: fresh sessions that adopted no prefix.
+  void register_prefix(const Session& s);
 
   nn::SmallModelConfig model_;
   DecodeOptions opts_;
@@ -315,11 +319,11 @@ class DecodeEngine {
   /// dispatch barrier orders every access. Streams with slot_active_[m]
   /// false are skipped wholesale by every worker.
   std::vector<char> slot_active_;                    ///< [micro]
-  bool round_is_prefill_ = false;
-  std::vector<std::vector<PrefillJob>> round_prefill_;  ///< [micro]
-  std::vector<std::vector<Tensor>> prefill_logits_;     ///< [micro][job]
   std::vector<std::vector<int>> rd_tokens_, rd_slots_, rd_positions_;
   std::vector<Tensor> round_logits_;  ///< [micro], written by tail stages
+  /// [micro][lane]: the logits row a lane's next token is sampled from (its
+  /// only decode row, or its prompt's last row); engine thread only.
+  std::vector<std::vector<int>> rd_last_row_;
 
   mutable std::mutex mutex_;  ///< guards queue_/sessions_/completed_/stats_
   std::deque<PendingDecode> queue_;

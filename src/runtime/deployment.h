@@ -137,24 +137,19 @@ class Deployment {
   void run(const std::function<void(int)>& job) { pool_->run(job); }
 
   /// Receives `u`'s input from its plan producer in `rank`'s group, traced
-  /// as a kRecv span. `tag_offset` moves the transfer into its own tag band
-  /// when several jobs flow through one plan op.
-  Tensor recv(int rank, const Op& op, const MicroUnit& u,
-              std::int64_t tag_offset = 0) {
-    const std::int64_t tag = u.recv_tag + tag_offset;
+  /// as a kRecv span.
+  Tensor recv(int rank, const Op& op, const MicroUnit& u) {
     obs::Span span(obs::EventKind::kRecv, rank, u.micro, op.stage, op.pipe,
-                   static_cast<long>(tag));
-    return comm(rank).recv(group_base(rank) + u.recv_from, tag);
+                   static_cast<long>(u.recv_tag));
+    return comm(rank).recv(group_base(rank) + u.recv_from, u.recv_tag);
   }
 
   /// Sends `y` to `u`'s plan consumer in `rank`'s group, traced as a kSend
-  /// span; `tag_offset` as for recv().
-  void send(int rank, const Op& op, const MicroUnit& u, Tensor y,
-            std::int64_t tag_offset = 0) {
-    const std::int64_t tag = u.send_tag + tag_offset;
+  /// span.
+  void send(int rank, const Op& op, const MicroUnit& u, Tensor y) {
     obs::Span span(obs::EventKind::kSend, rank, u.micro, op.stage, op.pipe,
-                   static_cast<long>(tag));
-    comm(rank).send(group_base(rank) + u.send_to, tag, std::move(y));
+                   static_cast<long>(u.send_tag));
+    comm(rank).send(group_base(rank) + u.send_to, u.send_tag, std::move(y));
   }
 
  private:

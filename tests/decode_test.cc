@@ -11,8 +11,12 @@
 //     lanes, stamps come from the injected clock, retired slots refill.
 //  5. Request validation is recoverable (RequestError), shared with the
 //     serving engine.
+//  6. Prefix sharing skips compute: an admitted prompt runs only the rows
+//     the prefix registry does not already hold — one row for a prompt it
+//     covers in full — without writing into a shared page.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -355,6 +359,108 @@ TEST(Decode, TopKSamplingIsDeterministicAndInsideTheTopK) {
   }
   // A different seed is allowed to (and here does) pick different tokens.
   EXPECT_FALSE(all_equal_ac);
+  ComputePool::instance().set_helpers(0);
+}
+
+// ------------------------------------------------------------------ 5b ---
+
+TEST(Decode, FullPromptPrefixHitComputesOneRowAndKeepsDonorPages) {
+  const nn::SmallModelConfig model = decode_model();
+  DecodeOptions opts;
+  opts.max_batch = 1;
+  opts.max_new_tokens = 4;
+  opts.kv_page_size = 4;
+  opts.kv_pool_pages = 8;  // no page pressure: nothing parks or unpins
+  opts.capture_logits = true;
+  // GPipe hosts one pipe, so the repeat lands on the donor's registry.
+  DecodeEngine engine(model, Scheme::kGPipe,
+                      ScheduleConfig{4, 1, 1, ScaleMethod::kDirect}, opts);
+  std::map<std::uint64_t, std::vector<TokenEvent>> streams;
+  engine.set_on_token(
+      [&](const TokenEvent& ev) { streams[ev.id].push_back(ev); });
+  const std::vector<int> prompt = make_prompt(model, 10, 55);
+  const std::uint64_t donor = engine.submit(prompt);
+  engine.run_until_drained();
+  const DecodeStats before = engine.stats();
+  EXPECT_EQ(before.prefill_rows, 10);
+  EXPECT_EQ(before.prefix_rows_skipped, 0);
+
+  // The donor retired; the registry alone pins its ceil(10/4) prompt pages.
+  const nn::PagedKvCache& cache = engine.pipe_cache(0);
+  const std::size_t page_floats = cache.pool().floats_per_page();
+  std::map<int, std::vector<float>> pinned;
+  for (int pg = 0; pg < cache.pool_pages(); ++pg)
+    if (cache.pool().refcount(pg) > 0)
+      pinned[pg].assign(cache.pool().data(pg),
+                        cache.pool().data(pg) + page_floats);
+  ASSERT_EQ(pinned.size(), 3u);
+
+  // The repeat's admission step computes only position 9, into a COW-split
+  // copy of the third page; the first two stay shared.
+  const std::uint64_t repeat = engine.submit(prompt);
+  EXPECT_EQ(engine.step(), 1);
+  const DecodeStats after = engine.stats();
+  EXPECT_EQ(after.prefix_hits - before.prefix_hits, 1);
+  EXPECT_EQ(after.prefill_rows - before.prefill_rows, 1);
+  EXPECT_EQ(after.prefix_rows_skipped - before.prefix_rows_skipped, 9);
+  EXPECT_EQ(after.cow_splits - before.cow_splits, 1);
+  const std::vector<int>& table = cache.page_table(0);
+  ASSERT_EQ(table.size(), 3u);
+  EXPECT_EQ(pinned.count(table[0]), 1u);
+  EXPECT_EQ(pinned.count(table[1]), 1u);
+  EXPECT_EQ(pinned.count(table[2]), 0u);
+  engine.run_until_drained();
+
+  // Same text, bitwise the same logits, and the donor's pages untouched.
+  const auto& a = streams.at(donor);
+  const auto& b = streams.at(repeat);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].token, b[i].token) << "token " << i;
+    for (int v = 0; v < model.vocab; ++v)
+      ASSERT_EQ(a[i].logits[static_cast<std::size_t>(v)],
+                b[i].logits[static_cast<std::size_t>(v)])
+          << "token " << i << " vocab " << v;
+  }
+  for (const auto& [pg, data] : pinned) {
+    EXPECT_GT(cache.pool().refcount(pg), 0) << "page " << pg;
+    EXPECT_TRUE(std::equal(data.begin(), data.end(), cache.pool().data(pg)))
+        << "page " << pg;
+  }
+  ComputePool::instance().set_helpers(0);
+}
+
+TEST(Decode, DocPromptSkipsExactlyItsMatchedPrefix) {
+  const nn::SmallModelConfig model = decode_model();
+  // A 6-token shared "system prompt" behind two different document tails.
+  const std::vector<int> system = make_prompt(model, 6, 77);
+  std::vector<int> doc_a = system, doc_b = system;
+  doc_a.insert(doc_a.end(), {1, 2, 3});
+  doc_b.insert(doc_b.end(), {4, 5});
+  const auto run = [&](bool sharing) {
+    DecodeOptions opts;
+    opts.max_batch = 1;
+    opts.max_new_tokens = 3;
+    opts.kv_page_size = 4;
+    opts.prefix_sharing = sharing;
+    DecodeEngine engine(model, Scheme::kGPipe,
+                        ScheduleConfig{4, 1, 1, ScaleMethod::kDirect}, opts);
+    engine.submit(doc_a);
+    engine.run_until_drained();
+    const DecodeStats first = engine.stats();
+    engine.submit(doc_b);
+    const std::vector<DecodeResult> out = engine.run_until_drained();
+    const DecodeStats st = engine.stats();
+    EXPECT_EQ(first.prefill_rows, 9);
+    EXPECT_EQ(st.prefix_rows_skipped, sharing ? 6 : 0);
+    EXPECT_EQ(st.prefill_rows - first.prefill_rows, sharing ? 2 : 8);
+    // Every step's round carried the one lane — admission steps included.
+    EXPECT_EQ(st.occupied_lane_steps, st.steps);
+    EXPECT_EQ(st.idle_lane_steps, 0);
+    EXPECT_EQ(out.size(), 1u);
+    return out.empty() ? std::vector<int>() : out.front().tokens;
+  };
+  EXPECT_EQ(run(true), run(false));
   ComputePool::instance().set_helpers(0);
 }
 

@@ -198,8 +198,9 @@ TEST(ObsClock, ServeAndDecodeSpanStreamsArePinned) {
   EXPECT_EQ(span_stream(), serve_want);
   reset();
 
-  // One decode step: three admissions (the third shares stream 0 and so
-  // offsets its prefill tags), a prefill round and a decode round.
+  // One decode step: three admissions (the third shares stream 0) whose
+  // prompt rows all ride the step's one decode round — one send per op, no
+  // per-session tag band — each seeding its session's first token.
   rt::DecodeOptions dopts;
   dopts.max_batch = 2;
   dopts.max_new_tokens = 4;
@@ -212,41 +213,22 @@ TEST(ObsClock, ServeAndDecodeSpanStreamsArePinned) {
     decoder.submit(prompt);
   }
   set_enabled(true);
-  EXPECT_EQ(decoder.step(), 6);
+  EXPECT_EQ(decoder.step(), 3);
   set_enabled(false);
   const std::vector<std::string> decode_want = {
       "admit -1 0 -1 0 1",
       "admit -1 1 -1 1 2",
       "admit -1 0 -1 0 3",
-      "prefill_round -1 -1 -1 -1 0",
-      "token -1 0 -1 0 1",
-      "token -1 0 -1 0 3",
-      "token -1 1 -1 1 2",
-      "cow_split -1 0 -1 0 1",
       "decode_round -1 -1 -1 -1 0",
       "token -1 0 -1 0 1",
       "token -1 0 -1 0 3",
       "token -1 1 -1 1 2",
       "cache_acquire 0 0 0 0 0",
       "send 0 0 0 0 32768",
-      "send 0 0 0 0 1099511660544",
-      "prefill_op 0 0 0 0 0",
-      "recv 0 1 1 1 2129924",
-      "cache_release 0 1 1 1 1",
-      "prefill_op 0 1 1 1 0",
-      "cache_acquire 0 0 0 0 0",
-      "send 0 0 0 0 32768",
       "decode_op 0 0 0 0 0",
       "recv 0 1 1 1 2129924",
       "cache_release 0 1 1 1 1",
       "decode_op 0 1 1 1 0",
-      "cache_acquire 1 1 0 1 1",
-      "send 1 1 0 1 2129924",
-      "prefill_op 1 1 0 1 0",
-      "recv 1 0 1 0 32768",
-      "recv 1 0 1 0 1099511660544",
-      "cache_release 1 0 1 0 0",
-      "prefill_op 1 0 1 0 0",
       "cache_acquire 1 1 0 1 1",
       "send 1 1 0 1 2129924",
       "decode_op 1 1 0 1 0",

@@ -14,7 +14,9 @@
 //     (fake clock) produce identical TokenEvent streams and latency stamps,
 //     and a pressure-squeezed engine generates exactly what a comfortable
 //     one does — including top-k sampling, whose per-session rng stream
-//     survives park/resume.
+//     survives park/resume. Growth may park a session admitted in the same
+//     step: its prompt rows are dropped before the round and it resumes by
+//     re-prefill.
 //  5. The engine's exported plan carries the kv_pages claim and certifies
 //     under the standalone verifier's page-budget check.
 #include <gtest/gtest.h>
@@ -409,6 +411,63 @@ TEST(PagedDecode, EvictResumeDeterministicUnderFakeClock) {
   for (const DecodeResult& r : a.results) squeezed[r.id] = r.tokens;
   for (const DecodeResult& r : c.results) comfy[r.id] = r.tokens;
   EXPECT_EQ(squeezed, comfy);
+  ComputePool::instance().set_helpers(0);
+}
+
+TEST(PagedDecode, GrowthParksASessionAdmittedInTheSameStep) {
+  const nn::SmallModelConfig model = harness_model();
+  nn::StageModule direct(model, 0, 1);
+  Rng rng(4242);
+  const auto prompt = [&](int len) {
+    std::vector<int> p(static_cast<std::size_t>(len));
+    for (int& t : p) t = static_cast<int>(rng.next_below(model.vocab));
+    return p;
+  };
+  const std::vector<int> a = prompt(8), b = prompt(12);
+  ASSERT_NE(a.front(), b.front());  // no prefix hit between the two
+
+  struct Run {
+    std::map<std::uint64_t, std::vector<int>> tokens;
+    DecodeStats stats;
+  };
+  const auto run = [&](int pool_pages) {
+    DecodeOptions opts;
+    opts.max_batch = 2;
+    opts.kv_page_size = 4;
+    opts.kv_pool_pages = pool_pages;
+    // One stream of two lanes on one pipe.
+    DecodeEngine engine(model, Scheme::kGPipe,
+                        ScheduleConfig{4, 1, 1, ScaleMethod::kDirect}, opts);
+    Run out;
+    engine.set_on_token(
+        [&](const TokenEvent& ev) { out.tokens[ev.id].push_back(ev.token); });
+    engine.submit(a, 8);
+    EXPECT_EQ(engine.step(), 1);  // a holds 2 pages; the registry pins them
+    engine.submit(b, 3);
+    // b's 3 prompt pages exhaust a 5-page pool at admission, so a's growth
+    // to position 8 must park b — in the step that admitted it, before its
+    // rows run. Only a's token comes out.
+    const int emitted = engine.step();
+    if (pool_pages > 0) {
+      EXPECT_EQ(emitted, 1);
+      const DecodeStats mid = engine.stats();
+      EXPECT_EQ(mid.admitted, 2);
+      EXPECT_EQ(mid.evictions, 1);
+      EXPECT_EQ(mid.prefill_rows, 8);  // b's 12 rows never ran
+    }
+    engine.run_until_drained();
+    out.stats = engine.stats();
+    return out;
+  };
+  const Run squeezed = run(5);
+  const Run comfy = run(0);
+  EXPECT_EQ(squeezed.stats.evictions, 1);
+  EXPECT_EQ(squeezed.stats.resumes, 1);
+  EXPECT_EQ(comfy.stats.evictions, 0);
+  EXPECT_EQ(squeezed.tokens, comfy.tokens);
+  ASSERT_EQ(squeezed.tokens.size(), 2u);
+  EXPECT_EQ(squeezed.tokens.at(1), reference_tokens(direct, model, a, 8));
+  EXPECT_EQ(squeezed.tokens.at(2), reference_tokens(direct, model, b, 3));
   ComputePool::instance().set_helpers(0);
 }
 
