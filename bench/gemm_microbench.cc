@@ -1,22 +1,25 @@
 // Single-core kernel microbench, per tier: GFLOP/s of the GEMM variants,
 // GB/s of every other dense hot loop behind the KernelPolicy — GELU,
 // LayerNorm, softmax, cross-entropy, bias ops, the Adam step and the
-// gradient norm — and µs plus GFLOP/s of the fused attention forward,
-// backward and decode (DESIGN.md §2 item 18's perf trajectory).
+// gradient norm — µs plus GFLOP/s of the fused attention forward,
+// backward and decode (DESIGN.md §2 item 18's perf trajectory), and the
+// rate decode's Linear forwards run at when their weights stream from L3.
 //
 // Shapes are the ones the GPT-2-like default of bench_runtime_throughput
 // actually executes (rows = B·seq = 64, hidden 192, mlp 768, vocab 768,
 // per-head dk 24), so the reported speedups are the kernel-level view of
-// the end-to-end iters/s gains, plus the decode step's 1–4-row GEMMs
-// (rows = live lanes), where the fast tier reads B in place instead of
-// packing it, and the fused bias+GELU Linear forward (gemm_bias_gelu;
-// its y is bitwise, its GELU output tolerance-equal across tiers). Every
+// the end-to-end iters/s gains, plus the fused bias+GELU Linear forward
+// (gemm_bias_gelu; its y is bitwise, its GELU output tolerance-equal across
+// tiers). The streamed leg cycles through one decode worker's Linear
+// weights, row-major against the panel layout nn::Linear stores: a single
+// hot weight stays in L2 and reads far faster than decode ever does. Every
 // JSON record carries the build type and compiler: fast-tier GFLOP/s
 // depends on the -O level. Helpers are pinned to 0: this measures the
 // microkernels, not the pool. While measuring, the bench also checks each
 // op's cross-tier contract — bitwise equality for the ops the table marks
-// bitwise (gemm, gemm_tn, add_bias, bias_backward, the optimizer), abs
-// tolerance for the lane-reduced/polynomial ops — and exits nonzero on a
+// bitwise (gemm, gemm_tn, add_bias, bias_backward, the optimizer, the panel
+// forms), abs tolerance for the lane-reduced/polynomial ops — and that the
+// panel forward equals the row-major one, and exits nonzero on a
 // violation, so the CI smoke run guards the contract alongside the numbers.
 //
 //   $ ./bench_gemm_microbench [--json BENCH_gemm_micro.json] [--small]
@@ -29,6 +32,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,74 +46,31 @@ using namespace chimera::bench;
 
 namespace {
 
-enum class Variant { kNN, kTN, kNT, kBiasGelu };
-
-const char* variant_name(Variant v) {
-  switch (v) {
-    case Variant::kNN: return "gemm";
-    case Variant::kTN: return "gemm_tn";
-    case Variant::kNT: return "gemm_nt";
-    case Variant::kBiasGelu: return "gemm_bias_gelu";
-  }
-  return "?";
-}
-
+/// The GPT-2 bench shapes (bench_runtime_throughput defaults) of each GEMM
+/// variant: gemm, gemm_tn, gemm_nt or the fused gemm_bias_gelu.
 struct Shape {
-  Variant variant;
+  const char* variant;
   int m, k, n;
   const char* site;  ///< which model GEMM this shape is
 };
 
-/// The GPT-2 bench shapes (bench_runtime_throughput defaults), then the
-/// decode step's shapes at 1 and 4 live lanes.
 const Shape kShapes[] = {
-    {Variant::kNN, 64, 192, 576, "qkv fwd"},
-    {Variant::kNN, 64, 192, 768, "mlp fc fwd"},
-    {Variant::kNN, 64, 768, 192, "mlp proj fwd"},
-    {Variant::kNN, 64, 192, 768, "head fwd"},
-    {Variant::kNT, 64, 24, 64, "attn scores"},
-    {Variant::kNN, 64, 64, 24, "attn ctx"},
-    {Variant::kTN, 64, 192, 768, "mlp fc dW"},
-    {Variant::kNT, 64, 768, 192, "mlp fc dX"},
-    {Variant::kBiasGelu, 64, 192, 768, "mlp fc fwd fused"},
-    {Variant::kNN, 1, 192, 768, "decode head"},
-    {Variant::kNN, 4, 192, 576, "decode qkv"},
-    {Variant::kNN, 4, 768, 192, "decode mlp proj"},
-    {Variant::kBiasGelu, 4, 192, 768, "decode mlp fc fused"},
+    {"gemm", 64, 192, 576, "qkv fwd"},
+    {"gemm", 64, 192, 768, "mlp fc fwd"},
+    {"gemm", 64, 768, 192, "mlp proj fwd"},
+    {"gemm", 64, 192, 768, "head fwd"},
+    {"gemm_nt", 64, 24, 64, "attn scores"},
+    {"gemm", 64, 64, 24, "attn ctx"},
+    {"gemm_tn", 64, 192, 768, "mlp fc dW"},
+    {"gemm_nt", 64, 768, 192, "mlp fc dX"},
+    {"gemm_bias_gelu", 64, 192, 768, "mlp fc fwd fused"},
 };
 
-/// One op's operands; `bias` and `g` (the GELU output) are used by the
+/// One GEMM's operands; `bias` and `g` (the GELU output) are used by the
 /// fused variant only.
 struct Operands {
   Tensor a, b, bias, c, g;
 };
-
-void run(const Shape& s, Operands& o) {
-  switch (s.variant) {
-    case Variant::kNN: gemm(o.a, o.b, o.c); break;
-    case Variant::kTN: gemm_tn(o.a, o.b, o.c); break;
-    case Variant::kNT: gemm_nt(o.a, o.b, o.c); break;
-    case Variant::kBiasGelu: gemm_bias_gelu(o.a, o.b, o.bias, o.c, o.g); break;
-  }
-}
-
-/// GFLOP/s over enough repetitions to make timer noise irrelevant (the
-/// fused epilogue's work is not counted).
-double measure(const Shape& s, Operands& o, double target_ms) {
-  const double flop = 2.0 * s.m * s.k * s.n;
-  run(s, o);  // warm (and populate the outputs for the parity check)
-  long reps = 4;
-  for (;;) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long r = 0; r < reps; ++r) run(s, o);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (secs * 1e3 >= target_ms || reps > (1L << 24))
-      return flop * reps / secs / 1e9;
-    reps *= 4;
-  }
-}
 
 /// One non-GEMM op: `run` executes it once (timed), `reset` restores any
 /// mutated state, `outputs` flattens everything the contract compares.
@@ -122,6 +83,7 @@ struct OpSpec {
   std::function<void()> reset;
   std::function<void()> run;
   std::function<std::vector<float>()> outputs;
+  std::size_t exact = 0;  ///< leading outputs held exact even when !bitwise
 };
 
 /// Work units per ns (GB/s or GFLOP/s) over enough repetitions to make
@@ -173,72 +135,100 @@ int main(int argc, char** argv) {
     if (tiers.empty() || tiers.back() != t) tiers.push_back(t);
   }
 
-  TextTable table({"variant", "shape", "site", "tier", "GFLOP/s", "speedup"});
   bool contract_broken = false;
-  Rng rng(31);
-  for (const Shape& s : kShapes) {
-    Operands o;
-    o.a = s.variant == Variant::kTN ? Tensor(s.k, s.m) : Tensor(s.m, s.k);
-    o.b = s.variant == Variant::kNT ? Tensor(s.n, s.k) : Tensor(s.k, s.n);
-    o.bias = Tensor(1, s.n);
-    o.a.randn(rng, 1.0f);
-    o.b.randn(rng, 1.0f);
-    o.bias.randn(rng, 1.0f);
-    const std::string shape = std::to_string(s.m) + "x" + std::to_string(s.k) +
-                              "x" + std::to_string(s.n);
-    double scalar_gflops = 0.0;
-    Tensor scalar_c, scalar_g;
-    for (KernelTier tier : tiers) {
-      set_kernel_policy(tier == KernelTier::kScalar
-                            ? KernelPolicy::kScalarReference
-                            : KernelPolicy::kFast);
-      o.c = Tensor(s.m, s.n);
-      o.g = Tensor(s.m, s.n);
-      const double gflops = measure(s, o, target_ms);
-      const bool is_fast = tier == KernelTier::kFast;
-      if (!is_fast) {
-        scalar_gflops = gflops;
-        scalar_c = o.c;
-        scalar_g = o.g;
-      } else if (scalar_gflops > 0.0) {
-        // Tier contract check on the measured outputs: gemm_nt within
-        // 1e-5·k, the fused GELU output within GELU's 1e-5, the rest
-        // bitwise.
-        auto check = [&](const Tensor& got, const Tensor& want, float tol,
-                         const char* what) {
-          for (std::size_t i = 0; i < got.numel(); ++i) {
-            const bool ok = tol > 0.0f ? std::fabs(got[i] - want[i]) <= tol
-                                       : got[i] == want[i];
-            if (ok) continue;
-            std::fprintf(stderr,
-                         "FAIL: %s %s %s element %zu: fast %.9g vs scalar "
-                         "%.9g\n",
-                         variant_name(s.variant), shape.c_str(), what, i,
-                         got[i], want[i]);
-            contract_broken = true;
-            return;
+  // Per op and tier: one clean application checked against the scalar
+  // tier's outputs, then the timed runs. `flops` ops report µs and GFLOP/s,
+  // the rest GB/s.
+  auto measure_ops = [&](std::vector<OpSpec>& list, bool flops) {
+    TextTable t(flops ? std::vector<std::string>{"op", "shape", "tier", "us",
+                                                 "GFLOP/s", "speedup"}
+                      : std::vector<std::string>{"op", "shape", "tier",
+                                                 "GB/s", "speedup"});
+    for (OpSpec& op : list) {
+      double scalar_rate = 0.0;
+      std::vector<float> scalar_out;
+      for (KernelTier tier : tiers) {
+        set_kernel_policy(tier == KernelTier::kScalar
+                              ? KernelPolicy::kScalarReference
+                              : KernelPolicy::kFast);
+        const bool is_fast = tier == KernelTier::kFast;
+        if (op.reset) op.reset();
+        op.run();
+        const std::vector<float> out = op.outputs();
+        if (!is_fast) {
+          scalar_out = out;
+        } else if (!scalar_out.empty()) {
+          CHIMERA_CHECK(out.size() == scalar_out.size());
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const bool ok = op.bitwise || i < op.exact
+                                ? out[i] == scalar_out[i]
+                                : std::fabs(out[i] - scalar_out[i]) <= op.tol;
+            if (!ok) {
+              std::fprintf(stderr,
+                           "FAIL: %s element %zu: fast %.9g vs scalar %.9g\n",
+                           op.name.c_str(), i, out[i], scalar_out[i]);
+              contract_broken = true;
+              break;
+            }
           }
-        };
-        check(o.c, scalar_c, s.variant == Variant::kNT ? 1e-5f * s.k : 0.0f,
-              "y");
-        if (s.variant == Variant::kBiasGelu)
-          check(o.g, scalar_g, 1e-5f, "gelu");
+        }
+        if (op.reset) op.reset();
+        const double rate = measure_rate(op.run, op.work, target_ms);
+        if (!is_fast) scalar_rate = rate;
+        const double speedup =
+            is_fast && scalar_rate > 0.0 ? rate / scalar_rate : 0.0;
+        char sp[16];
+        std::snprintf(sp, sizeof sp, speedup > 0 ? "%.2fx" : "-", speedup);
+        const char* tier_name = is_fast ? "fast" : "scalar";
+        std::vector<std::pair<std::string, double>> extra;
+        if (flops) {
+          const double us = op.work / (rate * 1e3);
+          t.add_row(op.name, op.shape, tier_name, us, rate, sp);
+          extra = {{"us", us}, {"gflops", rate}};
+        } else {
+          t.add_row(op.name, op.shape, tier_name, rate, sp);
+          extra = {{"gbs", rate}};
+        }
+        if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
+        json.add(op.name, op.shape + " tier=" + tier_name,
+                 /*throughput=*/0.0, 0.0, extra);
       }
-      const double speedup =
-          is_fast && scalar_gflops > 0.0 ? gflops / scalar_gflops : 0.0;
-      char sp[16];
-      std::snprintf(sp, sizeof sp, speedup > 0 ? "%.2fx" : "-", speedup);
-      table.add_row(variant_name(s.variant), shape, s.site,
-                    is_fast ? "fast" : "scalar", gflops, sp);
-      std::vector<std::pair<std::string, double>> extra = {
-          {"gflops", gflops}};
-      if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
-      json.add(std::string(variant_name(s.variant)) + " " + s.site,
-               shape + " tier=" + (is_fast ? "fast" : "scalar"),
-               /*throughput=*/0.0, 0.0, extra);
     }
+    t.print();
+  };
+
+  // GEMMs: gemm_nt within 1e-5·k across tiers, the fused GELU output within
+  // GELU's 1e-5, the rest (the fused y included) bitwise.
+  Rng rng(31);
+  std::vector<OpSpec> gemms;
+  for (const Shape& s : kShapes) {
+    const std::string v = s.variant;
+    const bool tn = v == "gemm_tn", nt = v == "gemm_nt";
+    const bool fused = v == "gemm_bias_gelu";
+    auto o = std::make_shared<Operands>();
+    o->a = tn ? Tensor(s.k, s.m) : Tensor(s.m, s.k);
+    o->b = nt ? Tensor(s.n, s.k) : Tensor(s.k, s.n);
+    o->bias = Tensor(1, s.n);
+    o->c = Tensor(s.m, s.n);
+    o->g = Tensor(s.m, s.n);
+    o->a.randn(rng, 1.0f);
+    o->b.randn(rng, 1.0f);
+    o->bias.randn(rng, 1.0f);
+    gemms.push_back(
+        {v + " " + s.site,
+         std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+             std::to_string(s.n),
+         2.0 * s.m * s.k * s.n, !nt && !fused, nt ? 1e-5f * s.k : 1e-5f,
+         nullptr,
+         [o, tn, nt, fused] {
+           if (tn) gemm_tn(o->a, o->b, o->c);
+           else if (nt) gemm_nt(o->a, o->b, o->c);
+           else if (fused) gemm_bias_gelu(o->a, o->b, o->bias, o->c, o->g);
+           else gemm(o->a, o->b, o->c);
+         },
+         [o] { return flat({&o->c, &o->g}); }, fused ? o->c.numel() : 0});
   }
-  table.print();
+  measure_ops(gemms, /*flops=*/true);
 
   // ---- Non-GEMM ops: GB/s (they are memory-bound at these shapes) --------
   print_banner("Non-GEMM kernel GB/s per tier (single core)");
@@ -327,66 +317,6 @@ int main(int argc, char** argv) {
                    return std::vector<float>{static_cast<float>(gnorm)};
                  }});
 
-  // Per op and tier: one clean application checked against the scalar
-  // tier's outputs, then the timed runs. `flops` ops report µs and GFLOP/s,
-  // the rest GB/s.
-  auto measure_ops = [&](std::vector<OpSpec>& list, bool flops) {
-    TextTable t(flops ? std::vector<std::string>{"op", "shape", "tier", "us",
-                                                 "GFLOP/s", "speedup"}
-                      : std::vector<std::string>{"op", "shape", "tier",
-                                                 "GB/s", "speedup"});
-    for (OpSpec& op : list) {
-      double scalar_rate = 0.0;
-      std::vector<float> scalar_out;
-      for (KernelTier tier : tiers) {
-        set_kernel_policy(tier == KernelTier::kScalar
-                              ? KernelPolicy::kScalarReference
-                              : KernelPolicy::kFast);
-        const bool is_fast = tier == KernelTier::kFast;
-        if (op.reset) op.reset();
-        op.run();
-        const std::vector<float> out = op.outputs();
-        if (!is_fast) {
-          scalar_out = out;
-        } else if (!scalar_out.empty()) {
-          CHIMERA_CHECK(out.size() == scalar_out.size());
-          for (std::size_t i = 0; i < out.size(); ++i) {
-            const bool ok = op.bitwise
-                                ? out[i] == scalar_out[i]
-                                : std::fabs(out[i] - scalar_out[i]) <= op.tol;
-            if (!ok) {
-              std::fprintf(stderr,
-                           "FAIL: %s element %zu: fast %.9g vs scalar %.9g\n",
-                           op.name.c_str(), i, out[i], scalar_out[i]);
-              contract_broken = true;
-              break;
-            }
-          }
-        }
-        if (op.reset) op.reset();
-        const double rate = measure_rate(op.run, op.work, target_ms);
-        if (!is_fast) scalar_rate = rate;
-        const double speedup =
-            is_fast && scalar_rate > 0.0 ? rate / scalar_rate : 0.0;
-        char sp[16];
-        std::snprintf(sp, sizeof sp, speedup > 0 ? "%.2fx" : "-", speedup);
-        const char* tier_name = is_fast ? "fast" : "scalar";
-        std::vector<std::pair<std::string, double>> extra;
-        if (flops) {
-          const double us = op.work / (rate * 1e3);
-          t.add_row(op.name, op.shape, tier_name, us, rate, sp);
-          extra = {{"us", us}, {"gflops", rate}};
-        } else {
-          t.add_row(op.name, op.shape, tier_name, rate, sp);
-          extra = {{"gbs", rate}};
-        }
-        if (speedup > 0) extra.emplace_back("speedup_vs_scalar", speedup);
-        json.add(op.name, op.shape + " tier=" + tier_name,
-                 /*throughput=*/0.0, 0.0, extra);
-      }
-    }
-    t.print();
-  };
   measure_ops(ops, /*flops=*/false);
 
   // ---- Fused attention: µs and GFLOP/s over the causal triangle ----------
@@ -443,5 +373,64 @@ int main(int argc, char** argv) {
                   },
                   [&] { return flat({&decoded}); }});
   measure_ops(attn, /*flops=*/true);
+
+  // ---- Streamed weights: decode's Linear forwards ------------------------
+  // One decode_mixed worker's Linear weights — two Chimera stage replicas of
+  // two GPT-2 blocks each: 16 Linears, 6.75 MiB, over twice a typical L2 —
+  // cycled once per run, so every weight streams from L3 as in a decode
+  // step. Row-major W (gemm_bias) against the panel layout nn::Linear
+  // stores (gemm_bias_panel), which must give the same bits.
+  print_banner("Streamed Linear weights per tier (single core, 6.75 MiB)");
+  struct Lin {
+    Tensor w, wp, bias, y;
+  };
+  auto lins = std::make_shared<std::vector<Lin>>();
+  for (int b = 0; b < 4; ++b)
+    for (auto [k, n] : {std::pair{H, 3 * H}, {H, H}, {H, 4 * H}, {4 * H, H}}) {
+      Lin& l = lins->emplace_back();
+      l.w = Tensor(k, n);
+      l.w.randn(rng, 1.0f);
+      pack_panels(l.w, l.wp);
+      l.bias = Tensor(1, n);
+      l.bias.randn(rng, 1.0f);
+    }
+  std::vector<OpSpec> streamed;
+  for (int m : {1, 4, 16, 64}) {
+    auto x = std::make_shared<std::pair<Tensor, Tensor>>(Tensor(m, H),
+                                                          Tensor(m, 4 * H));
+    x->first.randn(rng, 1.0f);
+    x->second.randn(rng, 1.0f);
+    double flops = 0.0;
+    for (const Lin& l : *lins) flops += 2.0 * m * l.w.rows() * l.w.cols();
+    for (bool panel : {false, true})
+      streamed.push_back(
+          {panel ? "gemm_bias_panel streamed" : "gemm_bias streamed",
+           "m=" + std::to_string(m) + " 16 Linears", flops, true, 0.0f,
+           nullptr,
+           [=] {
+             for (Lin& l : *lins) {
+               const Tensor& xl = l.w.rows() == H ? x->first : x->second;
+               l.y.reshape(m, l.w.cols());
+               if (panel) gemm_bias_panel(xl, l.wp, l.bias, l.y);
+               else gemm_bias(xl, l.w, l.bias, l.y);
+             }
+           },
+           [lins] {
+             std::vector<float> out;
+             for (const Lin& l : *lins) out.insert(out.end(), l.y.data(),
+                                                   l.y.data() + l.y.numel());
+             return out;
+           }});
+  }
+  measure_ops(streamed, /*flops=*/true);
+  for (std::size_t i = 0; i < streamed.size(); i += 2) {
+    streamed[i].run();
+    const std::vector<float> want = streamed[i].outputs();
+    streamed[i + 1].run();
+    if (streamed[i + 1].outputs() == want) continue;
+    std::fprintf(stderr, "FAIL: %s %s differs from row-major\n",
+                 streamed[i + 1].name.c_str(), streamed[i + 1].shape.c_str());
+    contract_broken = true;
+  }
   return contract_broken ? 1 : 0;
 }

@@ -7,8 +7,13 @@ namespace chimera::nn {
 // ---------------------------------------------------------------- Linear --
 
 Linear::Linear(std::string name, int in, int out, Rng& rng, float init_scale)
-    : w_(name + ".w", in, out), b_(name + ".b", 1, out) {
-  w_.value.randn(rng, init_scale);
+    : w_(name + ".w", panel_rows(in, out), kPanelWidth),
+      b_(name + ".b", 1, out) {
+  // The row-major Tensor::randn draw, written straight to its panel slot.
+  for (int l = 0; l < in; ++l)
+    for (int j = 0; j < out; ++j)
+      w_.value[panel_offset(in, l, j)] =
+          static_cast<float>(rng.normal()) * init_scale;
   b_.value.zero();
 }
 
@@ -30,21 +35,21 @@ void Linear::forward_gelu_into(const Tensor& x, Ctx& ctx, Tensor& y,
 }
 
 void Linear::apply_into(const Tensor& x, Tensor& y) const {
-  y.reshape(x.rows(), w_.value.cols());  // gemm_bias overwrites in full
-  gemm_bias(x, w_.value, b_.value, y);
+  y.reshape(x.rows(), b_.value.cols());  // gemm_bias_panel overwrites in full
+  gemm_bias_panel(x, w_.value, b_.value, y);
 }
 
 void Linear::apply_gelu_into(const Tensor& x, Tensor& y, Tensor& g) const {
-  y.reshape(x.rows(), w_.value.cols());
-  g.reshape(x.rows(), w_.value.cols());
-  gemm_bias_gelu(x, w_.value, b_.value, y, g);
+  y.reshape(x.rows(), b_.value.cols());
+  g.reshape(x.rows(), b_.value.cols());
+  gemm_bias_gelu_panel(x, w_.value, b_.value, y, g);
 }
 
 Tensor Linear::backward(const Tensor& dy, const Ctx& ctx) {
-  gemm_tn(ctx.x, dy, w_.grad, /*accumulate=*/true);  // dW += Xᵀ·dY
+  gemm_tn_panel(ctx.x, dy, w_.grad);  // dW += Xᵀ·dY
   bias_backward(dy, b_.grad);
   Tensor dx(ctx.x.rows(), ctx.x.cols());
-  gemm_nt(dy, w_.value, dx);  // dX = dY·Wᵀ
+  gemm_nt_panel(dy, w_.value, dx);  // dX = dY·Wᵀ
   return dx;
 }
 

@@ -26,7 +26,10 @@ struct Param {
       : name(std::move(n)), value(rows, cols), grad(rows, cols) {}
 };
 
-/// Y = X·W + b.
+/// Y = X·W + b. W [in, out] and its gradient are stored only in the GEMM's
+/// panel layout (tensor/kernels.h): Param w_ is [panel_rows(in, out), 16]
+/// with lanes past `out` zero, and every consumer outside Linear (the
+/// optimizer, grad sync, ZeRO, the weight stash) treats it as a flat array.
 class Linear {
  public:
   Linear(std::string name, int in, int out, Rng& rng, float init_scale);
@@ -59,7 +62,6 @@ class Linear {
     out.push_back(&w_);
     out.push_back(&b_);
   }
-  const Param& weight() const { return w_; }
 
  private:
   Param w_;

@@ -208,7 +208,7 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
 void gemm_bias(const Tensor& x, const Tensor& w, const Tensor& bias,
                Tensor& y) {
   if (use_fast_tier()) {
-    simd::gemm_bias_act_fast(x, w, bias, y, nullptr);
+    simd::gemm_bias_act_fast(x, w, bias, y, nullptr, /*w_panels=*/false);
     return;
   }
   gemm(x, w, y);
@@ -218,12 +218,139 @@ void gemm_bias(const Tensor& x, const Tensor& w, const Tensor& bias,
 void gemm_bias_gelu(const Tensor& x, const Tensor& w, const Tensor& bias,
                     Tensor& y, Tensor& g) {
   if (use_fast_tier()) {
-    simd::gemm_bias_act_fast(x, w, bias, y, &g);
+    simd::gemm_bias_act_fast(x, w, bias, y, &g, /*w_panels=*/false);
     return;
   }
   gemm(x, w, y);
   add_bias(y, bias);
   gelu_forward(y, g);
+}
+
+// ---- Panel-layout weights ------------------------------------------------
+// The scalar forms keep the row-major reference's per-element orders and
+// only change where each W (or dW) element is read or written.
+
+void pack_panels(const Tensor& w, Tensor& panels) {
+  const int k = w.rows(), n = w.cols();
+  panels.reshape(panel_rows(k, n), kPanelWidth);
+  panels.zero();
+  for (int l = 0; l < k; ++l)
+    for (int j = 0; j < n; ++j) panels[panel_offset(k, l, j)] = w.at(l, j);
+}
+
+namespace {
+
+/// gemm's scalar order over a panel-layout W: y[i, j] = 0.0f + Σₗ x[i,l]·W[l,j],
+/// l ascending.
+void gemm_panel_ref(const Tensor& x, const Tensor& wp, Tensor& y) {
+  const int m = x.rows(), k = x.cols(), n = y.cols();
+  CHIMERA_CHECK(y.rows() == m && wp.rows() == panel_rows(k, n) &&
+                wp.cols() == kPanelWidth);
+  // Row shards; each shard sweeps its rows per 16-column block, so the
+  // block stays cache-hot across them, and sums 8 columns at a time in
+  // locals (the lanes past a tail block's width are summed, never stored).
+  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    const int r1 = shard_begin(m, shards, s + 1);
+    for (int j0 = 0; j0 < n; j0 += kPanelWidth) {
+      const float* block = wp.data() + panel_offset(k, 0, j0);
+      for (int i = shard_begin(m, shards, s); i < r1; ++i)
+        for (int h = 0; h < std::min(kPanelWidth, n - j0); h += 8) {
+          float acc[8] = {};
+          for (int l = 0; l < k; ++l) {
+            const float av = x.at(i, l);
+            const float* brow = block + l * kPanelWidth + h;
+            for (int t = 0; t < 8; ++t) acc[t] += av * brow[t];
+          }
+          float* yrow = y.data() + static_cast<std::size_t>(i) * n + j0 + h;
+          std::copy(acc, acc + std::min(8, n - j0 - h), yrow);
+        }
+    }
+  });
+}
+
+}  // namespace
+
+void gemm_bias_panel(const Tensor& x, const Tensor& wp, const Tensor& bias,
+                     Tensor& y) {
+  if (use_fast_tier()) {
+    simd::gemm_bias_act_fast(x, wp, bias, y, nullptr, /*w_panels=*/true);
+    return;
+  }
+  gemm_panel_ref(x, wp, y);
+  add_bias(y, bias);
+}
+
+void gemm_bias_gelu_panel(const Tensor& x, const Tensor& wp,
+                          const Tensor& bias, Tensor& y, Tensor& g) {
+  if (use_fast_tier()) {
+    simd::gemm_bias_act_fast(x, wp, bias, y, &g, /*w_panels=*/true);
+    return;
+  }
+  gemm_panel_ref(x, wp, y);
+  add_bias(y, bias);
+  gelu_forward(y, g);
+}
+
+void gemm_nt_panel(const Tensor& dy, const Tensor& wp, Tensor& dx) {
+  if (use_fast_tier()) {
+    simd::gemm_nt_panel_fast(dy, wp, dx);
+    return;
+  }
+  const int m = dy.rows(), n = dy.cols(), k = dx.cols();
+  CHIMERA_CHECK(dx.rows() == m && wp.rows() == panel_rows(k, n) &&
+                wp.cols() == kPanelWidth);
+  // gemm_nt's scalar order: kBlock partial dots over dY's columns, added
+  // to 0.0f in ascending order. A block spans whole 16-column panels, and
+  // W row l's columns sit at stride 1 inside each.
+  static_assert(kBlock % kPanelWidth == 0);
+  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    const int r1 = shard_begin(m, shards, s + 1);
+    for (int i = shard_begin(m, shards, s); i < r1; ++i) {
+      const float* dyrow = dy.data() + static_cast<std::size_t>(i) * n;
+      for (int l = 0; l < k; ++l) {
+        float c = 0.0f;
+        for (int j0 = 0; j0 < n; j0 += kBlock) {
+          float acc = 0.0f;
+          for (int p0 = j0; p0 < std::min(n, j0 + kBlock); p0 += kPanelWidth) {
+            const float* wrow = wp.data() + panel_offset(k, l, p0);
+            const int width = std::min(kPanelWidth, n - p0);
+            for (int j = 0; j < width; ++j) acc += dyrow[p0 + j] * wrow[j];
+          }
+          c += acc;
+        }
+        dx.at(i, l) = c;
+      }
+    }
+  });
+}
+
+void gemm_tn_panel(const Tensor& x, const Tensor& dy, Tensor& dwp) {
+  if (use_fast_tier()) {
+    simd::gemm_tn_panel_fast(x, dy, dwp);
+    return;
+  }
+  const int rows = x.rows(), m = x.cols(), n = dy.cols();
+  CHIMERA_CHECK(dy.rows() == rows && dwp.rows() == panel_rows(m, n) &&
+                dwp.cols() == kPanelWidth);
+  // gemm_tn's scalar order: rows of X and dY ascending, one add per row.
+  const int shards = plan_shards(m, static_cast<std::size_t>(rows) * n);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    const int i0 = shard_begin(m, shards, s);
+    const int i1 = shard_begin(m, shards, s + 1);
+    for (int l = 0; l < rows; ++l) {
+      const float* dyrow = dy.data() + static_cast<std::size_t>(l) * n;
+      for (int i = i0; i < i1; ++i) {
+        const float av = x.at(l, i);
+        for (int j0 = 0; j0 < n; j0 += kPanelWidth) {
+          float* crow = dwp.data() + panel_offset(m, i, j0);
+          for (int j = 0; j < std::min(kPanelWidth, n - j0); ++j)
+            crow[j] += av * dyrow[j0 + j];
+        }
+      }
+    }
+  });
 }
 
 void add_bias(Tensor& y, const Tensor& bias) {

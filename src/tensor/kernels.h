@@ -13,7 +13,9 @@
 // pins) and a vectorized fast tier (tensor/kernels_simd.cc: AVX2
 // microkernels — register-tiled GEMMs over 16-column B panels plus a
 // portable mirror, and lane-parallel elementwise/normalize/reduce kernels
-// for the non-GEMM ops). Tier selection is the process-wide KernelPolicy below,
+// for the non-GEMM ops). nn::Linear keeps its weight in that panel layout
+// for good, and its three GEMMs have panel forms (below) that are bitwise
+// their row-major counterparts in each tier. Tier selection is the process-wide KernelPolicy below,
 // overridable by the CHIMERA_KERNEL_TIER environment variable. The
 // cross-tier contract is per op (the full table lives in DESIGN.md §2
 // item 18): ops whose fast tier keeps each element's serial accumulation
@@ -90,6 +92,49 @@ void gemm_bias(const Tensor& x, const Tensor& w, const Tensor& bias, Tensor& y);
 /// memory traffic, never arithmetic.
 void gemm_bias_gelu(const Tensor& x, const Tensor& w, const Tensor& bias,
                     Tensor& y, Tensor& g);
+
+// ---- Panel-layout weights -------------------------------------------------
+// nn::Linear stores its weight W [k, n] and the weight's gradient in the
+// fast GEMM's panel layout: ceil(n/16) dense k×16 blocks, block p holding
+// columns [16p, 16p+16) row by row, lanes past n zero. A tensor in panel
+// layout has shape [panel_rows(k, n), kPanelWidth]. The fast tier reads a
+// block as one contiguous stream (no per-call packing, no strided rows
+// at m ≤ 6); the panel forms below are bitwise equal to their row-major
+// counterparts in each tier (DESIGN.md §2 item 18). Padded lanes are never
+// stored by any panel kernel, so a zero lane stays zero.
+
+constexpr int kPanelWidth = 16;
+
+/// Rows of the [rows, kPanelWidth] tensor holding a k×n matrix as panels.
+inline int panel_rows(int k, int n) {
+  return (n + kPanelWidth - 1) / kPanelWidth * k;
+}
+
+/// Storage offset of element (l, j) of a k-row matrix in panel layout.
+inline std::size_t panel_offset(int k, int l, int j) {
+  return (static_cast<std::size_t>(j / kPanelWidth) * k + l) * kPanelWidth +
+         j % kPanelWidth;
+}
+
+/// panels = w [k, n] in panel layout, lanes past n zero. `panels` is
+/// re-shaped to [panel_rows(k, n), kPanelWidth].
+void pack_panels(const Tensor& w, Tensor& panels);
+
+/// gemm_bias with W in panel layout (n = bias.cols()): bitwise equal to
+/// gemm_bias(x, W, bias, y) in each tier.
+void gemm_bias_panel(const Tensor& x, const Tensor& wp, const Tensor& bias,
+                     Tensor& y);
+/// gemm_bias_gelu with W in panel layout: bitwise equal to
+/// gemm_bias_gelu(x, W, bias, y, g) in each tier.
+void gemm_bias_gelu_panel(const Tensor& x, const Tensor& wp,
+                          const Tensor& bias, Tensor& y, Tensor& g);
+/// dX = dY·Wᵀ with W [dx.cols(), dy.cols()] in panel layout: bitwise equal
+/// to gemm_nt(dy, W, dx) in each tier — the same per-element dot, reading
+/// each W row's 8-lane chunks out of the panels in ascending order.
+void gemm_nt_panel(const Tensor& dy, const Tensor& wp, Tensor& dx);
+/// dW += Xᵀ·dY into dW [x.cols(), dy.cols()] in panel layout: bitwise equal
+/// to packing the result of gemm_tn(x, dy, dW, /*accumulate=*/true).
+void gemm_tn_panel(const Tensor& x, const Tensor& dy, Tensor& dwp);
 
 /// y[r,:] += bias for every row. Bitwise identical across tiers (one add
 /// per element in both).

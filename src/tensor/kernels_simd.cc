@@ -9,7 +9,11 @@
 // a single tile covers every row, so it reads B in place at row stride n
 // (masked loads on a tail panel) and nothing is packed. gemm_nt shards
 // output rows and walks 48-row blocks with 4-column dot groups so the four
-// B rows of a group stay L1-resident across the block.
+// B rows of a group stay L1-resident across the block. nn::Linear stores
+// its weight as those k×16 panels for good (tensor/kernels.h): its forward
+// reads each panel in place at any m, its dW tiles store into the panel
+// gradient at row stride 16, and its dX dot groups take each W row's
+// 8-lane chunks from consecutive panels.
 //
 // Registers. The AVX2 tile's 12 accumulators (6 rows × two 8-float
 // vectors) and a dot group's 4 lane partials must stay in registers across
@@ -95,6 +99,13 @@ using TileFn = void (*)(const float* pa, std::size_t ra, std::size_t rl,
 using DotFn = void (*)(const float* arow, const float* pb, std::size_t ldb,
                        int k, float* cdst, bool accumulate);
 
+/// DotFn over a B stored in panel layout: row g of the group starts at
+/// pb + g·16 and its 16-lane block b at + b·ps (ps = rows·16). Chunk c of
+/// 8 lanes lies inside block c/2, so the chunks ascend exactly as in the
+/// row-major dot and each element keeps its bits. Writes 0.0f + dot.
+using PanelDotFn = void (*)(const float* arow, const float* pb,
+                            std::size_t ps, int k, float* cdst);
+
 // ---------------------------------------------------------------------------
 // Portable mirror. Same blocking, same per-element accumulation orders.
 // ---------------------------------------------------------------------------
@@ -156,6 +167,27 @@ void dot_portable(const float* arow, const float* pb, std::size_t ldb, int k,
     const float* brow = pb + g * ldb;
     for (int t = l; t < k; ++t) sum += arow[t] * brow[t];
     cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
+  }
+}
+
+template <int JT>
+void dot_panel_portable(const float* arow, const float* pb, std::size_t ps,
+                        int k, float* cdst) {
+  float lanes[JT][8] = {};
+  int l = 0;
+  for (const float* bp = pb; l + 8 <= k; l += 8) {
+    const float* chunk = bp + l % kNR;
+    for (int g = 0; g < JT; ++g)
+      for (int t = 0; t < 8; ++t)
+        lanes[g][t] += arow[l + t] * chunk[g * kNR + t];
+    if (l % kNR == 8) bp += ps;
+  }
+  const float* tail = pb + static_cast<std::size_t>(l / kNR) * ps + l % kNR;
+  for (int g = 0; g < JT; ++g) {
+    float* p = lanes[g];
+    float sum = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
+    for (int t = l; t < k; ++t) sum += arow[t] * tail[g * kNR + t - l];
+    cdst[g] = 0.0f + sum;
   }
 }
 
@@ -281,6 +313,31 @@ void dot_avx2(const float* arow, const float* pb, std::size_t ldb, int k,
     const float* brow = pb + g * ldb;
     for (int t = l; t < k; ++t) sum += arow[t] * brow[t];
     cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
+  }
+}
+
+template <int JT>
+CHIMERA_TARGET_AVX2
+void dot_panel_avx2(const float* arow, const float* pb, std::size_t ps, int k,
+                    float* cdst) {
+  __m256 acc[JT];
+#pragma GCC unroll 4
+  for (int g = 0; g < JT; ++g) acc[g] = _mm256_setzero_ps();
+  int l = 0;
+  for (const float* bp = pb; l + 8 <= k; l += 8) {
+    const __m256 av = _mm256_loadu_ps(arow + l);
+    const float* chunk = bp + l % kNR;
+#pragma GCC unroll 4
+    for (int g = 0; g < JT; ++g)
+      acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(chunk + g * kNR), acc[g]);
+    if (l % kNR == 8) bp += ps;
+  }
+  const float* tail = pb + static_cast<std::size_t>(l / kNR) * ps + l % kNR;
+#pragma GCC unroll 4
+  for (int g = 0; g < JT; ++g) {
+    float sum = hsum8(acc[g]);
+    for (int t = l; t < k; ++t) sum += arow[t] * tail[g * kNR + t - l];
+    cdst[g] = 0.0f + sum;
   }
 }
 
@@ -736,6 +793,7 @@ constexpr OuterFn kOuter[2][5] = {
 struct Tables {
   TileFn tile[kMR + 1];
   DotFn dot[kNtGroup + 1];
+  PanelDotFn panel_dot[kNtGroup + 1];
   void (*gelu_row)(const float* y, float* g, int n);
 };
 
@@ -744,6 +802,8 @@ constexpr Tables kPortable = {
      tile_portable<4>, tile_portable<5>, tile_portable<6>},
     {nullptr, dot_portable<1>, dot_portable<2>, dot_portable<3>,
      dot_portable<4>},
+    {nullptr, dot_panel_portable<1>, dot_panel_portable<2>,
+     dot_panel_portable<3>, dot_panel_portable<4>},
     gelu_row_portable};
 
 #if CHIMERA_SIMD_X86
@@ -751,6 +811,8 @@ constexpr Tables kAvx2 = {
     {nullptr, tile_avx2<1>, tile_avx2<2>, tile_avx2<3>, tile_avx2<4>,
      tile_avx2<5>, tile_avx2<6>},
     {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>},
+    {nullptr, dot_panel_avx2<1>, dot_panel_avx2<2>, dot_panel_avx2<3>,
+     dot_panel_avx2<4>},
     gelu_row_avx2};
 #endif
 
@@ -775,43 +837,56 @@ void pack_panel(const float* pb, std::size_t ldb, int k, int width,
       std::memcpy(panel, pb, sizeof(float) * width);
 }
 
+/// Which operands of gemm_panels are stored in panel layout (nn::Linear's
+/// weight and weight gradient) rather than row-major.
+enum class PanelOperand { kNone, kB, kC };
+
 /// Shared panel loop for gemm (ra=k, rl=1) and gemm_tn (ra=1, rl=m):
 /// shard the 16-column panels of C, then sweep all m rows of each panel
-/// with 6×16 tiles. With more than kMR rows the row tiles share the panel,
-/// so it is packed once into the thread's k×16 buffer, where it stays
-/// cache-hot; with m ≤ kMR one tile covers all rows and reads B in place.
-/// When `bias`/`pg` are set, the fused epilogue runs on each finished tile:
-/// the bias add is the same single add per element as add_bias, and the
-/// GELU goes through the table's gelu_row — the evaluation this host's
-/// fast-tier gelu_forward also uses — so fusion is bitwise-identical to the
-/// unfused add_bias/gelu_forward passes within the tier.
+/// with 6×16 tiles. A row-major B with more than kMR rows is packed once
+/// per panel into the thread's k×16 buffer, where it stays cache-hot; with
+/// m ≤ kMR one tile covers all rows and reads B in place. A panel-layout B
+/// (`layout` kB) is already that buffer: its block p is read in place at
+/// any m. A panel-layout C (kC) takes each tile at row stride 16 inside its
+/// block. When `bias`/`pg` are set (row-major C only), the fused epilogue
+/// runs on each finished tile: the bias add is the same single add per
+/// element as add_bias, and the GELU goes through the table's gelu_row —
+/// the evaluation this host's fast-tier gelu_forward also uses — so fusion
+/// is bitwise-identical to the unfused add_bias/gelu_forward passes within
+/// the tier. The tiles' per-element order is the same for every layout, so
+/// the layouts are bitwise interchangeable.
 void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
                  int n, int k, const float* pb, float* pc, bool accumulate,
-                 const float* bias, float* pg) {
+                 const float* bias, float* pg, PanelOperand layout) {
   const Tables& t = tables();
   const int panels = (n + kNR - 1) / kNR;
-  const bool in_place = m <= kMR;
+  const bool b_panels = layout == PanelOperand::kB;
+  const bool c_panels = layout == PanelOperand::kC;
+  const bool pack = m > kMR && !b_panels;
+  const std::size_t ldc = c_panels ? kNR : n;
   const int shards =
       plan_shards(panels, static_cast<std::size_t>(m) * k * kNR);
   ComputePool::instance().parallel_for(shards, [&](int s) {
-    float* buf = in_place ? nullptr
-                          : panel_workspace(static_cast<std::size_t>(k) * kNR);
+    float* buf = pack ? panel_workspace(static_cast<std::size_t>(k) * kNR)
+                      : nullptr;
     const int p1 = shard_begin(panels, shards, s + 1);
     for (int p = shard_begin(panels, shards, s); p < p1; ++p) {
       const int j0 = p * kNR;
       const int width = std::min(kNR, n - j0);
-      const float* panel = pb + j0;
-      std::size_t ldb = n;
-      if (!in_place) {
+      const float* panel =
+          b_panels ? pb + static_cast<std::size_t>(p) * k * kNR : pb + j0;
+      std::size_t ldb = b_panels ? kNR : n;
+      if (pack) {
         pack_panel(panel, ldb, k, width, buf);
         panel = buf;
         ldb = kNR;
       }
+      float* cpanel =
+          c_panels ? pc + static_cast<std::size_t>(p) * m * kNR : pc + j0;
       for (int i = 0; i < m; i += kMR) {
         const int mr = std::min(kMR, m - i);
-        float* ctile = pc + static_cast<std::size_t>(i) * n + j0;
-        t.tile[mr](pa + i * ra, ra, rl, k, panel, ldb, ctile, n, width,
-                   accumulate);
+        t.tile[mr](pa + i * ra, ra, rl, k, panel, ldb, cpanel + i * ldc, ldc,
+                   width, accumulate);
         if (bias || pg) {
           for (int r = i; r < i + mr; ++r) {
             float* yrow = pc + static_cast<std::size_t>(r) * n + j0;
@@ -821,6 +896,37 @@ void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
               t.gelu_row(yrow, pg + static_cast<std::size_t>(r) * n + j0,
                          width);
           }
+        }
+      }
+    }
+  });
+}
+
+/// Row shards, then 48-row blocks × 4-column dot groups: the group's four
+/// B rows stay L1-resident across the whole block while A rows stream from
+/// L2. B is row-major ([n, k], `dot`) or W [n, k] in panel layout
+/// (`panel_dot`); only gemm_nt accumulates.
+void gemm_nt_rows(const float* pa, int m, int n, int k, const float* pb,
+                  bool b_panels, float* pc, bool accumulate) {
+  const Tables& t = tables();
+  const std::size_t ps = static_cast<std::size_t>(n) * kNR;
+  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    const int r0 = shard_begin(m, shards, s);
+    const int r1 = shard_begin(m, shards, s + 1);
+    for (int i0 = r0; i0 < r1; i0 += kNtBlock) {
+      const int i1 = std::min(r1, i0 + kNtBlock);
+      for (int j0 = 0; j0 < n; j0 += kNtGroup) {
+        const int jt = std::min(kNtGroup, n - j0);
+        for (int i = i0; i < i1; ++i) {
+          const float* arow = pa + static_cast<std::size_t>(i) * k;
+          float* cdst = pc + static_cast<std::size_t>(i) * n + j0;
+          if (b_panels)
+            t.panel_dot[jt](arow, pb + static_cast<std::size_t>(j0) * kNR, ps,
+                            k, cdst);
+          else
+            t.dot[jt](arow, pb + static_cast<std::size_t>(j0) * k, k, k, cdst,
+                      accumulate);
         }
       }
     }
@@ -843,7 +949,7 @@ void gemm_fast(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
   CHIMERA_CHECK(b.rows() == k && c.rows() == m && c.cols() == n);
   gemm_panels(a.data(), k, 1, m, n, k, b.data(), c.data(), accumulate,
-              nullptr, nullptr);
+              nullptr, nullptr, PanelOperand::kNone);
 }
 
 void gemm_tn_fast(const Tensor& a, const Tensor& b, Tensor& c,
@@ -851,45 +957,43 @@ void gemm_tn_fast(const Tensor& a, const Tensor& b, Tensor& c,
   const int k = a.rows(), m = a.cols(), n = b.cols();
   CHIMERA_CHECK(b.rows() == k && c.rows() == m && c.cols() == n);
   gemm_panels(a.data(), 1, m, m, n, k, b.data(), c.data(), accumulate,
-              nullptr, nullptr);
-}
-
-void gemm_bias_act_fast(const Tensor& x, const Tensor& w, const Tensor& bias,
-                        Tensor& y, Tensor* g) {
-  const int m = x.rows(), k = x.cols(), n = w.cols();
-  CHIMERA_CHECK(w.rows() == k && y.rows() == m && y.cols() == n);
-  CHIMERA_CHECK(bias.rows() == 1 && bias.cols() == n);
-  if (g != nullptr) CHIMERA_CHECK(g->rows() == m && g->cols() == n);
-  gemm_panels(x.data(), k, 1, m, n, k, w.data(), y.data(), /*accumulate=*/false,
-              bias.data(), g != nullptr ? g->data() : nullptr);
+              nullptr, nullptr, PanelOperand::kNone);
 }
 
 void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
                   bool accumulate) {
   const int m = a.rows(), k = a.cols(), n = b.rows();
   CHIMERA_CHECK(b.cols() == k && c.rows() == m && c.cols() == n);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  const Tables& t = tables();
-  // Row shards, then 48-row blocks × 4-column dot groups: the group's four
-  // B rows (4k floats) stay L1-resident across the whole block while A rows
-  // stream from L2. No packing — both operands are read row-contiguously.
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(m, shards, s);
-    const int r1 = shard_begin(m, shards, s + 1);
-    for (int i0 = r0; i0 < r1; i0 += kNtBlock) {
-      const int i1 = std::min(r1, i0 + kNtBlock);
-      for (int j0 = 0; j0 < n; j0 += kNtGroup) {
-        const int jt = std::min(kNtGroup, n - j0);
-        const float* bgroup = pb + static_cast<std::size_t>(j0) * k;
-        for (int i = i0; i < i1; ++i)
-          t.dot[jt](pa + static_cast<std::size_t>(i) * k, bgroup, k, k,
-                    pc + static_cast<std::size_t>(i) * n + j0, accumulate);
-      }
-    }
-  });
+  gemm_nt_rows(a.data(), m, n, k, b.data(), /*b_panels=*/false, c.data(),
+               accumulate);
+}
+
+void gemm_bias_act_fast(const Tensor& x, const Tensor& w, const Tensor& bias,
+                        Tensor& y, Tensor* g, bool w_panels) {
+  const int m = x.rows(), k = x.cols(), n = bias.cols();
+  CHIMERA_CHECK(w_panels ? w.rows() == panel_rows(k, n) && w.cols() == kNR
+                         : w.rows() == k && w.cols() == n);
+  CHIMERA_CHECK(y.rows() == m && y.cols() == n && bias.rows() == 1);
+  if (g != nullptr) CHIMERA_CHECK(g->rows() == m && g->cols() == n);
+  gemm_panels(x.data(), k, 1, m, n, k, w.data(), y.data(), /*accumulate=*/false,
+              bias.data(), g != nullptr ? g->data() : nullptr,
+              w_panels ? PanelOperand::kB : PanelOperand::kNone);
+}
+
+void gemm_nt_panel_fast(const Tensor& dy, const Tensor& wp, Tensor& dx) {
+  const int m = dy.rows(), n = dx.cols(), k = dy.cols();
+  CHIMERA_CHECK(dx.rows() == m && wp.rows() == panel_rows(n, k) &&
+                wp.cols() == kNR);
+  gemm_nt_rows(dy.data(), m, n, k, wp.data(), /*b_panels=*/true, dx.data(),
+               /*accumulate=*/false);
+}
+
+void gemm_tn_panel_fast(const Tensor& x, const Tensor& dy, Tensor& dwp) {
+  const int k = x.rows(), m = x.cols(), n = dy.cols();
+  CHIMERA_CHECK(dy.rows() == k && dwp.rows() == panel_rows(m, n) &&
+                dwp.cols() == kNR);
+  gemm_panels(x.data(), 1, m, m, n, k, dy.data(), dwp.data(),
+              /*accumulate=*/true, nullptr, nullptr, PanelOperand::kC);
 }
 
 void dot_rows_fast(const float* a, const float* b, std::size_t ldb, int k,

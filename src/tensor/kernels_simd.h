@@ -1,6 +1,7 @@
 // Internal interface of the fast kernel tier (DESIGN.md §2 item 18):
 // register-tiled GEMM microkernels over 16-column B panels (packed per
-// panel for m > 6, read in place for m ≤ 6) with fused epilogues, plus
+// panel for m > 6, read in place for m ≤ 6, or stored as panels already:
+// nn::Linear's weight and gradient) with fused epilogues, plus
 // lane-parallel implementations of the non-GEMM dense ops (bias, GELU,
 // LayerNorm, softmax, cross-entropy), the fused attention driver's row
 // primitives (gemm_nt's dot, the softmax row, row combine/outer updates)
@@ -62,13 +63,20 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
                   bool accumulate);
 
 /// Fast-tier fused Linear forward: y = x·w + bias, and (when g != nullptr)
-/// g = gelu(y). The epilogue runs on each just-computed output tile —
-/// the bias add is bitwise ≡ add_bias, and the GELU uses the same
+/// g = gelu(y), with w row-major [k, n] or (w_panels) in panel layout
+/// (tensor/kernels.h). The epilogue runs on each just-computed output tile
+/// — the bias add is bitwise ≡ add_bias, and the GELU uses the same
 /// evaluation as this host's gelu_forward fast path (vector polynomial on
 /// AVX2, detail::gelu_eval on the portable mirror), so fused ≡ unfused
 /// bitwise within the tier.
 void gemm_bias_act_fast(const Tensor& x, const Tensor& w, const Tensor& bias,
-                        Tensor& y, Tensor* g);
+                        Tensor& y, Tensor* g, bool w_panels);
+/// Fast-tier dX = dY·Wᵀ, W in panel layout: gemm_nt_fast's dot groups over
+/// the panel rows — bitwise ≡ gemm_nt_fast on the row-major W.
+void gemm_nt_panel_fast(const Tensor& dy, const Tensor& wp, Tensor& dx);
+/// Fast-tier dW += Xᵀ·dY, dW in panel layout: gemm_tn_fast's tiles stored
+/// at row stride 16 — bitwise ≡ gemm_tn_fast into the row-major dW.
+void gemm_tn_panel_fast(const Tensor& x, const Tensor& dy, Tensor& dwp);
 
 /// gemm_nt_fast's per-element dot for one A row against the n B rows at
 /// b + j·ldb: out[j] = 0.0f + a·b_j, in 4-row dot groups (AVX2 or the

@@ -334,6 +334,63 @@ TEST(KernelTier, FusedBiasGeluBitwiseMatchesUnfused) {
   }
 }
 
+TEST(KernelTier, PanelGemmsBitwiseMatchRowMajorInEveryTier) {
+  // Linear's three GEMMs over its panel-layout weight are bitwise the
+  // row-major kernels in each tier, pooled or serial: the forward (with
+  // bias, and with bias+GELU), dX = dY·Wᵀ, and dW += Xᵀ·dY (packed). m
+  // spans the in-place (≤ 6) and multi-tile row counts; k = 13, 20, 33
+  // leave a serial dot tail; n = 5 and 9 are a lone tail panel, 37 and 130
+  // put a tail behind full panels.
+  PolicyGuard guard;
+  const std::pair<int, int> kn[] = {{13, 5}, {20, 37}, {48, 64}, {8, 9},
+                                    {33, 130}};
+  Rng rng(26);
+  for (KernelPolicy p : testable_policies()) {
+    set_kernel_policy(p);
+    for (int helpers : {0, 3}) {
+      ComputePool::instance().set_helpers(helpers);
+      for (int m : {1, 2, 3, 4, 5, 6, 7, 16, 64})
+        for (auto [k, n] : kn) {
+          SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                       std::to_string(n) + " helpers=" +
+                       std::to_string(helpers) + " policy=" +
+                       std::to_string(static_cast<int>(p)));
+          const Tensor x = random_tensor(m, k, rng);
+          const Tensor w = random_tensor(k, n, rng);
+          const Tensor bias = random_tensor(1, n, rng, 0.5f);
+          const Tensor dy = random_tensor(m, n, rng);
+          Tensor wp;
+          pack_panels(w, wp);
+
+          Tensor want_y(m, n), want_g(m, n), y(m, n), g(m, n);
+          gemm_bias(x, w, bias, want_y);
+          gemm_bias_panel(x, wp, bias, y);
+          expect_bitwise(y, want_y);
+          gemm_bias_gelu(x, w, bias, want_y, want_g);
+          y.fill(std::nanf(""));
+          gemm_bias_gelu_panel(x, wp, bias, y, g);
+          expect_bitwise(y, want_y);
+          expect_bitwise(g, want_g);
+
+          Tensor want_dx(m, k), dx(m, k);
+          gemm_nt(dy, w, want_dx);
+          dx.fill(std::nanf(""));  // overwritten in full, never read
+          gemm_nt_panel(dy, wp, dx);
+          expect_bitwise(dx, want_dx);
+
+          Tensor want_dw = random_tensor(k, n, rng, 0.5f);
+          Tensor dwp, want_dwp;
+          pack_panels(want_dw, dwp);
+          gemm_tn(x, dy, want_dw, /*accumulate=*/true);
+          gemm_tn_panel(x, dy, dwp);
+          pack_panels(want_dw, want_dwp);  // padded lanes stay 0 in both
+          expect_bitwise(dwp, want_dwp);
+        }
+    }
+  }
+  ComputePool::instance().set_helpers(0);
+}
+
 // ---- Non-GEMM ops (serial replicas of the scalar reference tier) ---------
 
 void ref_add_bias(Tensor& y, const Tensor& bias) {
@@ -923,7 +980,7 @@ TEST(KernelTier, AttentionBitwiseMatchesComposedOpsInEveryTier) {
                                 fused_merged);
               expect_same_bits(fused_merged, merged, "merged");
               Tensor y_ref(rows, hidden);
-              gemm_bias(merged, ps[2]->value, ps[3]->value, y_ref);
+              gemm_bias_panel(merged, ps[2]->value, ps[3]->value, y_ref);
               expect_same_bits(y, y_ref, "output");
               ASSERT_EQ(ctx.probs.rows(), batch * heads * S);
               for (std::size_t u = 0; u < probs.size(); ++u)
@@ -931,21 +988,23 @@ TEST(KernelTier, AttentionBitwiseMatchesComposedOpsInEveryTier) {
                                  probs[u].data(),
                                  static_cast<std::size_t>(S) * S, "probs");
 
-              Tensor gpw(hidden, hidden), gpb(1, hidden);
-              Tensor gqw(hidden, 3 * hidden), gqb(1, 3 * hidden);
-              gemm_tn(merged, dy, gpw, /*accumulate=*/true);
+              // Linear's weights and their gradients are panel-layout.
+              Tensor gpw(panel_rows(hidden, hidden), kPanelWidth);
+              Tensor gqw(panel_rows(hidden, 3 * hidden), kPanelWidth);
+              Tensor gpb(1, hidden), gqb(1, 3 * hidden);
+              gemm_tn_panel(merged, dy, gpw);
               bias_backward(dy, gpb);
               Tensor dmerged(rows, hidden), dqkv(rows, 3 * hidden);
-              gemm_nt(dy, ps[2]->value, dmerged);
+              gemm_nt_panel(dy, ps[2]->value, dmerged);
               composed_attention_backward(ctx.qkv, probs, dmerged, S, heads,
                                           dqkv);
               attention_backward(ctx.qkv, fused_probs, dmerged, S, heads,
                                  causal, fused_dqkv);
               expect_same_bits(fused_dqkv, dqkv, "dqkv");
-              gemm_tn(x, dqkv, gqw, /*accumulate=*/true);
+              gemm_tn_panel(x, dqkv, gqw);
               bias_backward(dqkv, gqb);
               Tensor dx_ref(rows, hidden);
-              gemm_nt(dqkv, ps[0]->value, dx_ref);
+              gemm_nt_panel(dqkv, ps[0]->value, dx_ref);
               expect_same_bits(dx, dx_ref, "dx");
               expect_same_bits(ps[0]->grad, gqw, "qkv.w grad");
               expect_same_bits(ps[1]->grad, gqb, "qkv.b grad");

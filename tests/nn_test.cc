@@ -4,7 +4,10 @@
 // function (and gradients) as the single-stage module.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "nn/stage.h"
+#include "optim/optimizer.h"
 
 namespace chimera::nn {
 namespace {
@@ -172,6 +175,49 @@ TEST(StageModule, WeightSaveLoadRoundTrips) {
   for (Param* p : a.params()) p->value.fill(0.5f);
   a.load_weights(snap);
   EXPECT_EQ(a.save_weights(), snap);
+}
+
+TEST(Linear, PaddedPanelLanesStayZeroThroughOptimizerSteps) {
+  // out = 21 leaves 11 padded lanes in the second 16-column panel of W and
+  // dW. No kernel stores them and every rule is elementwise with zero
+  // gradient there, so they stay exactly +0 — also under weight decay.
+  const int in = 5, out = 21, rows = 7;
+  for (optim::Rule rule : {optim::Rule::kMomentum, optim::Rule::kAdamW}) {
+    SCOPED_TRACE(optim::rule_name(rule));
+    Rng rng(91);
+    Linear lin("lin", in, out, rng, 0.5f);
+    std::vector<Param*> ps;
+    lin.collect(ps);
+    Param& w = *ps[0];
+    ASSERT_EQ(w.value.numel(),
+              static_cast<std::size_t>(panel_rows(in, out)) * kPanelWidth);
+    optim::OptimizerConfig cfg;
+    cfg.rule = rule;
+    cfg.lr = 0.1f;
+    cfg.weight_decay = 0.05f;
+    optim::Optimizer opt(ps, cfg);
+    auto expect_padding_zero = [&](const Tensor& t, const char* what) {
+      for (int l = 0; l < in; ++l)
+        for (int j = out; j < 2 * kPanelWidth; ++j) {
+          const float v = t[panel_offset(in, l, j)];
+          ASSERT_TRUE(v == 0.0f && !std::signbit(v))
+              << what << " lane (" << l << ", " << j << ") = " << v;
+        }
+    };
+    const float w0 = w.value[panel_offset(in, 2, 17)];
+    for (int step = 0; step < 4; ++step) {
+      Tensor x(rows, in), dy(rows, out);
+      x.randn(rng, 1.0f);
+      dy.randn(rng, 1.0f);
+      Linear::Ctx ctx;
+      (void)lin.forward(x, ctx);
+      (void)lin.backward(dy, ctx);
+      expect_padding_zero(w.grad, "dW");
+      opt.step();
+      expect_padding_zero(w.value, "W");
+    }
+    EXPECT_NE(w.value[panel_offset(in, 2, 17)], w0);  // live lanes did train
+  }
 }
 
 TEST(StageModule, StashLifecycle) {
