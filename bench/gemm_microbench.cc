@@ -9,8 +9,8 @@
 // actually executes (rows = B·seq = 64, hidden 192, mlp 768, vocab 768,
 // per-head dk 24), so the reported speedups are the kernel-level view of
 // the end-to-end iters/s gains, plus the fused bias+GELU Linear forward
-// (gemm_bias_gelu; its y is bitwise, its GELU output tolerance-equal across
-// tiers). The streamed leg cycles through one decode worker's Linear
+// (gemm_bias_gelu_panel; its y is bitwise, its GELU output tolerance-equal
+// across tiers). The streamed leg cycles through one decode worker's Linear
 // weights, row-major against the panel layout nn::Linear stores: a single
 // hot weight stays in L2 and reads far faster than decode ever does. Every
 // JSON record carries the build type and compiler: fast-tier GFLOP/s
@@ -47,7 +47,7 @@ using namespace chimera::bench;
 namespace {
 
 /// The GPT-2 bench shapes (bench_runtime_throughput defaults) of each GEMM
-/// variant: gemm, gemm_tn, gemm_nt or the fused gemm_bias_gelu.
+/// variant: gemm, gemm_tn, gemm_nt or the fused gemm_bias_gelu_panel.
 struct Shape {
   const char* variant;
   int m, k, n;
@@ -63,13 +63,13 @@ const Shape kShapes[] = {
     {"gemm", 64, 64, 24, "attn ctx"},
     {"gemm_tn", 64, 192, 768, "mlp fc dW"},
     {"gemm_nt", 64, 768, 192, "mlp fc dX"},
-    {"gemm_bias_gelu", 64, 192, 768, "mlp fc fwd fused"},
+    {"gemm_bias_gelu_panel", 64, 192, 768, "mlp fc fwd fused"},
 };
 
-/// One GEMM's operands; `bias` and `g` (the GELU output) are used by the
-/// fused variant only.
+/// One GEMM's operands; `bp` (B in panel layout), `bias` and `g` (the GELU
+/// output) are used by the fused variant only.
 struct Operands {
-  Tensor a, b, bias, c, g;
+  Tensor a, b, bp, bias, c, g;
 };
 
 /// One non-GEMM op: `run` executes it once (timed), `reset` restores any
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   for (const Shape& s : kShapes) {
     const std::string v = s.variant;
     const bool tn = v == "gemm_tn", nt = v == "gemm_nt";
-    const bool fused = v == "gemm_bias_gelu";
+    const bool fused = v == "gemm_bias_gelu_panel";
     auto o = std::make_shared<Operands>();
     o->a = tn ? Tensor(s.k, s.m) : Tensor(s.m, s.k);
     o->b = nt ? Tensor(s.n, s.k) : Tensor(s.k, s.n);
@@ -214,6 +214,7 @@ int main(int argc, char** argv) {
     o->a.randn(rng, 1.0f);
     o->b.randn(rng, 1.0f);
     o->bias.randn(rng, 1.0f);
+    if (fused) pack_panels(o->b, o->bp);
     gemms.push_back(
         {v + " " + s.site,
          std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
@@ -223,7 +224,8 @@ int main(int argc, char** argv) {
          [o, tn, nt, fused] {
            if (tn) gemm_tn(o->a, o->b, o->c);
            else if (nt) gemm_nt(o->a, o->b, o->c);
-           else if (fused) gemm_bias_gelu(o->a, o->b, o->bias, o->c, o->g);
+           else if (fused)
+             gemm_bias_gelu_panel(o->a, o->bp, o->bias, o->c, o->g);
            else gemm(o->a, o->b, o->c);
          },
          [o] { return flat({&o->c, &o->g}); }, fused ? o->c.numel() : 0});
@@ -378,8 +380,8 @@ int main(int argc, char** argv) {
   // One decode_mixed worker's Linear weights — two Chimera stage replicas of
   // two GPT-2 blocks each: 16 Linears, 6.75 MiB, over twice a typical L2 —
   // cycled once per run, so every weight streams from L3 as in a decode
-  // step. Row-major W (gemm_bias) against the panel layout nn::Linear
-  // stores (gemm_bias_panel), which must give the same bits.
+  // step. Row-major W (gemm + add_bias) against the panel layout
+  // nn::Linear stores (gemm_bias_panel), which must give the same bits.
   print_banner("Streamed Linear weights per tier (single core, 6.75 MiB)");
   struct Lin {
     Tensor w, wp, bias, y;
@@ -404,15 +406,19 @@ int main(int argc, char** argv) {
     for (const Lin& l : *lins) flops += 2.0 * m * l.w.rows() * l.w.cols();
     for (bool panel : {false, true})
       streamed.push_back(
-          {panel ? "gemm_bias_panel streamed" : "gemm_bias streamed",
+          {panel ? "gemm_bias_panel streamed" : "gemm+add_bias streamed",
            "m=" + std::to_string(m) + " 16 Linears", flops, true, 0.0f,
            nullptr,
            [=] {
              for (Lin& l : *lins) {
                const Tensor& xl = l.w.rows() == H ? x->first : x->second;
                l.y.reshape(m, l.w.cols());
-               if (panel) gemm_bias_panel(xl, l.wp, l.bias, l.y);
-               else gemm_bias(xl, l.w, l.bias, l.y);
+               if (panel) {
+                 gemm_bias_panel(xl, l.wp, l.bias, l.y);
+               } else {
+                 gemm(xl, l.w, l.y);
+                 add_bias(l.y, l.bias);
+               }
              }
            },
            [lins] {

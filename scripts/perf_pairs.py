@@ -2,19 +2,20 @@
 """Alternating parent/change pairs of perfbench runs, and a verdict per metric.
 
     python3 scripts/perf_pairs.py [--parent REV] [--change REV|.] \
-        [--workloads W[,W...]] [--seeds S[,S...] | --first-seed N] \
-        [--pairs K] [--seconds S] [--trace 0|1] [--workdir DIR]
+        [--workloads W[,W...]] [--first-seed N] [--pairs K] \
+        [--seconds S] [--trace 0|1]
 
 Run from the repository root. `--parent` (default HEAD) and `--change`
 (default `.`, the checkout as it is, uncommitted edits included) each get
 their own working tree: a revision is exported with `git archive` into
-DIR/parent or DIR/change (default DIR: .perf_pairs), and reused while it
-still holds the same commit, so later invocations build incrementally.
-Each tree builds its own perfbench with the commands perfbench/run.py uses.
+.perf_pairs/parent or .perf_pairs/change, and reused while it still holds
+the same commit, so later invocations build incrementally. Each tree's
+first perfbench/run.py call builds its perfbench (build output on stderr).
 
-For every workload it then runs K pairs. Pair i runs both trees on the same
-seed, parent first on even i and change first on odd i, so slow drift of
-the host cancels. Every run's JSON result must be correct.
+For every workload it then runs K pairs on seeds N, N+1, ..., N+K-1. Pair i
+runs both trees on the same seed, parent first on even i and change first
+on odd i, so slow drift of the host cancels. Every run's JSON result must
+be correct.
 
 Per workload and metric it prints the parent and change medians, the gap,
 the parent's IQR (statistics.quantiles, n=4) and how many pairs the change
@@ -31,14 +32,7 @@ import statistics
 import subprocess
 import sys
 
-
-def sh(cmd, capture=False):
-    done = subprocess.run(cmd, text=True,
-                          stdout=subprocess.PIPE if capture else sys.stderr,
-                          stderr=sys.stderr)
-    if done.returncode != 0:
-        sys.exit("perf_pairs: failed: %s" % " ".join(cmd))
-    return done.stdout
+WORKDIR = ".perf_pairs"
 
 
 def export(rev, dest):
@@ -46,8 +40,11 @@ def export(rev, dest):
     commit); `.` is the checkout itself."""
     if rev == ".":
         return os.getcwd(), "worktree"
-    sha = sh(["git", "rev-parse", "--verify", rev + "^{commit}"],
-             capture=True).strip()
+    done = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                          stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        sys.exit("perf_pairs: unknown revision %s" % rev)
+    sha = done.stdout.strip()
     stamp = os.path.join(dest, ".perf_pairs_rev")
     if not (os.path.exists(stamp) and open(stamp).read() == sha):
         shutil.rmtree(dest, ignore_errors=True)
@@ -64,22 +61,13 @@ def export(rev, dest):
     return dest, sha[:10]
 
 
-def build(tree):
-    out = os.path.join(tree, ".bench_build", "perfbench")
-    sh(["cmake", "-S", os.path.join(tree, "perfbench"), "-B", out,
-        "-DCMAKE_BUILD_TYPE=RelWithDebInfo"])
-    sh(["cmake", "--build", out, "--target", "perfbench", "-j",
-        str(min(4, os.cpu_count() or 1))])
-
-
 def run(tree, workload, seed, seconds, trace):
     """Metric name -> value of one perfbench run in `tree`."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace",
          str(trace)],
-        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True)
+        cwd=tree, stdout=subprocess.PIPE, stderr=sys.stderr, text=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if done.returncode != 0 or not result.get("correct"):
@@ -132,23 +120,15 @@ def main():
     ap.add_argument("--change", default=".")
     ap.add_argument("--workloads", default="train_chimera,train_dp_eager,"
                     "decode_mixed,serve_score")
-    ap.add_argument("--seeds", default="",
-                    help="comma-separated; overrides --first-seed/--pairs")
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, default=0, choices=(0, 1))
-    ap.add_argument("--workdir", default=".perf_pairs")
     args = ap.parse_args()
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds else
-             list(range(args.first_seed, args.first_seed + args.pairs)))
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
 
-    parent, parent_id = export(args.parent,
-                               os.path.join(args.workdir, "parent"))
-    change, change_id = export(args.change,
-                               os.path.join(args.workdir, "change"))
-    for tree in (parent, change):
-        build(tree)
+    parent, parent_id = export(args.parent, os.path.join(WORKDIR, "parent"))
+    change, change_id = export(args.change, os.path.join(WORKDIR, "change"))
     higher = directions(change)
     print("perf_pairs: parent=%s change=%s seconds=%g trace=%d seeds=%s"
           % (parent_id, change_id, args.seconds, args.trace,

@@ -43,9 +43,9 @@ class Linear {
   /// persistent workspace avoid constructing the output.
   void forward_into(const Tensor& x, Ctx& ctx, Tensor& y) const;
   /// Fused Linear→GELU forward of the MLP hot path: y = x·W + b and
-  /// g = gelu(y), both re-shaped in place. One gemm_bias_gelu call, so the
-  /// fast kernel tier applies bias and GELU as a cache-hot tile epilogue;
-  /// bitwise equal to forward_into + gelu_forward in every tier.
+  /// g = gelu(y), both re-shaped in place. One gemm_bias_gelu_panel call,
+  /// so the fast kernel tier applies bias and GELU as a cache-hot tile
+  /// epilogue; bitwise equal to forward_into + gelu_forward in every tier.
   void forward_gelu_into(const Tensor& x, Ctx& ctx, Tensor& y,
                          Tensor& g) const;
   /// The forward-only variants: the same arithmetic, nothing saved for

@@ -95,8 +95,9 @@ Tensor StageModule::run_forward(const MicroBatch& mb, const Tensor& input,
 }
 
 Tensor StageModule::apply_head(const Tensor& x) {
-  // head_->apply_into routes through gemm_bias: on the fast kernel tier the
-  // [rows, vocab] head projection applies its bias as a tile epilogue.
+  // head_->apply_into routes through gemm_bias_panel: on the fast kernel
+  // tier the [rows, vocab] head projection applies its bias as a tile
+  // epilogue.
   final_ln_->forward_into(x, head_ws_.ln, head_ws_.normed);
   Tensor logits;
   head_->apply_into(head_ws_.normed, logits);

@@ -205,27 +205,6 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   });
 }
 
-void gemm_bias(const Tensor& x, const Tensor& w, const Tensor& bias,
-               Tensor& y) {
-  if (use_fast_tier()) {
-    simd::gemm_bias_act_fast(x, w, bias, y, nullptr, /*w_panels=*/false);
-    return;
-  }
-  gemm(x, w, y);
-  add_bias(y, bias);
-}
-
-void gemm_bias_gelu(const Tensor& x, const Tensor& w, const Tensor& bias,
-                    Tensor& y, Tensor& g) {
-  if (use_fast_tier()) {
-    simd::gemm_bias_act_fast(x, w, bias, y, &g, /*w_panels=*/false);
-    return;
-  }
-  gemm(x, w, y);
-  add_bias(y, bias);
-  gelu_forward(y, g);
-}
-
 // ---- Panel-layout weights ------------------------------------------------
 // The scalar forms keep the row-major reference's per-element orders and
 // only change where each W (or dW) element is read or written.
@@ -240,8 +219,8 @@ void pack_panels(const Tensor& w, Tensor& panels) {
 
 namespace {
 
-/// gemm's scalar order over a panel-layout W: y[i, j] = 0.0f + Σₗ x[i,l]·W[l,j],
-/// l ascending.
+/// gemm's scalar order over a panel-layout W:
+/// y[i, j] = 0.0f + Σₗ x[i,l]·W[l,j], l ascending.
 void gemm_panel_ref(const Tensor& x, const Tensor& wp, Tensor& y) {
   const int m = x.rows(), k = x.cols(), n = y.cols();
   CHIMERA_CHECK(y.rows() == m && wp.rows() == panel_rows(k, n) &&
@@ -274,7 +253,7 @@ void gemm_panel_ref(const Tensor& x, const Tensor& wp, Tensor& y) {
 void gemm_bias_panel(const Tensor& x, const Tensor& wp, const Tensor& bias,
                      Tensor& y) {
   if (use_fast_tier()) {
-    simd::gemm_bias_act_fast(x, wp, bias, y, nullptr, /*w_panels=*/true);
+    simd::gemm_bias_act_fast(x, wp, bias, y, nullptr);
     return;
   }
   gemm_panel_ref(x, wp, y);
@@ -284,7 +263,7 @@ void gemm_bias_panel(const Tensor& x, const Tensor& wp, const Tensor& bias,
 void gemm_bias_gelu_panel(const Tensor& x, const Tensor& wp,
                           const Tensor& bias, Tensor& y, Tensor& g) {
   if (use_fast_tier()) {
-    simd::gemm_bias_act_fast(x, wp, bias, y, &g, /*w_panels=*/true);
+    simd::gemm_bias_act_fast(x, wp, bias, y, &g);
     return;
   }
   gemm_panel_ref(x, wp, y);

@@ -15,19 +15,19 @@
 // portable mirror, and lane-parallel elementwise/normalize/reduce kernels
 // for the non-GEMM ops). nn::Linear keeps its weight in that panel layout
 // for good, and its three GEMMs have panel forms (below) that are bitwise
-// their row-major counterparts in each tier. Tier selection is the process-wide KernelPolicy below,
-// overridable by the CHIMERA_KERNEL_TIER environment variable. The
-// cross-tier contract is per op (the full table lives in DESIGN.md §2
-// item 18): ops whose fast tier keeps each element's serial accumulation
-// order and pairs multiply with add (gemm, gemm_tn, add_bias,
-// bias_backward, layernorm's dgamma/dbeta, the comm inner loops below)
-// are bitwise identical across tiers; ops that reduce across vector lanes
-// or substitute a polynomial exp/tanh for the libm call (gemm_nt, GELU,
-// layernorm's row statistics, softmax, cross-entropy, and attention, which
-// is built from gemm_nt's dot and the softmax row) are tolerance-equal
-// only — but every fast-tier element stays a pure function of its row's
-// data, so the pooled≡serial and decode step-vs-reforward bitwise
-// contracts hold *within* either tier.
+// their row-major counterparts in each tier. Tier selection is the
+// process-wide KernelPolicy below, overridable by the CHIMERA_KERNEL_TIER
+// environment variable. The cross-tier contract is per op (the full table
+// lives in DESIGN.md §2 item 18): ops whose fast tier keeps each element's
+// serial accumulation order and pairs multiply with add (gemm, gemm_tn,
+// add_bias, bias_backward, layernorm's dgamma/dbeta, the comm inner loops
+// below) are bitwise identical across tiers; ops that reduce across vector
+// lanes or substitute a polynomial exp/tanh for the libm call (gemm_nt,
+// GELU, layernorm's row statistics, softmax, cross-entropy, and attention,
+// which is built from gemm_nt's dot and the softmax row) are
+// tolerance-equal only — but every fast-tier element stays a pure function
+// of its row's data, so the pooled≡serial and decode step-vs-reforward
+// bitwise contracts hold *within* either tier.
 #pragma once
 
 #include <cmath>
@@ -78,21 +78,6 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = fals
 /// reassociates (DESIGN.md §2 item 18).
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
 
-/// Y = X·W + bias — Linear's forward with the bias folded into the GEMM
-/// epilogue. Bitwise equal to gemm(x, w, y); add_bias(y, bias) in both
-/// tiers (the epilogue performs the same single add per element, after the
-/// element's accumulation completes).
-void gemm_bias(const Tensor& x, const Tensor& w, const Tensor& bias, Tensor& y);
-
-/// Y = X·W + bias and G = gelu(Y) — the fused Linear→GELU forward of the
-/// transformer MLP hot path. Bitwise equal to the unfused
-/// gemm + add_bias + gelu_forward sequence in both tiers: the epilogue
-/// applies the identical bias add and the identical scalar GELU expression
-/// to each element while the output tile is cache-hot; fusion changes
-/// memory traffic, never arithmetic.
-void gemm_bias_gelu(const Tensor& x, const Tensor& w, const Tensor& bias,
-                    Tensor& y, Tensor& g);
-
 // ---- Panel-layout weights -------------------------------------------------
 // nn::Linear stores its weight W [k, n] and the weight's gradient in the
 // fast GEMM's panel layout: ceil(n/16) dense k×16 blocks, block p holding
@@ -120,12 +105,19 @@ inline std::size_t panel_offset(int k, int l, int j) {
 /// re-shaped to [panel_rows(k, n), kPanelWidth].
 void pack_panels(const Tensor& w, Tensor& panels);
 
-/// gemm_bias with W in panel layout (n = bias.cols()): bitwise equal to
-/// gemm_bias(x, W, bias, y) in each tier.
+/// Y = X·W + bias with W in panel layout (n = bias.cols()) — Linear's
+/// forward with the bias folded into the GEMM epilogue. Bitwise equal to
+/// gemm(x, W, y); add_bias(y, bias) over the row-major W in each tier (the
+/// epilogue performs the same single add per element, after the element's
+/// accumulation completes).
 void gemm_bias_panel(const Tensor& x, const Tensor& wp, const Tensor& bias,
                      Tensor& y);
-/// gemm_bias_gelu with W in panel layout: bitwise equal to
-/// gemm_bias_gelu(x, W, bias, y, g) in each tier.
+/// Y = X·W + bias and G = gelu(Y), W in panel layout — the fused
+/// Linear→GELU forward of the transformer MLP hot path. Bitwise equal to
+/// the unfused gemm + add_bias + gelu_forward sequence over the row-major W
+/// in each tier: the epilogue applies the identical bias add and this
+/// tier's GELU evaluation to each element while the output tile is
+/// cache-hot; fusion changes memory traffic, never arithmetic.
 void gemm_bias_gelu_panel(const Tensor& x, const Tensor& wp,
                           const Tensor& bias, Tensor& y, Tensor& g);
 /// dX = dY·Wᵀ with W [dx.cols(), dy.cols()] in panel layout: bitwise equal

@@ -94,17 +94,14 @@ using TileFn = void (*)(const float* pa, std::size_t ra, std::size_t rl,
                         int k, const float* pb, std::size_t ldb, float* pc,
                         std::size_t ldc, int width, bool accumulate);
 
-/// One row of C[j0..j0+JT) (+)= dot(A row, B rows j0..). `pb` points at B
-/// row j0; row j0+g lives at pb[g·ldb].
-using DotFn = void (*)(const float* arow, const float* pb, std::size_t ldb,
-                       int k, float* cdst, bool accumulate);
-
-/// DotFn over a B stored in panel layout: row g of the group starts at
-/// pb + g·16 and its 16-lane block b at + b·ps (ps = rows·16). Chunk c of
-/// 8 lanes lies inside block c/2, so the chunks ascend exactly as in the
-/// row-major dot and each element keeps its bits. Writes 0.0f + dot.
-using PanelDotFn = void (*)(const float* arow, const float* pb,
-                            std::size_t ps, int k, float* cdst);
+/// One row of C[j0..j0+JT) (+)= dot(A row, B rows j0..). B row g's 8-lane
+/// chunk at l (l a multiple of 8) lives at pb + g·rs + (l/16)·bs + l%16:
+/// rs = ldb, bs = 16 for a row-major B; rs = 16, bs = rows·16 for a B in
+/// panel layout. A chunk never straddles a 16-lane block, so the chunks
+/// (and the tail) ascend in the same order whatever the layout, and each
+/// element keeps its bits.
+using DotFn = void (*)(const float* arow, const float* pb, std::size_t rs,
+                       std::size_t bs, int k, float* cdst, bool accumulate);
 
 // ---------------------------------------------------------------------------
 // Portable mirror. Same blocking, same per-element accumulation orders.
@@ -149,45 +146,35 @@ void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
                                   accumulate);
 }
 
+/// lanes[g][t] += arow[t]·chunk[g·rs + t] for one 8-lane chunk.
 template <int JT>
-void dot_portable(const float* arow, const float* pb, std::size_t ldb, int k,
-                  float* cdst, bool accumulate) {
+inline void dot_chunk_portable(float (&lanes)[JT][8], const float* arow,
+                               const float* chunk, std::size_t rs) {
+#pragma GCC unroll 4
+  for (int g = 0; g < JT; ++g)
+    for (int t = 0; t < 8; ++t) lanes[g][t] += arow[t] * chunk[g * rs + t];
+}
+
+template <int JT>
+void dot_portable(const float* arow, const float* pb, std::size_t rs,
+                  std::size_t bs, int k, float* cdst, bool accumulate) {
   float lanes[JT][8] = {};
   int l = 0;
-  for (; l + 8 <= k; l += 8)
-#pragma GCC unroll 4
-    for (int g = 0; g < JT; ++g) {
-      const float* brow = pb + g * ldb;
-      for (int t = 0; t < 8; ++t) lanes[g][t] += arow[l + t] * brow[l + t];
-    }
+  for (; l + kNR <= k; l += kNR, pb += bs) {
+    dot_chunk_portable<JT>(lanes, arow + l, pb, rs);
+    dot_chunk_portable<JT>(lanes, arow + l + 8, pb + 8, rs);
+  }
+  if (l + 8 <= k) {
+    dot_chunk_portable<JT>(lanes, arow + l, pb, rs);
+    l += 8;
+    pb += 8;
+  }
   for (int g = 0; g < JT; ++g) {
     // The exact combine tree of the AVX2 horizontal sum below.
     float* p = lanes[g];
     float sum = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
-    const float* brow = pb + g * ldb;
-    for (int t = l; t < k; ++t) sum += arow[t] * brow[t];
+    for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
     cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
-  }
-}
-
-template <int JT>
-void dot_panel_portable(const float* arow, const float* pb, std::size_t ps,
-                        int k, float* cdst) {
-  float lanes[JT][8] = {};
-  int l = 0;
-  for (const float* bp = pb; l + 8 <= k; l += 8) {
-    const float* chunk = bp + l % kNR;
-    for (int g = 0; g < JT; ++g)
-      for (int t = 0; t < 8; ++t)
-        lanes[g][t] += arow[l + t] * chunk[g * kNR + t];
-    if (l % kNR == 8) bp += ps;
-  }
-  const float* tail = pb + static_cast<std::size_t>(l / kNR) * ps + l % kNR;
-  for (int g = 0; g < JT; ++g) {
-    float* p = lanes[g];
-    float sum = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
-    for (int t = l; t < k; ++t) sum += arow[t] * tail[g * kNR + t - l];
-    cdst[g] = 0.0f + sum;
   }
 }
 
@@ -293,51 +280,38 @@ inline float hsum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
+/// acc[g] += arow[0..8)·chunk[g·rs..] for one 8-lane chunk (FMA).
 template <int JT>
-CHIMERA_TARGET_AVX2
-void dot_avx2(const float* arow, const float* pb, std::size_t ldb, int k,
-              float* cdst, bool accumulate) {
-  __m256 acc[JT];
+CHIMERA_TARGET_AVX2 __attribute__((always_inline)) inline void dot_chunk_avx2(
+    __m256 (&acc)[JT], const float* arow, const float* chunk, std::size_t rs) {
+  const __m256 av = _mm256_loadu_ps(arow);
 #pragma GCC unroll 4
-  for (int g = 0; g < JT; ++g) acc[g] = _mm256_setzero_ps();
-  int l = 0;
-  for (; l + 8 <= k; l += 8) {
-    const __m256 av = _mm256_loadu_ps(arow + l);
-#pragma GCC unroll 4
-    for (int g = 0; g < JT; ++g)
-      acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(pb + g * ldb + l), acc[g]);
-  }
-#pragma GCC unroll 4
-  for (int g = 0; g < JT; ++g) {
-    float sum = hsum8(acc[g]);
-    const float* brow = pb + g * ldb;
-    for (int t = l; t < k; ++t) sum += arow[t] * brow[t];
-    cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
-  }
+  for (int g = 0; g < JT; ++g)
+    acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(chunk + g * rs), acc[g]);
 }
 
 template <int JT>
 CHIMERA_TARGET_AVX2
-void dot_panel_avx2(const float* arow, const float* pb, std::size_t ps, int k,
-                    float* cdst) {
+void dot_avx2(const float* arow, const float* pb, std::size_t rs,
+              std::size_t bs, int k, float* cdst, bool accumulate) {
   __m256 acc[JT];
 #pragma GCC unroll 4
   for (int g = 0; g < JT; ++g) acc[g] = _mm256_setzero_ps();
   int l = 0;
-  for (const float* bp = pb; l + 8 <= k; l += 8) {
-    const __m256 av = _mm256_loadu_ps(arow + l);
-    const float* chunk = bp + l % kNR;
-#pragma GCC unroll 4
-    for (int g = 0; g < JT; ++g)
-      acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(chunk + g * kNR), acc[g]);
-    if (l % kNR == 8) bp += ps;
+  for (; l + kNR <= k; l += kNR, pb += bs) {
+    dot_chunk_avx2<JT>(acc, arow + l, pb, rs);
+    dot_chunk_avx2<JT>(acc, arow + l + 8, pb + 8, rs);
   }
-  const float* tail = pb + static_cast<std::size_t>(l / kNR) * ps + l % kNR;
+  if (l + 8 <= k) {
+    dot_chunk_avx2<JT>(acc, arow + l, pb, rs);
+    l += 8;
+    pb += 8;
+  }
 #pragma GCC unroll 4
   for (int g = 0; g < JT; ++g) {
     float sum = hsum8(acc[g]);
-    for (int t = l; t < k; ++t) sum += arow[t] * tail[g * kNR + t - l];
-    cdst[g] = 0.0f + sum;
+    for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
+    cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
   }
 }
 
@@ -793,7 +767,6 @@ constexpr OuterFn kOuter[2][5] = {
 struct Tables {
   TileFn tile[kMR + 1];
   DotFn dot[kNtGroup + 1];
-  PanelDotFn panel_dot[kNtGroup + 1];
   void (*gelu_row)(const float* y, float* g, int n);
 };
 
@@ -802,8 +775,6 @@ constexpr Tables kPortable = {
      tile_portable<4>, tile_portable<5>, tile_portable<6>},
     {nullptr, dot_portable<1>, dot_portable<2>, dot_portable<3>,
      dot_portable<4>},
-    {nullptr, dot_panel_portable<1>, dot_panel_portable<2>,
-     dot_panel_portable<3>, dot_panel_portable<4>},
     gelu_row_portable};
 
 #if CHIMERA_SIMD_X86
@@ -811,8 +782,6 @@ constexpr Tables kAvx2 = {
     {nullptr, tile_avx2<1>, tile_avx2<2>, tile_avx2<3>, tile_avx2<4>,
      tile_avx2<5>, tile_avx2<6>},
     {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>},
-    {nullptr, dot_panel_avx2<1>, dot_panel_avx2<2>, dot_panel_avx2<3>,
-     dot_panel_avx2<4>},
     gelu_row_avx2};
 #endif
 
@@ -848,13 +817,14 @@ enum class PanelOperand { kNone, kB, kC };
 /// m ≤ kMR one tile covers all rows and reads B in place. A panel-layout B
 /// (`layout` kB) is already that buffer: its block p is read in place at
 /// any m. A panel-layout C (kC) takes each tile at row stride 16 inside its
-/// block. When `bias`/`pg` are set (row-major C only), the fused epilogue
-/// runs on each finished tile: the bias add is the same single add per
-/// element as add_bias, and the GELU goes through the table's gelu_row —
-/// the evaluation this host's fast-tier gelu_forward also uses — so fusion
-/// is bitwise-identical to the unfused add_bias/gelu_forward passes within
-/// the tier. The tiles' per-element order is the same for every layout, so
-/// the layouts are bitwise interchangeable.
+/// block. When `bias`/`pg` are set (nn::Linear's forward: panel B,
+/// row-major C), the fused epilogue runs on each finished tile: the bias
+/// add is the same single add per element as add_bias, and the GELU goes
+/// through the table's gelu_row — the evaluation this host's fast-tier
+/// gelu_forward also uses — so fusion is bitwise-identical to the unfused
+/// add_bias/gelu_forward passes within the tier. The tiles' per-element
+/// order is the same for every layout, so the layouts are bitwise
+/// interchangeable.
 void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
                  int n, int k, const float* pb, float* pc, bool accumulate,
                  const float* bias, float* pg, PanelOperand layout) {
@@ -904,12 +874,10 @@ void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
 
 /// Row shards, then 48-row blocks × 4-column dot groups: the group's four
 /// B rows stay L1-resident across the whole block while A rows stream from
-/// L2. B is row-major ([n, k], `dot`) or W [n, k] in panel layout
-/// (`panel_dot`); only gemm_nt accumulates.
+/// L2. B row j starts at pb + j·rs, its 16-lane blocks `bs` apart (DotFn).
 void gemm_nt_rows(const float* pa, int m, int n, int k, const float* pb,
-                  bool b_panels, float* pc, bool accumulate) {
+                  std::size_t rs, std::size_t bs, float* pc, bool accumulate) {
   const Tables& t = tables();
-  const std::size_t ps = static_cast<std::size_t>(n) * kNR;
   const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
   ComputePool::instance().parallel_for(shards, [&](int s) {
     const int r0 = shard_begin(m, shards, s);
@@ -918,16 +886,10 @@ void gemm_nt_rows(const float* pa, int m, int n, int k, const float* pb,
       const int i1 = std::min(r1, i0 + kNtBlock);
       for (int j0 = 0; j0 < n; j0 += kNtGroup) {
         const int jt = std::min(kNtGroup, n - j0);
-        for (int i = i0; i < i1; ++i) {
-          const float* arow = pa + static_cast<std::size_t>(i) * k;
-          float* cdst = pc + static_cast<std::size_t>(i) * n + j0;
-          if (b_panels)
-            t.panel_dot[jt](arow, pb + static_cast<std::size_t>(j0) * kNR, ps,
-                            k, cdst);
-          else
-            t.dot[jt](arow, pb + static_cast<std::size_t>(j0) * k, k, k, cdst,
-                      accumulate);
-        }
+        const float* bj = pb + static_cast<std::size_t>(j0) * rs;
+        for (int i = i0; i < i1; ++i)
+          t.dot[jt](pa + static_cast<std::size_t>(i) * k, bj, rs, bs, k,
+                    pc + static_cast<std::size_t>(i) * n + j0, accumulate);
       }
     }
   });
@@ -964,27 +926,26 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
                   bool accumulate) {
   const int m = a.rows(), k = a.cols(), n = b.rows();
   CHIMERA_CHECK(b.cols() == k && c.rows() == m && c.cols() == n);
-  gemm_nt_rows(a.data(), m, n, k, b.data(), /*b_panels=*/false, c.data(),
-               accumulate);
+  gemm_nt_rows(a.data(), m, n, k, b.data(), k, kNR, c.data(), accumulate);
 }
 
-void gemm_bias_act_fast(const Tensor& x, const Tensor& w, const Tensor& bias,
-                        Tensor& y, Tensor* g, bool w_panels) {
+void gemm_bias_act_fast(const Tensor& x, const Tensor& wp, const Tensor& bias,
+                        Tensor& y, Tensor* g) {
   const int m = x.rows(), k = x.cols(), n = bias.cols();
-  CHIMERA_CHECK(w_panels ? w.rows() == panel_rows(k, n) && w.cols() == kNR
-                         : w.rows() == k && w.cols() == n);
+  CHIMERA_CHECK(wp.rows() == panel_rows(k, n) && wp.cols() == kNR);
   CHIMERA_CHECK(y.rows() == m && y.cols() == n && bias.rows() == 1);
   if (g != nullptr) CHIMERA_CHECK(g->rows() == m && g->cols() == n);
-  gemm_panels(x.data(), k, 1, m, n, k, w.data(), y.data(), /*accumulate=*/false,
-              bias.data(), g != nullptr ? g->data() : nullptr,
-              w_panels ? PanelOperand::kB : PanelOperand::kNone);
+  gemm_panels(x.data(), k, 1, m, n, k, wp.data(), y.data(),
+              /*accumulate=*/false, bias.data(),
+              g != nullptr ? g->data() : nullptr, PanelOperand::kB);
 }
 
 void gemm_nt_panel_fast(const Tensor& dy, const Tensor& wp, Tensor& dx) {
   const int m = dy.rows(), n = dx.cols(), k = dy.cols();
   CHIMERA_CHECK(dx.rows() == m && wp.rows() == panel_rows(n, k) &&
                 wp.cols() == kNR);
-  gemm_nt_rows(dy.data(), m, n, k, wp.data(), /*b_panels=*/true, dx.data(),
+  gemm_nt_rows(dy.data(), m, n, k, wp.data(), kNR,
+               static_cast<std::size_t>(n) * kNR, dx.data(),
                /*accumulate=*/false);
 }
 
@@ -1000,7 +961,7 @@ void dot_rows_fast(const float* a, const float* b, std::size_t ldb, int k,
                    int n, float* out) {
   const Tables& t = tables();
   for (int j0 = 0; j0 < n; j0 += kNtGroup)
-    t.dot[std::min(kNtGroup, n - j0)](a, b + j0 * ldb, ldb, k, out + j0,
+    t.dot[std::min(kNtGroup, n - j0)](a, b + j0 * ldb, ldb, kNR, k, out + j0,
                                       /*accumulate=*/false);
 }
 

@@ -62,15 +62,15 @@ void gemm_tn_fast(const Tensor& a, const Tensor& b, Tensor& c,
 void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
                   bool accumulate);
 
-/// Fast-tier fused Linear forward: y = x·w + bias, and (when g != nullptr)
-/// g = gelu(y), with w row-major [k, n] or (w_panels) in panel layout
-/// (tensor/kernels.h). The epilogue runs on each just-computed output tile
-/// — the bias add is bitwise ≡ add_bias, and the GELU uses the same
-/// evaluation as this host's gelu_forward fast path (vector polynomial on
-/// AVX2, detail::gelu_eval on the portable mirror), so fused ≡ unfused
-/// bitwise within the tier.
-void gemm_bias_act_fast(const Tensor& x, const Tensor& w, const Tensor& bias,
-                        Tensor& y, Tensor* g, bool w_panels);
+/// Fast-tier fused Linear forward: y = x·W + bias, and (when g != nullptr)
+/// g = gelu(y), with W in panel layout (tensor/kernels.h). The epilogue
+/// runs on each just-computed output tile — the bias add is bitwise ≡
+/// add_bias, and the GELU uses the same evaluation as this host's
+/// gelu_forward fast path (vector polynomial on AVX2, detail::gelu_eval on
+/// the portable mirror), so fused ≡ gemm + add_bias + gelu_forward bitwise
+/// within the tier.
+void gemm_bias_act_fast(const Tensor& x, const Tensor& wp, const Tensor& bias,
+                        Tensor& y, Tensor* g);
 /// Fast-tier dX = dY·Wᵀ, W in panel layout: gemm_nt_fast's dot groups over
 /// the panel rows — bitwise ≡ gemm_nt_fast on the row-major W.
 void gemm_nt_panel_fast(const Tensor& dy, const Tensor& wp, Tensor& dx);

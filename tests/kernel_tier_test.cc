@@ -322,12 +322,14 @@ TEST(KernelTier, FusedBiasGeluBitwiseMatchesUnfused) {
       Tensor want_g(m, n);
       gelu_forward(want_y, want_g);
 
+      Tensor wp;
+      pack_panels(w, wp);
       Tensor y1(m, n);
-      gemm_bias(x, w, bias, y1);
+      gemm_bias_panel(x, wp, bias, y1);
       expect_bitwise(y1, want_y);
 
       Tensor y2(m, n), g2(m, n);
-      gemm_bias_gelu(x, w, bias, y2, g2);
+      gemm_bias_gelu_panel(x, wp, bias, y2, g2);
       expect_bitwise(y2, want_y);
       expect_bitwise(g2, want_g);
     }
@@ -337,7 +339,8 @@ TEST(KernelTier, FusedBiasGeluBitwiseMatchesUnfused) {
 TEST(KernelTier, PanelGemmsBitwiseMatchRowMajorInEveryTier) {
   // Linear's three GEMMs over its panel-layout weight are bitwise the
   // row-major kernels in each tier, pooled or serial: the forward (with
-  // bias, and with bias+GELU), dX = dY·Wᵀ, and dW += Xᵀ·dY (packed). m
+  // bias, and with bias+GELU) against gemm + add_bias (+ gelu_forward),
+  // dX = dY·Wᵀ against gemm_nt, and dW += Xᵀ·dY against gemm_tn, packed. m
   // spans the in-place (≤ 6) and multi-tile row counts; k = 13, 20, 33
   // leave a serial dot tail; n = 5 and 9 are a lone tail panel, 37 and 130
   // put a tail behind full panels.
@@ -363,10 +366,11 @@ TEST(KernelTier, PanelGemmsBitwiseMatchRowMajorInEveryTier) {
           pack_panels(w, wp);
 
           Tensor want_y(m, n), want_g(m, n), y(m, n), g(m, n);
-          gemm_bias(x, w, bias, want_y);
+          gemm(x, w, want_y);
+          add_bias(want_y, bias);
+          gelu_forward(want_y, want_g);
           gemm_bias_panel(x, wp, bias, y);
           expect_bitwise(y, want_y);
-          gemm_bias_gelu(x, w, bias, want_y, want_g);
           y.fill(std::nanf(""));
           gemm_bias_gelu_panel(x, wp, bias, y, g);
           expect_bitwise(y, want_y);
@@ -810,6 +814,8 @@ TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
     const Tensor bt = random_tensor(n, k, rng);
     const Tensor at = random_tensor(k, m, rng);
     const Tensor bias = random_tensor(1, n, rng);
+    Tensor bp;
+    pack_panels(b, bp);
     for (KernelPolicy p : testable_policies()) {
       SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
                    std::to_string(n));
@@ -826,7 +832,7 @@ TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
         gemm(a, b, o.nn);
         gemm_tn(at, b, o.tn);
         gemm_nt(a, bt, o.nt);
-        gemm_bias_gelu(a, b, bias, o.y, o.g);
+        gemm_bias_gelu_panel(a, bp, bias, o.y, o.g);
       }
       ComputePool::instance().set_helpers(0);
       expect_bitwise(outs[1].nn, outs[0].nn);
