@@ -16,6 +16,7 @@
 #include "core/perf_model.h"
 #include "obs/metrics.h"
 #include "sim/simulate.h"
+#include "support/json.h"
 #include "support/table.h"
 #include "tensor/kernels.h"
 
@@ -74,21 +75,22 @@ class JsonReporter {
            double throughput, double iteration_seconds,
            std::vector<std::pair<std::string, double>> extra = {}) {
     if (!enabled()) return;
-    std::string r = "  {\"bench\": \"" + escape(bench_) + "\", \"name\": \"" +
-                    escape(name) + "\", \"config\": \"" + escape(config) +
-                    "\", \"kernel_policy\": \"" +
-                    escape(kernel_policy_name(kernel_policy())) +
-                    "\", \"kernel_tier\": \"" +
-                    escape(kernel_tier_name(active_kernel_tier())) +
-                    "\", \"build_type\": \"" + escape(CHIMERA_BUILD_TYPE) +
-                    "\", \"compiler\": \"" + escape(compiler_name()) +
-                    "\", \"cxx_flags\": \"" + escape(CHIMERA_CXX_FLAGS) +
-                    "\", \"cores\": " +
-                    num(std::thread::hardware_concurrency()) +
-                    ", \"throughput\": " + num(throughput) +
-                    ", \"iteration_seconds\": " + num(iteration_seconds);
+    const auto str = [](const std::string& s) {
+      return "\"" + json::escape(s) + "\"";
+    };
+    std::string r =
+        "  {\"bench\": " + str(bench_) + ", \"name\": " + str(name) +
+        ", \"config\": " + str(config) +
+        ", \"kernel_policy\": " + str(kernel_policy_name(kernel_policy())) +
+        ", \"kernel_tier\": " + str(kernel_tier_name(active_kernel_tier())) +
+        ", \"build_type\": " + str(CHIMERA_BUILD_TYPE) +
+        ", \"compiler\": " + str(compiler_name()) +
+        ", \"cxx_flags\": " + str(CHIMERA_CXX_FLAGS) +
+        ", \"cores\": " + json::number(std::thread::hardware_concurrency()) +
+        ", \"throughput\": " + json::number(throughput) +
+        ", \"iteration_seconds\": " + json::number(iteration_seconds);
     for (const auto& [k, v] : extra)
-      r += ", \"" + escape(k) + "\": " + num(v);
+      r += ", " + str(k) + ": " + json::number(v);
     r += "}";
     records_.push_back(std::move(r));
   }
@@ -109,36 +111,6 @@ class JsonReporter {
   }
 
  private:
-  /// Full JSON string escaping: quotes, backslashes and control characters
-  /// (scheme/config names are caller-supplied — a quote or a stray newline
-  /// must not emit an invalid record).
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
-  }
-  static std::string num(double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-  }
-
   std::string bench_;
   std::string path_;
   std::vector<std::string> records_;

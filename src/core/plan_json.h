@@ -12,9 +12,8 @@
 //
 // PlanDoc is a plain value type mirroring the document one to one; equality
 // is field-wise, so `plan_from_json(plan_to_json(p)) == make_plan_doc(p)`
-// is the round-trip contract (tests/verify_test.cc). The JSON style follows
-// the bench records (bench/bench_common.h): deterministic field order,
-// `%` -free ASCII, one readable line per op.
+// is the round-trip contract (tests/verify_test.cc). This is a schema layer
+// over support/json: fixed field order, one readable line per op.
 #pragma once
 
 #include <cstdint>
@@ -133,8 +132,8 @@ std::string plan_to_json(const ExecutionPlan& plan,
                          const KvPageGeometry* kv = nullptr);
 
 /// Parses a document produced by plan_doc_to_json (or written by hand).
-/// Throws CheckError with a position-annotated message on malformed input or
-/// schema violations; never partially succeeds.
+/// Throws CheckError on malformed input or schema violations (unknown or
+/// missing keys, ints out of range); never partially succeeds.
 PlanDoc plan_from_json(const std::string& json);
 
 }  // namespace chimera

@@ -56,17 +56,6 @@ PartitionPolicy partition_from_name(const std::string& name) {
   return PartitionPolicy::kEven;
 }
 
-/// The span kind a training/serving executor records for a plan op.
-EventKind expected_training_kind(OpKind k) {
-  switch (k) {
-    case OpKind::kForward: return EventKind::kForward;
-    case OpKind::kBackward: return EventKind::kBackward;
-    case OpKind::kAllReduceBegin: return EventKind::kAllReduceBegin;
-    case OpKind::kAllReduceWait: return EventKind::kAllReduceWait;
-  }
-  return EventKind::kForward;
-}
-
 /// Rebuilds the schedule the trace was recorded under, replicating the
 /// trainer's construction: the trace records the *effective* sync policy
 /// (kNone→kAtEnd resolution already applied; "none" for async schemes).
@@ -171,7 +160,7 @@ TraceReport analyze_training(const TraceDoc& doc,
       CHIMERA_CHECK_MSG(e.op_index == oi,
                         "rank " << rank << " span " << i << " carries op_index "
                                 << e.op_index << ", expected " << oi);
-      CHIMERA_CHECK_MSG(e.kind == expected_training_kind(op.kind),
+      CHIMERA_CHECK_MSG(e.kind == op_event_kind(op.kind),
                         "rank " << rank << " op " << oi << " recorded kind \""
                                 << event_kind_name(e.kind)
                                 << "\" mismatching the plan");
@@ -396,6 +385,16 @@ TraceReport analyze_measured(const TraceDoc& doc,
 }
 
 }  // namespace
+
+EventKind op_event_kind(OpKind k) {
+  switch (k) {
+    case OpKind::kForward: return EventKind::kForward;
+    case OpKind::kBackward: return EventKind::kBackward;
+    case OpKind::kAllReduceBegin: return EventKind::kAllReduceBegin;
+    case OpKind::kAllReduceWait: return EventKind::kAllReduceWait;
+  }
+  return EventKind::kForward;
+}
 
 TraceReport analyze_trace(const TraceDoc& doc) {
   const PipelineSchedule sched = rebuild_schedule(doc.meta);

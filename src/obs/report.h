@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/schedule.h"
 #include "obs/trace_json.h"
 
 namespace chimera::obs {
@@ -72,6 +73,10 @@ struct TraceReport {
   std::vector<WorkerBubbleRow> workers;  ///< one row per rank
   std::vector<OpModelRow> model;         ///< training only; fwd rows then bwd
 };
+
+/// The span kind recorded for a training or serving plan op, shared by the
+/// runtime, the simulator's trace export and the analyzer.
+EventKind op_event_kind(OpKind k);
 
 /// Full analysis. Throws CheckError on traces that do not match their own
 /// metadata (unknown names, plan mismatch, malformed spans).

@@ -1,8 +1,8 @@
 // Runtime tracing: per-thread span recording for the real execution stack
 // (DESIGN.md §9).
 //
-// The schedule-level timeline (sim/trace_export) shows what the replay
-// *predicts*; this recorder shows what the WorkerPool actually did. Every
+// sim::engine_trace exports what the simulator *predicts* in the same trace
+// format; this recorder shows what the WorkerPool actually did. Every
 // instrumented site follows one pattern: an RAII guard (Span / OpSpan) or a
 // one-shot instant() that appends a TraceEvent into a per-thread ring
 // buffer. Contracts:

@@ -14,10 +14,10 @@
 // exactly — pid/tid are derived display fields it cross-checks, never the
 // source of truth.
 //
-// Like plan_json: deterministic field order, one event per line, %.17g for
-// timestamps (doubles round-trip bitwise), and a strict parser — unknown
-// keys, missing keys or inconsistent ph/name/ts/dur are errors, never
-// silently skipped. TraceDoc equality is field-wise, so
+// A schema layer over support/json, like plan_json: deterministic field
+// order, one event per line, %.17g timestamps, and a strict parser —
+// unknown keys, metadata of a shape the writer never emits or inconsistent
+// ph/name/ts/dur are errors. TraceDoc equality is field-wise, so
 // `trace_from_json(trace_doc_to_json(d)) == d` is the round-trip contract.
 //
 // The otherData block makes a trace self-contained: it carries the
@@ -64,9 +64,9 @@ struct TraceDoc {
 /// Deterministic serialization: same doc -> byte-identical string.
 std::string trace_doc_to_json(const TraceDoc& doc);
 
-/// Parses a document produced by trace_doc_to_json. Throws CheckError with
-/// a position-annotated message on malformed input or schema violations;
-/// never partially succeeds.
+/// Parses a document produced by trace_doc_to_json or sim::engine_trace.
+/// Throws CheckError on malformed input or schema violations; never
+/// partially succeeds.
 TraceDoc trace_from_json(const std::string& json);
 
 /// Writes the document to `path`; returns false (with a perror-style

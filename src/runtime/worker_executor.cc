@@ -1,23 +1,10 @@
 #include "runtime/worker_executor.h"
 
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "runtime/grad_sync.h"
 
 namespace chimera::rt {
-
-namespace {
-
-obs::EventKind op_event_kind(OpKind k) {
-  switch (k) {
-    case OpKind::kForward: return obs::EventKind::kForward;
-    case OpKind::kBackward: return obs::EventKind::kBackward;
-    case OpKind::kAllReduceBegin: return obs::EventKind::kAllReduceBegin;
-    case OpKind::kAllReduceWait: return obs::EventKind::kAllReduceWait;
-  }
-  return obs::EventKind::kForward;
-}
-
-}  // namespace
 
 WorkerExecutor::WorkerExecutor(TrainDeployment& dep, const TrainerOptions& opts,
                                WeightStore& store, WorkerState& me, int group,
@@ -51,7 +38,7 @@ void WorkerExecutor::run(const nn::MicroBatch& batch, int B,
     // One span per executed plan op, keyed (plan worker, op index) so
     // trace_report can replay the trace against the plan 1:1 — and so
     // armed plan times can stamp it straight from a ReplayResult.
-    obs::OpSpan op_span(op_event_kind(pop.op.kind), rank, worker_,
+    obs::OpSpan op_span(obs::op_event_kind(pop.op.kind), rank, worker_,
                         static_cast<int>(opi), pop.op.micro, pop.op.stage,
                         pop.op.pipe);
     switch (pop.op.kind) {

@@ -4,6 +4,8 @@
 #include <queue>
 
 #include "core/schedule_analysis.h"
+#include "obs/report.h"
+#include "support/check.h"
 #include "support/rng.h"
 
 namespace chimera::sim {
@@ -209,6 +211,28 @@ EngineResult run_engine(const ExecutionPlan& plan, const EngineCosts& costs) {
 EngineResult run_engine(const PipelineSchedule& schedule,
                         const EngineCosts& costs) {
   return run_engine(ExecutionPlan(schedule), costs);
+}
+
+obs::TraceDoc engine_trace(const PipelineSchedule& schedule,
+                           const EngineResult& result, obs::TraceMeta meta) {
+  CHIMERA_CHECK(result.op_start.size() == schedule.worker_ops.size());
+  obs::TraceDoc doc;
+  doc.meta = std::move(meta);
+  for (int w = 0; w < schedule.depth; ++w) {
+    const std::vector<Op>& ops = schedule.worker_ops[w];
+    CHIMERA_CHECK(result.op_start[w].size() == ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+      doc.events.push_back({.kind = obs::op_event_kind(ops[i].kind),
+                            .worker = w,
+                            .micro = ops[i].micro,
+                            .stage = ops[i].stage,
+                            .pipe = ops[i].pipe,
+                            .op_index = static_cast<int>(i),
+                            .t0_us = result.op_start[w][i] * 1e6,
+                            .t1_us = result.op_end[w][i] * 1e6,
+                            .seq = i});
+  }
+  return doc;
 }
 
 }  // namespace chimera::sim

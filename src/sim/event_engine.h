@@ -20,6 +20,7 @@
 
 #include "core/execution_plan.h"
 #include "core/schedule.h"
+#include "obs/trace_json.h"
 
 namespace chimera::sim {
 
@@ -71,5 +72,11 @@ EngineResult run_engine(const ExecutionPlan& plan, const EngineCosts& costs);
 
 /// Convenience overload: lowers the schedule onto a fresh ExecutionPlan.
 EngineResult run_engine(const PipelineSchedule& schedule, const EngineCosts& costs);
+
+/// The run as the obs trace a measured run records, so trace_report reads
+/// both: one plan-op span per op on worker w, lane 0, seq = op_index = its
+/// position in w's program, times in µs. `meta` names the deployment.
+obs::TraceDoc engine_trace(const PipelineSchedule& schedule,
+                           const EngineResult& result, obs::TraceMeta meta);
 
 }  // namespace chimera::sim

@@ -363,6 +363,30 @@ TEST(ObsJson, SyntheticRoundTripAndStrictParser) {
   std::string bad_kind = json;
   bad_kind.replace(bad_kind.find("cow_split"), 9, "cow_splat");
   EXPECT_THROW(trace_from_json(bad_kind), CheckError);
+  // Text that is not JSON: a leading '+' or zero, a \u escape without four
+  // hex digits. An int field outside int range is an error, not narrowed.
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string out = json;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+  };
+  EXPECT_THROW(trace_from_json(with("\"depth\":4", "\"depth\":+4")),
+               CheckError);
+  EXPECT_THROW(trace_from_json(with("\"depth\":4", "\"depth\":004")),
+               CheckError);
+  EXPECT_THROW(trace_from_json(with("\"training\"", "\"train\\uzzzz\"")),
+               CheckError);
+  EXPECT_THROW(trace_from_json(with("\"depth\":4", "\"depth\":4294967300")),
+               CheckError);
+  // Metadata events are checked against the shapes the writer emits.
+  EXPECT_THROW(trace_from_json(with("{\"name\":\"process_name\"",
+                                    "{\"ph\":\"M\",\"bogus\":[1,2,{\"x\":true}]},"
+                                    "{\"name\":\"process_name\"")),
+               CheckError);
+  EXPECT_THROW(trace_from_json(with("\"pid\":0,\"args\":{\"name\":\"engine\"}",
+                                    "\"pid\":0,\"bogus\":[1,2,{\"x\":true}],"
+                                    "\"args\":{\"name\":\"engine\"}")),
+               CheckError);
 }
 
 // ------------------------------------------------------------------ 6 ----

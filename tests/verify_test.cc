@@ -193,6 +193,22 @@ TEST(PlanJson, RejectsMalformedInput) {
       ExecutionPlan(build_schedule(Scheme::kGPipe, ScheduleConfig{})));
   EXPECT_NO_THROW(plan_from_json(valid));
   EXPECT_THROW(plan_from_json(valid + "x"), CheckError);  // trailing garbage
+
+  // Integers outside their field's range are parse errors, never narrowed
+  // or thrown as anything but CheckError — verify_json reports them as the
+  // one "document does not parse" diagnostic.
+  const std::string depth_key = "\"depth\":";
+  const std::size_t at = valid.find(depth_key) + depth_key.size();
+  for (const char* depth : {"99999999999999999999", "4294967300"}) {
+    std::string bad = valid;
+    bad.replace(at, bad.find(',', at) - at, depth);
+    EXPECT_THROW(plan_from_json(bad), CheckError) << depth;
+    const Diagnostics diags = verify_json(bad);
+    ASSERT_EQ(diags.size(), 1u) << depth;
+    EXPECT_EQ(diags[0].check, check::kStructure);
+    EXPECT_NE(diags[0].message.find("document does not parse"),
+              std::string::npos);
+  }
 }
 
 // ---- every mutation class is caught --------------------------------------
