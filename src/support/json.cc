@@ -64,7 +64,8 @@ class JsonParser {
   }
 
   Value value(int depth) {
-    if (depth > kMaxDepth) fail("nesting deeper than 256 levels");
+    if (depth > kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
     const char c = peek();
     Value v;
     if (c == '{') {
