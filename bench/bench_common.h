@@ -19,6 +19,7 @@
 #include "support/json.h"
 #include "support/table.h"
 #include "tensor/kernels.h"
+#include "tensor/kernels_simd.h"
 
 #ifndef CHIMERA_BUILD_TYPE
 #define CHIMERA_BUILD_TYPE "unknown"  // the root CMakeLists defines it
@@ -43,14 +44,18 @@ inline std::string compiler_name() {
 /// Machine-readable bench output. Every fig/ablation binary accepts
 /// `--json <path>` and mirrors its headline rows into a JSON array of
 ///   {"bench": ..., "name": ..., "config": ..., "kernel_policy": ...,
-///    "kernel_tier": ..., "build_type": ..., "compiler": ...,
+///    "kernel_tier": ..., "isa": ..., "build_type": ..., "compiler": ...,
 ///    "cxx_flags": ..., "cores": ..., "throughput": ...,
 ///    "iteration_seconds": ..., <extra metrics>}
 /// records (convention: BENCH_<figure>.json), so the perf trajectory can be
 /// tracked by tooling instead of scraping tables. kernel_policy is the
 /// configured KernelPolicy (env pin included); kernel_tier is the tier it
 /// resolved to on this host — artifacts from different tiers are never
-/// compared as if they were the same machine state. build_type and
+/// compared as if they were the same machine state. isa is the instruction
+/// set the fast tier's GEMM tiles run on this host ("avx512", "avx2" or
+/// "portable"; recorded for scalar-tier rows too, where it is unused), so
+/// fast-tier records from hosts with different vector units are told
+/// apart. build_type and
 /// compiler fingerprint the code generation: fast-tier GFLOP/s depends on
 /// the -O level and the compiler's register allocation, so records from
 /// different builds are not comparable either. cxx_flags are the exact
@@ -83,6 +88,7 @@ class JsonReporter {
         ", \"config\": " + str(config) +
         ", \"kernel_policy\": " + str(kernel_policy_name(kernel_policy())) +
         ", \"kernel_tier\": " + str(kernel_tier_name(active_kernel_tier())) +
+        ", \"isa\": " + str(simd::isa_name(simd::active_isa())) +
         ", \"build_type\": " + str(CHIMERA_BUILD_TYPE) +
         ", \"compiler\": " + str(compiler_name()) +
         ", \"cxx_flags\": " + str(CHIMERA_CXX_FLAGS) +

@@ -10,7 +10,9 @@
 // per-head dk 24), so the reported speedups are the kernel-level view of
 // the end-to-end iters/s gains, plus the fused bias+GELU Linear forward
 // (gemm_bias_gelu_panel; its y is bitwise, its GELU output tolerance-equal
-// across tiers). The streamed leg cycles through one decode worker's Linear
+// across tiers) beside the unfused gemm + add_bias + gelu_forward it
+// replaces, and softmax_rows over causally masked (−1e9) scores, whose
+// masked lanes take the vector exp's flush path. The streamed leg cycles through one decode worker's Linear
 // weights, row-major against the panel layout nn::Linear stores: a single
 // hot weight stays in L2 and reads far faster than decode ever does. Every
 // JSON record carries the build type and compiler: fast-tier GFLOP/s
@@ -40,6 +42,7 @@
 #include "support/check.h"
 #include "tensor/compute_pool.h"
 #include "tensor/kernels.h"
+#include "tensor/kernels_simd.h"
 
 using namespace chimera;
 using namespace chimera::bench;
@@ -47,7 +50,8 @@ using namespace chimera::bench;
 namespace {
 
 /// The GPT-2 bench shapes (bench_runtime_throughput defaults) of each GEMM
-/// variant: gemm, gemm_tn, gemm_nt or the fused gemm_bias_gelu_panel.
+/// variant: gemm, gemm_tn, gemm_nt, the fused gemm_bias_gelu_panel or the
+/// unfused gemm + add_bias + gelu_forward it replaces.
 struct Shape {
   const char* variant;
   int m, k, n;
@@ -64,10 +68,11 @@ const Shape kShapes[] = {
     {"gemm_tn", 64, 192, 768, "mlp fc dW"},
     {"gemm_nt", 64, 768, 192, "mlp fc dX"},
     {"gemm_bias_gelu_panel", 64, 192, 768, "mlp fc fwd fused"},
+    {"gemm+add_bias+gelu", 64, 192, 768, "mlp fc fwd unfused"},
 };
 
 /// One GEMM's operands; `bp` (B in panel layout), `bias` and `g` (the GELU
-/// output) are used by the fused variant only.
+/// output) are used by the fused and unfused bias+GELU variants only.
 struct Operands {
   Tensor a, b, bp, bias, c, g;
 };
@@ -122,8 +127,8 @@ int main(int argc, char** argv) {
   ComputePool::instance().set_helpers(0);  // single-core kernel numbers
 
   print_banner("GEMM microkernel GFLOP/s per tier (single core)");
-  std::printf("host AVX2+FMA: %s   CHIMERA_KERNEL_TIER: %s\n\n",
-              active_kernel_tier() == KernelTier::kFast ? "in use" : "not in use",
+  std::printf("fast tier ISA: %s   CHIMERA_KERNEL_TIER: %s\n\n",
+              simd::isa_name(simd::active_isa()),
               std::getenv("CHIMERA_KERNEL_TIER") ? std::getenv("CHIMERA_KERNEL_TIER")
                                                  : "(unset)");
 
@@ -197,14 +202,15 @@ int main(int argc, char** argv) {
     t.print();
   };
 
-  // GEMMs: gemm_nt within 1e-5·k across tiers, the fused GELU output within
-  // GELU's 1e-5, the rest (the fused y included) bitwise.
+  // GEMMs: gemm_nt within 1e-5·k across tiers, the (un)fused GELU output
+  // within GELU's 1e-5, the rest (their y included) bitwise.
   Rng rng(31);
   std::vector<OpSpec> gemms;
   for (const Shape& s : kShapes) {
     const std::string v = s.variant;
     const bool tn = v == "gemm_tn", nt = v == "gemm_nt";
     const bool fused = v == "gemm_bias_gelu_panel";
+    const bool unfused = v == "gemm+add_bias+gelu";
     auto o = std::make_shared<Operands>();
     o->a = tn ? Tensor(s.k, s.m) : Tensor(s.m, s.k);
     o->b = nt ? Tensor(s.n, s.k) : Tensor(s.k, s.n);
@@ -219,16 +225,21 @@ int main(int argc, char** argv) {
         {v + " " + s.site,
          std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
              std::to_string(s.n),
-         2.0 * s.m * s.k * s.n, !nt && !fused, nt ? 1e-5f * s.k : 1e-5f,
-         nullptr,
-         [o, tn, nt, fused] {
+         2.0 * s.m * s.k * s.n, !nt && !fused && !unfused,
+         nt ? 1e-5f * s.k : 1e-5f, nullptr,
+         [o, tn, nt, fused, unfused] {
            if (tn) gemm_tn(o->a, o->b, o->c);
            else if (nt) gemm_nt(o->a, o->b, o->c);
            else if (fused)
              gemm_bias_gelu_panel(o->a, o->bp, o->bias, o->c, o->g);
            else gemm(o->a, o->b, o->c);
+           if (unfused) {
+             add_bias(o->c, o->bias);
+             gelu_forward(o->c, o->g);
+           }
          },
-         [o] { return flat({&o->c, &o->g}); }, fused ? o->c.numel() : 0});
+         [o] { return flat({&o->c, &o->g}); },
+         fused || unfused ? o->c.numel() : 0});
   }
   measure_ops(gemms, /*flops=*/true);
 
@@ -241,7 +252,7 @@ int main(int argc, char** argv) {
   Tensor y0(R, V), bias(1, V), dyv(R, V), xv(R, V), dxv(R, V), gv(R, V);
   Tensor xh(R, H), gamma(1, H), beta(1, H), yh(R, H), mean(R, 1), rstd(R, 1);
   Tensor dyh(R, H), dxh(R, H), dgamma(1, H), dbeta(1, H);
-  Tensor logits(R, V), dlogits(R, V), probs(R, V);
+  Tensor logits(R, V), dlogits(R, V), probs(R, V), masked(R, V);
   Tensor w(H, V), g(H, V), m0(H, V), v0(H, V);
   y0.randn(rng, 1.0f); bias.randn(rng, 1.0f); dyv.randn(rng, 1.0f);
   xv.randn(rng, 1.0f); xh.randn(rng, 1.0f); gamma.randn(rng, 1.0f);
@@ -252,6 +263,10 @@ int main(int argc, char** argv) {
   std::vector<int> targets(R);
   for (int r = 0; r < R; ++r)
     targets[r] = static_cast<int>(rng.next_below(V));
+  // Causal scores: row r keeps its first 12·(r+1) logits, −1e9 past them.
+  for (int r = 0; r < R; ++r)
+    for (int c = 0; c < V; ++c)
+      masked.at(r, c) = c < 12 * (r + 1) ? logits.at(r, c) : -1e9f;
   // LayerNorm backward consumes the *scalar* forward's statistics in both
   // tiers, so its cross-tier delta is the backward's own.
   set_kernel_policy(KernelPolicy::kScalarReference);
@@ -297,6 +312,9 @@ int main(int argc, char** argv) {
                  [&] { return flat({&dxh, &dgamma, &dbeta}); }});
   ops.push_back({"softmax_rows", "64x768", 2.0 * R * V * f, false, 1e-6f,
                  nullptr, [&] { softmax_rows(logits, probs); },
+                 [&] { return flat({&probs}); }});
+  ops.push_back({"softmax_rows masked", "64x768 causal -1e9", 2.0 * R * V * f,
+                 false, 1e-6f, nullptr, [&] { softmax_rows(masked, probs); },
                  [&] { return flat({&probs}); }});
   ops.push_back({"cross_entropy", "64x768", 2.0 * R * V * f, false, 1e-5f,
                  nullptr,

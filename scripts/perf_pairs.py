@@ -22,7 +22,10 @@ the parent's IQR (statistics.quantiles, n=4) and how many pairs the change
 won, in the direction BENCHMARK.json gives. The verdict is "moved better"
 or "moved worse" only when the gap between the medians exceeds the parent's
 IQR, "within noise" otherwise, and "too few pairs" for a single pair, which
-has no spread. Exits 1 when a build or run fails.
+has no spread. The header line names the host's AVX-family CPU flags, since
+the fast kernel tier picks its GEMM tiles by them (AVX-512, AVX2+FMA or
+portable) and results from hosts with different vector units differ. Exits
+1 when a build or run fails.
 """
 import argparse
 import json
@@ -59,6 +62,20 @@ def export(rev, dest):
         with open(stamp, "w") as f:
             f.write(sha)
     return dest, sha[:10]
+
+
+def host_avx_flags():
+    """The CPU's avx*/fma flags from /proc/cpuinfo, or "unknown"."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    flags = line.split(":", 1)[1].split()
+                    return " ".join(sorted(
+                        x for x in flags if x.startswith("avx") or x == "fma"))
+    except OSError:
+        pass
+    return "unknown"
 
 
 def run(tree, workload, seed, seconds, trace):
@@ -132,7 +149,9 @@ def main():
     higher = directions(change)
     print("perf_pairs: parent=%s change=%s seconds=%g trace=%d seeds=%s"
           % (parent_id, change_id, args.seconds, args.trace,
-             ",".join(map(str, seeds))), flush=True)
+             ",".join(map(str, seeds))))
+    print("perf_pairs: host flags: %s" % (host_avx_flags() or "no avx"),
+          flush=True)
 
     for workload in args.workloads.split(","):
         parent_runs, change_runs = [], []

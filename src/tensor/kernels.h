@@ -10,10 +10,10 @@
 //
 // Every dense kernel has two tiers (DESIGN.md §2 item 18): the scalar
 // reference (the bitwise anchor every parity/grad-sync/decode contract
-// pins) and a vectorized fast tier (tensor/kernels_simd.cc: AVX2
-// microkernels — register-tiled GEMMs over 16-column B panels plus a
-// portable mirror, and lane-parallel elementwise/normalize/reduce kernels
-// for the non-GEMM ops). nn::Linear keeps its weight in that panel layout
+// pins) and a vectorized fast tier (tensor/kernels_simd.cc: AVX-512 or
+// AVX2 microkernels by CPUID — register-tiled GEMMs over 16-column B panels
+// plus a portable mirror — and lane-parallel elementwise/normalize/reduce
+// kernels for the non-GEMM ops). nn::Linear keeps its weight in that panel layout
 // for good, and its three GEMMs have panel forms (below) that are bitwise
 // their row-major counterparts in each tier. Tier selection is the
 // process-wide KernelPolicy below, overridable by the CHIMERA_KERNEL_TIER

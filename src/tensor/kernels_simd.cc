@@ -3,51 +3,57 @@
 //
 // Layout. gemm/gemm_tn shard over 16-wide column panels of C, with the same
 // shape-only split points every kernel uses. A shard walks its own panels
-// and sweeps all m rows of each with 6×16 register tiles. When m > 6 the
-// row tiles share the panel, so the shard first copies it — k rows of 16
-// floats — into a thread-local k×16 buffer with vector copies; when m ≤ 6
-// a single tile covers every row, so it reads B in place at row stride n
-// (masked loads on a tail panel) and nothing is packed. gemm_nt shards
-// output rows and walks 48-row blocks with 4-column dot groups so the four
-// B rows of a group stay L1-resident across the block. nn::Linear stores
-// its weight as those k×16 panels for good (tensor/kernels.h): its forward
-// reads each panel in place at any m, its dW tiles store into the panel
-// gradient at row stride 16, and its dX dot groups take each W row's
-// 8-lane chunks from consecutive panels.
+// and sweeps all m rows of each with MR×16 register tiles (MR = 12 on
+// AVX-512, 6 on AVX2 and the portable mirror). When m > MR the row tiles
+// share the panel, so the shard first copies it — k rows of 16 floats —
+// into a thread-local k×16 buffer with vector copies; when m ≤ MR a single
+// tile covers every row, so it reads B in place at row stride n (masked
+// loads on a tail panel) and nothing is packed. gemm_nt shards output rows
+// and walks 48-row blocks with 4-column dot groups so the four B rows of a
+// group stay L1-resident across the block. nn::Linear stores its weight as
+// those k×16 panels for good (tensor/kernels.h): its forward reads each
+// panel in place at any m, its dW tiles store into the panel gradient at
+// row stride 16, and its dX dot groups take each W row's 8-lane chunks from
+// consecutive panels. The forward's bias/GELU epilogue runs on the tile's
+// accumulators before they are stored, so nothing re-reads what the tile
+// just wrote.
 //
-// Registers. The AVX2 tile's 12 accumulators (6 rows × two 8-float
-// vectors) and a dot group's 4 lane partials must stay in registers across
-// the whole k loop at the default build type (RelWithDebInfo, -O2). gcc
-// does not unroll the short row/group loops there by itself, and then
-// every accumulator makes a round trip through the stack on each k step —
-// about a third of the tile's throughput. Those loops therefore carry
-// `#pragma GCC unroll`, which fully unrolls them so every accumulator
-// index is a compile-time constant and the arrays become registers.
+// Registers. A tile's accumulators (AVX2: 6 rows × two 8-float ymm;
+// AVX-512: 12 rows × one 16-float zmm) and a dot group's 4 lane partials
+// must stay in registers across the whole k loop at the default build type
+// (RelWithDebInfo, -O2). gcc does not unroll the short row/group loops
+// there by itself, and then every accumulator makes a round trip through
+// the stack on each k step — about a third of the tile's throughput. Those
+// loops therefore carry `#pragma GCC unroll`, which fully unrolls them so
+// every accumulator index is a compile-time constant and the arrays become
+// registers.
 //
-// Two implementations share that structure: AVX2+FMA microkernels behind
-// __attribute__((target)) with __builtin_cpu_supports dispatch, and a
-// portable mirror with the same blocking and the same per-element
-// accumulation orders (plain C++ the autovectorizer may or may not
-// vectorize — either way the arithmetic per element is fixed).
+// Three implementations share that structure: AVX-512 and AVX2+FMA
+// microkernels behind __attribute__((target)) with __builtin_cpu_supports
+// dispatch (active_isa()), and a portable mirror with the same blocking and
+// the same per-element accumulation orders (plain C++ the autovectorizer
+// may or may not vectorize — either way the arithmetic per element is
+// fixed). The AVX-512 tables reuse the AVX2 dot groups.
 //
 // Determinism. gemm/gemm_tn tiles broadcast one A element against 16 B
 // lanes and pair every multiply with a separate add (vmulps + vaddps), so
 // each output element performs the exact serial ascending-l reduction of
-// the scalar reference — bitwise identical on every host, whatever the
-// panel split or whether B was packed, which is why this file must be
-// compiled with -ffp-contract=off (gcc otherwise contracts mul+add —
-// intrinsic or not — into one differently-rounded FMA inside an fma-target
-// function; CMakeLists pins the flag). gemm_nt reduces a dot product
-// across lanes: 8 strided partials, a fixed combine tree, explicit FMA
-// intrinsics in the vector body, and a scalar tail — tolerance-equal to
-// the reference, but a pure function of k and the data, so results never
-// depend on the row count or the shard split. The fused attention row
-// primitives reuse both: dot_rows_fast runs gemm_nt's dot groups, and
-// combine/outer_rows_fast pair each multiply with a separate add like the
-// gemm tiles.
+// the scalar reference — bitwise identical on every host and in every ISA,
+// whatever the tile height, the panel split or whether B was packed, which
+// is why this file must be compiled with -ffp-contract=off (gcc otherwise
+// contracts mul+add — intrinsic or not — into one differently-rounded FMA
+// inside an fma-target function; CMakeLists pins the flag). gemm_nt reduces
+// a dot product across lanes: 8 strided partials, a fixed combine tree,
+// explicit FMA intrinsics in the vector body, and a scalar tail —
+// tolerance-equal to the reference, but a pure function of k and the data,
+// so results never depend on the row count or the shard split. The fused
+// attention row primitives reuse both: dot_rows_fast runs gemm_nt's dot
+// groups, and combine/outer_rows_fast pair each multiply with a separate
+// add like the gemm tiles.
 #include "tensor/kernels_simd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstring>
 
@@ -57,7 +63,13 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define CHIMERA_SIMD_X86 1
+// gcc 12's AVX-512 intrinsics pass _mm512_undefined_ps() as the unused
+// merge source of their unmasked forms, which -Wmaybe-uninitialized reports
+// at the header line of every inlined call (gcc bug 105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #else
 #define CHIMERA_SIMD_X86 0
 #endif
@@ -65,8 +77,9 @@
 namespace chimera::simd {
 namespace {
 
-constexpr int kNR = 16;       ///< panel width: two 8-float vectors
-constexpr int kMR = 6;        ///< register-tile rows (12 acc regs + 4 live)
+constexpr int kNR = 16;       ///< panel width: two ymm or one zmm
+constexpr int kMR = 6;        ///< AVX2/portable tile rows (12 acc ymm + 4 live)
+constexpr int kMR512 = 12;    ///< AVX-512 tile rows (12 acc zmm hide the add latency)
 constexpr int kNtBlock = 48;  ///< gemm_nt row block (matches scalar kBlock)
 constexpr int kNtGroup = 4;   ///< gemm_nt dot-product columns per pass
 
@@ -89,10 +102,14 @@ float* panel_workspace(std::size_t n) {
 /// the transpose so both variants share every microkernel). `pb` points at
 /// the strip's first B element and row l of the strip lives at pb[l·ldb]
 /// (ldb = 16 for a packed panel, n for B read in place). `width` ∈ [1, 16]
-/// live columns; B lanes past it are never read.
+/// live columns; B lanes past it are never read. The epilogue works on the
+/// accumulators: a non-null `bias` (the strip's first bias element) is
+/// added to each row before C is stored, and a non-null `pg` receives
+/// gelu(C) at the same row stride ldc.
 using TileFn = void (*)(const float* pa, std::size_t ra, std::size_t rl,
                         int k, const float* pb, std::size_t ldb, float* pc,
-                        std::size_t ldc, int width, bool accumulate);
+                        std::size_t ldc, int width, bool accumulate,
+                        const float* bias, float* pg);
 
 /// One row of C[j0..j0+JT) (+)= dot(A row, B rows j0..). B row g's 8-lane
 /// chunk at l (l a multiple of 8) lives at pb + g·rs + (l/16)·bs + l%16:
@@ -112,7 +129,8 @@ using DotFn = void (*)(const float* arow, const float* pb, std::size_t rs,
 template <int MR, bool kTail>
 void tile_portable_strip(const float* pa, std::size_t ra, std::size_t rl,
                          int k, const float* pb, std::size_t ldb, float* pc,
-                         std::size_t ldc, int width, bool accumulate) {
+                         std::size_t ldc, int width, bool accumulate,
+                         const float* bias, float* pg) {
   float acc[MR][kNR] = {};
   if (accumulate)
     for (int r = 0; r < MR; ++r)
@@ -130,20 +148,30 @@ void tile_portable_strip(const float* pa, std::size_t ra, std::size_t rl,
       for (int j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
     }
   }
+  if (bias)
+    for (int r = 0; r < MR; ++r)
+      for (int j = 0; j < width; ++j) acc[r][j] += bias[j];
   for (int r = 0; r < MR; ++r)
     for (int j = 0; j < width; ++j) pc[r * ldc + j] = acc[r][j];
+  // The shared scalar GELU: on the portable path the fast tier's
+  // gelu_forward runs the scalar reference, so fused ≡ unfused.
+  if (pg)
+    for (int r = 0; r < MR; ++r)
+      for (int j = 0; j < width; ++j)
+        pg[r * ldc + j] = chimera::detail::gelu_eval(acc[r][j]);
 }
 
 template <int MR>
 void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
                    const float* pb, std::size_t ldb, float* pc,
-                   std::size_t ldc, int width, bool accumulate) {
+                   std::size_t ldc, int width, bool accumulate,
+                   const float* bias, float* pg) {
   if (width == kNR)
     tile_portable_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                                   accumulate);
+                                   accumulate, bias, pg);
   else
     tile_portable_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                                  accumulate);
+                                  accumulate, bias, pg);
 }
 
 /// lanes[g][t] += arow[t]·chunk[g·rs + t] for one 8-lane chunk.
@@ -176,13 +204,6 @@ void dot_portable(const float* arow, const float* pb, std::size_t rs,
     for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
     cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
   }
-}
-
-/// Fused-epilogue GELU row on the portable path: the shared scalar
-/// definition, so fused ≡ unfused on hosts where the fast tier's
-/// gelu_forward also runs the scalar expression.
-void gelu_row_portable(const float* y, float* g, int n) {
-  for (int j = 0; j < n; ++j) g[j] = chimera::detail::gelu_eval(y[j]);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,11 +240,16 @@ CHIMERA_TARGET_AVX2 inline void store8(float* p, __m256i mask, __m256 v) {
     _mm256_storeu_ps(p, v);
 }
 
+/// The vector GELU (defined with the other vector math below), which the
+/// tile's fused epilogue applies to its accumulators.
+CHIMERA_TARGET_AVX2 inline __m256 gelu8(__m256 v);
+
 template <int MR, bool kTail>
 CHIMERA_TARGET_AVX2
 void tile_avx2_strip(const float* pa, std::size_t ra, std::size_t rl, int k,
                      const float* pb, std::size_t ldb, float* pc,
-                     std::size_t ldc, int width, bool accumulate) {
+                     std::size_t ldc, int width, bool accumulate,
+                     const float* bias, float* pg) {
   // 2·MR accumulators (≤ 12 ymm) + two B vectors + one broadcast stay
   // within the 16 ymm registers for MR = 6; the unrolled row loops make
   // every acc index a constant so none of them lives on the stack.
@@ -249,11 +275,29 @@ void tile_avx2_strip(const float* pa, std::size_t ra, std::size_t rl, int k,
       acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
     }
   }
+  if (bias) {
+    // y + bias: add_bias's single add per element, on the registers.
+    const __m256 bias0 = load8<kTail>(bias, m0);
+    const __m256 bias1 = load8<kTail>(bias + 8, m1);
+#pragma GCC unroll 6
+    for (int r = 0; r < MR; ++r) {
+      acc[r][0] = _mm256_add_ps(acc[r][0], bias0);
+      acc[r][1] = _mm256_add_ps(acc[r][1], bias1);
+    }
+  }
 #pragma GCC unroll 6
   for (int r = 0; r < MR; ++r) {
     float* crow = pc + r * ldc;
     store8<kTail>(crow, m0, acc[r][0]);
     store8<kTail>(crow + 8, m1, acc[r][1]);
+  }
+  if (pg) {
+#pragma GCC unroll 6
+    for (int r = 0; r < MR; ++r) {
+      float* grow = pg + r * ldc;
+      store8<kTail>(grow, m0, gelu8(acc[r][0]));
+      store8<kTail>(grow + 8, m1, gelu8(acc[r][1]));
+    }
   }
 }
 
@@ -261,13 +305,13 @@ template <int MR>
 CHIMERA_TARGET_AVX2
 void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
                const float* pb, std::size_t ldb, float* pc, std::size_t ldc,
-               int width, bool accumulate) {
+               int width, bool accumulate, const float* bias, float* pg) {
   if (width == kNR)
     tile_avx2_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                               accumulate);
+                               accumulate, bias, pg);
   else
     tile_avx2_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                              accumulate);
+                              accumulate, bias, pg);
 }
 
 /// Fixed-tree horizontal sum: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) —
@@ -324,6 +368,10 @@ void dot_avx2(const float* arow, const float* pb, std::size_t rs,
 /// exact-zero probability in the fast tier, same as std::exp underflow in
 /// the reference. Also the low clamp: for x ≥ kExpLo the biased exponent
 /// 2^n stays normal (n ≥ −126), so the scale-by-2^n bit trick never wraps.
+/// A flushed lane's argument is zeroed before the clamp: evaluated at the
+/// clamp itself, its discarded result lands near the subnormal range, which
+/// the multiplier handles through a microcode assist about ten times slower
+/// than the normal path (masked softmax columns, GELU inputs below ≈ −10).
 constexpr float kExpLo = -87.33654475f;
 constexpr float kExpHi = 88.3762626647949f;  // just below log(FLT_MAX)
 
@@ -334,6 +382,7 @@ constexpr float kExpHi = 88.3762626647949f;  // just below log(FLT_MAX)
 CHIMERA_TARGET_AVX2
 inline __m256 exp8(__m256 x) {
   const __m256 flush = _mm256_cmp_ps(x, _mm256_set1_ps(kExpLo), _CMP_LT_OQ);
+  x = _mm256_andnot_ps(flush, x);
   x = _mm256_max_ps(_mm256_min_ps(x, _mm256_set1_ps(kExpHi)),
                     _mm256_set1_ps(kExpLo));
   const __m256 n = _mm256_round_ps(
@@ -759,35 +808,182 @@ constexpr OuterFn kOuter[2][5] = {
     {nullptr, outer_avx2<1, true>, outer_avx2<2, true>, outer_avx2<3, true>,
      outer_avx2<4, true>}};
 
+// ---------------------------------------------------------------------------
+// AVX-512 microkernels: one zmm covers a whole 16-lane panel row, so a tile
+// takes 12 rows with 12 accumulators; a tail panel masks its loads and
+// stores with an __mmask16. Only entered when active_isa() is kAvx512. The
+// dot groups stay AVX2 (a zmm dot would change gemm_nt's 8-lane order).
+// ---------------------------------------------------------------------------
+
+#define CHIMERA_TARGET_AVX512 __attribute__((target("avx512f,avx2,fma")))
+
+/// Sixteen lanes at p: a plain load, or on a tail strip a masked one (dead
+/// lanes read as 0 and never touch memory).
+template <bool kTail>
+CHIMERA_TARGET_AVX512 inline __m512 load16(const float* p, __mmask16 live) {
+  return kTail ? _mm512_maskz_loadu_ps(live, p) : _mm512_loadu_ps(p);
+}
+
+template <bool kTail>
+CHIMERA_TARGET_AVX512 inline void store16(float* p, __mmask16 live,
+                                          __m512 v) {
+  if (kTail)
+    _mm512_mask_storeu_ps(p, live, v);
+  else
+    _mm512_storeu_ps(p, v);
+}
+
+/// exp8 widened instruction for instruction, so every lane gets exp8's
+/// bits. AVX-512F has no float andnot, so the two andnots become zero-masked
+/// moves under the complement of the flush mask — the same +0.0f result.
+CHIMERA_TARGET_AVX512
+inline __m512 exp16(__m512 x) {
+  const __mmask16 keep = static_cast<__mmask16>(
+      ~_mm512_cmp_ps_mask(x, _mm512_set1_ps(kExpLo), _CMP_LT_OQ));
+  x = _mm512_maskz_mov_ps(keep, x);
+  x = _mm512_max_ps(_mm512_min_ps(x, _mm512_set1_ps(kExpHi)),
+                    _mm512_set1_ps(kExpLo));
+  const __m512 n = _mm512_roundscale_ps(
+      _mm512_mul_ps(x, _mm512_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m512 r = _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(0.693359375f)));
+  r = _mm512_sub_ps(r, _mm512_mul_ps(n, _mm512_set1_ps(-2.12194440e-4f)));
+  __m512 p = _mm512_set1_ps(1.9875691500e-4f);
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.3981999507e-3f));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(8.3334519073e-3f));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(4.1665795894e-2f));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.6666665459e-1f));
+  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(5.0000001201e-1f));
+  const __m512 z = _mm512_mul_ps(r, r);
+  __m512 y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, z), r),
+                           _mm512_set1_ps(1.0f));
+  const __m512i bits =
+      _mm512_add_epi32(_mm512_cvtps_epi32(n), _mm512_set1_epi32(127));
+  y = _mm512_mul_ps(y, _mm512_castsi512_ps(_mm512_slli_epi32(bits, 23)));
+  return _mm512_maskz_mov_ps(keep, y);
+}
+
+/// tanh8 widened.
+CHIMERA_TARGET_AVX512
+inline __m512 tanh16(__m512 u) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 e = exp16(_mm512_mul_ps(u, _mm512_set1_ps(2.0f)));
+  return _mm512_div_ps(_mm512_sub_ps(e, one), _mm512_add_ps(e, one));
+}
+
+/// gelu8 widened: the fused epilogue and gelu_forward_fast on AVX-512
+/// hosts, bitwise ≡ gelu8 per lane.
+CHIMERA_TARGET_AVX512
+inline __m512 gelu16(__m512 v) {
+  const __m512 v2 = _mm512_mul_ps(v, v);
+  const __m512 inner = _mm512_add_ps(
+      v, _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.044715f), v2), v));
+  const __m512 t = tanh16(_mm512_mul_ps(_mm512_set1_ps(kGeluC), inner));
+  return _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5f), v),
+                       _mm512_add_ps(_mm512_set1_ps(1.0f), t));
+}
+
+CHIMERA_TARGET_AVX512
+void gelu_row_avx512(const float* y, float* g, int n) {
+  int j = 0;
+  for (; j + kNR <= n; j += kNR)
+    _mm512_storeu_ps(g + j, gelu16(_mm512_loadu_ps(y + j)));
+  if (j < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - j)) - 1);
+    _mm512_mask_storeu_ps(g + j, m, gelu16(_mm512_maskz_loadu_ps(m, y + j)));
+  }
+}
+
+template <int MR, bool kTail>
+CHIMERA_TARGET_AVX512
+void tile_avx512_strip(const float* pa, std::size_t ra, std::size_t rl,
+                       int k, const float* pb, std::size_t ldb, float* pc,
+                       std::size_t ldc, int width, bool accumulate,
+                       const float* bias, float* pg) {
+  // MR ≤ 12 accumulators + one B vector + one broadcast of the 32 zmm; the
+  // unrolled row loops make every acc index a constant.
+  const __mmask16 live = static_cast<__mmask16>((1u << width) - 1);
+  __m512 acc[MR];
+#pragma GCC unroll 12
+  for (int r = 0; r < MR; ++r)
+    acc[r] = accumulate ? load16<kTail>(pc + r * ldc, live)
+                        : _mm512_setzero_ps();
+  for (int l = 0; l < k; ++l, pb += ldb) {
+    const __m512 b = load16<kTail>(pb, live);
+    const float* al = pa + static_cast<std::size_t>(l) * rl;
+#pragma GCC unroll 12
+    for (int r = 0; r < MR; ++r)
+      // Separate multiply and add, as in the AVX2 tile.
+      acc[r] = _mm512_add_ps(acc[r],
+                             _mm512_mul_ps(_mm512_set1_ps(al[r * ra]), b));
+  }
+  if (bias) {
+    const __m512 bv = load16<kTail>(bias, live);
+#pragma GCC unroll 12
+    for (int r = 0; r < MR; ++r) acc[r] = _mm512_add_ps(acc[r], bv);
+  }
+#pragma GCC unroll 12
+  for (int r = 0; r < MR; ++r) store16<kTail>(pc + r * ldc, live, acc[r]);
+  if (pg) {
+#pragma GCC unroll 12
+    for (int r = 0; r < MR; ++r)
+      store16<kTail>(pg + r * ldc, live, gelu16(acc[r]));
+  }
+}
+
+template <int MR>
+CHIMERA_TARGET_AVX512
+void tile_avx512(const float* pa, std::size_t ra, std::size_t rl, int k,
+                 const float* pb, std::size_t ldb, float* pc, std::size_t ldc,
+                 int width, bool accumulate, const float* bias, float* pg) {
+  if (width == kNR)
+    tile_avx512_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
+                                 accumulate, bias, pg);
+  else
+    tile_avx512_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
+                                accumulate, bias, pg);
+}
+
 #endif  // CHIMERA_SIMD_X86
 
-/// mr/jt-indexed dispatch tables (index 0 unused). `gelu_row` is the GELU
-/// evaluation this host's fast tier uses everywhere — fused epilogue and
-/// unfused gelu_forward — so fused ≡ unfused stays bitwise within the tier.
+/// mr/jt-indexed dispatch tables (index 0 unused; tile entries past `mr`
+/// are null). The tiles' epilogue applies the GELU evaluation this ISA's
+/// gelu_forward uses, so fused ≡ unfused stays bitwise within the tier.
 struct Tables {
-  TileFn tile[kMR + 1];
+  int mr;  ///< tile rows: gemm_panels steps by it and packs above it
+  TileFn tile[kMR512 + 1];
   DotFn dot[kNtGroup + 1];
-  void (*gelu_row)(const float* y, float* g, int n);
 };
 
 constexpr Tables kPortable = {
+    kMR,
     {nullptr, tile_portable<1>, tile_portable<2>, tile_portable<3>,
      tile_portable<4>, tile_portable<5>, tile_portable<6>},
     {nullptr, dot_portable<1>, dot_portable<2>, dot_portable<3>,
-     dot_portable<4>},
-    gelu_row_portable};
+     dot_portable<4>}};
 
 #if CHIMERA_SIMD_X86
 constexpr Tables kAvx2 = {
+    kMR,
     {nullptr, tile_avx2<1>, tile_avx2<2>, tile_avx2<3>, tile_avx2<4>,
      tile_avx2<5>, tile_avx2<6>},
-    {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>},
-    gelu_row_avx2};
+    {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>}};
+
+constexpr Tables kAvx512 = {
+    kMR512,
+    {nullptr, tile_avx512<1>, tile_avx512<2>, tile_avx512<3>, tile_avx512<4>,
+     tile_avx512<5>, tile_avx512<6>, tile_avx512<7>, tile_avx512<8>,
+     tile_avx512<9>, tile_avx512<10>, tile_avx512<11>, tile_avx512<12>},
+    {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>}};
 #endif
 
 const Tables& tables() {
 #if CHIMERA_SIMD_X86
-  if (cpu_supports_avx2_fma()) return kAvx2;
+  switch (active_isa()) {
+    case Isa::kAvx512: return kAvx512;
+    case Isa::kAvx2: return kAvx2;
+    case Isa::kPortable: break;
+  }
 #endif
   return kPortable;
 }
@@ -812,19 +1008,19 @@ enum class PanelOperand { kNone, kB, kC };
 
 /// Shared panel loop for gemm (ra=k, rl=1) and gemm_tn (ra=1, rl=m):
 /// shard the 16-column panels of C, then sweep all m rows of each panel
-/// with 6×16 tiles. A row-major B with more than kMR rows is packed once
-/// per panel into the thread's k×16 buffer, where it stays cache-hot; with
-/// m ≤ kMR one tile covers all rows and reads B in place. A panel-layout B
+/// with t.mr×16 tiles. With m > t.mr a row-major B is packed once per panel
+/// into the thread's k×16 buffer, where it stays cache-hot; with m ≤ t.mr
+/// one tile covers all rows and reads B in place. A panel-layout B
 /// (`layout` kB) is already that buffer: its block p is read in place at
 /// any m. A panel-layout C (kC) takes each tile at row stride 16 inside its
 /// block. When `bias`/`pg` are set (nn::Linear's forward: panel B,
-/// row-major C), the fused epilogue runs on each finished tile: the bias
-/// add is the same single add per element as add_bias, and the GELU goes
-/// through the table's gelu_row — the evaluation this host's fast-tier
+/// row-major C, g at C's row stride), each tile runs the fused epilogue on
+/// its accumulators: the bias add is the same single add per element as
+/// add_bias, and the GELU is the evaluation this ISA's fast-tier
 /// gelu_forward also uses — so fusion is bitwise-identical to the unfused
 /// add_bias/gelu_forward passes within the tier. The tiles' per-element
-/// order is the same for every layout, so the layouts are bitwise
-/// interchangeable.
+/// order is the same for every layout and tile height, so the layouts and
+/// ISAs are bitwise interchangeable.
 void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
                  int n, int k, const float* pb, float* pc, bool accumulate,
                  const float* bias, float* pg, PanelOperand layout) {
@@ -832,7 +1028,7 @@ void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
   const int panels = (n + kNR - 1) / kNR;
   const bool b_panels = layout == PanelOperand::kB;
   const bool c_panels = layout == PanelOperand::kC;
-  const bool pack = m > kMR && !b_panels;
+  const bool pack = m > t.mr && !b_panels;
   const std::size_t ldc = c_panels ? kNR : n;
   const int shards =
       plan_shards(panels, static_cast<std::size_t>(m) * k * kNR);
@@ -853,21 +1049,12 @@ void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
       }
       float* cpanel =
           c_panels ? pc + static_cast<std::size_t>(p) * m * kNR : pc + j0;
-      for (int i = 0; i < m; i += kMR) {
-        const int mr = std::min(kMR, m - i);
-        t.tile[mr](pa + i * ra, ra, rl, k, panel, ldb, cpanel + i * ldc, ldc,
-                   width, accumulate);
-        if (bias || pg) {
-          for (int r = i; r < i + mr; ++r) {
-            float* yrow = pc + static_cast<std::size_t>(r) * n + j0;
-            if (bias)
-              for (int j = 0; j < width; ++j) yrow[j] += bias[j0 + j];
-            if (pg)
-              t.gelu_row(yrow, pg + static_cast<std::size_t>(r) * n + j0,
-                         width);
-          }
-        }
-      }
+      const float* pbias = bias ? bias + j0 : nullptr;
+      float* gpanel = pg ? pg + j0 : nullptr;
+      for (int i = 0; i < m; i += t.mr)
+        t.tile[std::min(t.mr, m - i)](
+            pa + i * ra, ra, rl, k, panel, ldb, cpanel + i * ldc, ldc, width,
+            accumulate, pbias, gpanel ? gpanel + i * ldc : nullptr);
     }
   });
 }
@@ -897,15 +1084,46 @@ void gemm_nt_rows(const float* pa, int m, int n, int k, const float* pb,
 
 }  // namespace
 
-bool cpu_supports_avx2_fma() {
+namespace {
+
+Isa host_isa() {
 #if CHIMERA_SIMD_X86
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
+  static const Isa isa =
+      !(__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+          ? Isa::kPortable
+      : __builtin_cpu_supports("avx512f") ? Isa::kAvx512
+                                          : Isa::kAvx2;
+  return isa;
 #else
-  return false;
+  return Isa::kPortable;
 #endif
 }
+
+std::atomic<Isa> g_isa_cap{Isa::kAvx512};
+
+}  // namespace
+
+Isa active_isa() {
+  return std::min(host_isa(), g_isa_cap.load(std::memory_order_relaxed));
+}
+
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kAvx512: return "avx512";
+    case Isa::kAvx2: return "avx2";
+    case Isa::kPortable: break;
+  }
+  return "portable";
+}
+
+ScopedIsaCap::ScopedIsaCap(Isa cap) : saved_(g_isa_cap.load()) {
+  CHIMERA_CHECK(cap <= host_isa() && "the host does not support this ISA");
+  g_isa_cap.store(cap);
+}
+
+ScopedIsaCap::~ScopedIsaCap() { g_isa_cap.store(saved_); }
+
+bool cpu_supports_avx2_fma() { return active_isa() >= Isa::kAvx2; }
 
 void gemm_fast(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   const int m = a.rows(), k = a.cols(), n = b.cols();
@@ -1002,6 +1220,9 @@ void bias_backward_fast(const Tensor& dy, Tensor& dbias) {
 
 void gelu_forward_fast(const Tensor& x, Tensor& y) {
   CHIMERA_CHECK(x.numel() == y.numel());
+  // gelu16 ≡ gelu8 per lane, so either row gives the same bits.
+  const auto row =
+      active_isa() == Isa::kAvx512 ? gelu_row_avx512 : gelu_row_avx2;
   const std::size_t n = x.numel();
   const int units = static_cast<int>(n / 256 + 1);
   const int shards = plan_shards(units, 256 * 8);
@@ -1011,7 +1232,7 @@ void gelu_forward_fast(const Tensor& x, Tensor& y) {
     const std::size_t i1 = std::min(
         n, static_cast<std::size_t>(shard_begin(units, shards, s + 1)) * 256);
     if (i0 < i1)
-      gelu_row_avx2(x.data() + i0, y.data() + i0, static_cast<int>(i1 - i0));
+      row(x.data() + i0, y.data() + i0, static_cast<int>(i1 - i0));
   });
 }
 

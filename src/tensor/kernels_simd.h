@@ -1,19 +1,23 @@
 // Internal interface of the fast kernel tier (DESIGN.md §2 item 18):
 // register-tiled GEMM microkernels over 16-column B panels (packed per
-// panel for m > 6, read in place for m ≤ 6, or stored as panels already:
-// nn::Linear's weight and gradient) with fused epilogues, plus
-// lane-parallel implementations of the non-GEMM dense ops (bias, GELU,
-// LayerNorm, softmax, cross-entropy), the fused attention driver's row
-// primitives (gemm_nt's dot, the softmax row, row combine/outer updates)
-// and the comm inner loops. The GEMMs ship an AVX2+FMA path selected by
-// runtime CPU dispatch plus a portable mirror with the same blocking and
-// the same per-element accumulation orders (dot_rows_fast runs either).
-// The non-GEMM ops and the other attention row primitives are AVX2-only:
-// the tier dispatcher in tensor/kernels.cc routes to them only when
-// cpu_supports_avx2_fma() is true, and runs the scalar reference otherwise
-// (a scalar "fast tier" trivially satisfies every contract). Only
-// tensor/kernels.cc includes this header for dispatch; tests include it to
-// query CPU capability.
+// panel when m exceeds the tile's row count, read in place otherwise, or
+// stored as panels already: nn::Linear's weight and gradient) with the
+// bias/GELU epilogue applied in the tile's registers, plus lane-parallel
+// implementations of the non-GEMM dense ops (bias, GELU, LayerNorm,
+// softmax, cross-entropy), the fused attention driver's row primitives
+// (gemm_nt's dot, the softmax row, row combine/outer updates) and the comm
+// inner loops. The GEMM tiles come in three implementations selected by
+// runtime CPU dispatch (active_isa()): AVX-512 (12×16 tiles, one zmm per
+// row), AVX2+FMA (6×16 tiles, two ymm per row) and a portable mirror of the
+// 6×16 blocking, all with the same per-element accumulation orders. The
+// dot groups come in two (AVX2 or portable, dot_rows_fast runs either; an
+// AVX-512 host runs the AVX2 dot). The non-GEMM ops and the other
+// attention row primitives are AVX2-only: the tier dispatcher in
+// tensor/kernels.cc routes to them only when cpu_supports_avx2_fma() is
+// true, and runs the scalar reference otherwise (a scalar "fast tier"
+// trivially satisfies every contract). Only tensor/kernels.cc includes
+// this header for dispatch; tests include it to query and cap the ISA, and
+// the benches to record it.
 //
 // Contract recap (full per-op table: DESIGN.md §2 item 18):
 //  - gemm_fast / gemm_tn_fast keep each output element's serial ascending
@@ -27,6 +31,11 @@
 //    — tolerance-equal to the reference, bitwise to that documented order
 //    (tests/kernel_tier_test.cc models it); bitwise stable in the row
 //    count for fixed k.
+//  - The fused epilogue (gemm_bias_act_fast) adds the bias to the tile's
+//    accumulators and applies GELU to those registers — the same single
+//    add per element as add_bias, and the same GELU evaluation as this
+//    ISA's gelu_forward_fast (the AVX-512 gelu16 is the AVX2 gelu8 widened
+//    instruction for instruction, so both give each lane the same bits).
 //  - gelu_*_fast, softmax_rows_fast, cross_entropy_fast and the row
 //    statistics of layernorm_*_fast use a vector exp/tanh polynomial and
 //    lane-summed row reductions — tolerance-equal; every element is a pure
@@ -48,8 +57,34 @@
 
 namespace chimera::simd {
 
-/// True when the running CPU has AVX2 and FMA (what KernelPolicy::kAuto
-/// keys on). The fast tier still works without them via the portable path.
+/// The instruction sets the fast tier's GEMM tiles come in, narrowest
+/// first. kAvx2 means AVX2+FMA; kAvx512 means that plus AVX-512F.
+enum class Isa { kPortable, kAvx2, kAvx512 };
+
+/// The widest ISA the running CPU supports, capped by a live ScopedIsaCap:
+/// the one the fast tier's kernels dispatch to.
+Isa active_isa();
+/// "portable", "avx2" or "avx512".
+const char* isa_name(Isa isa);
+
+/// Test-only: caps active_isa() at `cap` process-wide (the pool's helper
+/// threads included) for its lifetime, so one host runs every narrower
+/// ISA's kernels. CHECKs that the host supports `cap`. Construct and
+/// destroy it on one thread while no kernel runs elsewhere.
+class ScopedIsaCap {
+ public:
+  explicit ScopedIsaCap(Isa cap);
+  ~ScopedIsaCap();
+  ScopedIsaCap(const ScopedIsaCap&) = delete;
+  ScopedIsaCap& operator=(const ScopedIsaCap&) = delete;
+
+ private:
+  Isa saved_;
+};
+
+/// True when the kernels may use AVX2 and FMA: active_isa() ≥ kAvx2 (what
+/// KernelPolicy::kAuto keys on). The fast tier still works without them
+/// via the portable path.
 bool cpu_supports_avx2_fma();
 
 /// Fast-tier C = A·B (+ C if accumulate). Bitwise ≡ scalar reference.
@@ -64,11 +99,11 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
 
 /// Fast-tier fused Linear forward: y = x·W + bias, and (when g != nullptr)
 /// g = gelu(y), with W in panel layout (tensor/kernels.h). The epilogue
-/// runs on each just-computed output tile — the bias add is bitwise ≡
-/// add_bias, and the GELU uses the same evaluation as this host's
-/// gelu_forward fast path (vector polynomial on AVX2, detail::gelu_eval on
-/// the portable mirror), so fused ≡ gemm + add_bias + gelu_forward bitwise
-/// within the tier.
+/// runs on each tile's accumulators before they are stored — the bias add
+/// is bitwise ≡ add_bias, and the GELU uses the same evaluation as this
+/// ISA's gelu_forward (vector polynomial on AVX2 and AVX-512,
+/// detail::gelu_eval on the portable mirror), so fused ≡ gemm + add_bias +
+/// gelu_forward bitwise within the tier.
 void gemm_bias_act_fast(const Tensor& x, const Tensor& wp, const Tensor& bias,
                         Tensor& y, Tensor* g);
 /// Fast-tier dX = dY·Wᵀ, W in panel layout: gemm_nt_fast's dot groups over

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -112,17 +113,33 @@ void expect_bitwise(const Tensor& got, const Tensor& want) {
     ASSERT_EQ(got[i], want[i]) << "element " << i;
 }
 
-/// Shapes deliberately off the 6×16 tile and 48 block grids (plus exact
-/// multiples and degenerate edges), as {m, k, n}. The fast gemm/gemm_tn
-/// tier reads B in place for m ≤ 6 and packs it per panel above that, so
-/// m ∈ {1, 2, 4, 6, 7} covers both sides; n ∈ {1, 8, 15, 17, 24} puts 1-,
-/// 8-, 15-column tail panels behind zero or one full panel; k = 1 is the
-/// shortest reduction.
+/// Shapes deliberately off the 6×16 and 12×16 tile and 48 block grids
+/// (plus exact multiples and degenerate edges), as {m, k, n}. The fast
+/// gemm/gemm_tn tier reads B in place while one tile covers every row (m ≤
+/// 6 on AVX2 and the portable mirror, m ≤ 12 on AVX-512) and packs it per
+/// panel above that, so m ∈ {1, 2, 4, 6, 7} and {8, 11, 12, 13} cover both
+/// sides of each ISA's edge, and m ∈ {24, 25} a whole second 12-row tile and
+/// a 1-row remainder; n ∈ {1, 8, 15, 17, 24} puts 1-, 8-, 15-column tail
+/// panels behind zero or one full panel; k = 1 is the shortest reduction.
 const std::tuple<int, int, int> kShapes[] = {
     {1, 1, 1},    {3, 5, 7},    {6, 16, 32},  {13, 48, 33},
     {17, 31, 9},  {48, 64, 96}, {7, 129, 65}, {65, 7, 130},
     {1, 40, 17},  {2, 33, 8},   {4, 64, 15},  {6, 1, 24},
-    {7, 20, 17},  {7, 1, 1},    {2, 300, 24}, {13, 1, 15}};
+    {7, 20, 17},  {7, 1, 1},    {2, 300, 24}, {13, 1, 15},
+    {8, 20, 17},  {11, 33, 16}, {12, 64, 40}, {24, 7, 33},
+    {25, 48, 31}};
+
+/// Every GEMM tile ISA this host can run, narrowest first: the portable
+/// mirror always, then AVX2 and AVX-512 where the CPU has them. Suites loop
+/// over these under a simd::ScopedIsaCap, so the narrower tiles stay tested
+/// on hosts whose widest ISA would otherwise shadow them.
+std::vector<simd::Isa> host_isas() {
+  std::vector<simd::Isa> isas;
+  for (simd::Isa isa :
+       {simd::Isa::kPortable, simd::Isa::kAvx2, simd::Isa::kAvx512})
+    if (isa <= simd::active_isa()) isas.push_back(isa);
+  return isas;
+}
 
 TEST(KernelTier, DispatchRespectsEnvPinAndPolicy) {
   PolicyGuard guard;
@@ -155,24 +172,40 @@ TEST(KernelTier, DispatchRespectsEnvPinAndPolicy) {
   }
 }
 
+TEST(KernelTier, IsaCapNarrowsDispatchAndRestores) {
+  const simd::Isa host = simd::active_isa();
+  for (simd::Isa isa : host_isas()) {
+    {
+      simd::ScopedIsaCap cap(isa);
+      EXPECT_EQ(simd::active_isa(), isa);
+      EXPECT_EQ(simd::cpu_supports_avx2_fma(), isa >= simd::Isa::kAvx2);
+    }
+    EXPECT_EQ(simd::active_isa(), host);
+  }
+}
+
 TEST(KernelTier, GemmBitwiseMatchesReferenceInEveryTier) {
   PolicyGuard guard;
-  Rng rng(21);
-  for (auto [m, k, n] : kShapes) {
-    const Tensor a = random_tensor(m, k, rng);
-    const Tensor b = random_tensor(k, n, rng);
-    for (bool accumulate : {false, true}) {
-      Tensor want = random_tensor(m, n, rng, 0.5f);
-      Tensor seed = want;  // same starting contents for every tier
-      ref_gemm(a, b, want, accumulate);
-      for (KernelPolicy p : testable_policies()) {
-        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                     std::to_string(n) + (accumulate ? " acc" : "") +
-                     " policy=" + std::to_string(static_cast<int>(p)));
-        set_kernel_policy(p);
-        Tensor c = seed;
-        gemm(a, b, c, accumulate);
-        expect_bitwise(c, want);
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    Rng rng(21);
+    for (auto [m, k, n] : kShapes) {
+      const Tensor a = random_tensor(m, k, rng);
+      const Tensor b = random_tensor(k, n, rng);
+      for (bool accumulate : {false, true}) {
+        Tensor want = random_tensor(m, n, rng, 0.5f);
+        Tensor seed = want;  // same starting contents for every tier
+        ref_gemm(a, b, want, accumulate);
+        for (KernelPolicy p : testable_policies()) {
+          SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                       std::to_string(n) + (accumulate ? " acc" : "") +
+                       " policy=" + std::to_string(static_cast<int>(p)));
+          set_kernel_policy(p);
+          Tensor c = seed;
+          gemm(a, b, c, accumulate);
+          expect_bitwise(c, want);
+        }
       }
     }
   }
@@ -180,21 +213,25 @@ TEST(KernelTier, GemmBitwiseMatchesReferenceInEveryTier) {
 
 TEST(KernelTier, GemmTnBitwiseMatchesReferenceInEveryTier) {
   PolicyGuard guard;
-  Rng rng(22);
-  for (auto [m, k, n] : kShapes) {
-    const Tensor a = random_tensor(k, m, rng);  // stores Aᵀ
-    const Tensor b = random_tensor(k, n, rng);
-    for (bool accumulate : {false, true}) {
-      Tensor want = random_tensor(m, n, rng, 0.5f);
-      Tensor seed = want;
-      ref_gemm_tn(a, b, want, accumulate);
-      for (KernelPolicy p : testable_policies()) {
-        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                     std::to_string(n) + (accumulate ? " acc" : ""));
-        set_kernel_policy(p);
-        Tensor c = seed;
-        gemm_tn(a, b, c, accumulate);
-        expect_bitwise(c, want);
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    Rng rng(22);
+    for (auto [m, k, n] : kShapes) {
+      const Tensor a = random_tensor(k, m, rng);  // stores Aᵀ
+      const Tensor b = random_tensor(k, n, rng);
+      for (bool accumulate : {false, true}) {
+        Tensor want = random_tensor(m, n, rng, 0.5f);
+        Tensor seed = want;
+        ref_gemm_tn(a, b, want, accumulate);
+        for (KernelPolicy p : testable_policies()) {
+          SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                       std::to_string(n) + (accumulate ? " acc" : ""));
+          set_kernel_policy(p);
+          Tensor c = seed;
+          gemm_tn(a, b, c, accumulate);
+          expect_bitwise(c, want);
+        }
       }
     }
   }
@@ -202,25 +239,29 @@ TEST(KernelTier, GemmTnBitwiseMatchesReferenceInEveryTier) {
 
 TEST(KernelTier, GemmNtToleranceAgainstReference) {
   PolicyGuard guard;
-  Rng rng(23);
-  for (auto [m, k, n] : kShapes) {
-    const Tensor a = random_tensor(m, k, rng);
-    const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
-    for (bool accumulate : {false, true}) {
-      Tensor want = random_tensor(m, n, rng, 0.5f);
-      Tensor seed = want;
-      ref_gemm_nt(a, b, want, accumulate);
-      for (KernelPolicy p : testable_policies()) {
-        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                     std::to_string(n) + (accumulate ? " acc" : ""));
-        set_kernel_policy(p);
-        Tensor c = seed;
-        gemm_nt(a, b, c, accumulate);
-        if (active_kernel_tier() == KernelTier::kScalar) {
-          expect_bitwise(c, want);  // the reference tier has one exact order
-        } else {
-          for (std::size_t i = 0; i < c.numel(); ++i)
-            ASSERT_NEAR(c[i], want[i], 1e-5f * k) << "element " << i;
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    Rng rng(23);
+    for (auto [m, k, n] : kShapes) {
+      const Tensor a = random_tensor(m, k, rng);
+      const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
+      for (bool accumulate : {false, true}) {
+        Tensor want = random_tensor(m, n, rng, 0.5f);
+        Tensor seed = want;
+        ref_gemm_nt(a, b, want, accumulate);
+        for (KernelPolicy p : testable_policies()) {
+          SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                       std::to_string(n) + (accumulate ? " acc" : ""));
+          set_kernel_policy(p);
+          Tensor c = seed;
+          gemm_nt(a, b, c, accumulate);
+          if (active_kernel_tier() == KernelTier::kScalar) {
+            expect_bitwise(c, want);  // the reference tier has one exact order
+          } else {
+            for (std::size_t i = 0; i < c.numel(); ++i)
+              ASSERT_NEAR(c[i], want[i], 1e-5f * k) << "element " << i;
+          }
         }
       }
     }
@@ -307,31 +348,35 @@ TEST(KernelTier, GemmNtRowsAreBitwiseStableInRowCount) {
 
 TEST(KernelTier, FusedBiasGeluBitwiseMatchesUnfused) {
   PolicyGuard guard;
-  Rng rng(25);
-  for (auto [m, k, n] : kShapes) {
-    const Tensor x = random_tensor(m, k, rng);
-    const Tensor w = random_tensor(k, n, rng);
-    const Tensor bias = random_tensor(1, n, rng, 0.5f);
-    for (KernelPolicy p : testable_policies()) {
-      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                   std::to_string(n));
-      set_kernel_policy(p);
-      Tensor want_y(m, n);
-      gemm(x, w, want_y);
-      add_bias(want_y, bias);
-      Tensor want_g(m, n);
-      gelu_forward(want_y, want_g);
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    Rng rng(25);
+    for (auto [m, k, n] : kShapes) {
+      const Tensor x = random_tensor(m, k, rng);
+      const Tensor w = random_tensor(k, n, rng);
+      const Tensor bias = random_tensor(1, n, rng, 0.5f);
+      for (KernelPolicy p : testable_policies()) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                     std::to_string(n));
+        set_kernel_policy(p);
+        Tensor want_y(m, n);
+        gemm(x, w, want_y);
+        add_bias(want_y, bias);
+        Tensor want_g(m, n);
+        gelu_forward(want_y, want_g);
 
-      Tensor wp;
-      pack_panels(w, wp);
-      Tensor y1(m, n);
-      gemm_bias_panel(x, wp, bias, y1);
-      expect_bitwise(y1, want_y);
+        Tensor wp;
+        pack_panels(w, wp);
+        Tensor y1(m, n);
+        gemm_bias_panel(x, wp, bias, y1);
+        expect_bitwise(y1, want_y);
 
-      Tensor y2(m, n), g2(m, n);
-      gemm_bias_gelu_panel(x, wp, bias, y2, g2);
-      expect_bitwise(y2, want_y);
-      expect_bitwise(g2, want_g);
+        Tensor y2(m, n), g2(m, n);
+        gemm_bias_gelu_panel(x, wp, bias, y2, g2);
+        expect_bitwise(y2, want_y);
+        expect_bitwise(g2, want_g);
+      }
     }
   }
 }
@@ -341,58 +386,63 @@ TEST(KernelTier, PanelGemmsBitwiseMatchRowMajorInEveryTier) {
   // row-major kernels in each tier, pooled or serial: the forward (with
   // bias, and with bias+GELU) against gemm + add_bias (+ gelu_forward),
   // dX = dY·Wᵀ against gemm_nt, and dW += Xᵀ·dY against gemm_tn, packed. m
-  // spans the in-place (≤ 6) and multi-tile row counts; k = 13, 20, 33
+  // spans the in-place (≤ 6, or ≤ 12 on AVX-512) and multi-tile row counts;
+  // k = 13, 20, 33
   // leave a serial dot tail; n = 5 and 9 are a lone tail panel, 37 and 130
   // put a tail behind full panels.
   PolicyGuard guard;
-  const std::pair<int, int> kn[] = {{13, 5}, {20, 37}, {48, 64}, {8, 9},
-                                    {33, 130}};
-  Rng rng(26);
-  for (KernelPolicy p : testable_policies()) {
-    set_kernel_policy(p);
-    for (int helpers : {0, 3}) {
-      ComputePool::instance().set_helpers(helpers);
-      for (int m : {1, 2, 3, 4, 5, 6, 7, 16, 64})
-        for (auto [k, n] : kn) {
-          SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                       std::to_string(n) + " helpers=" +
-                       std::to_string(helpers) + " policy=" +
-                       std::to_string(static_cast<int>(p)));
-          const Tensor x = random_tensor(m, k, rng);
-          const Tensor w = random_tensor(k, n, rng);
-          const Tensor bias = random_tensor(1, n, rng, 0.5f);
-          const Tensor dy = random_tensor(m, n, rng);
-          Tensor wp;
-          pack_panels(w, wp);
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    const std::pair<int, int> kn[] = {{13, 5}, {20, 37}, {48, 64}, {8, 9},
+                                      {33, 130}};
+    Rng rng(26);
+    for (KernelPolicy p : testable_policies()) {
+      set_kernel_policy(p);
+      for (int helpers : {0, 3}) {
+        ComputePool::instance().set_helpers(helpers);
+        for (int m : {1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 16, 25, 64})
+          for (auto [k, n] : kn) {
+            SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                         std::to_string(n) + " helpers=" +
+                         std::to_string(helpers) + " policy=" +
+                         std::to_string(static_cast<int>(p)));
+            const Tensor x = random_tensor(m, k, rng);
+            const Tensor w = random_tensor(k, n, rng);
+            const Tensor bias = random_tensor(1, n, rng, 0.5f);
+            const Tensor dy = random_tensor(m, n, rng);
+            Tensor wp;
+            pack_panels(w, wp);
 
-          Tensor want_y(m, n), want_g(m, n), y(m, n), g(m, n);
-          gemm(x, w, want_y);
-          add_bias(want_y, bias);
-          gelu_forward(want_y, want_g);
-          gemm_bias_panel(x, wp, bias, y);
-          expect_bitwise(y, want_y);
-          y.fill(std::nanf(""));
-          gemm_bias_gelu_panel(x, wp, bias, y, g);
-          expect_bitwise(y, want_y);
-          expect_bitwise(g, want_g);
+            Tensor want_y(m, n), want_g(m, n), y(m, n), g(m, n);
+            gemm(x, w, want_y);
+            add_bias(want_y, bias);
+            gelu_forward(want_y, want_g);
+            gemm_bias_panel(x, wp, bias, y);
+            expect_bitwise(y, want_y);
+            y.fill(std::nanf(""));
+            gemm_bias_gelu_panel(x, wp, bias, y, g);
+            expect_bitwise(y, want_y);
+            expect_bitwise(g, want_g);
 
-          Tensor want_dx(m, k), dx(m, k);
-          gemm_nt(dy, w, want_dx);
-          dx.fill(std::nanf(""));  // overwritten in full, never read
-          gemm_nt_panel(dy, wp, dx);
-          expect_bitwise(dx, want_dx);
+            Tensor want_dx(m, k), dx(m, k);
+            gemm_nt(dy, w, want_dx);
+            dx.fill(std::nanf(""));  // overwritten in full, never read
+            gemm_nt_panel(dy, wp, dx);
+            expect_bitwise(dx, want_dx);
 
-          Tensor want_dw = random_tensor(k, n, rng, 0.5f);
-          Tensor dwp, want_dwp;
-          pack_panels(want_dw, dwp);
-          gemm_tn(x, dy, want_dw, /*accumulate=*/true);
-          gemm_tn_panel(x, dy, dwp);
-          pack_panels(want_dw, want_dwp);  // padded lanes stay 0 in both
-          expect_bitwise(dwp, want_dwp);
-        }
+            Tensor want_dw = random_tensor(k, n, rng, 0.5f);
+            Tensor dwp, want_dwp;
+            pack_panels(want_dw, dwp);
+            gemm_tn(x, dy, want_dw, /*accumulate=*/true);
+            gemm_tn_panel(x, dy, dwp);
+            pack_panels(want_dw, want_dwp);  // padded lanes stay 0 in both
+            expect_bitwise(dwp, want_dwp);
+          }
+      }
     }
+    ComputePool::instance().set_helpers(0);
   }
-  ComputePool::instance().set_helpers(0);
 }
 
 // ---- Non-GEMM ops (serial replicas of the scalar reference tier) ---------
@@ -674,6 +724,76 @@ TEST(KernelTier, SoftmaxMaskedPaddingIsZeroExtensionStableInEveryTier) {
   }
 }
 
+TEST(KernelTier, ExpClampEdgesInEveryTier) {
+  // The fast tier's vector exp (AVX2 hosts) flushes arguments below
+  // −87.33654475 (its kExpLo, where exp turns subnormal) to exact 0.0f —
+  // zeroing the lane's argument first so the discarded evaluation stays off
+  // the slow subnormal path — and evaluates every argument from the clamp
+  // up. Softmax row r is {0, x_r × 8}: the row max is 0, so each x_r
+  // reaches the exp unchanged, seven times in a full vector and once in the
+  // masked tail. GELU saturates: from v ≈ −10 on, the exp argument 2u is
+  // flushed, tanh is exactly −1 and gelu(v) is −0.0f, as libm's tanh gives
+  // in the reference. Where the scalar reference runs (the scalar tier, or
+  // the fast tier without AVX2), both match it bitwise.
+  PolicyGuard guard;
+  constexpr float kExpLo = -87.33654475f;
+  const float xs[] = {kExpLo, std::nextafter(kExpLo, -1e30f),
+                      std::nextafter(kExpLo, 0.0f), -88.0f, -1e9f, -87.0f,
+                      -80.0f};
+  const int R = static_cast<int>(std::size(xs)), C = 9;
+  Tensor x(R, C);
+  for (int r = 0; r < R; ++r)
+    for (int c = 0; c < C; ++c) x.at(r, c) = c == 0 ? 0.0f : xs[r];
+  Tensor want(R, C);
+  ref_softmax(x, want);
+  const float vs[] = {-9.5f, -10.5f, -12.0f, -88.0f, -1e9f, -3.0f, 0.0f};
+  Tensor v(1, static_cast<int>(std::size(vs)));
+  for (std::size_t i = 0; i < std::size(vs); ++i) v[i] = vs[i];
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    for (KernelPolicy p : testable_policies()) {
+      set_kernel_policy(p);
+      const bool vector_exp = active_kernel_tier() == KernelTier::kFast &&
+                              simd::cpu_supports_avx2_fma();
+      Tensor y(R, C);
+      softmax_rows(x, y);
+      for (int r = 0; r < R; ++r) {
+        SCOPED_TRACE("x=" + std::to_string(xs[r]));
+        if (!vector_exp) {
+          for (int c = 0; c < C; ++c) ASSERT_EQ(y.at(r, c), want.at(r, c));
+          continue;
+        }
+        ASSERT_EQ(y.at(r, 0), 1.0f);
+        for (int c = 1; c < C; ++c) {
+          if (xs[r] < kExpLo) {
+            ASSERT_EQ(y.at(r, c), 0.0f) << "col " << c;
+            ASSERT_FALSE(std::signbit(y.at(r, c))) << "col " << c;
+          } else {
+            ASSERT_NEAR(y.at(r, c), std::exp(xs[r]),
+                        1e-5f * std::exp(xs[r]))
+                << "col " << c;
+          }
+        }
+      }
+      Tensor g(v.rows(), v.cols());
+      gelu_forward(v, g);
+      for (std::size_t i = 0; i < std::size(vs); ++i) {
+        SCOPED_TRACE("v=" + std::to_string(vs[i]));
+        const float ref = detail::gelu_eval(vs[i]);
+        if (!vector_exp) {
+          ASSERT_EQ(g[i], ref);
+        } else if (vs[i] <= -9.5f) {
+          ASSERT_EQ(g[i], 0.0f);
+          ASSERT_EQ(std::signbit(g[i]), std::signbit(ref));
+        } else {
+          ASSERT_NEAR(g[i], ref, 1e-5f);
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelTier, CrossEntropyToleranceAgainstReferenceInEveryTier) {
   PolicyGuard guard;
   Rng rng(34);
@@ -802,44 +922,49 @@ TEST(KernelTier, PooledNonGemmOpsBitwiseMatchSerialInEveryTier) {
 TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
   // Shard-split independence of the fast tier: gemm/gemm_tn shard over
   // 16-column panels, and each shard packs its panels into the running
-  // thread's own buffer (m > 6) or reads B in place (m ≤ 6); gemm_nt shards
+  // thread's own buffer (m above the tile's rows) or reads B in place (m
+  // within them); gemm_nt shards
   // rows. Shapes large enough that plan_shards genuinely splits at the
   // default grain, so helpers > 0 runs shards — and packs — on the helper
   // threads too.
   PolicyGuard guard;
-  Rng rng(26);
-  for (auto [m, k, n] : {std::tuple{130, 70, 90}, std::tuple{4, 192, 768}}) {
-    const Tensor a = random_tensor(m, k, rng);
-    const Tensor b = random_tensor(k, n, rng);
-    const Tensor bt = random_tensor(n, k, rng);
-    const Tensor at = random_tensor(k, m, rng);
-    const Tensor bias = random_tensor(1, n, rng);
-    Tensor bp;
-    pack_panels(b, bp);
-    for (KernelPolicy p : testable_policies()) {
-      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                   std::to_string(n));
-      set_kernel_policy(p);
-      struct Out {
-        Tensor nn, tn, nt, y, g;
-      };
-      Out outs[2];
-      for (int h : {0, 1}) {
-        ComputePool::instance().set_helpers(h == 0 ? 0 : 4);
-        Out& o = outs[h];
-        o = {Tensor(m, n), Tensor(m, n), Tensor(m, n), Tensor(m, n),
-             Tensor(m, n)};
-        gemm(a, b, o.nn);
-        gemm_tn(at, b, o.tn);
-        gemm_nt(a, bt, o.nt);
-        gemm_bias_gelu_panel(a, bp, bias, o.y, o.g);
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    Rng rng(26);
+    for (auto [m, k, n] : {std::tuple{130, 70, 90}, std::tuple{4, 192, 768}}) {
+      const Tensor a = random_tensor(m, k, rng);
+      const Tensor b = random_tensor(k, n, rng);
+      const Tensor bt = random_tensor(n, k, rng);
+      const Tensor at = random_tensor(k, m, rng);
+      const Tensor bias = random_tensor(1, n, rng);
+      Tensor bp;
+      pack_panels(b, bp);
+      for (KernelPolicy p : testable_policies()) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                     std::to_string(n));
+        set_kernel_policy(p);
+        struct Out {
+          Tensor nn, tn, nt, y, g;
+        };
+        Out outs[2];
+        for (int h : {0, 1}) {
+          ComputePool::instance().set_helpers(h == 0 ? 0 : 4);
+          Out& o = outs[h];
+          o = {Tensor(m, n), Tensor(m, n), Tensor(m, n), Tensor(m, n),
+               Tensor(m, n)};
+          gemm(a, b, o.nn);
+          gemm_tn(at, b, o.tn);
+          gemm_nt(a, bt, o.nt);
+          gemm_bias_gelu_panel(a, bp, bias, o.y, o.g);
+        }
+        ComputePool::instance().set_helpers(0);
+        expect_bitwise(outs[1].nn, outs[0].nn);
+        expect_bitwise(outs[1].tn, outs[0].tn);
+        expect_bitwise(outs[1].nt, outs[0].nt);
+        expect_bitwise(outs[1].y, outs[0].y);
+        expect_bitwise(outs[1].g, outs[0].g);
       }
-      ComputePool::instance().set_helpers(0);
-      expect_bitwise(outs[1].nn, outs[0].nn);
-      expect_bitwise(outs[1].tn, outs[0].tn);
-      expect_bitwise(outs[1].nt, outs[0].nt);
-      expect_bitwise(outs[1].y, outs[0].y);
-      expect_bitwise(outs[1].g, outs[0].g);
     }
   }
 }
@@ -1040,6 +1165,39 @@ TEST(KernelTier, AttentionBitwiseMatchesComposedOpsInEveryTier) {
     }
   }
   ComputePool::instance().set_helpers(0);
+}
+
+TEST(KernelTier, VectorIsasAgreeBitwise) {
+  // The AVX-512 GELU is the AVX2 one widened instruction for instruction,
+  // and the 12- and 6-row tiles keep each element's order, so the fast tier
+  // gives the same bits on either ISA. x·I + 0 reproduces x exactly, so
+  // with x a fine ramp over [−12, 12) the fused epilogue and gelu_forward
+  // see every GELU regime: the curved middle, where a reordered product
+  // shows, and the exp's flush below ≈ −10. n = 120 leaves a tail panel.
+  PolicyGuard guard;
+  if (env_pin() == EnvPin::kScalar || simd::active_isa() < simd::Isa::kAvx512)
+    GTEST_SKIP() << "needs the fast tier on an AVX-512 host";
+  set_kernel_policy(KernelPolicy::kFast);
+  const int m = 137, n = 120;
+  Tensor x(m, n), eye(n, n), bias(1, n);
+  for (std::size_t i = 0; i < x.numel(); ++i)
+    x[i] = -12.0f + 24.0f * static_cast<float>(i) / x.numel();
+  for (int j = 0; j < n; ++j) eye.at(j, j) = 1.0f;
+  Tensor wp;
+  pack_panels(eye, wp);
+  Tensor y[2], g[2], gf[2];
+  for (int i = 0; i < 2; ++i) {
+    simd::ScopedIsaCap cap(i == 0 ? simd::Isa::kAvx2 : simd::Isa::kAvx512);
+    y[i] = Tensor(m, n);
+    g[i] = Tensor(m, n);
+    gf[i] = Tensor(m, n);
+    gemm_bias_gelu_panel(x, wp, bias, y[i], g[i]);
+    gelu_forward(x, gf[i]);
+  }
+  expect_same_bits(y[0], x, "y");
+  expect_same_bits(y[1], x, "y");
+  expect_same_bits(g[1], g[0], "g");
+  expect_same_bits(gf[1], gf[0], "gelu_forward");
 }
 
 }  // namespace
