@@ -51,7 +51,8 @@ namespace {
 
 /// The GPT-2 bench shapes (bench_runtime_throughput defaults) of each GEMM
 /// variant: gemm, gemm_tn, gemm_nt, the fused gemm_bias_gelu_panel or the
-/// unfused gemm + add_bias + gelu_forward it replaces.
+/// unfused gemm + add_bias + gelu_forward it replaces, and Linear's dX
+/// (gemm_nt_panel: B = W [n, k] in panel layout).
 struct Shape {
   const char* variant;
   int m, k, n;
@@ -69,6 +70,14 @@ const Shape kShapes[] = {
     {"gemm_nt", 64, 768, 192, "mlp fc dX"},
     {"gemm_bias_gelu_panel", 64, 192, 768, "mlp fc fwd fused"},
     {"gemm+add_bias+gelu", 64, 192, 768, "mlp fc fwd unfused"},
+    // nn::Linear's dX over its panel weight at both training workloads'
+    // shapes: the GPT-2 shape above (train_chimera) and hidden 256 at 16
+    // rows (train_dp_eager).
+    {"gemm_nt_panel", 64, 576, 192, "qkv dX"},
+    {"gemm_nt_panel", 64, 768, 192, "mlp fc / head dX"},
+    {"gemm_nt_panel", 64, 192, 768, "mlp proj dX"},
+    {"gemm_nt_panel", 16, 1024, 256, "dp mlp fc dX"},
+    {"gemm_nt_panel", 16, 256, 1024, "dp mlp proj dX"},
 };
 
 /// One GEMM's operands; `bp` (B in panel layout), `bias` and `g` (the GELU
@@ -202,13 +211,15 @@ int main(int argc, char** argv) {
     t.print();
   };
 
-  // GEMMs: gemm_nt within 1e-5·k across tiers, the (un)fused GELU output
-  // within GELU's 1e-5, the rest (their y included) bitwise.
+  // GEMMs: gemm_nt and gemm_nt_panel within 1e-5·k across tiers, the
+  // (un)fused GELU output within GELU's 1e-5, the rest (their y included)
+  // bitwise.
   Rng rng(31);
   std::vector<OpSpec> gemms;
   for (const Shape& s : kShapes) {
     const std::string v = s.variant;
-    const bool tn = v == "gemm_tn", nt = v == "gemm_nt";
+    const bool tn = v == "gemm_tn", nt_panel = v == "gemm_nt_panel";
+    const bool nt = v == "gemm_nt" || nt_panel;
     const bool fused = v == "gemm_bias_gelu_panel";
     const bool unfused = v == "gemm+add_bias+gelu";
     auto o = std::make_shared<Operands>();
@@ -220,15 +231,16 @@ int main(int argc, char** argv) {
     o->a.randn(rng, 1.0f);
     o->b.randn(rng, 1.0f);
     o->bias.randn(rng, 1.0f);
-    if (fused) pack_panels(o->b, o->bp);
+    if (fused || nt_panel) pack_panels(o->b, o->bp);
     gemms.push_back(
         {v + " " + s.site,
          std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
              std::to_string(s.n),
          2.0 * s.m * s.k * s.n, !nt && !fused && !unfused,
          nt ? 1e-5f * s.k : 1e-5f, nullptr,
-         [o, tn, nt, fused, unfused] {
+         [o, tn, nt, nt_panel, fused, unfused] {
            if (tn) gemm_tn(o->a, o->b, o->c);
+           else if (nt_panel) gemm_nt_panel(o->a, o->bp, o->c);
            else if (nt) gemm_nt(o->a, o->b, o->c);
            else if (fused)
              gemm_bias_gelu_panel(o->a, o->bp, o->bias, o->c, o->g);

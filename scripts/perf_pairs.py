@@ -18,17 +18,22 @@ on odd i, so slow drift of the host cancels. Every run's JSON result must
 be correct.
 
 Per workload and metric it prints the parent and change medians, the gap,
-the parent's IQR (statistics.quantiles, n=4) and how many pairs the change
-won, in the direction BENCHMARK.json gives. The verdict is "moved better"
-or "moved worse" only when the gap between the medians exceeds the parent's
-IQR, "within noise" otherwise, and "too few pairs" for a single pair, which
-has no spread. The header line names the host's AVX-family CPU flags, since
-the fast kernel tier picks its GEMM tiles by them (AVX-512, AVX2+FMA or
-portable) and results from hosts with different vector units differ. Exits
-1 when a build or run fails.
+the parent's IQR (statistics.quantiles, n=4), how many pairs the change
+won, in the direction BENCHMARK.json gives, and the two-sided sign-test
+p-value of that win count (tied pairs excluded). The verdict is "moved
+better" or "moved worse" when the gap between the medians exceeds the
+parent's IQR; "consistent better" or "consistent worse" when it does not
+but the sign test rejects a fair coin (p < 0.05), which is how a steady
+loss smaller than the run-to-run spread shows; "within noise" otherwise;
+and "too few pairs" for a single pair, which has no spread. The header
+line names the host's AVX-family CPU flags, since the fast kernel tier
+picks its GEMM tiles by them (AVX-512, AVX2+FMA or portable) and results
+from hosts with different vector units differ. Exits 1 when a build or run
+fails.
 """
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -36,6 +41,7 @@ import subprocess
 import sys
 
 WORKDIR = ".perf_pairs"
+SIGN_ALPHA = 0.05
 
 
 def export(rev, dest):
@@ -103,31 +109,44 @@ def directions(tree):
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
+def sign_test_p(wins, losses):
+    """Two-sided sign-test p-value of `wins` against `losses` (ties already
+    left out): the chance that a fair coin splits wins + losses tosses at
+    least this unevenly."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
 def report(workload, parent_runs, change_runs, higher):
     print("\n%s: %d pairs" % (workload, len(parent_runs)))
-    print("%-34s %12s %12s %8s %11s %6s  %s" % (
+    print("%-34s %12s %12s %8s %11s %6s %7s  %s" % (
         "metric", "parent_med", "change_med", "gap", "parent_IQR", "wins",
-        "verdict"))
+        "p_sign", "verdict"))
     for name in parent_runs[0]:
         pv = [r[name] for r in parent_runs]
         cv = [r[name] for r in change_runs]
         pmed, cmed = statistics.median(pv), statistics.median(cv)
         up = higher.get(name, False)
         wins = sum(1 for p, c in zip(pv, cv) if (c > p if up else c < p))
+        losses = sum(1 for p, c in zip(pv, cv) if (c < p if up else c > p))
+        p_sign = sign_test_p(wins, losses)
         gap = cmed - pmed
         rel = "%+.1f%%" % (100.0 * gap / pmed) if pmed else "-"
         if len(pv) < 2:  # one run has no spread to compare the gap against
-            print("%-34s %12.6g %12.6g %8s %11s %3d/%-2d  too few pairs" % (
-                name, pmed, cmed, rel, "-", wins, len(pv)))
+            print("%-34s %12.6g %12.6g %8s %11s %3d/%-2d %7.3g  too few pairs"
+                  % (name, pmed, cmed, rel, "-", wins, len(pv), p_sign))
             continue
         q = statistics.quantiles(pv, n=4)
         iqr = q[2] - q[0]
         if abs(gap) > iqr:
             verdict = "moved " + ("better" if (gap > 0) == up else "worse")
+        elif p_sign < SIGN_ALPHA:
+            verdict = "consistent " + ("better" if wins > losses else "worse")
         else:
             verdict = "within noise"
-        print("%-34s %12.6g %12.6g %8s %11.4g %3d/%-2d  %s" % (
-            name, pmed, cmed, rel, iqr, wins, len(pv), verdict))
+        print("%-34s %12.6g %12.6g %8s %11.4g %3d/%-2d %7.3g  %s" % (
+            name, pmed, cmed, rel, iqr, wins, len(pv), p_sign, verdict))
 
 
 def main():

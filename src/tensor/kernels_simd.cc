@@ -8,20 +8,25 @@
 // share the panel, so the shard first copies it — k rows of 16 floats —
 // into a thread-local k×16 buffer with vector copies; when m ≤ MR a single
 // tile covers every row, so it reads B in place at row stride n (masked
-// loads on a tail panel) and nothing is packed. gemm_nt shards output rows
-// and walks 48-row blocks with 4-column dot groups so the four B rows of a
-// group stay L1-resident across the block. nn::Linear stores its weight as
-// those k×16 panels for good (tensor/kernels.h): its forward reads each
-// panel in place at any m, its dW tiles store into the panel gradient at
-// row stride 16, and its dX dot groups take each W row's 8-lane chunks from
-// consecutive panels. The forward's bias/GELU epilogue runs on the tile's
-// accumulators before they are stored, so nothing re-reads what the tile
-// just wrote.
+// loads on a tail panel) and nothing is packed. The ⌈m/MR⌉ row tiles are
+// balanced to within one row. gemm_nt shards 4-column dot groups — four B
+// rows each — and sweeps all m rows of A against every group of its shard
+// in ⌈m/MR⌉ dot blocks of up to MR rows × 4 columns, heights balanced the
+// same way (MR = 6 on AVX-512, 3 on AVX2 and the portable mirror), so each
+// B row is read once per call and stays L1-resident while A streams past.
+// nn::Linear stores its weight as those k×16 panels for good
+// (tensor/kernels.h): its forward reads each panel in place at any m, its
+// dW tiles store into the panel gradient at row stride 16, and its dX dot
+// blocks take each W row's 8-lane chunks from consecutive panels. The
+// forward's bias/GELU epilogue runs on the tile's accumulators before they
+// are stored, so nothing re-reads what the tile just wrote.
 //
 // Registers. A tile's accumulators (AVX2: 6 rows × two 8-float ymm;
-// AVX-512: 12 rows × one 16-float zmm) and a dot group's 4 lane partials
+// AVX-512: 12 rows × one 16-float zmm) and a dot block's lane partials
+// (AVX2: 3 rows × 4 columns of ymm plus 3 A and 1 B vectors, 16 ymm;
+// AVX-512: 6 × 4 plus 6 + 1, 31 of the 32 ymm that AVX-512VL addresses)
 // must stay in registers across the whole k loop at the default build type
-// (RelWithDebInfo, -O2). gcc does not unroll the short row/group loops
+// (RelWithDebInfo, -O2). gcc does not unroll the short row/column loops
 // there by itself, and then every accumulator makes a round trip through
 // the stack on each k step — about a third of the tile's throughput. Those
 // loops therefore carry `#pragma GCC unroll`, which fully unrolls them so
@@ -33,7 +38,8 @@
 // dispatch (active_isa()), and a portable mirror with the same blocking and
 // the same per-element accumulation orders (plain C++ the autovectorizer
 // may or may not vectorize — either way the arithmetic per element is
-// fixed). The AVX-512 tables reuse the AVX2 dot groups.
+// fixed). The AVX-512 dot blocks are the AVX2 template compiled for the
+// wider register file.
 //
 // Determinism. gemm/gemm_tn tiles broadcast one A element against 16 B
 // lanes and pair every multiply with a separate add (vmulps + vaddps), so
@@ -45,11 +51,12 @@
 // inside an fma-target function; CMakeLists pins the flag). gemm_nt reduces
 // a dot product across lanes: 8 strided partials, a fixed combine tree,
 // explicit FMA intrinsics in the vector body, and a scalar tail —
-// tolerance-equal to the reference, but a pure function of k and the data,
-// so results never depend on the row count or the shard split. The fused
-// attention row primitives reuse both: dot_rows_fast runs gemm_nt's dot
-// groups, and combine/outer_rows_fast pair each multiply with a separate
-// add like the gemm tiles.
+// tolerance-equal to the reference, but a pure function of k and the data:
+// a dot block gives each element its own accumulator and only shares the
+// loads, so results never depend on the block height, the row count or the
+// shard split. The fused attention row primitives reuse both:
+// dot_rows_fast runs gemm_nt's 1-row dot blocks, and combine/outer_rows_fast
+// pair each multiply with a separate add like the gemm tiles.
 #include "tensor/kernels_simd.h"
 
 #include <algorithm>
@@ -80,8 +87,9 @@ namespace {
 constexpr int kNR = 16;       ///< panel width: two ymm or one zmm
 constexpr int kMR = 6;        ///< AVX2/portable tile rows (12 acc ymm + 4 live)
 constexpr int kMR512 = 12;    ///< AVX-512 tile rows (12 acc zmm hide the add latency)
-constexpr int kNtBlock = 48;  ///< gemm_nt row block (matches scalar kBlock)
-constexpr int kNtGroup = 4;   ///< gemm_nt dot-product columns per pass
+constexpr int kNtGroup = 4;   ///< gemm_nt dot-product columns per group
+constexpr int kDotMR = 3;     ///< AVX2/portable dot block rows (16 ymm live)
+constexpr int kDotMR512 = 6;  ///< AVX-512 dot block rows (31 of 32 ymm live)
 
 /// Per-thread k×16 panel buffer, grow-only so the steady state neither
 /// allocates nor memsets (packing overwrites every row it hands to a
@@ -111,14 +119,18 @@ using TileFn = void (*)(const float* pa, std::size_t ra, std::size_t rl,
                         std::size_t ldc, int width, bool accumulate,
                         const float* bias, float* pg);
 
-/// One row of C[j0..j0+JT) (+)= dot(A row, B rows j0..). B row g's 8-lane
+/// One MR×JT block of C (+)= A·Bᵀ: element (r, g), at pc[r·ldc + g], is the
+/// dot product of A row r (at pa + r·lda) with B row g. B row g's 8-lane
 /// chunk at l (l a multiple of 8) lives at pb + g·rs + (l/16)·bs + l%16:
 /// rs = ldb, bs = 16 for a row-major B; rs = 16, bs = rows·16 for a B in
 /// panel layout. A chunk never straddles a 16-lane block, so the chunks
 /// (and the tail) ascend in the same order whatever the layout, and each
-/// element keeps its bits.
-using DotFn = void (*)(const float* arow, const float* pb, std::size_t rs,
-                       std::size_t bs, int k, float* cdst, bool accumulate);
+/// element keeps its bits. Every element has its own 8-lane accumulator;
+/// the block only shares loads, so an element's bits never depend on MR,
+/// JT or its position in the block.
+using DotBlockFn = void (*)(const float* pa, std::size_t lda, const float* pb,
+                            std::size_t rs, std::size_t bs, int k, float* pc,
+                            std::size_t ldc, bool accumulate);
 
 // ---------------------------------------------------------------------------
 // Portable mirror. Same blocking, same per-element accumulation orders.
@@ -174,35 +186,43 @@ void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
                                   accumulate, bias, pg);
 }
 
-/// lanes[g][t] += arow[t]·chunk[g·rs + t] for one 8-lane chunk.
-template <int JT>
-inline void dot_chunk_portable(float (&lanes)[JT][8], const float* arow,
-                               const float* chunk, std::size_t rs) {
-#pragma GCC unroll 4
-  for (int g = 0; g < JT; ++g)
-    for (int t = 0; t < 8; ++t) lanes[g][t] += arow[t] * chunk[g * rs + t];
+/// lanes[r][g][t] += A row r[t]·chunk[g·rs + t] for one 8-lane chunk.
+template <int MR, int JT>
+inline void dot_chunk_portable(float (&lanes)[MR][JT][8], const float* pa,
+                               std::size_t lda, const float* chunk,
+                               std::size_t rs) {
+  for (int r = 0; r < MR; ++r)
+    for (int g = 0; g < JT; ++g)
+      for (int t = 0; t < 8; ++t)
+        lanes[r][g][t] += pa[r * lda + t] * chunk[g * rs + t];
 }
 
-template <int JT>
-void dot_portable(const float* arow, const float* pb, std::size_t rs,
-                  std::size_t bs, int k, float* cdst, bool accumulate) {
-  float lanes[JT][8] = {};
+template <int MR, int JT>
+void dot_block_portable(const float* pa, std::size_t lda, const float* pb,
+                        std::size_t rs, std::size_t bs, int k, float* pc,
+                        std::size_t ldc, bool accumulate) {
+  float lanes[MR][JT][8] = {};
   int l = 0;
   for (; l + kNR <= k; l += kNR, pb += bs) {
-    dot_chunk_portable<JT>(lanes, arow + l, pb, rs);
-    dot_chunk_portable<JT>(lanes, arow + l + 8, pb + 8, rs);
+    dot_chunk_portable<MR, JT>(lanes, pa + l, lda, pb, rs);
+    dot_chunk_portable<MR, JT>(lanes, pa + l + 8, lda, pb + 8, rs);
   }
   if (l + 8 <= k) {
-    dot_chunk_portable<JT>(lanes, arow + l, pb, rs);
+    dot_chunk_portable<MR, JT>(lanes, pa + l, lda, pb, rs);
     l += 8;
     pb += 8;
   }
-  for (int g = 0; g < JT; ++g) {
-    // The exact combine tree of the AVX2 horizontal sum below.
-    float* p = lanes[g];
-    float sum = ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
-    for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
-    cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
+  for (int r = 0; r < MR; ++r) {
+    const float* arow = pa + r * lda;
+    for (int g = 0; g < JT; ++g) {
+      // The exact combine tree of the AVX2 horizontal sum below.
+      const float* p = lanes[r][g];
+      float sum =
+          ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
+      for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
+      float& c = pc[r * ldc + g];
+      c = (accumulate ? c : 0.0f) + sum;
+    }
   }
 }
 
@@ -315,7 +335,7 @@ void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
 }
 
 /// Fixed-tree horizontal sum: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) —
-/// dot_portable mirrors this order exactly.
+/// dot_block_portable mirrors this order exactly.
 CHIMERA_TARGET_AVX2
 inline float hsum8(__m256 v) {
   __m128 s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
@@ -324,38 +344,58 @@ inline float hsum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-/// acc[g] += arow[0..8)·chunk[g·rs..] for one 8-lane chunk (FMA).
-template <int JT>
+/// acc[r][g] += A row r[0..8)·chunk[g·rs..] for one 8-lane chunk (FMA).
+/// The MR A vectors are loaded once and each B vector once, then shared by
+/// the MR·JT accumulators; every accumulator sees exactly the FMA a lone
+/// row would.
+template <int MR, int JT>
 CHIMERA_TARGET_AVX2 __attribute__((always_inline)) inline void dot_chunk_avx2(
-    __m256 (&acc)[JT], const float* arow, const float* chunk, std::size_t rs) {
-  const __m256 av = _mm256_loadu_ps(arow);
+    __m256 (&acc)[MR][JT], const float* pa, std::size_t lda,
+    const float* chunk, std::size_t rs) {
+  __m256 av[MR];
+#pragma GCC unroll 6
+  for (int r = 0; r < MR; ++r) av[r] = _mm256_loadu_ps(pa + r * lda);
 #pragma GCC unroll 4
-  for (int g = 0; g < JT; ++g)
-    acc[g] = _mm256_fmadd_ps(av, _mm256_loadu_ps(chunk + g * rs), acc[g]);
+  for (int g = 0; g < JT; ++g) {
+    const __m256 bv = _mm256_loadu_ps(chunk + g * rs);
+#pragma GCC unroll 6
+    for (int r = 0; r < MR; ++r)
+      acc[r][g] = _mm256_fmadd_ps(av[r], bv, acc[r][g]);
+  }
 }
 
-template <int JT>
-CHIMERA_TARGET_AVX2
-void dot_avx2(const float* arow, const float* pb, std::size_t rs,
-              std::size_t bs, int k, float* cdst, bool accumulate) {
-  __m256 acc[JT];
+/// C[0..MR)[0..JT) (+)= A rows · B rows, one dot product per element (the
+/// DotBlockFn contract). Always inlined, so the AVX-512 block below is this
+/// body compiled for the wider register file.
+template <int MR, int JT>
+CHIMERA_TARGET_AVX2 __attribute__((always_inline)) inline void dot_block_avx2(
+    const float* pa, std::size_t lda, const float* pb, std::size_t rs,
+    std::size_t bs, int k, float* pc, std::size_t ldc, bool accumulate) {
+  __m256 acc[MR][JT];
+#pragma GCC unroll 6
+  for (int r = 0; r < MR; ++r)
 #pragma GCC unroll 4
-  for (int g = 0; g < JT; ++g) acc[g] = _mm256_setzero_ps();
+    for (int g = 0; g < JT; ++g) acc[r][g] = _mm256_setzero_ps();
   int l = 0;
   for (; l + kNR <= k; l += kNR, pb += bs) {
-    dot_chunk_avx2<JT>(acc, arow + l, pb, rs);
-    dot_chunk_avx2<JT>(acc, arow + l + 8, pb + 8, rs);
+    dot_chunk_avx2<MR, JT>(acc, pa + l, lda, pb, rs);
+    dot_chunk_avx2<MR, JT>(acc, pa + l + 8, lda, pb + 8, rs);
   }
   if (l + 8 <= k) {
-    dot_chunk_avx2<JT>(acc, arow + l, pb, rs);
+    dot_chunk_avx2<MR, JT>(acc, pa + l, lda, pb, rs);
     l += 8;
     pb += 8;
   }
+#pragma GCC unroll 6
+  for (int r = 0; r < MR; ++r) {
+    const float* arow = pa + r * lda;
 #pragma GCC unroll 4
-  for (int g = 0; g < JT; ++g) {
-    float sum = hsum8(acc[g]);
-    for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
-    cdst[g] = (accumulate ? cdst[g] : 0.0f) + sum;
+    for (int g = 0; g < JT; ++g) {
+      float sum = hsum8(acc[r][g]);
+      for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
+      float& c = pc[r * ldc + g];
+      c = (accumulate ? c : 0.0f) + sum;
+    }
   }
 }
 
@@ -812,10 +852,22 @@ constexpr OuterFn kOuter[2][5] = {
 // AVX-512 microkernels: one zmm covers a whole 16-lane panel row, so a tile
 // takes 12 rows with 12 accumulators; a tail panel masks its loads and
 // stores with an __mmask16. Only entered when active_isa() is kAvx512. The
-// dot groups stay AVX2 (a zmm dot would change gemm_nt's 8-lane order).
+// dot blocks keep the AVX2 8-lane ymm arithmetic (a zmm dot would change
+// gemm_nt's order) and only gain the 32-entry register file of AVX-512VL.
 // ---------------------------------------------------------------------------
 
-#define CHIMERA_TARGET_AVX512 __attribute__((target("avx512f,avx2,fma")))
+#define CHIMERA_TARGET_AVX512 \
+  __attribute__((target("avx512f,avx512vl,avx2,fma")))
+
+/// dot_block_avx2 with ymm0–31 (EVEX) available: MR = 6 keeps 24
+/// accumulators, 6 A vectors and one B vector in registers.
+template <int MR, int JT>
+CHIMERA_TARGET_AVX512
+void dot_block_avx512(const float* pa, std::size_t lda, const float* pb,
+                      std::size_t rs, std::size_t bs, int k, float* pc,
+                      std::size_t ldc, bool accumulate) {
+  dot_block_avx2<MR, JT>(pa, lda, pb, rs, bs, k, pc, ldc, accumulate);
+}
 
 /// Sixteen lanes at p: a plain load, or on a tail strip a masked one (dead
 /// lanes read as 0 and never touch memory).
@@ -946,35 +998,63 @@ void tile_avx512(const float* pa, std::size_t ra, std::size_t rl, int k,
 
 #endif  // CHIMERA_SIMD_X86
 
-/// mr/jt-indexed dispatch tables (index 0 unused; tile entries past `mr`
-/// are null). The tiles' epilogue applies the GELU evaluation this ISA's
-/// gelu_forward uses, so fused ≡ unfused stays bitwise within the tier.
+/// mr/jt-indexed dispatch tables (index 0 unused; tile and dot entries past
+/// `mr` and `dot_mr` are null). The tiles' epilogue applies the GELU
+/// evaluation this ISA's gelu_forward uses, so fused ≡ unfused stays
+/// bitwise within the tier.
 struct Tables {
-  int mr;  ///< tile rows: gemm_panels steps by it and packs above it
+  int mr;  ///< tile rows: gemm_panels splits m into ⌈m/mr⌉ tiles
   TileFn tile[kMR512 + 1];
-  DotFn dot[kNtGroup + 1];
+  int dot_mr;  ///< dot block rows: gemm_nt_rows splits m into ⌈m/dot_mr⌉
+  DotBlockFn dot[kDotMR512 + 1][kNtGroup + 1];  ///< [rows][columns]
 };
 
 constexpr Tables kPortable = {
     kMR,
     {nullptr, tile_portable<1>, tile_portable<2>, tile_portable<3>,
      tile_portable<4>, tile_portable<5>, tile_portable<6>},
-    {nullptr, dot_portable<1>, dot_portable<2>, dot_portable<3>,
-     dot_portable<4>}};
+    kDotMR,
+    {{},
+     {nullptr, dot_block_portable<1, 1>, dot_block_portable<1, 2>,
+      dot_block_portable<1, 3>, dot_block_portable<1, 4>},
+     {nullptr, dot_block_portable<2, 1>, dot_block_portable<2, 2>,
+      dot_block_portable<2, 3>, dot_block_portable<2, 4>},
+     {nullptr, dot_block_portable<3, 1>, dot_block_portable<3, 2>,
+      dot_block_portable<3, 3>, dot_block_portable<3, 4>}}};
 
 #if CHIMERA_SIMD_X86
 constexpr Tables kAvx2 = {
     kMR,
     {nullptr, tile_avx2<1>, tile_avx2<2>, tile_avx2<3>, tile_avx2<4>,
      tile_avx2<5>, tile_avx2<6>},
-    {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>}};
+    kDotMR,
+    {{},
+     {nullptr, dot_block_avx2<1, 1>, dot_block_avx2<1, 2>,
+      dot_block_avx2<1, 3>, dot_block_avx2<1, 4>},
+     {nullptr, dot_block_avx2<2, 1>, dot_block_avx2<2, 2>,
+      dot_block_avx2<2, 3>, dot_block_avx2<2, 4>},
+     {nullptr, dot_block_avx2<3, 1>, dot_block_avx2<3, 2>,
+      dot_block_avx2<3, 3>, dot_block_avx2<3, 4>}}};
 
 constexpr Tables kAvx512 = {
     kMR512,
     {nullptr, tile_avx512<1>, tile_avx512<2>, tile_avx512<3>, tile_avx512<4>,
      tile_avx512<5>, tile_avx512<6>, tile_avx512<7>, tile_avx512<8>,
      tile_avx512<9>, tile_avx512<10>, tile_avx512<11>, tile_avx512<12>},
-    {nullptr, dot_avx2<1>, dot_avx2<2>, dot_avx2<3>, dot_avx2<4>}};
+    kDotMR512,
+    {{},
+     {nullptr, dot_block_avx512<1, 1>, dot_block_avx512<1, 2>,
+      dot_block_avx512<1, 3>, dot_block_avx512<1, 4>},
+     {nullptr, dot_block_avx512<2, 1>, dot_block_avx512<2, 2>,
+      dot_block_avx512<2, 3>, dot_block_avx512<2, 4>},
+     {nullptr, dot_block_avx512<3, 1>, dot_block_avx512<3, 2>,
+      dot_block_avx512<3, 3>, dot_block_avx512<3, 4>},
+     {nullptr, dot_block_avx512<4, 1>, dot_block_avx512<4, 2>,
+      dot_block_avx512<4, 3>, dot_block_avx512<4, 4>},
+     {nullptr, dot_block_avx512<5, 1>, dot_block_avx512<5, 2>,
+      dot_block_avx512<5, 3>, dot_block_avx512<5, 4>},
+     {nullptr, dot_block_avx512<6, 1>, dot_block_avx512<6, 2>,
+      dot_block_avx512<6, 3>, dot_block_avx512<6, 4>}}};
 #endif
 
 const Tables& tables() {
@@ -1051,32 +1131,46 @@ void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
           c_panels ? pc + static_cast<std::size_t>(p) * m * kNR : pc + j0;
       const float* pbias = bias ? bias + j0 : nullptr;
       float* gpanel = pg ? pg + j0 : nullptr;
-      for (int i = 0; i < m; i += t.mr)
-        t.tile[std::min(t.mr, m - i)](
+      // ⌈m/mr⌉ tiles whose heights differ by at most one, so a row count
+      // just past a multiple of mr never leaves a 1-row tile streaming the
+      // whole panel for one row.
+      const int tiles = (m + t.mr - 1) / t.mr;
+      for (int ti = 0; ti < tiles; ++ti) {
+        const int i = shard_begin(m, tiles, ti);
+        t.tile[shard_begin(m, tiles, ti + 1) - i](
             pa + i * ra, ra, rl, k, panel, ldb, cpanel + i * ldc, ldc, width,
             accumulate, pbias, gpanel ? gpanel + i * ldc : nullptr);
+      }
     }
   });
 }
 
-/// Row shards, then 48-row blocks × 4-column dot groups: the group's four
-/// B rows stay L1-resident across the whole block while A rows stream from
-/// L2. B row j starts at pb + j·rs, its 16-lane blocks `bs` apart (DotFn).
+/// Column-group shards × dot blocks: a shard owns a range of 4-column dot
+/// groups (4 B rows each) and sweeps all m rows of A against each group in
+/// ⌈m/dot_mr⌉ blocks whose heights differ by at most one (m = 16 on
+/// AVX-512: 6 + 5 + 5, not 6 + 6 and four lone rows, which each run a
+/// third of a 6-row block's FMAs per load). Each B row is read from
+/// memory once per call and stays L1-resident while A streams past it. B
+/// row j starts at pb + j·rs, its 16-lane blocks `bs` apart (DotBlockFn).
 void gemm_nt_rows(const float* pa, int m, int n, int k, const float* pb,
                   std::size_t rs, std::size_t bs, float* pc, bool accumulate) {
   const Tables& t = tables();
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
+  const int groups = (n + kNtGroup - 1) / kNtGroup;
+  const int shards =
+      plan_shards(groups, static_cast<std::size_t>(m) * k * kNtGroup);
+  const std::size_t lda = k, ldc = n;
+  const int blocks = (m + t.dot_mr - 1) / t.dot_mr;
   ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(m, shards, s);
-    const int r1 = shard_begin(m, shards, s + 1);
-    for (int i0 = r0; i0 < r1; i0 += kNtBlock) {
-      const int i1 = std::min(r1, i0 + kNtBlock);
-      for (int j0 = 0; j0 < n; j0 += kNtGroup) {
-        const int jt = std::min(kNtGroup, n - j0);
-        const float* bj = pb + static_cast<std::size_t>(j0) * rs;
-        for (int i = i0; i < i1; ++i)
-          t.dot[jt](pa + static_cast<std::size_t>(i) * k, bj, rs, bs, k,
-                    pc + static_cast<std::size_t>(i) * n + j0, accumulate);
+    const int g1 = shard_begin(groups, shards, s + 1);
+    for (int g = shard_begin(groups, shards, s); g < g1; ++g) {
+      const int j0 = g * kNtGroup;
+      const int jt = std::min(kNtGroup, n - j0);
+      const float* bj = pb + static_cast<std::size_t>(j0) * rs;
+      for (int bi = 0; bi < blocks; ++bi) {
+        const int i = shard_begin(m, blocks, bi);
+        t.dot[shard_begin(m, blocks, bi + 1) - i][jt](
+            pa + i * lda, lda, bj, rs, bs, k, pc + i * ldc + j0, ldc,
+            accumulate);
       }
     }
   });
@@ -1091,8 +1185,10 @@ Isa host_isa() {
   static const Isa isa =
       !(__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
           ? Isa::kPortable
-      : __builtin_cpu_supports("avx512f") ? Isa::kAvx512
-                                          : Isa::kAvx2;
+      : __builtin_cpu_supports("avx512f") &&
+              __builtin_cpu_supports("avx512vl")
+          ? Isa::kAvx512
+          : Isa::kAvx2;
   return isa;
 #else
   return Isa::kPortable;
@@ -1179,8 +1275,8 @@ void dot_rows_fast(const float* a, const float* b, std::size_t ldb, int k,
                    int n, float* out) {
   const Tables& t = tables();
   for (int j0 = 0; j0 < n; j0 += kNtGroup)
-    t.dot[std::min(kNtGroup, n - j0)](a, b + j0 * ldb, ldb, kNR, k, out + j0,
-                                      /*accumulate=*/false);
+    t.dot[1][std::min(kNtGroup, n - j0)](a, 0, b + j0 * ldb, ldb, kNR, k,
+                                         out + j0, 0, /*accumulate=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@
 // inner loops. The GEMM tiles come in three implementations selected by
 // runtime CPU dispatch (active_isa()): AVX-512 (12×16 tiles, one zmm per
 // row), AVX2+FMA (6×16 tiles, two ymm per row) and a portable mirror of the
-// 6×16 blocking, all with the same per-element accumulation orders. The
-// dot groups come in two (AVX2 or portable, dot_rows_fast runs either; an
-// AVX-512 host runs the AVX2 dot). The non-GEMM ops and the other
+// 6×16 blocking, all with the same per-element accumulation orders.
+// gemm_nt shards 4-column dot groups and runs them in register-blocked dot
+// blocks of balanced height: up to 6 rows × 4 columns of 8-lane ymm
+// accumulators on AVX-512 (the AVX2 arithmetic with AVX-512VL's 32
+// registers), up to 3 × 4 on AVX2 and the portable mirror; dot_rows_fast
+// runs the 1-row blocks. The non-GEMM ops and the other
 // attention row primitives are AVX2-only: the tier dispatcher in
 // tensor/kernels.cc routes to them only when cpu_supports_avx2_fma() is
 // true, and runs the scalar reference otherwise (a scalar "fast tier"
@@ -30,7 +33,7 @@
 //    fixed combine tree, FMA where available, serial tail, then C + sum)
 //    — tolerance-equal to the reference, bitwise to that documented order
 //    (tests/kernel_tier_test.cc models it); bitwise stable in the row
-//    count for fixed k.
+//    count, the dot block height and the shard split for fixed k.
 //  - The fused epilogue (gemm_bias_act_fast) adds the bias to the tile's
 //    accumulators and applies GELU to those registers — the same single
 //    add per element as add_bias, and the same GELU evaluation as this
@@ -58,7 +61,8 @@
 namespace chimera::simd {
 
 /// The instruction sets the fast tier's GEMM tiles come in, narrowest
-/// first. kAvx2 means AVX2+FMA; kAvx512 means that plus AVX-512F.
+/// first. kAvx2 means AVX2+FMA; kAvx512 means that plus AVX-512F and
+/// AVX-512VL (the dot blocks use VL's ymm16–31).
 enum class Isa { kPortable, kAvx2, kAvx512 };
 
 /// The widest ISA the running CPU supports, capped by a live ScopedIsaCap:
@@ -106,17 +110,18 @@ void gemm_nt_fast(const Tensor& a, const Tensor& b, Tensor& c,
 /// gelu_forward bitwise within the tier.
 void gemm_bias_act_fast(const Tensor& x, const Tensor& wp, const Tensor& bias,
                         Tensor& y, Tensor* g);
-/// Fast-tier dX = dY·Wᵀ, W in panel layout: gemm_nt_fast's dot groups over
-/// the panel rows — bitwise ≡ gemm_nt_fast on the row-major W.
+/// Fast-tier dX = dY·Wᵀ, W in panel layout: gemm_nt_fast's column-group
+/// shards and dot blocks over the panel rows — bitwise ≡ gemm_nt_fast on
+/// the row-major W.
 void gemm_nt_panel_fast(const Tensor& dy, const Tensor& wp, Tensor& dx);
 /// Fast-tier dW += Xᵀ·dY, dW in panel layout: gemm_tn_fast's tiles stored
 /// at row stride 16 — bitwise ≡ gemm_tn_fast into the row-major dW.
 void gemm_tn_panel_fast(const Tensor& x, const Tensor& dy, Tensor& dwp);
 
 /// gemm_nt_fast's per-element dot for one A row against the n B rows at
-/// b + j·ldb: out[j] = 0.0f + a·b_j, in 4-row dot groups (AVX2 or the
-/// portable mirror, whichever gemm_nt_fast runs on this host). The fused
-/// attention driver's score and dP rows.
+/// b + j·ldb: out[j] = 0.0f + a·b_j, in 1-row × 4-column dot blocks of the
+/// ISA gemm_nt_fast runs on this host. The fused attention driver's score
+/// and dP rows.
 void dot_rows_fast(const float* a, const float* b, std::size_t ldb, int k,
                    int n, float* out);
 

@@ -113,21 +113,26 @@ void expect_bitwise(const Tensor& got, const Tensor& want) {
     ASSERT_EQ(got[i], want[i]) << "element " << i;
 }
 
-/// Shapes deliberately off the 6×16 and 12×16 tile and 48 block grids
-/// (plus exact multiples and degenerate edges), as {m, k, n}. The fast
-/// gemm/gemm_tn tier reads B in place while one tile covers every row (m ≤
-/// 6 on AVX2 and the portable mirror, m ≤ 12 on AVX-512) and packs it per
-/// panel above that, so m ∈ {1, 2, 4, 6, 7} and {8, 11, 12, 13} cover both
-/// sides of each ISA's edge, and m ∈ {24, 25} a whole second 12-row tile and
-/// a 1-row remainder; n ∈ {1, 8, 15, 17, 24} puts 1-, 8-, 15-column tail
-/// panels behind zero or one full panel; k = 1 is the shortest reduction.
+/// Shapes deliberately off the 6×16 and 12×16 tile grids and the 3×4 and
+/// 6×4 dot block grids (plus exact multiples and degenerate edges), as {m,
+/// k, n}. The fast gemm/gemm_tn tier reads B in place while one tile covers
+/// every row (m ≤ 6 on AVX2 and the portable mirror, m ≤ 12 on AVX-512) and
+/// packs it per panel above that, so m ∈ {1, 2, 4, 6, 7} and {8, 11, 12,
+/// 13} cover both sides of each ISA's edge, and m ∈ {24, 25} a whole second
+/// 12-row tile and two balanced ones; n ∈ {1, 8, 15, 17, 24} puts 1-, 8-,
+/// 15-column tail panels behind zero or one full panel; k = 1 is the
+/// shortest reduction. gemm_nt runs ⌈m/3⌉ (AVX2, portable) or ⌈m/6⌉
+/// (AVX-512) balanced dot blocks over 4-column groups: {19, 40, 30} and
+/// {64, 72, 23} mix two block heights in every ISA and end in a 2- or
+/// 3-column group, with full 16-lane chunks and a lone 8-lane chunk; m =
+/// 1, 2, 3, 4, 11 and 6 reach block heights 1 to 6 in turn.
 const std::tuple<int, int, int> kShapes[] = {
     {1, 1, 1},    {3, 5, 7},    {6, 16, 32},  {13, 48, 33},
     {17, 31, 9},  {48, 64, 96}, {7, 129, 65}, {65, 7, 130},
     {1, 40, 17},  {2, 33, 8},   {4, 64, 15},  {6, 1, 24},
     {7, 20, 17},  {7, 1, 1},    {2, 300, 24}, {13, 1, 15},
     {8, 20, 17},  {11, 33, 16}, {12, 64, 40}, {24, 7, 33},
-    {25, 48, 31}};
+    {25, 48, 31}, {19, 40, 30}, {64, 72, 23}};
 
 /// Every GEMM tile ISA this host can run, narrowest first: the portable
 /// mirror always, then AVX2 and AVX-512 where the CPU has them. Suites loop
@@ -289,32 +294,37 @@ float model_gemm_nt_element(const float* a, const float* b, int k, float c,
 
 TEST(KernelTier, GemmNtFastTierBitwiseMatchesOrderModel) {
   // Tolerance alone would let a reordering of the fast tier's reduction
-  // pass silently; this pins the order itself.
+  // pass silently; this pins the order itself — for the dot blocks of
+  // every ISA the host has.
   PolicyGuard guard;
-  Rng rng(37);
-  const bool fused = simd::cpu_supports_avx2_fma();
   bool checked = false;
-  for (auto [m, k, n] : kShapes) {
-    const Tensor a = random_tensor(m, k, rng);
-    const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
-    for (bool accumulate : {false, true}) {
-      const Tensor seed = random_tensor(m, n, rng, 0.5f);
-      Tensor want(m, n);
-      for (int i = 0; i < m; ++i)
-        for (int j = 0; j < n; ++j)
-          want.at(i, j) = model_gemm_nt_element(
-              a.data() + static_cast<std::size_t>(i) * k,
-              b.data() + static_cast<std::size_t>(j) * k, k,
-              accumulate ? seed.at(i, j) : 0.0f, fused);
-      for (KernelPolicy p : testable_policies()) {
-        set_kernel_policy(p);
-        if (active_kernel_tier() != KernelTier::kFast) continue;
-        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
-                     std::to_string(n) + (accumulate ? " acc" : ""));
-        Tensor c = seed;
-        gemm_nt(a, b, c, accumulate);
-        expect_bitwise(c, want);
-        checked = true;
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    Rng rng(37);
+    const bool fused = simd::cpu_supports_avx2_fma();
+    for (auto [m, k, n] : kShapes) {
+      const Tensor a = random_tensor(m, k, rng);
+      const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
+      for (bool accumulate : {false, true}) {
+        const Tensor seed = random_tensor(m, n, rng, 0.5f);
+        Tensor want(m, n);
+        for (int i = 0; i < m; ++i)
+          for (int j = 0; j < n; ++j)
+            want.at(i, j) = model_gemm_nt_element(
+                a.data() + static_cast<std::size_t>(i) * k,
+                b.data() + static_cast<std::size_t>(j) * k, k,
+                accumulate ? seed.at(i, j) : 0.0f, fused);
+        for (KernelPolicy p : testable_policies()) {
+          set_kernel_policy(p);
+          if (active_kernel_tier() != KernelTier::kFast) continue;
+          SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                       std::to_string(n) + (accumulate ? " acc" : ""));
+          Tensor c = seed;
+          gemm_nt(a, b, c, accumulate);
+          expect_bitwise(c, want);
+          checked = true;
+        }
       }
     }
   }
@@ -325,23 +335,30 @@ TEST(KernelTier, GemmNtRowsAreBitwiseStableInRowCount) {
   // The decode contract: a [1, k] query row must produce bitwise the same
   // scores whether computed alone (decode_step) or as one row of the full
   // [m, k] forward — in every tier, the per-element result depends only on
-  // k and the data, never on m or the shard split.
+  // k and the data, never on m, the dot block height or the shard split.
+  // m = 37 runs blocks of 5 and 6 rows (AVX-512) or 2 and 3 (AVX2,
+  // portable); the lone rows run 1-row blocks.
   PolicyGuard guard;
-  Rng rng(24);
-  const int m = 37, k = 48, n = 29;
-  const Tensor a = random_tensor(m, k, rng);
-  const Tensor b = random_tensor(n, k, rng);
-  for (KernelPolicy p : testable_policies()) {
-    set_kernel_policy(p);
-    Tensor full(m, n);
-    gemm_nt(a, b, full, /*accumulate=*/false);
-    for (int i : {0, 5, 36}) {
-      Tensor arow(1, k);
-      for (int l = 0; l < k; ++l) arow.at(0, l) = a.at(i, l);
-      Tensor crow(1, n);
-      gemm_nt(arow, b, crow, /*accumulate=*/false);
-      for (int j = 0; j < n; ++j)
-        ASSERT_EQ(crow.at(0, j), full.at(i, j)) << "row " << i << " col " << j;
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
+    Rng rng(24);
+    const int m = 37, k = 48, n = 29;
+    const Tensor a = random_tensor(m, k, rng);
+    const Tensor b = random_tensor(n, k, rng);
+    for (KernelPolicy p : testable_policies()) {
+      set_kernel_policy(p);
+      Tensor full(m, n);
+      gemm_nt(a, b, full, /*accumulate=*/false);
+      for (int i : {0, 5, 36}) {
+        Tensor arow(1, k);
+        for (int l = 0; l < k; ++l) arow.at(0, l) = a.at(i, l);
+        Tensor crow(1, n);
+        gemm_nt(arow, b, crow, /*accumulate=*/false);
+        for (int j = 0; j < n; ++j)
+          ASSERT_EQ(crow.at(0, j), full.at(i, j))
+              << "row " << i << " col " << j;
+      }
     }
   }
 }
@@ -923,10 +940,10 @@ TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
   // Shard-split independence of the fast tier: gemm/gemm_tn shard over
   // 16-column panels, and each shard packs its panels into the running
   // thread's own buffer (m above the tile's rows) or reads B in place (m
-  // within them); gemm_nt shards
-  // rows. Shapes large enough that plan_shards genuinely splits at the
-  // default grain, so helpers > 0 runs shards — and packs — on the helper
-  // threads too.
+  // within them); gemm_nt and gemm_nt_panel shard 4-column dot groups.
+  // Shapes large enough that plan_shards genuinely splits at the default
+  // grain, so helpers > 0 runs shards — and packs — on the helper threads
+  // too.
   PolicyGuard guard;
   for (simd::Isa isa : host_isas()) {
     simd::ScopedIsaCap cap(isa);
@@ -938,30 +955,33 @@ TEST(KernelTier, PooledShardsBitwiseMatchSerialInEveryTier) {
       const Tensor bt = random_tensor(n, k, rng);
       const Tensor at = random_tensor(k, m, rng);
       const Tensor bias = random_tensor(1, n, rng);
-      Tensor bp;
+      Tensor bp, btp;
       pack_panels(b, bp);
+      pack_panels(bt, btp);
       for (KernelPolicy p : testable_policies()) {
         SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
                      std::to_string(n));
         set_kernel_policy(p);
         struct Out {
-          Tensor nn, tn, nt, y, g;
+          Tensor nn, tn, nt, ntp, y, g;
         };
         Out outs[2];
         for (int h : {0, 1}) {
           ComputePool::instance().set_helpers(h == 0 ? 0 : 4);
           Out& o = outs[h];
           o = {Tensor(m, n), Tensor(m, n), Tensor(m, n), Tensor(m, n),
-               Tensor(m, n)};
+               Tensor(m, n), Tensor(m, n)};
           gemm(a, b, o.nn);
           gemm_tn(at, b, o.tn);
           gemm_nt(a, bt, o.nt);
+          gemm_nt_panel(a, btp, o.ntp);
           gemm_bias_gelu_panel(a, bp, bias, o.y, o.g);
         }
         ComputePool::instance().set_helpers(0);
         expect_bitwise(outs[1].nn, outs[0].nn);
         expect_bitwise(outs[1].tn, outs[0].tn);
         expect_bitwise(outs[1].nt, outs[0].nt);
+        expect_bitwise(outs[1].ntp, outs[0].ntp);
         expect_bitwise(outs[1].y, outs[0].y);
         expect_bitwise(outs[1].g, outs[0].g);
       }
@@ -1169,8 +1189,9 @@ TEST(KernelTier, AttentionBitwiseMatchesComposedOpsInEveryTier) {
 
 TEST(KernelTier, VectorIsasAgreeBitwise) {
   // The AVX-512 GELU is the AVX2 one widened instruction for instruction,
-  // and the 12- and 6-row tiles keep each element's order, so the fast tier
-  // gives the same bits on either ISA. x·I + 0 reproduces x exactly, so
+  // the 12- and 6-row tiles keep each element's order, and the 6- and
+  // 3-row dot blocks each element's dot, so the fast tier gives the same
+  // bits on either ISA. x·I + 0 reproduces x exactly, so
   // with x a fine ramp over [−12, 12) the fused epilogue and gelu_forward
   // see every GELU regime: the curved middle, where a reordered product
   // shows, and the exp's flush below ≈ −10. n = 120 leaves a tail panel.
@@ -1185,19 +1206,29 @@ TEST(KernelTier, VectorIsasAgreeBitwise) {
   for (int j = 0; j < n; ++j) eye.at(j, j) = 1.0f;
   Tensor wp;
   pack_panels(eye, wp);
-  Tensor y[2], g[2], gf[2];
+  // dX = x·Wᵀ through the 6-row (AVX-512) and 3-row (AVX2) dot blocks: a
+  // random W [37, n] makes every dot's rounding count, and 137 rows and 37
+  // columns mix two block heights and end in a 1-column group on both ISAs.
+  Rng rng(38);
+  const Tensor w = random_tensor(37, n, rng);
+  Tensor wtp;
+  pack_panels(w, wtp);
+  Tensor y[2], g[2], gf[2], dx[2];
   for (int i = 0; i < 2; ++i) {
     simd::ScopedIsaCap cap(i == 0 ? simd::Isa::kAvx2 : simd::Isa::kAvx512);
     y[i] = Tensor(m, n);
     g[i] = Tensor(m, n);
     gf[i] = Tensor(m, n);
+    dx[i] = Tensor(m, 37);
     gemm_bias_gelu_panel(x, wp, bias, y[i], g[i]);
     gelu_forward(x, gf[i]);
+    gemm_nt_panel(x, wtp, dx[i]);
   }
   expect_same_bits(y[0], x, "y");
   expect_same_bits(y[1], x, "y");
   expect_same_bits(g[1], g[0], "g");
   expect_same_bits(gf[1], gf[0], "gelu_forward");
+  expect_same_bits(dx[1], dx[0], "gemm_nt_panel");
 }
 
 }  // namespace
