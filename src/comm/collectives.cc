@@ -51,58 +51,92 @@ int pow2_ceil(int g) {
 
 }  // namespace
 
-void Communicator::reduce_scatter_with_tag(float* data, std::size_t n,
-                                           const std::vector<int>& group,
-                                           std::int64_t tag) {
+Tensor FlatView::pack(std::size_t b, std::size_t e) const {
+  Tensor msg = Tensor::reserved_row(e - b);
+  for_each_piece(b, e, [&](std::size_t k, std::size_t off, std::size_t,
+                           std::size_t len) {
+    msg.append(pieces_[k].data + off, len);
+  });
+  return msg;
+}
+
+// vector_add is bitwise ≡ the scalar loop in every tier (one independent
+// float add per element), so every reduction below stays deterministic.
+void FlatView::add(std::size_t b, const Tensor& msg) const {
+  for_each_piece(b, b + msg.numel(), [&](std::size_t k, std::size_t off,
+                                         std::size_t at, std::size_t len) {
+    vector_add(pieces_[k].data + off, msg.data() + at, len);
+  });
+}
+
+void FlatView::add_to(std::size_t b, Tensor& msg) const {
+  for_each_piece(b, b + msg.numel(), [&](std::size_t k, std::size_t off,
+                                         std::size_t at, std::size_t len) {
+    vector_add(msg.data() + at, pieces_[k].data + off, len);
+  });
+}
+
+void FlatView::unpack(std::size_t b, const Tensor& msg) const {
+  for_each_piece(b, b + msg.numel(), [&](std::size_t k, std::size_t off,
+                                         std::size_t at, std::size_t len) {
+    std::memcpy(pieces_[k].data + off, msg.data() + at, len * sizeof(float));
+  });
+}
+
+Tensor Communicator::reduce_scatter_with_tag(const FlatView& data,
+                                             const std::vector<int>& group,
+                                             std::int64_t tag) {
   const int g = static_cast<int>(group.size());
   const int me = index_in(group, rank_);
   const int right = group[(me + 1) % g];
   const int left = group[(me - 1 + g) % g];
-  auto seg = [&](int i) { return segment_begin(n, g, i); };
+  auto seg = [&](int i) { return segment_begin(data.size(), g, i); };
   // Segment j starts one rank right of its owner and travels the ring
   // accumulating; after g−1 hops it lands fully reduced on rank j. At step
-  // s, rank me therefore forwards segment me−s−1 and receives me−s−2.
+  // s, rank me therefore forwards segment me−s−1 and receives me−s−2. Only
+  // the first send packs: each received partial gets the local segment
+  // added into it and is forwarded by move as the next step's message.
+  const int first = (me - 1 + g) % g;
+  Tensor msg = data.pack(seg(first), seg(first + 1));
   for (int step = 0; step < g - 1; ++step) {
-    const int send_seg = (me - step - 1 + 2 * g) % g;
+    send(right, tag + step, std::move(msg));
+    msg = recv(left, tag + step);
     const int recv_seg = (me - step - 2 + 2 * g) % g;
-    const std::size_t sb = seg(send_seg), se = seg(send_seg + 1);
-    send(right, tag + step, wrap(data + sb, se - sb));
-    Tensor part = recv(left, tag + step);
-    const std::size_t rb = seg(recv_seg), re = seg(recv_seg + 1);
-    CHIMERA_CHECK(part.numel() == re - rb);
-    // vector_add is bitwise ≡ the scalar loop in every tier (one independent
-    // float add per element), so the reduction stays deterministic.
-    vector_add(data + rb, part.data(), part.numel());
+    CHIMERA_CHECK(msg.numel() == seg(recv_seg + 1) - seg(recv_seg));
+    data.add_to(seg(recv_seg), msg);
   }
+  // The last partial received was this rank's own segment.
+  data.unpack(seg(me), msg);
+  return msg;
 }
 
-void Communicator::allgather_with_tag(float* data, std::size_t n,
+void Communicator::allgather_with_tag(const FlatView& data,
                                       const std::vector<int>& group,
-                                      std::int64_t tag) {
+                                      std::int64_t tag, Tensor own) {
   const int g = static_cast<int>(group.size());
   const int me = index_in(group, rank_);
   const int right = group[(me + 1) % g];
   const int left = group[(me - 1 + g) % g];
-  auto seg = [&](int i) { return segment_begin(n, g, i); };
+  auto seg = [&](int i) { return segment_begin(data.size(), g, i); };
   // Rank me owns segment me; at step s it forwards the segment it received
-  // at step s−1 (its own at s=0) and receives segment me−s−1.
+  // at step s−1 (its own at s=0) and receives segment me−s−1. Each received
+  // segment is unpacked home and forwarded by move.
+  Tensor msg = std::move(own);
   for (int step = 0; step < g - 1; ++step) {
-    const int send_seg = (me - step + 2 * g) % g;
+    send(right, tag + step, std::move(msg));
+    msg = recv(left, tag + step);
     const int recv_seg = (me - step - 1 + 2 * g) % g;
-    const std::size_t sb = seg(send_seg), se = seg(send_seg + 1);
-    send(right, tag + step, wrap(data + sb, se - sb));
-    Tensor part = recv(left, tag + step);
-    const std::size_t rb = seg(recv_seg), re = seg(recv_seg + 1);
-    CHIMERA_CHECK(part.numel() == re - rb);
-    copy_floats(data + rb, part.data(), re - rb);
+    CHIMERA_CHECK(msg.numel() == seg(recv_seg + 1) - seg(recv_seg));
+    data.unpack(seg(recv_seg), msg);
   }
 }
 
-void Communicator::allreduce_with_tag(float* data, std::size_t n,
+void Communicator::allreduce_with_tag(const FlatView& data,
                                       const std::vector<int>& group,
                                       std::int64_t tag, AllreduceAlgo algo) {
   const int g = static_cast<int>(group.size());
   const int me = index_in(group, rank_);
+  const std::size_t n = data.size();
 
   if (algo == AllreduceAlgo::kNaive) {
     // Gather to group[0], reduce in group order, broadcast.
@@ -110,13 +144,14 @@ void Communicator::allreduce_with_tag(float* data, std::size_t n,
       for (int r = 1; r < g; ++r) {
         Tensor part = recv(group[r], tag);
         CHIMERA_CHECK(part.numel() == n);
-        vector_add(data, part.data(), n);
+        data.add(0, part);
       }
-      for (int r = 1; r < g; ++r) send(group[r], tag, wrap(data, n));
+      for (int r = 1; r < g; ++r) send(group[r], tag, data.pack(0, n));
     } else {
-      send(group[0], tag, wrap(data, n));
+      send(group[0], tag, data.pack(0, n));
       Tensor result = recv(group[0], tag);
-      copy_floats(data, result.data(), n);
+      CHIMERA_CHECK(result.numel() == n);
+      data.unpack(0, result);
     }
     return;
   }
@@ -131,9 +166,10 @@ void Communicator::allreduce_with_tag(float* data, std::size_t n,
   if (algo == AllreduceAlgo::kRecursiveDoubling) {
     for (int dist = 1; dist < g; dist <<= 1) {
       const int partner = group[me ^ dist];
-      send(partner, tag, wrap(data, n));
+      send(partner, tag, data.pack(0, n));
       Tensor part = recv(partner, tag);
-      vector_add(data, part.data(), n);
+      CHIMERA_CHECK(part.numel() == n);
+      data.add(0, part);
       tag += 1;
     }
     return;
@@ -167,12 +203,12 @@ void Communicator::allreduce_with_tag(float* data, std::size_t n,
         const bool keep_low = (me & dist) == 0;
         const std::size_t send_b = keep_low ? mid : lo;
         const std::size_t send_e = keep_low ? hi : mid;
-        send(partner, tag, wrap(data + send_b, send_e - send_b));
+        send(partner, tag, data.pack(send_b, send_e));
         Tensor part = recv(partner, tag);
         const std::size_t keep_b = keep_low ? lo : mid;
         const std::size_t keep_e = keep_low ? mid : hi;
         CHIMERA_CHECK(part.numel() == keep_e - keep_b);
-        vector_add(data + keep_b, part.data(), part.numel());
+        data.add(keep_b, part);
         lo = keep_b;
         hi = keep_e;
         tag += 1;
@@ -182,42 +218,43 @@ void Communicator::allreduce_with_tag(float* data, std::size_t n,
       const int partner = group[me ^ dist];
       const auto [cur_b, cur_e] = range_at(me, dist);
       const auto [mrg_b, mrg_e] = range_at(me, 2 * dist);
-      send(partner, tag, wrap(data + cur_b, cur_e - cur_b));
+      send(partner, tag, data.pack(cur_b, cur_e));
       Tensor part = recv(partner, tag);
       // The partner holds the other half of the merged range.
       const std::size_t other_b = cur_b == mrg_b ? cur_e : mrg_b;
       const std::size_t other_e = cur_b == mrg_b ? mrg_e : cur_b;
       CHIMERA_CHECK(part.numel() == other_e - other_b);
-      copy_floats(data + other_b, part.data(), part.numel());
+      data.unpack(other_b, part);
       tag += 1;
     }
     return;
   }
 
-  // Ring: g−1 reduce-scatter steps then g−1 allgather steps.
-  reduce_scatter_with_tag(data, n, group, tag);
-  allgather_with_tag(data, n, group, tag + g);
+  // Ring: g−1 reduce-scatter steps then g−1 allgather steps; the reduced
+  // own segment is the allgather's first message.
+  allgather_with_tag(data, group, tag + g,
+                     reduce_scatter_with_tag(data, group, tag));
 }
 
-void Communicator::allreduce_sum(float* data, std::size_t n,
+void Communicator::allreduce_sum(const FlatView& data,
                                  const std::vector<int>& group,
                                  std::int64_t context, AllreduceAlgo algo) {
-  if (group.size() <= 1 || n == 0) return;
-  allreduce_with_tag(data, n, group, collective_tag(context), algo);
+  if (group.size() <= 1 || data.size() == 0) return;
+  allreduce_with_tag(data, group, collective_tag(context), algo);
 }
 
-Request Communicator::iallreduce_sum(float* data, std::size_t n,
+Request Communicator::iallreduce_sum(FlatView data,
                                      const std::vector<int>& group,
                                      std::int64_t context, AllreduceAlgo algo) {
-  if (group.size() <= 1 || n == 0) return Request{};
+  if (group.size() <= 1 || data.size() == 0) return Request{};
   // The tag is drawn on the caller thread so that per-(group, context)
   // launch order defines matching across ranks; only the message exchange
   // itself runs on the progress thread.
   const std::int64_t tag = collective_tag(context);
   auto state = std::make_unique<Request::State>();
   Request::State* raw = state.get();
-  raw->thread = std::thread([this, data, n, group, tag, algo, raw] {
-    allreduce_with_tag(data, n, group, tag, algo);
+  raw->thread = std::thread([this, data = std::move(data), group, tag, algo, raw] {
+    allreduce_with_tag(data, group, tag, algo);
     raw->done.store(true);
   });
   return Request{std::move(state)};
@@ -273,17 +310,21 @@ void Communicator::reduce_sum(float* data, std::size_t n, int root_index,
     send(group[(rel - lowbit + root_index) % g], tag, wrap(data, n));
 }
 
-void Communicator::reduce_scatter_sum(float* data, std::size_t n,
+void Communicator::reduce_scatter_sum(const FlatView& data,
                                       const std::vector<int>& group,
                                       std::int64_t context) {
-  if (group.size() <= 1 || n == 0) return;
-  reduce_scatter_with_tag(data, n, group, collective_tag(context));
+  if (group.size() <= 1 || data.size() == 0) return;
+  (void)reduce_scatter_with_tag(data, group, collective_tag(context));
 }
 
-void Communicator::allgather(float* data, std::size_t n,
-                             const std::vector<int>& group, std::int64_t context) {
-  if (group.size() <= 1 || n == 0) return;
-  allgather_with_tag(data, n, group, collective_tag(context));
+void Communicator::allgather(const FlatView& data, const std::vector<int>& group,
+                             std::int64_t context) {
+  if (group.size() <= 1 || data.size() == 0) return;
+  const int g = static_cast<int>(group.size());
+  const int me = index_in(group, rank_);
+  allgather_with_tag(data, group, collective_tag(context),
+                     data.pack(segment_begin(data.size(), g, me),
+                               segment_begin(data.size(), g, me + 1)));
 }
 
 void Communicator::gather(const float* data, std::size_t n, float* out,

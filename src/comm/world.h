@@ -12,6 +12,7 @@
 // computation").
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "support/check.h"
 #include "tensor/tensor.h"
 
 namespace chimera::comm {
@@ -39,6 +41,52 @@ enum class AllreduceAlgo {
 const char* allreduce_algo_name(AllreduceAlgo a);
 
 class Communicator;
+
+/// Piecewise flat view: an ordered list of (float*, count) pieces addressed
+/// as one index space [0, size()). Every allreduce algorithm and
+/// reduce_scatter_sum/allgather runs over one, through the message
+/// primitives below, so a stage's gradients are reduced where they live
+/// (GradSyncEngine) instead of through a staging copy. A `float* data, n`
+/// entry point is the one-piece view. The view does not own the storage.
+class FlatView {
+ public:
+  FlatView() = default;
+  /// One-piece view of data[0..n).
+  FlatView(float* data, std::size_t n) { append(data, n); }
+
+  /// Appends data[0..n) as indices [size(), size() + n). Zero-length pieces
+  /// are kept, so piece k is always the k-th appended.
+  void append(float* data, std::size_t n) {
+    pieces_.push_back({data, size_, n});
+    size_ += n;
+  }
+  std::size_t size() const { return size_; }
+  float* piece_data(std::size_t k) const { return pieces_[k].data; }
+
+  /// A message holding [b, e), packed in one pass with no zero-fill.
+  Tensor pack(std::size_t b, std::size_t e) const;
+  /// [b, b + msg.numel()) += msg.
+  void add(std::size_t b, const Tensor& msg) const;
+  /// msg += [b, b + msg.numel()) — the ring's forwarded partial. Bitwise
+  /// the same sums as add(): IEEE addition commutes.
+  void add_to(std::size_t b, Tensor& msg) const;
+  /// [b, b + msg.numel()) = msg.
+  void unpack(std::size_t b, const Tensor& msg) const;
+
+  /// Calls fn(piece, offset_in_piece, offset_in_range, len) for each
+  /// non-empty overlap of [b, e) with a piece, in index order.
+  template <class Fn>
+  void for_each_piece(std::size_t b, std::size_t e, Fn&& fn) const;
+
+ private:
+  struct Piece {
+    float* data;
+    std::size_t begin;
+    std::size_t n;
+  };
+  std::vector<Piece> pieces_;
+  std::size_t size_ = 0;
+};
 
 /// Handle for a nonblocking collective. The operation progresses on a
 /// dedicated helper thread (the "progress thread" model of MPI nonblocking
@@ -116,17 +164,28 @@ class Communicator {
   void send(int dst, std::int64_t tag, Tensor payload);
   Tensor recv(int src, std::int64_t tag);
 
-  /// In-place sum-allreduce of `data[0..n)` over `group` (sorted, must
-  /// contain this rank). `context` separates independent collective streams
-  /// (e.g. one per pipeline stage).
-  void allreduce_sum(float* data, std::size_t n, const std::vector<int>& group,
+  /// In-place sum-allreduce of `data` over `group` (sorted, must contain
+  /// this rank). `context` separates independent collective streams (e.g.
+  /// one per pipeline stage). The ring forwards each received partial by
+  /// move: 1/g·n packed plus n unpacked per rank, where a re-staging ring
+  /// copies 3(g−1)/g·n.
+  void allreduce_sum(const FlatView& data, const std::vector<int>& group,
                      std::int64_t context, AllreduceAlgo algo = AllreduceAlgo::kRing);
+  void allreduce_sum(float* data, std::size_t n, const std::vector<int>& group,
+                     std::int64_t context, AllreduceAlgo algo = AllreduceAlgo::kRing) {
+    allreduce_sum(FlatView(data, n), group, context, algo);
+  }
 
   /// Nonblocking allreduce: returns immediately; the reduction runs on a
-  /// helper thread and `data` must stay alive and untouched until the
-  /// returned Request completes. This is the §3.2 eager gradient sync.
-  Request iallreduce_sum(float* data, std::size_t n, const std::vector<int>& group,
+  /// helper thread and the storage under `data` must stay alive and
+  /// untouched until the returned Request completes. This is the §3.2 eager
+  /// gradient sync.
+  Request iallreduce_sum(FlatView data, const std::vector<int>& group,
                          std::int64_t context, AllreduceAlgo algo = AllreduceAlgo::kRing);
+  Request iallreduce_sum(float* data, std::size_t n, const std::vector<int>& group,
+                         std::int64_t context, AllreduceAlgo algo = AllreduceAlgo::kRing) {
+    return iallreduce_sum(FlatView(data, n), group, context, algo);
+  }
 
   /// Broadcast from `group[root_index]` to all of `group` (binomial tree).
   void broadcast(float* data, std::size_t n, int root_index,
@@ -139,15 +198,23 @@ class Communicator {
 
   /// Ring reduce-scatter: on return, rank i of the group holds the fully
   /// reduced segment [seg_begin(i), seg_begin(i+1)) of `data` (the canonical
-  /// even split of n over the group); other positions are scratch.
-  void reduce_scatter_sum(float* data, std::size_t n, const std::vector<int>& group,
+  /// even split of its size over the group); other positions are scratch.
+  void reduce_scatter_sum(const FlatView& data, const std::vector<int>& group,
                           std::int64_t context);
+  void reduce_scatter_sum(float* data, std::size_t n, const std::vector<int>& group,
+                          std::int64_t context) {
+    reduce_scatter_sum(FlatView(data, n), group, context);
+  }
 
   /// Ring allgather of the canonical segments: each rank contributes its own
   /// segment of `data` and on return every rank holds all segments. The
   /// inverse of reduce_scatter_sum; together they form the ZeRO-1 step.
-  void allgather(float* data, std::size_t n, const std::vector<int>& group,
+  void allgather(const FlatView& data, const std::vector<int>& group,
                  std::int64_t context);
+  void allgather(float* data, std::size_t n, const std::vector<int>& group,
+                 std::int64_t context) {
+    allgather(FlatView(data, n), group, context);
+  }
 
   /// Gather `n` elements from every rank to `group[root_index]`. On the root
   /// `out` must have group.size()·n elements (filled in group order); on
@@ -166,12 +233,15 @@ class Communicator {
 
  private:
   std::int64_t collective_tag(std::int64_t context);
-  void allreduce_with_tag(float* data, std::size_t n, const std::vector<int>& group,
+  void allreduce_with_tag(const FlatView& data, const std::vector<int>& group,
                           std::int64_t tag, AllreduceAlgo algo);
-  void reduce_scatter_with_tag(float* data, std::size_t n,
-                               const std::vector<int>& group, std::int64_t tag);
-  void allgather_with_tag(float* data, std::size_t n, const std::vector<int>& group,
-                          std::int64_t tag);
+  /// Returns this rank's reduced segment as a message (also unpacked home),
+  /// ready to be forwarded as the ring allgather's first send.
+  Tensor reduce_scatter_with_tag(const FlatView& data,
+                                 const std::vector<int>& group, std::int64_t tag);
+  /// `own` is this rank's segment of `data`, packed.
+  void allgather_with_tag(const FlatView& data, const std::vector<int>& group,
+                          std::int64_t tag, Tensor own);
 
   World* world_;
   int rank_;
@@ -183,6 +253,25 @@ class Communicator {
 /// of g over n elements is [n·i/g, n·(i+1)/g).
 inline std::size_t segment_begin(std::size_t n, int g, int i) {
   return n * static_cast<std::size_t>(i) / static_cast<std::size_t>(g);
+}
+
+template <class Fn>
+void FlatView::for_each_piece(std::size_t b, std::size_t e, Fn&& fn) const {
+  CHIMERA_CHECK_MSG(b <= e && e <= size_,
+                    "range [" << b << ", " << e << ") outside view of " << size_);
+  if (b == e) return;
+  // The last piece that begins at or before b holds b (a zero-length piece
+  // shares its begin with the next one, which then comes later).
+  std::size_t k = static_cast<std::size_t>(
+      std::upper_bound(pieces_.begin(), pieces_.end(), b,
+                       [](std::size_t i, const Piece& p) { return i < p.begin; }) -
+      pieces_.begin() - 1);
+  for (std::size_t i = b; i < e; ++k) {
+    const Piece& p = pieces_[k];
+    const std::size_t len = std::min(e, p.begin + p.n) - i;
+    if (len > 0) fn(k, i - p.begin, i - b, len);
+    i += len;
+  }
 }
 
 }  // namespace chimera::comm

@@ -9,34 +9,34 @@
 
 namespace chimera::rt {
 
-std::size_t flat_grad_size(const std::vector<nn::Param*>& params) {
-  std::size_t total = 0;
-  for (const nn::Param* p : params) total += p->grad.numel();
-  return total;
-}
-
-void copy_grads_flat(const std::vector<nn::Param*>& params, float* buf) {
-  for (const nn::Param* p : params) {
-    std::copy(p->grad.data(), p->grad.data() + p->grad.numel(), buf);
-    buf += p->grad.numel();
+void add_grads(const std::vector<nn::Param*>& to,
+               const std::vector<nn::Param*>& from) {
+  CHIMERA_CHECK(to.size() == from.size());
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    CHIMERA_CHECK(to[i]->grad.numel() == from[i]->grad.numel());
+    vector_add(to[i]->grad.data(), from[i]->grad.data(), to[i]->grad.numel());
   }
 }
 
-void add_grads_flat(const std::vector<nn::Param*>& params, float* buf) {
-  for (const nn::Param* p : params) {
-    // Elementwise adds — bitwise ≡ the scalar loop in every kernel tier, so
-    // the replica contribution order of the grad-sync contract is unchanged.
-    vector_add(buf, p->grad.data(), p->grad.numel());
-    buf += p->grad.numel();
-  }
+void copy_grads(const std::vector<nn::Param*>& to,
+                const std::vector<nn::Param*>& from) {
+  CHIMERA_CHECK(to.size() == from.size());
+  for (std::size_t i = 0; i < to.size(); ++i) to[i]->grad = from[i]->grad;
 }
 
-void load_grads_flat(const std::vector<nn::Param*>& params, const float* buf) {
+namespace {
+
+/// The gradients (or values) of `params`, in order, as one flat view.
+comm::FlatView flat_view(const std::vector<nn::Param*>& params, bool values) {
+  comm::FlatView v;
   for (nn::Param* p : params) {
-    std::copy(buf, buf + p->grad.numel(), p->grad.data());
-    buf += p->grad.numel();
+    Tensor& t = values ? p->value : p->grad;
+    v.append(t.data(), t.numel());
   }
+  return v;
 }
+
+}  // namespace
 
 // ------------------------------------------------------------------------
 // Strategy interface
@@ -45,11 +45,11 @@ class GradSyncEngine::Strategy {
  public:
   virtual ~Strategy() = default;
 
-  /// AllReduceBegin hook; the bucket is already filled.
+  /// AllReduceBegin hook; the local replicas are already combined.
   virtual void begin(GradSyncEngine& e, int stage, StageSync& sync) {}
 
-  /// AllReduceWait hook. Returns true when the bucket holds the final
-  /// gradients and should be drained back to the replicas and retired;
+  /// AllReduceWait hook. Returns true when the view holds the final
+  /// gradients, to be copied to the other local replicas and retired;
   /// false when the entry must survive until the flush (ZeRO-1).
   virtual bool wait(GradSyncEngine& e, int stage, StageSync& sync) = 0;
 
@@ -77,8 +77,8 @@ class GradSyncEngine::Strategy {
 class GradSyncEngine::BlockingStrategy : public Strategy {
  public:
   bool wait(GradSyncEngine& e, int stage, StageSync& sync) override {
-    e.comm_.allreduce_sum(sync.bucket.data(), sync.bucket.size(),
-                          e.allreduce_ranks(stage), stage, e.opts_.allreduce);
+    e.comm_.allreduce_sum(sync.grads, e.allreduce_ranks(stage), stage,
+                          e.opts_.allreduce);
     return true;
   }
 };
@@ -87,12 +87,11 @@ class GradSyncEngine::OverlapStrategy : public Strategy {
  public:
   void begin(GradSyncEngine& e, int stage, StageSync& sync) override {
     // Nonblocking launch: the collective progresses while the ops after
-    // this one compute (paper §3.2 eager sync). The bucket and request live
-    // in `syncs_` until the matching Wait.
-    sync.request =
-        e.comm_.iallreduce_sum(sync.bucket.data(), sync.bucket.size(),
-                               e.allreduce_ranks(stage), stage,
-                               e.opts_.allreduce);
+    // this one compute (paper §3.2 eager sync); no op before the matching
+    // Wait touches this stage's gradients. The request lives in `syncs_`
+    // until then.
+    sync.request = e.comm_.iallreduce_sum(sync.grads, e.allreduce_ranks(stage),
+                                          stage, e.opts_.allreduce);
   }
   bool wait(GradSyncEngine&, int, StageSync& sync) override {
     sync.request.wait();
@@ -106,8 +105,7 @@ class GradSyncEngine::ZeroShardStrategy : public Strategy {
     // Only the reduce-scatter half runs here; the entry stays in `syncs_`
     // so the flush can update this rank's shard and allgather the refreshed
     // parameters.
-    e.comm_.reduce_scatter_sum(sync.bucket.data(), sync.bucket.size(),
-                               e.allreduce_ranks(stage), stage);
+    e.comm_.reduce_scatter_sum(sync.grads, e.allreduce_ranks(stage), stage);
     return false;
   }
 
@@ -117,46 +115,46 @@ class GradSyncEngine::ZeroShardStrategy : public Strategy {
     // no double counting.
     float local = 0.0f;
     for (const auto& [stage, sync] : e.syncs_) {
-      const auto [lo, hi] = e.zero_segment(stage, sync.bucket.size());
-      for (std::size_t i = lo; i < hi; ++i)
-        local += sync.bucket[i] * sync.bucket[i];
+      const auto [lo, hi] = e.zero_segment(stage, sync.grads.size());
+      sync.grads.for_each_piece(
+          lo, hi, [&](std::size_t k, std::size_t off, std::size_t,
+                      std::size_t len) {
+            const float* g = sync.grads.piece_data(k) + off;
+            for (std::size_t i = 0; i < len; ++i) local += g[i] * g[i];
+          });
     }
     return local;
   }
 
   void apply_update(GradSyncEngine& e, double lr_mult,
                     float grad_scale) override {
-    // ZeRO-1 sharded update: refresh my shard of each hosted stage's
-    // flattened parameters, then allgather the full parameter vector.
+    // ZeRO-1 sharded update: refresh my segment of each hosted stage's
+    // parameters in place (the rule is elementwise, so piece by piece is
+    // bitwise the flat update), then allgather the parameter view.
     // `syncs_` iterates in ascending stage order on every worker, keeping
     // the blocking allgathers deadlock-free across shared groups.
     const int slots = optim::state_slots(e.opts_.optimizer.rule);
     for (auto& [stage, sync] : e.syncs_) {
-      const std::vector<int> ranks = e.allreduce_ranks(stage);
-      const std::size_t n = sync.bucket.size();
-      const auto [lo, hi] = e.zero_segment(stage, n);
+      const auto [lo, hi] = e.zero_segment(stage, sync.grads.size());
       auto& shard = e.me_.zero_state[stage];
       if (shard.empty() && slots > 0)
         shard.assign(slots, std::vector<float>(hi - lo, 0.0f));
-      std::vector<float> wbuf(n);
-      std::size_t off = 0;
-      for (nn::Param* p : sync.local[0]->module.params()) {
-        std::copy(p->value.data(), p->value.data() + p->value.numel(),
-                  wbuf.begin() + off);
-        off += p->value.numel();
-      }
-      optim::apply_flat(e.opts_.optimizer, e.iteration_ + 1, lr_mult,
-                        grad_scale, wbuf.data() + lo, sync.bucket.data() + lo,
-                        slots > 0 ? shard[0].data() : nullptr,
-                        slots > 1 ? shard[1].data() : nullptr, hi - lo);
-      e.comm_.allgather(wbuf.data(), n, ranks, stage);
-      for (Replica* r : sync.local) {
-        off = 0;
-        for (nn::Param* p : r->module.params()) {
-          std::copy(wbuf.begin() + off, wbuf.begin() + off + p->value.numel(),
-                    p->value.data());
-          off += p->value.numel();
-        }
+      const std::vector<nn::Param*> params = sync.local[0]->module.params();
+      const comm::FlatView values = flat_view(params, /*values=*/true);
+      sync.grads.for_each_piece(
+          lo, hi, [&](std::size_t k, std::size_t off, std::size_t at,
+                      std::size_t len) {
+            optim::apply_flat(e.opts_.optimizer, e.iteration_ + 1, lr_mult,
+                              grad_scale, values.piece_data(k) + off,
+                              sync.grads.piece_data(k) + off,
+                              slots > 0 ? shard[0].data() + at : nullptr,
+                              slots > 1 ? shard[1].data() + at : nullptr, len);
+          });
+      e.comm_.allgather(values, e.allreduce_ranks(stage), stage);
+      for (std::size_t li = 1; li < sync.local.size(); ++li) {
+        const std::vector<nn::Param*> to = sync.local[li]->module.params();
+        for (std::size_t i = 0; i < to.size(); ++i)
+          to[i]->value = params[i]->value;
       }
     }
     e.syncs_.clear();
@@ -167,19 +165,22 @@ class GradSyncEngine::CompressedStrategy : public Strategy {
  public:
   bool wait(GradSyncEngine& e, int stage, StageSync& sync) override {
     const std::vector<int> ranks = e.allreduce_ranks(stage);
+    // The codecs work on one contiguous vector: pack the view around them.
+    Tensor flat = sync.grads.pack(0, sync.grads.size());
     if (e.opts_.compression == comm::GradCompression::kTopK) {
       comm::TopKSparsifier sp(e.opts_.topk_fraction);
-      comm::allreduce_topk(e.comm_, sync.bucket.data(), sync.bucket.size(),
-                           ranks, stage, sp, e.me_.topk_residual[stage]);
+      comm::allreduce_topk(e.comm_, flat.data(), flat.numel(), ranks, stage,
+                           sp, e.me_.topk_residual[stage]);
     } else {
       comm::Quantizer q(
           e.opts_.compression == comm::GradCompression::kInt8 ? 8 : 4);
       // Deterministic per (iteration, rank, stage): runs reproduce.
       Rng rng(Rng(0x9bc0ffee ^ static_cast<std::uint64_t>(e.iteration_))
                   .split(static_cast<std::uint64_t>(e.rank_) * 131 + stage));
-      comm::allreduce_quantized(e.comm_, sync.bucket.data(),
-                                sync.bucket.size(), ranks, stage, q, rng);
+      comm::allreduce_quantized(e.comm_, flat.data(), flat.numel(), ranks,
+                                stage, q, rng);
     }
+    sync.grads.unpack(0, flat);
     return true;
   }
 };
@@ -225,28 +226,28 @@ std::pair<std::size_t, std::size_t> GradSyncEngine::zero_segment(
           comm::segment_begin(n, gsize, idx + 1)};
 }
 
-void GradSyncEngine::fill_bucket(int stage, StageSync& sync) {
+void GradSyncEngine::combine_local(int stage, StageSync& sync) {
   // All local replicas of `stage`, in hosting order.
   for (const auto& r : replicas_)
     if (r->stage == stage) sync.local.push_back(r.get());
   CHIMERA_CHECK_MSG(!sync.local.empty(), "sync for unhosted stage " << stage);
-  auto first = sync.local[0]->module.params();
-  sync.bucket.resize(flat_grad_size(first));
-  copy_grads_flat(first, sync.bucket.data());
+  const std::vector<nn::Param*> first = sync.local[0]->module.params();
   // GEMS with odd depth can host the same stage twice on one worker;
   // their contributions combine locally before the collective.
   for (std::size_t li = 1; li < sync.local.size(); ++li)
-    add_grads_flat(sync.local[li]->module.params(), sync.bucket.data());
+    add_grads(first, sync.local[li]->module.params());
+  sync.grads = flat_view(first, /*values=*/false);
 }
 
-void GradSyncEngine::drain_bucket(StageSync& sync) {
-  for (Replica* r : sync.local)
-    load_grads_flat(r->module.params(), sync.bucket.data());
+void GradSyncEngine::scatter_local(StageSync& sync) {
+  const std::vector<nn::Param*> first = sync.local[0]->module.params();
+  for (std::size_t li = 1; li < sync.local.size(); ++li)
+    copy_grads(sync.local[li]->module.params(), first);
 }
 
 void GradSyncEngine::begin(int stage) {
   StageSync& sync = syncs_[stage];
-  if (sync.local.empty()) fill_bucket(stage, sync);
+  if (sync.local.empty()) combine_local(stage, sync);
   strategy_->begin(*this, stage, sync);
 }
 
@@ -255,7 +256,7 @@ void GradSyncEngine::wait(int stage) {
   CHIMERA_CHECK_MSG(it != syncs_.end(),
                     "Wait without Begin for stage " << stage);
   if (strategy_->wait(*this, stage, it->second)) {
-    drain_bucket(it->second);
+    scatter_local(it->second);
     syncs_.erase(it);
   }
 }

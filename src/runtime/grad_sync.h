@@ -1,20 +1,27 @@
 // GradSyncEngine: gradient synchronization and the synchronous optimizer
 // step, factored out of the op-dispatch loop.
 //
-// The engine owns the per-stage gradient buckets of one rank (the flattened
-// sum of the rank's local replica gradients for a stage, exchanged as one
-// collective) and dispatches AllReduceBegin/AllReduceWait and the flush to a
-// strategy object chosen once at construction:
+// The engine reduces each stage's gradients in place: the collective runs
+// over a piecewise flat view (comm::FlatView) of the first local replica's
+// parameter gradients, so no staging bucket exists. It dispatches
+// AllReduceBegin/AllReduceWait and the flush to a strategy object chosen
+// once at construction:
 //
 //   blocking        whole exchange runs at the Wait op (overlap = false)
 //   eager-overlap   nonblocking launch at Begin, completion at Wait — the
 //                   paper's §3.2 overlapped eager sync (bitwise identical
 //                   to blocking)
-//   ZeRO-1          reduce-scatter at Wait, sharded optimizer update +
-//                   allgather at the flush (bitwise identical to the ring
-//                   allreduce path)
+//   ZeRO-1          reduce-scatter at Wait; at the flush, the sharded
+//                   optimizer update runs over this rank's segment of the
+//                   gradient and parameter views and the parameter view is
+//                   allgathered (bitwise identical to the ring allreduce
+//                   path)
 //   compressed      lossy quantized/top-k exchange at Wait (replica-
 //                   consistent: every rank decodes the same byte stream)
+//
+// A worker hosting a stage twice (GEMS at odd depth) adds the other local
+// replicas' gradients into the first's, in hosting order, before the
+// collective, and copies the result back out after it.
 //
 // PipeDream's per-micro-batch replica sync (no AllReduce ops in the
 // schedule) goes through sync_micro(). One engine instance lives on one
@@ -33,14 +40,16 @@
 
 namespace chimera::rt {
 
-/// Flat gradient-bucket primitives shared by the sync engine's buckets and
-/// the trainer's 2BW cross-replica reduction. Accumulation is element-wise
-/// in caller order, so the per-element summation order (and the bits) match
-/// a serial in-place reduction.
-std::size_t flat_grad_size(const std::vector<nn::Param*>& params);
-void copy_grads_flat(const std::vector<nn::Param*>& params, float* buf);
-void add_grads_flat(const std::vector<nn::Param*>& params, float* buf);
-void load_grads_flat(const std::vector<nn::Param*>& params, const float* buf);
+/// Per-parameter gradient primitives shared by the sync engine's local
+/// replica combine and the trainer's 2BW cross-replica reduction. `to` and
+/// `from` are the params() of two replicas of one stage.
+/// add_grads: to.grad += from.grad, elementwise (bitwise ≡ the scalar loop
+/// in every kernel tier, so caller order fixes each element's summation
+/// order). copy_grads: to.grad = from.grad.
+void add_grads(const std::vector<nn::Param*>& to,
+               const std::vector<nn::Param*>& from);
+void copy_grads(const std::vector<nn::Param*>& to,
+                const std::vector<nn::Param*>& from);
 
 class GradSyncEngine {
  public:
@@ -48,7 +57,8 @@ class GradSyncEngine {
                  WorkerState& me, int rank, long iteration);
   ~GradSyncEngine();
 
-  /// AllReduceBegin of `stage`: fill the bucket, strategy may launch.
+  /// AllReduceBegin of `stage`: combine the local replicas' gradients into
+  /// the first's, strategy may launch.
   void begin(int stage);
 
   /// AllReduceWait of `stage`: strategy completes (or stages) the exchange.
@@ -73,12 +83,12 @@ class GradSyncEngine {
   /// One stage's in-flight gradient exchange.
   struct StageSync {
     std::vector<Replica*> local;  ///< this rank's replicas of the stage
-    std::vector<float> bucket;    ///< flattened local gradient sum
+    comm::FlatView grads;         ///< local[0]'s gradients, reduced in place
     comm::Request request;        ///< overlap: the nonblocking collective
   };
 
-  void fill_bucket(int stage, StageSync& sync);
-  void drain_bucket(StageSync& sync);
+  void combine_local(int stage, StageSync& sync);
+  void scatter_local(StageSync& sync);
   /// Ranks participating in `stage`'s gradient exchange, across all
   /// data-parallel groups and pipes, ascending.
   std::vector<int> allreduce_ranks(int stage) const;

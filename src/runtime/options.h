@@ -59,8 +59,9 @@ struct TrainerOptions : EngineOptions {
   /// Launch the per-stage gradient allreduce nonblocking at its
   /// AllReduceBegin op and complete it at AllReduceWait (paper §3.2's
   /// overlapped eager sync). When false, the whole exchange runs blocking at
-  /// the Wait op. Either way each stage's gradients travel as one flattened
-  /// bucket, and results are bitwise identical.
+  /// the Wait op. Either way each stage's gradients are reduced in place as
+  /// one collective over a flat view of them, and results are bitwise
+  /// identical.
   bool overlap = true;
   /// Lossy gradient compression for the stage-gradient exchange (the
   /// paper's §5 "next step"). Runs blocking at the Wait op; replicas stay

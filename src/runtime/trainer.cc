@@ -57,7 +57,6 @@ PipelineTrainer::PipelineTrainer(const nn::SmallModelConfig& model,
   for (int rank = 0; rank < W * D; ++rank)
     for (const auto& r : dep_->units(rank)) store_->register_replica(*r);
   workers_.resize(static_cast<std::size_t>(W) * D);
-  reduce_bufs_.resize(D);
 }
 
 PipelineTrainer::~PipelineTrainer() = default;
@@ -80,7 +79,7 @@ void PipelineTrainer::run_worker(int group, int w, const nn::MicroBatch& batch,
 void PipelineTrainer::reduce_2bw_worker(int rank) {
   // 2BW is asynchronous: no allreduce ops exist in the schedule. Reduce the
   // accumulation-window gradient across the W replicas (computed at the
-  // stale version w_{t-1}) into an explicit per-stage buffer, then let the
+  // stale version w_{t-1}) into group 0's gradients, in place, then let the
   // store apply it to the newest version and shift the double buffer:
   // w_{t+1} = w_t − lr·g(w_{t-1}). One pool task per stage-hosting worker:
   // group 0's ranks each reduce their worker's stages, the rest idle.
@@ -89,19 +88,14 @@ void PipelineTrainer::reduce_2bw_worker(int rank) {
   if (rank >= D) return;
   const int w = rank;
   const double mult = opts_.lr_schedule.multiplier(iteration_);
-  const std::size_t hosted = dep_->units(w).size();
-  reduce_bufs_[w].resize(hosted);
-  for (std::size_t ri = 0; ri < hosted; ++ri) {
-    auto params0 = dep_->units(w)[ri]->module.params();
-    std::vector<float>& buf = reduce_bufs_[w][ri];  // pre-sized after iter 0
-    buf.resize(flat_grad_size(params0));
-    copy_grads_flat(params0, buf.data());
+  for (std::size_t ri = 0; ri < dep_->units(w).size(); ++ri) {
+    const std::vector<nn::Param*> params0 = dep_->units(w)[ri]->module.params();
     // Same summation order as a serial in-place reduction: groups ascending.
     for (int g = 1; g < W; ++g)
-      add_grads_flat(dep_->units(g * D + w)[ri]->module.params(), buf.data());
+      add_grads(params0, dep_->units(g * D + w)[ri]->module.params());
     for (int g = 0; g < W; ++g) {
       Replica& r = *dep_->units(g * D + w)[ri];
-      load_grads_flat(r.module.params(), buf.data());
+      if (g > 0) copy_grads(r.module.params(), params0);
       store_->step_double_buffered(r, mult);
     }
   }
@@ -122,12 +116,12 @@ IterationResult PipelineTrainer::train_iteration(const nn::MicroBatch& batch) {
   for (int rank = 0; rank < dep_->ranks(); ++rank)
     for (const auto& r : dep_->units(rank)) store_->init_double_buffer(*r);
 
-  for (int rank = 0; rank < dep_->ranks(); ++rank)
-    for (const auto& r : dep_->units(rank)) r->module.zero_grads();
-
   std::vector<double> losses(static_cast<std::size_t>(N) * W * 2, 0.0);
   const int D = schedule().depth;
   dep_->run([this, &batch, B, &losses, D](int rank) {
+    // Each rank zeroes its own replicas' gradients inside its own job: no
+    // other rank touches them before its collectives run.
+    for (const auto& r : dep_->units(rank)) r->module.zero_grads();
     run_worker(rank / D, rank % D, batch, B, losses);
   });
 

@@ -90,9 +90,6 @@ class PipelineTrainer {
   TrainerOptions opts_;
   std::vector<WorkerState> workers_;  ///< [group·D + worker]
   std::unique_ptr<WeightStore> store_;
-  /// 2BW cross-replica reduction scratch: [worker][replica] flattened
-  /// gradient sum, pre-sized on first use and reused every iteration.
-  std::vector<std::vector<std::vector<float>>> reduce_bufs_;
   long iteration_ = 0;
   /// Last member: its pool parks and joins the rank threads while the state
   /// above is still alive. Each rank's Communicator lives for the trainer's

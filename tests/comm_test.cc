@@ -1,12 +1,16 @@
 // Message-passing substrate tests: p2p ordering, tag matching, and every
 // allreduce algorithm against the naive reference, across group sizes —
 // including the bitwise cross-rank agreement the weight-replica consistency
-// of the runtime depends on.
+// of the runtime depends on — and the piecewise flat view every collective
+// runs over, which must reduce bit for bit like one contiguous buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 
 #include "comm/world.h"
+#include "support/rng.h"
 
 namespace chimera::comm {
 namespace {
@@ -229,6 +233,183 @@ TEST(NonblockingAllreduce, TrivialGroupReturnsCompletedRequest) {
   EXPECT_TRUE(r.test());
   r.wait();
   EXPECT_FLOAT_EQ(x, 5.0f);
+}
+
+// ---- Piecewise flat views ------------------------------------------------
+
+/// Runs `body(rank, communicator)` on one thread per rank of a fresh world
+/// whose group is all of it.
+template <class Fn>
+void run_world(int g, Fn&& body) {
+  World world(g);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < g; ++r)
+    threads.emplace_back([&, r] {
+      Communicator c(world, r);
+      body(r, c);
+    });
+  for (auto& t : threads) t.join();
+}
+
+/// One rank's data split into separately allocated pieces at `bounds`
+/// (0 = bounds.front() ≤ ... ≤ bounds.back() = n; a repeated bound is a
+/// zero-length piece).
+struct Pieces {
+  std::vector<std::vector<float>> store;
+
+  Pieces(const std::vector<float>& flat, const std::vector<std::size_t>& bounds) {
+    for (std::size_t k = 0; k + 1 < bounds.size(); ++k)
+      store.emplace_back(flat.begin() + bounds[k], flat.begin() + bounds[k + 1]);
+  }
+  FlatView view() {
+    FlatView v;
+    for (auto& piece : store) v.append(piece.data(), piece.size());
+    return v;
+  }
+  std::vector<float> flat() const {
+    std::vector<float> out;
+    for (const auto& piece : store) out.insert(out.end(), piece.begin(), piece.end());
+    return out;
+  }
+};
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Piece layouts of [0, n) for a group of g: cuts doubled on every segment
+/// bound (zero-length pieces there, and at both ends), cuts one past every
+/// bound (boundaries inside segments), one piece per element, and random
+/// cuts with repeats.
+std::vector<std::vector<std::size_t>> layouts(std::size_t n, int g) {
+  std::vector<std::vector<std::size_t>> out;
+  std::vector<std::size_t> on{0}, inside{0}, each{0}, random{0};
+  for (int i = 0; i <= g; ++i) {
+    on.push_back(segment_begin(n, g, i));
+    on.push_back(segment_begin(n, g, i));
+    inside.push_back(std::min(n, segment_begin(n, g, i) + 1));
+  }
+  for (std::size_t i = 1; i <= n; ++i) each.push_back(i);
+  Rng rng(n * 31 + static_cast<std::size_t>(g));
+  for (int k = 0; k < 5; ++k) random.push_back(rng.next_below(n + 1));
+  for (auto* b : {&on, &inside, &each, &random}) {
+    b->push_back(n);
+    std::sort(b->begin(), b->end());
+    out.push_back(*b);
+  }
+  return out;
+}
+
+std::vector<std::vector<float>> rank_inputs(int g, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> data(g, std::vector<float>(n));
+  for (auto& row : data)
+    for (auto& v : row) v = static_cast<float>(rng.normal());
+  return data;
+}
+
+class FlatViewAllreduce
+    : public ::testing::TestWithParam<std::tuple<AllreduceAlgo, int, bool>> {};
+
+TEST_P(FlatViewAllreduce, MultiPieceViewBitwiseMatchesContiguous) {
+  const auto [algo, g, nonblocking] = GetParam();
+  std::vector<int> group(g);
+  for (int i = 0; i < g; ++i) group[i] = i;
+  for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{11},
+                        std::size_t{100}}) {
+    const auto inputs = rank_inputs(g, n, 40 + n);
+    auto contiguous = inputs;
+    run_world(g, [&](int r, Communicator& c) {
+      c.allreduce_sum(contiguous[r].data(), n, group, 1, algo);
+    });
+    for (const auto& bounds : layouts(n, g)) {
+      std::vector<Pieces> pieces;
+      for (int r = 0; r < g; ++r) pieces.emplace_back(inputs[r], bounds);
+      run_world(g, [&](int r, Communicator& c) {
+        if (nonblocking)
+          c.iallreduce_sum(pieces[r].view(), group, 1, algo).wait();
+        else
+          c.allreduce_sum(pieces[r].view(), group, 1, algo);
+      });
+      for (int r = 0; r < g; ++r)
+        EXPECT_TRUE(same_bits(pieces[r].flat(), contiguous[r]))
+            << "n " << n << " rank " << r << " pieces " << bounds.size() - 1;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryAlgoAndGroupSize, FlatViewAllreduce,
+    ::testing::Combine(
+        ::testing::Values(AllreduceAlgo::kNaive, AllreduceAlgo::kRing,
+                          AllreduceAlgo::kRecursiveDoubling,
+                          AllreduceAlgo::kRabenseifner),
+        ::testing::Range(1, 7), ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = allreduce_algo_name(std::get<0>(info.param));
+      for (auto& ch : name)
+        if (ch == '-') ch = '_';
+      return name + "_g" + std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_nonblocking" : "_blocking");
+    });
+
+TEST(FlatView, ReduceScatterAndAllgatherBitwiseMatchContiguous) {
+  for (int g = 1; g <= 6; ++g) {
+    std::vector<int> group(g);
+    for (int i = 0; i < g; ++i) group[i] = i;
+    for (std::size_t n : {std::size_t{2}, std::size_t{13}, std::size_t{64}}) {
+      const auto inputs = rank_inputs(g, n, 70 + n);
+      auto contiguous = inputs;
+      std::vector<std::vector<float>> scattered(g);
+      run_world(g, [&](int r, Communicator& c) {
+        c.reduce_scatter_sum(contiguous[r].data(), n, group, 2);
+        scattered[r] = contiguous[r];
+        c.allgather(contiguous[r].data(), n, group, 3);
+      });
+      for (const auto& bounds : layouts(n, g)) {
+        std::vector<Pieces> pieces;
+        for (int r = 0; r < g; ++r) pieces.emplace_back(inputs[r], bounds);
+        std::vector<std::vector<float>> view_scattered(g);
+        run_world(g, [&](int r, Communicator& c) {
+          c.reduce_scatter_sum(pieces[r].view(), group, 2);
+          view_scattered[r] = pieces[r].flat();
+          c.allgather(pieces[r].view(), group, 3);
+        });
+        for (int r = 0; r < g; ++r) {
+          // Only the owned segment is defined after the reduce-scatter.
+          const std::size_t b = segment_begin(n, g, r);
+          const std::size_t e = segment_begin(n, g, r + 1);
+          EXPECT_TRUE(same_bits({view_scattered[r].begin() + b, view_scattered[r].begin() + e},
+                                {scattered[r].begin() + b, scattered[r].begin() + e}))
+              << "g " << g << " n " << n << " rank " << r;
+          EXPECT_TRUE(same_bits(pieces[r].flat(), contiguous[r]))
+              << "g " << g << " n " << n << " rank " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatView, PrimitivesAddressPiecesAsOneIndexSpace) {
+  std::vector<float> a{1, 2}, b{}, c{3, 4, 5};
+  FlatView v;
+  v.append(a.data(), a.size());
+  v.append(b.data(), b.size());
+  v.append(c.data(), c.size());
+  ASSERT_EQ(v.size(), 5u);
+  Tensor msg = v.pack(1, 4);
+  ASSERT_EQ(msg.numel(), 3u);
+  EXPECT_EQ(std::vector<float>(msg.data(), msg.data() + 3),
+            (std::vector<float>{2, 3, 4}));
+  v.add(1, msg);  // [1, 4, 6, 8, 5]
+  v.add_to(2, msg);  // msg = [2+6, 3+8, 4+5]
+  EXPECT_EQ(std::vector<float>(msg.data(), msg.data() + 3),
+            (std::vector<float>{8, 11, 9}));
+  v.unpack(2, msg);  // [1, 4, 8, 11, 9]
+  EXPECT_EQ(a, (std::vector<float>{1, 4}));
+  EXPECT_EQ(c, (std::vector<float>{8, 11, 9}));
+  EXPECT_EQ(v.pack(5, 5).numel(), 0u);
 }
 
 TEST(Barrier, AllRanksPass) {

@@ -1,12 +1,14 @@
 // GradSyncEngine strategy equivalence — the gradient-sync matrix.
 //
 // The engine's strategies (blocking, eager-overlap, ZeRO-1) reorganize the
-// *same* arithmetic: one flattened per-stage bucket, summed across the
-// replica group, applied by an identical update rule. The final weights must
-// therefore be bitwise identical across strategies (given the same summation
-// order, i.e. the same allreduce algorithm), for hybrid data+pipeline
-// parallelism (W = 2) where the replica groups span both data-parallel
-// groups and — for Chimera — both pipeline directions.
+// *same* arithmetic: each stage's gradients, reduced in place over one flat
+// view across the replica group, applied by an identical update rule. The
+// final weights must therefore be bitwise identical across strategies
+// (given the same summation order, i.e. the same allreduce algorithm), for
+// hybrid data+pipeline parallelism (W = 2) where the replica groups span
+// both data-parallel groups and — for Chimera — both pipeline directions,
+// and for GEMS at odd depth, where one worker hosts two replicas of a stage
+// that combine locally before the collective.
 //
 // Across allreduce *algorithms* the summation order differs, so bitwise
 // equality only holds where addition order cannot differ: DAPPLE at W = 2
@@ -66,15 +68,15 @@ TrainerOptions options_for(SyncMode mode, comm::AllreduceAlgo algo) {
 /// Trains 2 iterations and returns the concatenated weights of every stage
 /// (group 0, pipe 0).
 std::vector<float> train_weights(Scheme scheme, SyncMode mode,
-                                 comm::AllreduceAlgo algo) {
+                                 comm::AllreduceAlgo algo, int depth = kDepth) {
   const nn::SmallModelConfig model = test_model();
-  PipelineTrainer t(model, scheme, {kDepth, kMicros, 1, ScaleMethod::kDirect},
+  PipelineTrainer t(model, scheme, {depth, kMicros, 1, ScaleMethod::kDirect},
                     options_for(mode, algo));
   const int samples = kMicroBatch * kMicros * kGroups;
   for (int it = 0; it < 2; ++it)
     t.train_iteration(make_batch(model, samples, 7100 + it));
   std::vector<float> out;
-  for (int st = 0; st < kDepth; ++st) {
+  for (int st = 0; st < depth; ++st) {
     const auto w = t.stage_weights(0, 0, st);
     out.insert(out.end(), w.begin(), w.end());
   }
@@ -188,6 +190,41 @@ TEST(GradSyncAlgos, ChimeraFourOperandGroupsAgreeUpToReassociation) {
                            ref),
               5e-5)
         << comm::allreduce_algo_name(algo);
+}
+
+TEST(GradSyncGems, OddDepthLocalReplicasBlockingOverlapZeroBitwise) {
+  // GEMS at D = 3 hosts stage 1 twice on worker 1 (once per pipe): the two
+  // local replicas' gradients add into the first's before the collective
+  // and the result is copied back out after it, in every strategy.
+  constexpr int kOdd = 3;
+  const nn::SmallModelConfig model = test_model();
+  PipelineTrainer t(model, Scheme::kGems, {kOdd, kMicros, 1, ScaleMethod::kDirect},
+                    options_for(SyncMode::kBlocking, comm::AllreduceAlgo::kRing));
+  ASSERT_EQ(t.schedule().worker_of(0, 1), t.schedule().worker_of(1, 1));
+  for (comm::AllreduceAlgo algo : kAlgos) {
+    const auto blocking =
+        train_weights(Scheme::kGems, SyncMode::kBlocking, algo, kOdd);
+    EXPECT_EQ(train_weights(Scheme::kGems, SyncMode::kOverlap, algo, kOdd),
+              blocking)
+        << comm::allreduce_algo_name(algo);
+  }
+  EXPECT_EQ(train_weights(Scheme::kGems, SyncMode::kZero,
+                          comm::AllreduceAlgo::kRing, kOdd),
+            train_weights(Scheme::kGems, SyncMode::kBlocking,
+                          comm::AllreduceAlgo::kRing, kOdd));
+  for (SyncMode mode : {SyncMode::kBlocking, SyncMode::kOverlap, SyncMode::kZero}) {
+    PipelineTrainer run(model, Scheme::kGems,
+                        {kOdd, kMicros, 1, ScaleMethod::kDirect},
+                        options_for(mode, comm::AllreduceAlgo::kRing));
+    const int samples = kMicroBatch * kMicros * kGroups;
+    for (int it = 0; it < 2; ++it)
+      run.train_iteration(make_batch(model, samples, 7400 + it));
+    for (int st = 0; st < kOdd; ++st)
+      for (int g = 0; g < kGroups; ++g)
+        EXPECT_EQ(run.stage_weights(g, 1, st), run.stage_weights(0, 0, st))
+            << "mode " << static_cast<int>(mode) << " group " << g
+            << " stage " << st;
+  }
 }
 
 }  // namespace
