@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
       "    DAPPLE's: the bidirectional design costs nothing under ZeRO-1.\n"
       "  * Wire volume is unchanged: ring-allreduce(grads) = reduce-scatter\n"
       "    + allgather, and ZeRO-1 swaps the allgather payload from\n"
-      "    gradients to updated parameters (same bytes). The runtime proves\n"
-      "    bitwise equality (tests/runtime_test.cc, ZeroShardingBitwise*).\n");
+      "    gradients to updated parameters (same bytes). The runtime shards\n"
+      "    every ring exchange this way and proves bitwise equality\n"
+      "    (tests/grad_sync_test.cc, ShardedStep.*).\n");
   return 0;
 }

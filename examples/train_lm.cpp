@@ -1,11 +1,12 @@
 // End-to-end language-model training with the full feature set: Chimera
 // bidirectional pipeline + data parallelism (the paper's hybrid of §3.3),
 // Adam with warmup/cosine learning-rate schedule, global gradient-norm
-// clipping, overlapped eager gradient synchronization, and (optionally)
-// ZeRO-1 sharded optimizer state — everything a real pre-training job uses,
-// exercised on a character-level corpus small enough for CPU threads.
+// clipping, overlapped eager gradient synchronization with the optimizer
+// step sharded across each stage's replica group, and (optionally) int8
+// gradient compression — everything a real pre-training job uses, exercised
+// on a character-level corpus small enough for CPU threads.
 //
-//   $ ./examples/train_lm [--zero] [--compress]
+//   $ ./examples/train_lm [--compress]
 //
 // The corpus is a deterministic synthetic "language" with local structure
 // (an order-2 Markov chain over a 64-symbol alphabet), so the model has
@@ -66,11 +67,9 @@ struct MarkovCorpus {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool zero = false, compress = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--zero") == 0) zero = true;
+  bool compress = false;
+  for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--compress") == 0) compress = true;
-  }
 
   // Model: 8 transformer blocks over D=4 stages, W=2 data-parallel groups —
   // the paper's hybrid parallelism (Fig. 5) on 8 worker threads.
@@ -92,17 +91,15 @@ int main(int argc, char** argv) {
   opts.lr_schedule = {optim::ScheduleKind::kWarmupCosine, /*warmup=*/8,
                       /*total=*/60, /*min_ratio=*/0.1};
   opts.sync = SyncPolicy::kEagerOpt;
-  opts.zero_shard = zero;
-  if (zero) opts.optimizer.clip_norm = 1.0f;
   if (compress) {
     opts.compression = comm::GradCompression::kInt8;
     opts.optimizer.clip_norm = 0.0f;  // compression is lossy; keep it simple
   }
 
-  std::printf("train_lm: Chimera D=%d, W=%d, Adam + warmup/cosine, clip=%.1f%s%s\n",
+  std::printf("train_lm: Chimera D=%d, W=%d, Adam + warmup/cosine, clip=%.1f, %s\n",
               sched.depth, opts.data_parallel, opts.optimizer.clip_norm,
-              zero ? ", ZeRO-1 sharded optimizer" : "",
-              compress ? ", int8 gradient compression" : "");
+              compress ? "int8 gradient compression, replicated optimizer"
+                       : "sharded optimizer");
 
   MarkovCorpus corpus(model.vocab, 200000, /*seed=*/5);
   rt::PipelineTrainer trainer(model, Scheme::kChimera, sched, opts);

@@ -10,7 +10,9 @@ Run from the repository root. `--parent` (default HEAD) and `--change`
 their own working tree: a revision is exported with `git archive` into
 .perf_pairs/parent or .perf_pairs/change, and reused while it still holds
 the same commit, so later invocations build incrementally. Each tree's
-first perfbench/run.py call builds its perfbench (build output on stderr).
+perfbench is configured and built once, before the first pair, with the
+commands perfbench/run.py uses (build output on stderr); every run then
+starts that binary directly, as run.py would.
 
 For every workload it then runs K pairs on seeds N, N+1, ..., N+K-1. Pair i
 runs both trees on the same seed, parent first on even i and change first
@@ -84,12 +86,28 @@ def host_avx_flags():
     return "unknown"
 
 
-def run(tree, workload, seed, seconds, trace):
-    """Metric name -> value of one perfbench run in `tree`."""
+def build(tree):
+    """Configures and builds `tree`'s perfbench into the directory
+    perfbench/run.py uses; returns the binary."""
+    tree = os.path.abspath(tree)
+    build_dir = os.path.join(tree, ".bench_build", "perfbench")
+    jobs = str(min(4, os.cpu_count() or 1))
+    for cmd in (["cmake", "-S", os.path.join(tree, "perfbench"), "-B",
+                 build_dir, "-DCMAKE_BUILD_TYPE=RelWithDebInfo"],
+                ["cmake", "--build", build_dir, "--target", "perfbench",
+                 "-j", jobs]):
+        if subprocess.run(cmd, stdout=sys.stderr,
+                          stderr=sys.stderr).returncode != 0:
+            sys.exit("perf_pairs: build step failed in %s: %s"
+                     % (tree, " ".join(cmd)))
+    return os.path.join(build_dir, "perfbench")
+
+
+def run(tree, binary, workload, seed, seconds, trace):
+    """Metric name -> value of one run of `tree`'s perfbench binary."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace",
-         str(trace)],
+        [binary, "--workload", workload, "--seed", str(seed), "--seconds",
+         str(seconds), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.PIPE, stderr=sys.stderr, text=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -171,6 +189,7 @@ def main():
              ",".join(map(str, seeds))))
     print("perf_pairs: host flags: %s" % (host_avx_flags() or "no avx"),
           flush=True)
+    binaries = {parent: build(parent), change: build(change)}
 
     for workload in args.workloads.split(","):
         parent_runs, change_runs = [], []
@@ -179,8 +198,8 @@ def main():
             if i % 2:
                 order.reverse()
             for tree, runs in order:
-                runs.append(run(tree, workload, seed, args.seconds,
-                                args.trace))
+                runs.append(run(tree, binaries[tree], workload, seed,
+                                args.seconds, args.trace))
             print("  %s pair %d seed %d: %s" % (
                 workload, i + 1, seed, "  ".join(
                     "%s %.6g -> %.6g" % (k, parent_runs[-1][k],

@@ -83,9 +83,17 @@ void FlatView::unpack(std::size_t b, const Tensor& msg) const {
   });
 }
 
+Tensor Communicator::first_partial(const FlatView& data,
+                                   const std::vector<int>& group) const {
+  const int g = static_cast<int>(group.size());
+  const int first = (index_in(group, rank_) - 1 + g) % g;
+  return data.pack(segment_begin(data.size(), g, first),
+                   segment_begin(data.size(), g, first + 1));
+}
+
 Tensor Communicator::reduce_scatter_with_tag(const FlatView& data,
                                              const std::vector<int>& group,
-                                             std::int64_t tag) {
+                                             std::int64_t tag, Tensor msg) {
   const int g = static_cast<int>(group.size());
   const int me = index_in(group, rank_);
   const int right = group[(me + 1) % g];
@@ -94,10 +102,9 @@ Tensor Communicator::reduce_scatter_with_tag(const FlatView& data,
   // Segment j starts one rank right of its owner and travels the ring
   // accumulating; after g−1 hops it lands fully reduced on rank j. At step
   // s, rank me therefore forwards segment me−s−1 and receives me−s−2. Only
-  // the first send packs: each received partial gets the local segment
-  // added into it and is forwarded by move as the next step's message.
-  const int first = (me - 1 + g) % g;
-  Tensor msg = data.pack(seg(first), seg(first + 1));
+  // the first send is packed (`msg`, segment me−1): each received partial
+  // gets the local segment added into it and is forwarded by move as the
+  // next step's message.
   for (int step = 0; step < g - 1; ++step) {
     send(right, tag + step, std::move(msg));
     msg = recv(left, tag + step);
@@ -106,7 +113,6 @@ Tensor Communicator::reduce_scatter_with_tag(const FlatView& data,
     data.add_to(seg(recv_seg), msg);
   }
   // The last partial received was this rank's own segment.
-  data.unpack(seg(me), msg);
   return msg;
 }
 
@@ -231,9 +237,11 @@ void Communicator::allreduce_with_tag(const FlatView& data,
   }
 
   // Ring: g−1 reduce-scatter steps then g−1 allgather steps; the reduced
-  // own segment is the allgather's first message.
-  allgather_with_tag(data, group, tag + g,
-                     reduce_scatter_with_tag(data, group, tag));
+  // own segment, unpacked home, is the allgather's first message.
+  Tensor own =
+      reduce_scatter_with_tag(data, group, tag, first_partial(data, group));
+  data.unpack(segment_begin(n, g, me), own);
+  allgather_with_tag(data, group, tag + g, std::move(own));
 }
 
 void Communicator::allreduce_sum(const FlatView& data,
@@ -243,21 +251,53 @@ void Communicator::allreduce_sum(const FlatView& data,
   allreduce_with_tag(data, group, collective_tag(context), algo);
 }
 
-Request Communicator::iallreduce_sum(FlatView data,
-                                     const std::vector<int>& group,
-                                     std::int64_t context, AllreduceAlgo algo) {
-  if (group.size() <= 1 || data.size() == 0) return Request{};
+Request Communicator::launch(const std::vector<int>& group, std::size_t n,
+                             std::int64_t context,
+                             std::function<void(std::int64_t)> exchange) {
+  if (group.size() <= 1 || n == 0) return Request{};
   // The tag is drawn on the caller thread so that per-(group, context)
   // launch order defines matching across ranks; only the message exchange
   // itself runs on the progress thread.
   const std::int64_t tag = collective_tag(context);
   auto state = std::make_unique<Request::State>();
   Request::State* raw = state.get();
-  raw->thread = std::thread([this, data = std::move(data), group, tag, algo, raw] {
-    allreduce_with_tag(data, group, tag, algo);
+  raw->thread = std::thread([exchange = std::move(exchange), tag, raw] {
+    exchange(tag);
     raw->done.store(true);
   });
   return Request{std::move(state)};
+}
+
+Request Communicator::iallreduce_sum(FlatView data,
+                                     const std::vector<int>& group,
+                                     std::int64_t context, AllreduceAlgo algo) {
+  const std::size_t n = data.size();
+  return launch(group, n, context,
+                [this, data = std::move(data), group, algo](std::int64_t tag) {
+                  allreduce_with_tag(data, group, tag, algo);
+                });
+}
+
+Request Communicator::ireduce_scatter_segment(FlatView data,
+                                              const std::vector<int>& group,
+                                              std::int64_t context,
+                                              Tensor* own) {
+  const std::size_t n = data.size();
+  if (group.size() <= 1 || n == 0) {
+    *own = data.pack(0, n);
+    return Request{};
+  }
+  // The first partial is packed here, from the launching thread's arena:
+  // the segment handed back to this thread leaves through its allgather,
+  // which parks the last message it receives there, so the pair keeps that
+  // arena balanced (a progress thread's arena dies with the thread).
+  Tensor first = first_partial(data, group);
+  return launch(group, n, context,
+                [this, data = std::move(data), group, own,
+                 first = std::move(first)](std::int64_t tag) mutable {
+                  *own = reduce_scatter_with_tag(data, group, tag,
+                                                 std::move(first));
+                });
 }
 
 void Communicator::broadcast(float* data, std::size_t n, int root_index,
@@ -314,7 +354,19 @@ void Communicator::reduce_scatter_sum(const FlatView& data,
                                       const std::vector<int>& group,
                                       std::int64_t context) {
   if (group.size() <= 1 || data.size() == 0) return;
-  (void)reduce_scatter_with_tag(data, group, collective_tag(context));
+  const int g = static_cast<int>(group.size());
+  data.unpack(segment_begin(data.size(), g, index_in(group, rank_)),
+              reduce_scatter_with_tag(data, group, collective_tag(context),
+                                      first_partial(data, group)));
+}
+
+Tensor Communicator::reduce_scatter_segment(const FlatView& data,
+                                            const std::vector<int>& group,
+                                            std::int64_t context) {
+  if (group.size() <= 1 || data.size() == 0)
+    return data.pack(0, data.size());
+  return reduce_scatter_with_tag(data, group, collective_tag(context),
+                                 first_partial(data, group));
 }
 
 void Communicator::allgather(const FlatView& data, const std::vector<int>& group,
@@ -322,9 +374,15 @@ void Communicator::allgather(const FlatView& data, const std::vector<int>& group
   if (group.size() <= 1 || data.size() == 0) return;
   const int g = static_cast<int>(group.size());
   const int me = index_in(group, rank_);
-  allgather_with_tag(data, group, collective_tag(context),
-                     data.pack(segment_begin(data.size(), g, me),
-                               segment_begin(data.size(), g, me + 1)));
+  allgather(data, group, context,
+            data.pack(segment_begin(data.size(), g, me),
+                      segment_begin(data.size(), g, me + 1)));
+}
+
+void Communicator::allgather(const FlatView& data, const std::vector<int>& group,
+                             std::int64_t context, Tensor own) {
+  if (group.size() <= 1 || data.size() == 0) return;
+  allgather_with_tag(data, group, collective_tag(context), std::move(own));
 }
 
 void Communicator::gather(const float* data, std::size_t n, float* out,

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -151,9 +152,10 @@ class World {
 ///
 /// Collective-ordering contract (MPI semantics): every member of a group
 /// must enter the group's *blocking* collectives in the same order.
-/// Nonblocking launches (iallreduce_sum) relax this: launch order may differ
-/// across ranks because each operation progresses independently; only the
-/// per-(group, context) launch sequence must match.
+/// Nonblocking launches (iallreduce_sum, ireduce_scatter_segment) relax
+/// this: launch order may differ across ranks because each operation
+/// progresses independently; only the per-(group, context) launch sequence
+/// must match.
 class Communicator {
  public:
   Communicator(World& world, int rank) : world_(&world), rank_(rank) {}
@@ -206,6 +208,21 @@ class Communicator {
     reduce_scatter_sum(FlatView(data, n), group, context);
   }
 
+  /// The same ring reduce-scatter, handing this rank's reduced segment to
+  /// the caller as a message instead of writing it home (the whole view is
+  /// left as scratch) — the first half of the sharded optimizer step
+  /// (runtime/grad_sync.h), which reads the sums from the message and
+  /// refills it with the updated parameters as allgather's `own`. A group
+  /// of one returns the whole view.
+  Tensor reduce_scatter_segment(const FlatView& data,
+                                const std::vector<int>& group,
+                                std::int64_t context);
+  /// Nonblocking reduce_scatter_segment, launched like iallreduce_sum:
+  /// `*own` receives the segment and must stay alive and untouched, like
+  /// the storage under `data`, until the returned Request completes.
+  Request ireduce_scatter_segment(FlatView data, const std::vector<int>& group,
+                                  std::int64_t context, Tensor* own);
+
   /// Ring allgather of the canonical segments: each rank contributes its own
   /// segment of `data` and on return every rank holds all segments. The
   /// inverse of reduce_scatter_sum; together they form the ZeRO-1 step.
@@ -215,6 +232,11 @@ class Communicator {
                  std::int64_t context) {
     allgather(FlatView(data, n), group, context);
   }
+  /// Allgather whose own segment arrives already packed: `own` must hold
+  /// this rank's segment of `data`, which it is forwarded as (the view's
+  /// own segment is neither read nor written).
+  void allgather(const FlatView& data, const std::vector<int>& group,
+                 std::int64_t context, Tensor own);
 
   /// Gather `n` elements from every rank to `group[root_index]`. On the root
   /// `out` must have group.size()·n elements (filled in group order); on
@@ -233,12 +255,23 @@ class Communicator {
 
  private:
   std::int64_t collective_tag(std::int64_t context);
+  /// The one progress-thread launcher of the nonblocking collectives: draws
+  /// the tag on the caller and runs exchange(tag) on a helper thread. A
+  /// group of one or an empty view completes at once.
+  Request launch(const std::vector<int>& group, std::size_t n,
+                 std::int64_t context,
+                 std::function<void(std::int64_t)> exchange);
   void allreduce_with_tag(const FlatView& data, const std::vector<int>& group,
                           std::int64_t tag, AllreduceAlgo algo);
-  /// Returns this rank's reduced segment as a message (also unpacked home),
-  /// ready to be forwarded as the ring allgather's first send.
+  /// The ring reduce-scatter's first send: segment me−1 of `data`, packed.
+  Tensor first_partial(const FlatView& data,
+                       const std::vector<int>& group) const;
+  /// Returns this rank's reduced segment as a message (not unpacked home),
+  /// ready to be forwarded as the ring allgather's first send. `msg` is
+  /// the first send, first_partial(data, group).
   Tensor reduce_scatter_with_tag(const FlatView& data,
-                                 const std::vector<int>& group, std::int64_t tag);
+                                 const std::vector<int>& group,
+                                 std::int64_t tag, Tensor msg);
   /// `own` is this rank's segment of `data`, packed.
   void allgather_with_tag(const FlatView& data, const std::vector<int>& group,
                           std::int64_t tag, Tensor own);

@@ -90,13 +90,13 @@ MemoryReport memory_model(const ExecConfig& cfg, const ModelSpec& model,
 }
 
 double optimizer_state_bytes(const ExecConfig& cfg, const ModelSpec& model,
-                             int state_slots, bool zero_shard) {
+                             int state_slots, bool sharded) {
   if (state_slots <= 0) return 0.0;
   const PipelineSchedule sched = build_schedule(cfg.scheme, cfg.schedule_config());
   const Partition part =
       plan_partition(model, cfg.D, cfg.partition, &sched, cfg.B);
   const double shard_group =
-      zero_shard ? static_cast<double>(sched.num_pipes) * cfg.W : 1.0;
+      sharded ? static_cast<double>(sched.num_pipes) * cfg.W : 1.0;
   double peak = 0.0;
   for (int w = 0; w < cfg.D; ++w) {
     double bytes = 0.0;

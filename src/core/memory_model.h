@@ -58,6 +58,6 @@ bool resolve_recompute(const ExecConfig& cfg, const ModelSpec& model,
 /// Chimera's 2f weight replicas do NOT multiply the sharded state, because
 /// the shard group grows by the same 2f factor).
 double optimizer_state_bytes(const ExecConfig& cfg, const ModelSpec& model,
-                             int state_slots, bool zero_shard);
+                             int state_slots, bool sharded);
 
 }  // namespace chimera

@@ -209,6 +209,13 @@ TraceReport analyze_training(const TraceDoc& doc,
                               : 0.0;
   }
   r.measured_bubble_ratio = bubble_ratio_of(r.workers, r.compute_makespan_us);
+  for (const TraceEvent& e : doc.events) {
+    if (e.worker < 0 || e.worker >= R || e.lane != 0) continue;
+    if (e.kind == EventKind::kOptimStep)
+      r.workers[e.worker].optim_step_us += (e.t1_us - e.t0_us) / kk;
+    else if (e.kind == EventKind::kGradSync)
+      r.workers[e.worker].grad_sync_us += (e.t1_us - e.t0_us) / kk;
+  }
 
   // Per-stage cost inversion — the exact inverse of the replay's op_cost:
   // forward spans cost F̂ₛ·chunk, backward spans (B̂ₛ + recompute·F̂ₛ)/halves.
@@ -491,6 +498,20 @@ std::string format_report(const TraceReport& r) {
       os << line;
     }
     os << "\n";
+  }
+
+  bool flush = false;
+  for (const WorkerBubbleRow& row : r.workers)
+    flush = flush || row.optim_step_us > 0.0 || row.grad_sync_us > 0.0;
+  if (flush) {
+    os << "\nflush per iteration (optimizer step; replica sync outside the "
+          "plan's ops)\n";
+    os << "  rank  optim_step_us  grad_sync_us\n";
+    for (const WorkerBubbleRow& row : r.workers) {
+      std::snprintf(line, sizeof line, "  %4d %14.3f %13.3f", row.rank,
+                    row.optim_step_us, row.grad_sync_us);
+      os << line << "\n";
+    }
   }
 
   if (!r.model.empty()) {

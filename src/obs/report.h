@@ -6,7 +6,9 @@
 //
 //  - per-worker measured busy time, bubble time and bubble fraction, with
 //    the paper's bubble-ratio definition applied to the measured timeline
-//    exactly as ReplayResult::bubble_ratio applies it to the predicted one;
+//    exactly as ReplayResult::bubble_ratio applies it to the predicted one,
+//    and for training traces each rank's flush spans per iteration
+//    (optimizer step, parameter allgathers);
 //  - for training traces, a *predicted* timeline: per-stage forward and
 //    backward costs are inverted from the measured spans (F̂ₛ = mean
 //    dur/chunk, B̂ₛ = mean dur·half_count − recompute·F̂ₛ — the exact
@@ -47,6 +49,11 @@ struct WorkerBubbleRow {
   double predicted_busy_us = 0.0;
   double predicted_bubble_us = 0.0;
   double predicted_fraction = 0.0;
+  /// Training: per-iteration means of the rank's flush spans — the
+  /// optimizer step, and the replica syncs outside the plan's ops (the
+  /// sharded step's parameter allgathers, waits included).
+  double optim_step_us = 0.0;
+  double grad_sync_us = 0.0;
 };
 
 /// One (op kind, stage) row of the perf-model error table.

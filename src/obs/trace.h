@@ -57,7 +57,9 @@ enum class EventKind : int {
   // Other duration spans.
   kSend,          ///< p2p send of one MicroUnit transfer
   kRecv,          ///< p2p recv of one MicroUnit transfer
-  kGradSync,      ///< PipeDream per-micro replica sync (GradSyncEngine)
+  kGradSync,      ///< replica sync outside the plan's AllReduce ops
+                  ///< (GradSyncEngine): PipeDream's per-micro sync, the
+                  ///< sharded step's parameter allgather at the flush
   kOptimStep,     ///< synchronous flush: clip + optimizer step
   kHelperTask,    ///< one ComputePool shard execution
   kServeRound,    ///< ServingEngine round (pool dispatch)

@@ -56,42 +56,32 @@ float clip_scale(float clip_norm, double global_sq_norm) {
 Optimizer::Optimizer(std::vector<nn::Param*> params, const OptimizerConfig& cfg)
     : params_(std::move(params)), cfg_(cfg) {
   CHIMERA_CHECK_MSG(cfg_.lr > 0.0f, "learning rate must be positive");
-  const int slots = state_slots(cfg_.rule);
-  state_.reserve(params_.size());
-  for (nn::Param* p : params_) {
-    std::vector<Tensor> st;
-    for (int s = 0; s < slots; ++s)
-      st.emplace_back(p->value.rows(), p->value.cols());
-    state_.push_back(std::move(st));
-  }
+}
+
+double sq_norm(const float* x, std::size_t n, double acc) {
+  if (n == 0) return acc;
+  // Each shard accumulates its element range serially in ascending order
+  // into its own partial; the partials add into `acc` in shard order on the
+  // caller. The association is a pure function of n.
+  const int ni = static_cast<int>(n);
+  const int shards = plan_shards(ni, 2);
+  CHIMERA_CHECK(shards <= kMaxShards);
+  std::array<double, kMaxShards> partials{};
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    const int b = shard_begin(ni, shards, s);
+    const int e = shard_begin(ni, shards, s + 1);
+    double acc = 0.0;
+    for (int i = b; i < e; ++i) acc += static_cast<double>(x[i]) * x[i];
+    partials[static_cast<std::size_t>(s)] = acc;
+  });
+  for (int s = 0; s < shards; ++s) acc += partials[static_cast<std::size_t>(s)];
+  return acc;
 }
 
 double Optimizer::grad_sq_norm() const {
-  // Sharded onto the pool with shape-only splits: each shard accumulates
-  // its element range serially in ascending order into its own partial,
-  // and the partials combine in (param, shard) order on the caller. The
-  // association is therefore a pure function of the shapes — bitwise
-  // identical at any helper count and in both kernel tiers (deliberately
-  // no SIMD lanes here: this value feeds the clip scale, which must agree
-  // everywhere the step's bitwise parity contract reaches).
   double sum = 0.0;
-  std::array<double, kMaxShards> partials{};
-  for (const nn::Param* p : params_) {
-    const std::size_t n = p->grad.numel();
-    if (n == 0) continue;
-    const float* g = p->grad.data();
-    const int shards = plan_shards(static_cast<int>(n), 2);
-    CHIMERA_CHECK(shards <= kMaxShards);
-    ComputePool::instance().parallel_for(shards, [&](int s) {
-      const int b = shard_begin(static_cast<int>(n), shards, s);
-      const int e = shard_begin(static_cast<int>(n), shards, s + 1);
-      double acc = 0.0;
-      for (int i = b; i < e; ++i)
-        acc += static_cast<double>(g[i]) * g[i];
-      partials[static_cast<std::size_t>(s)] = acc;
-    });
-    for (int s = 0; s < shards; ++s) sum += partials[static_cast<std::size_t>(s)];
-  }
+  for (const nn::Param* p : params_)
+    sum = sq_norm(p->grad.data(), p->grad.numel(), sum);
   return sum;
 }
 
@@ -102,13 +92,16 @@ std::size_t Optimizer::state_numel() const {
   return n;
 }
 
-void apply_flat(const OptimizerConfig& cfg, long step_t, double lr_mult,
+namespace {
+
+/// apply_flat's serial body for one shard. All rules are elementwise, and
+/// the fast-tier kernels below are bitwise replicas of the scalar loops
+/// (optim/optimizer_simd.h) — so the result is identical for any split and
+/// in either tier.
+void apply_rule(const OptimizerConfig& cfg, long step_t, double lr_mult,
                 float grad_scale, float* w, const float* g, float* s0,
                 float* s1, std::size_t n) {
   const double lr = static_cast<double>(cfg.lr) * lr_mult;
-  // All rules are elementwise, and the fast-tier kernels below are bitwise
-  // replicas of the scalar loops (optim/optimizer_simd.h) — so the result
-  // is identical for any segment split and in either tier.
   const bool fast = use_fast_optimizer();
   switch (cfg.rule) {
     case Rule::kSgd:
@@ -159,9 +152,31 @@ void apply_flat(const OptimizerConfig& cfg, long step_t, double lr_mult,
       return;
     }
     case Rule::kLamb:
-      CHIMERA_CHECK_MSG(false, "LAMB cannot run on flat shards (per-tensor "
-                               "trust ratio); use the per-parameter path");
+      break;
   }
+}
+
+}  // namespace
+
+void apply_flat(const OptimizerConfig& cfg, long step_t, double lr_mult,
+                float grad_scale, float* w, const float* g, float* s0,
+                float* s1, std::size_t n) {
+  CHIMERA_CHECK_MSG(cfg.rule != Rule::kLamb,
+                    "LAMB cannot run on flat ranges (per-tensor trust "
+                    "ratio); use Optimizer::step");
+  if (n == 0) return;
+  // Shape-only shards; apply_rule re-derives the bias corrections per shard
+  // from the same step count.
+  const int ni = static_cast<int>(n);
+  const int shards = plan_shards(ni, 8);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    const int b = shard_begin(ni, shards, s);
+    const int e = shard_begin(ni, shards, s + 1);
+    apply_rule(cfg, step_t, lr_mult, grad_scale, w + b, g + b,
+               s0 != nullptr ? s0 + b : nullptr,
+               s1 != nullptr ? s1 + b : nullptr,
+               static_cast<std::size_t>(e - b));
+  });
 }
 
 void Optimizer::apply(nn::Param& p, std::vector<Tensor>& st, double lr_mult,
@@ -171,24 +186,13 @@ void Optimizer::apply(nn::Param& p, std::vector<Tensor>& st, double lr_mult,
   const int ni = static_cast<int>(n);
   float* w = p.value.data();
   const float* g = p.grad.data();
-  ComputePool& pool = ComputePool::instance();
   if (cfg_.rule != Rule::kLamb) {
-    // Shape-only element shards; the rules are elementwise, so any split is
-    // bitwise ≡ serial (apply_flat re-derives the bias corrections per
-    // shard from the same step count).
-    float* s0 = st.size() > 0 ? st[0].data() : nullptr;
-    float* s1 = st.size() > 1 ? st[1].data() : nullptr;
-    const int shards = plan_shards(ni, 8);
-    pool.parallel_for(shards, [&](int s) {
-      const int b = shard_begin(ni, shards, s);
-      const int e = shard_begin(ni, shards, s + 1);
-      apply_flat(cfg_, steps_, lr_mult, gscale, w + b, g + b,
-                 s0 != nullptr ? s0 + b : nullptr,
-                 s1 != nullptr ? s1 + b : nullptr,
-                 static_cast<std::size_t>(e - b));
-    });
+    apply_flat(cfg_, steps_, lr_mult, gscale, w, g,
+               st.size() > 0 ? st[0].data() : nullptr,
+               st.size() > 1 ? st[1].data() : nullptr, n);
     return;
   }
+  ComputePool& pool = ComputePool::instance();
   // LAMB: Adam direction with decoupled decay, rescaled per tensor by the
   // trust ratio φ(‖w‖)/‖r‖ (φ = identity). Pass A computes the moments and
   // the direction per shard (elementwise — bitwise ≡ serial in any tier),
@@ -262,6 +266,16 @@ void Optimizer::apply(nn::Param& p, std::vector<Tensor>& st, double lr_mult,
 }
 
 void Optimizer::step(double lr_mult, float grad_scale) {
+  if (state_.empty()) {
+    const int slots = state_slots(cfg_.rule);
+    state_.reserve(params_.size());
+    for (nn::Param* p : params_) {
+      std::vector<Tensor> st;
+      for (int s = 0; s < slots; ++s)
+        st.emplace_back(p->value.rows(), p->value.cols());
+      state_.push_back(std::move(st));
+    }
+  }
   ++steps_;
   for (std::size_t i = 0; i < params_.size(); ++i)
     apply(*params_[i], state_[i], lr_mult, grad_scale);

@@ -3,11 +3,14 @@
 // global-gradient-norm clipping support.
 //
 // One Optimizer instance owns the state (momentum/moment tensors) for one
-// stage replica's parameter set. Synchronous pipeline schemes apply
-// identical gradients on every replica of a stage, so running the same rule
-// per replica reproduces exactly the single-device update — the property the
-// runtime's gradient-equivalence tests assert. The state footprint per rule
-// (state_numel) feeds the ZeRO-1 sharding analysis in core/memory_model.
+// stage replica's parameter set, allocated on its first step. Synchronous
+// pipeline schemes apply identical gradients on every replica of a stage,
+// so running the same rule per replica reproduces exactly the single-device
+// update — the property the runtime's gradient-equivalence tests assert.
+// The runtime's ring path instead runs the rule once per replica group,
+// sharded (apply_flat over each rank's segment; runtime/grad_sync.h); the
+// state footprint per rule feeds the same sharding analysis in
+// core/memory_model.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +55,28 @@ int state_slots(Rule r);
 /// sqrt(global_sq_norm) does not exceed `clip_norm` (1.0 when disabled).
 float clip_scale(float clip_norm, double global_sq_norm);
 
-/// Applies `cfg.rule` elementwise to a flat parameter segment — the update
-/// kernel of the ZeRO-1 sharded optimizer step, where each data-parallel
-/// rank owns one contiguous shard of the stage's flattened parameters and
-/// state. `step_t` is the 1-based update count (Adam bias correction);
-/// `s0`/`s1` are the state slots (may be null when the rule needs fewer).
+/// acc + Σ x[i]² over x[0..n), accumulated in double in a shape-only
+/// order: the range splits into pool shards by its length alone, each shard
+/// sums serially in ascending order, and the partials add into `acc` in
+/// shard order — so a running sum over several ranges has one association,
+/// bitwise identical at any helper count and in every kernel tier
+/// (deliberately no SIMD lanes: the value feeds the clip scale). The one
+/// gradient norm of both update paths: Optimizer::grad_sq_norm runs it over
+/// the parameters in order, the sharded step (runtime/grad_sync.h) over the
+/// pieces of its segment.
+double sq_norm(const float* x, std::size_t n, double acc = 0.0);
+
+/// Applies `cfg.rule` elementwise to a flat range — the update kernel of
+/// both paths: Optimizer::step runs it per parameter, the sharded step over
+/// each piece of the segment of a stage's flattened parameters and state
+/// that its rank owns. `step_t` is the 1-based update count (Adam bias
+/// correction); `s0`/`s1` are the state slots (may be null when the rule
+/// needs fewer). The range splits into pool shards by its length alone;
+/// the rule is elementwise and the fast-tier loops replicate the scalar
+/// arithmetic (optim/optimizer_simd.h), so the result is bitwise identical
+/// for any split of the range, at any helper count and in either tier.
 /// kLamb is rejected: its trust ratio is a per-tensor quantity and cannot be
-/// evaluated on a flat shard that crosses tensor boundaries.
+/// evaluated on a flat range that crosses tensor boundaries.
 void apply_flat(const OptimizerConfig& cfg, long step_t, double lr_mult,
                 float grad_scale, float* w, const float* g, float* s0,
                 float* s1, std::size_t n);
@@ -78,23 +96,18 @@ class Optimizer {
   /// (optim/optimizer_simd.h), across kernel tiers too.
   void step(double lr_mult = 1.0, float grad_scale = 1.0f);
 
-  /// Σ‖g‖² over this replica's parameters (one term of the global norm).
-  /// Pool-sharded with serial in-shard accumulation and shard-ordered
-  /// combination: bitwise identical at any helper count and in both kernel
-  /// tiers (the association is fixed — no SIMD lanes in the norm).
+  /// Σ‖g‖² over this replica's parameters (one term of the global norm):
+  /// sq_norm per parameter, summed in parameter order.
   double grad_sq_norm() const;
 
   /// Number of updates applied so far (drives Adam bias correction).
   long steps() const { return steps_; }
 
-  /// Total persistent optimizer-state values held (ZeRO-1 analysis).
+  /// Persistent optimizer-state values held: 0 until the first step(),
+  /// then state_slots(rule) per parameter value.
   std::size_t state_numel() const;
 
   const OptimizerConfig& config() const { return cfg_; }
-
-  /// Direct access to the state tensors of parameter `i` (slot-major), used
-  /// by the ZeRO-sharded update path to exchange state segments.
-  std::vector<Tensor>& state(std::size_t i) { return state_[i]; }
 
  private:
   void apply(nn::Param& p, std::vector<Tensor>& st, double lr_mult,
@@ -102,7 +115,9 @@ class Optimizer {
 
   std::vector<nn::Param*> params_;
   OptimizerConfig cfg_;
-  std::vector<std::vector<Tensor>> state_;  ///< [param][slot]
+  /// [param][slot], allocated zeroed by the first step(): an instance that
+  /// never steps (a replica whose stage updates sharded) holds no state.
+  std::vector<std::vector<Tensor>> state_;
   /// LAMB's per-step direction buffer, sized once to the largest parameter
   /// (grow-only, arena-backed): the step allocates nothing in steady state.
   detail::FloatBuffer lamb_dir_;

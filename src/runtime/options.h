@@ -56,28 +56,23 @@ struct TrainerOptions : EngineOptions {
   bool recompute = false;  ///< activation recomputation in every stage
   comm::AllreduceAlgo allreduce = comm::AllreduceAlgo::kRing;
   SyncPolicy sync = SyncPolicy::kAtEnd;  ///< gradient-sync placement
-  /// Launch the per-stage gradient allreduce nonblocking at its
+  /// Launch the per-stage gradient exchange nonblocking at its
   /// AllReduceBegin op and complete it at AllReduceWait (paper §3.2's
   /// overlapped eager sync). When false, the whole exchange runs blocking at
   /// the Wait op. Either way each stage's gradients are reduced in place as
   /// one collective over a flat view of them, and results are bitwise
-  /// identical.
+  /// identical. Under kRing with an elementwise rule (not kLamb) the
+  /// exchange is a reduce-scatter and the optimizer step is sharded across
+  /// the stage's replica group (runtime/grad_sync.h), bitwise the same
+  /// weights as a full allreduce followed by a step on every replica.
   bool overlap = true;
   /// Lossy gradient compression for the stage-gradient exchange (the
   /// paper's §5 "next step"). Runs blocking at the Wait op; replicas stay
   /// bitwise consistent because every rank decodes the same byte stream.
-  /// Incompatible with zero_shard (the reduce-scatter needs exact addition).
+  /// The update is replicated (sharding needs exact addition).
   comm::GradCompression compression = comm::GradCompression::kNone;
   /// Fraction of gradient entries kept per round under kTopK.
   double topk_fraction = 0.01;
-  /// ZeRO-1 (Rajbhandari et al., referenced in paper §2 as orthogonal):
-  /// shard the optimizer state across each stage's replica group. The
-  /// gradient sync becomes a reduce-scatter, each rank updates only its
-  /// shard of the flattened parameters, and an allgather redistributes the
-  /// result. Bitwise identical to the ring-allreduce path; state per rank
-  /// shrinks by the replica-group size. Synchronous schemes only; LAMB is
-  /// excluded (per-tensor trust ratio cannot shard).
-  bool zero_shard = false;
 };
 
 /// Result of one training iteration.

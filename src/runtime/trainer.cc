@@ -26,13 +26,6 @@ PipelineTrainer::PipelineTrainer(const nn::SmallModelConfig& model,
   PipelineSchedule sched = build_schedule(scheme, sched_cfg);
   CHIMERA_CHECK_MSG(opts.optimizer.clip_norm <= 0.0f || sched.synchronous,
                     "global-norm clipping requires synchronous gradients");
-  CHIMERA_CHECK_MSG(!opts.zero_shard || (sched.synchronous &&
-                                         opts.optimizer.rule != optim::Rule::kLamb),
-                    "ZeRO-1 sharding requires a synchronous scheme and a "
-                    "shardable update rule");
-  CHIMERA_CHECK_MSG(!opts.zero_shard ||
-                        opts.compression == comm::GradCompression::kNone,
-                    "gradient compression and ZeRO-1 sharding are exclusive");
   CHIMERA_CHECK_MSG(opts.compression == comm::GradCompression::kNone ||
                         sched.synchronous,
                     "gradient compression targets the synchronous allreduce");
@@ -143,6 +136,11 @@ std::vector<float> PipelineTrainer::stage_weights(int group, int pipe,
 
 int PipelineTrainer::weight_versions(int group, int pipe, int stage) const {
   return store_->versions(find_replica(group, pipe, stage));
+}
+
+std::size_t PipelineTrainer::optimizer_state_numel(int group, int pipe,
+                                                   int stage) const {
+  return find_replica(group, pipe, stage).opt.state_numel();
 }
 
 // ------------------------------------------------------------------------

@@ -22,9 +22,10 @@
 //
 // Semantics per scheme:
 //  - synchronous (Chimera, GPipe, DAPPLE, GEMS, 1F1B): gradients accumulate
-//    over the iteration, are allreduced at the schedule's AllReduce ops, and
-//    a single SGD(+momentum) step runs at the flush. The result is exactly
-//    mini-batch SGD — verified against SequentialTrainer by the tests.
+//    over the iteration, are reduced at the schedule's AllReduce ops, and
+//    a single optimizer step runs at the flush (sharded across each stage's
+//    replica group on the ring path). The result is exactly mini-batch
+//    training — verified against SequentialTrainer by the tests.
 //  - PipeDream: weight stashing — the forward of micro-batch m snapshots the
 //    weights; its backward runs against that snapshot; the update (allreduced
 //    across the W replicas) applies to the latest weights after every
@@ -78,6 +79,11 @@ class PipelineTrainer {
   /// Number of stashed weight versions currently held for (group, pipe,
   /// stage) — PipeDream's weight-stashing footprint.
   int weight_versions(int group, int pipe, int stage) const;
+
+  /// Optimizer-state values held by the replica's own Optimizer (group,
+  /// pipe, stage): 0 where the stage's update is sharded — that state lives
+  /// in the ranks' segments instead (runtime/grad_sync.h).
+  std::size_t optimizer_state_numel(int group, int pipe, int stage) const;
 
  private:
   void run_worker(int group, int worker, const nn::MicroBatch& batch, int B,

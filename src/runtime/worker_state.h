@@ -1,7 +1,7 @@
 // Per-rank training state: the Replica unit the trainer's Deployment hosts
 // for every (pipe, stage) of a rank, plus the per-stage scratch the
-// gradient-sync strategies keep between iterations (ZeRO-1 optimizer
-// shards, top-k error-feedback residuals).
+// gradient-sync engine keeps between iterations (sharded optimizer state,
+// top-k error-feedback residuals).
 //
 // One WorkerState belongs to exactly one rank (= one OS thread during an
 // iteration); the trainer owns the array of them across data-parallel
@@ -19,7 +19,8 @@
 
 namespace chimera::rt {
 
-/// One hosted stage replica: the module and the optimizer state for it.
+/// One hosted stage replica: the module and its optimizer, whose state is
+/// allocated on its first step (a replica of a sharded stage never steps).
 /// Weight *versions* (PipeDream stash, 2BW double buffer) live in the
 /// WeightStore, not here — the replica always exposes the weights the next
 /// compute op should use.
@@ -42,10 +43,10 @@ struct Replica {
 using TrainDeployment = Deployment<Replica>;
 
 struct WorkerState {
-  /// ZeRO-1: this worker's shard of the optimizer state, per hosted stage.
-  /// Layout: zero_state[stage][slot] is a flat array covering the worker's
-  /// segment of the stage's flattened parameters.
-  std::map<int, std::vector<std::vector<float>>> zero_state;
+  /// Sharded update: this worker's shard of the optimizer state, per
+  /// sharded stage. Layout: shard_state[stage][slot] is a flat array
+  /// covering the worker's segment of the stage's flattened parameters.
+  std::map<int, std::vector<std::vector<float>>> shard_state;
   /// Top-k sparsification error feedback, per hosted stage.
   std::map<int, std::vector<float>> topk_residual;
 };

@@ -11,6 +11,7 @@
 
 #include "comm/world.h"
 #include "support/rng.h"
+#include "tensor/arena.h"
 
 namespace chimera::comm {
 namespace {
@@ -376,6 +377,22 @@ TEST(FlatView, ReduceScatterAndAllgatherBitwiseMatchContiguous) {
           view_scattered[r] = pieces[r].flat();
           c.allgather(pieces[r].view(), group, 3);
         });
+        // The segment forms: the reduce-scatter hands the owned segment
+        // over as a message, which the allgather forwards as its own.
+        std::vector<Pieces> seg_pieces;
+        for (int r = 0; r < g; ++r) seg_pieces.emplace_back(inputs[r], bounds);
+        std::vector<std::vector<float>> segments(g);
+        run_world(g, [&](int r, Communicator& c) {
+          Tensor own = r % 2 == 0
+                           ? c.reduce_scatter_segment(seg_pieces[r].view(), group, 2)
+                           : Tensor();
+          if (r % 2 == 1)
+            c.ireduce_scatter_segment(seg_pieces[r].view(), group, 2, &own).wait();
+          segments[r].assign(own.data(), own.data() + own.numel());
+          const std::size_t b = segment_begin(n, g, r);
+          seg_pieces[r].view().unpack(b, own);
+          c.allgather(seg_pieces[r].view(), group, 3, std::move(own));
+        });
         for (int r = 0; r < g; ++r) {
           // Only the owned segment is defined after the reduce-scatter.
           const std::size_t b = segment_begin(n, g, r);
@@ -383,12 +400,47 @@ TEST(FlatView, ReduceScatterAndAllgatherBitwiseMatchContiguous) {
           EXPECT_TRUE(same_bits({view_scattered[r].begin() + b, view_scattered[r].begin() + e},
                                 {scattered[r].begin() + b, scattered[r].begin() + e}))
               << "g " << g << " n " << n << " rank " << r;
+          EXPECT_TRUE(same_bits(segments[r],
+                                {scattered[r].begin() + b, scattered[r].begin() + e}))
+              << "segment g " << g << " n " << n << " rank " << r;
           EXPECT_TRUE(same_bits(pieces[r].flat(), contiguous[r]))
               << "g " << g << " n " << n << " rank " << r;
+          EXPECT_TRUE(same_bits(seg_pieces[r].flat(), contiguous[r]))
+              << "segment g " << g << " n " << n << " rank " << r;
         }
       }
     }
   }
+}
+
+TEST(FlatView, SegmentRoundsKeepTheCallersArenaBalanced) {
+  // The sharded step's pair: the reduce-scatter hands a segment message
+  // back to the rank thread, whose allgather forwards it and parks the last
+  // message it receives there. Packing the reduce-scatter's first send on
+  // that same thread must reuse the parked buffer, so the thread's parked
+  // storage stays flat round after round instead of growing to the arena's
+  // cap (a peak-RSS leak of one segment per stage per iteration).
+  constexpr int kRanks = 4;
+  constexpr std::size_t kN = 4096;  // segments far above the recycled floor
+  std::vector<int> group(kRanks);
+  for (int r = 0; r < kRanks; ++r) group[r] = r;
+  std::vector<std::size_t> early(kRanks), late(kRanks);
+  run_world(kRanks, [&](int r, Communicator& c) {
+    std::vector<float> data(kN, 1.0f);
+    const FlatView view(data.data(), kN);
+    for (int round = 0; round < 12; ++round) {
+      Tensor own;
+      if (round % 2 == 0)
+        c.ireduce_scatter_segment(view, group, 4, &own).wait();
+      else
+        own = c.reduce_scatter_segment(view, group, 4);
+      c.allgather(view, group, 5, std::move(own));
+      if (round == 1) early[r] = detail::arena_parked();
+    }
+    late[r] = detail::arena_parked();
+  });
+  for (int r = 0; r < kRanks; ++r)
+    EXPECT_EQ(late[r], early[r]) << "rank " << r;
 }
 
 TEST(FlatView, PrimitivesAddressPiecesAsOneIndexSpace) {

@@ -1,24 +1,33 @@
-// GradSyncEngine strategy equivalence — the gradient-sync matrix.
+// GradSyncEngine equivalence — the gradient-sync matrix.
 //
-// The engine's strategies (blocking, eager-overlap, ZeRO-1) reorganize the
-// *same* arithmetic: each stage's gradients, reduced in place over one flat
-// view across the replica group, applied by an identical update rule. The
-// final weights must therefore be bitwise identical across strategies
-// (given the same summation order, i.e. the same allreduce algorithm), for
-// hybrid data+pipeline parallelism (W = 2) where the replica groups span
-// both data-parallel groups and — for Chimera — both pipeline directions,
-// and for GEMS at odd depth, where one worker hosts two replicas of a stage
-// that combine locally before the collective.
+// The engine's paths reorganize the *same* arithmetic: each stage's
+// gradients, reduced in place over one flat view across the replica group,
+// applied by an identical elementwise update rule. Blocking and overlapped
+// exchanges must therefore give bitwise identical weights for every
+// allreduce algorithm, for hybrid data+pipeline parallelism (W = 2) where
+// the replica groups span both data-parallel groups and — for Chimera —
+// both pipeline directions, and for GEMS at odd depth, where one worker
+// hosts two replicas of a stage that combine locally before the collective.
 //
-// Across allreduce *algorithms* the summation order differs, so bitwise
-// equality only holds where addition order cannot differ: DAPPLE at W = 2
-// has two-operand groups (commutative, exact); Chimera at W = 2 has
-// four-operand groups, so algorithms agree only up to float re-association
-// — and every one of them must still match the sequential reference.
+// The ring path shards the update across the group (reduce-scatter →
+// segment update → allgather); the other algorithms allreduce and step
+// every replica. ShardedStep pins that the two are bitwise the same
+// arithmetic, at the comm + optim level for every elementwise rule and
+// group size. Across allreduce *algorithms* the summation order differs, so
+// end-to-end bitwise equality only holds where addition order cannot
+// differ: DAPPLE at W = 2 has two-operand groups (commutative, exact), so
+// ring (sharded) ≡ naive (replicated) there for every rule; Chimera at
+// W = 2 has four-operand groups, so algorithms agree only up to float
+// re-association — and every one of them must still match the sequential
+// reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
+#include "comm/world.h"
+#include "optim/optimizer.h"
 #include "runtime/trainer.h"
 
 namespace chimera::rt {
@@ -54,24 +63,27 @@ nn::MicroBatch make_batch(const nn::SmallModelConfig& cfg, int samples,
   return mb;
 }
 
-enum class SyncMode { kBlocking, kOverlap, kZero };
+enum class SyncMode { kBlocking, kOverlap };
 
-TrainerOptions options_for(SyncMode mode, comm::AllreduceAlgo algo) {
+TrainerOptions options_for(SyncMode mode, comm::AllreduceAlgo algo,
+                           optim::Rule rule = optim::Rule::kSgd) {
   TrainerOptions opts;
   opts.data_parallel = kGroups;
   opts.allreduce = algo;
   opts.overlap = mode == SyncMode::kOverlap;
-  opts.zero_shard = mode == SyncMode::kZero;
+  opts.optimizer.rule = rule;
+  if (rule != optim::Rule::kSgd) opts.optimizer.lr = 0.01f;
   return opts;
 }
 
 /// Trains 2 iterations and returns the concatenated weights of every stage
 /// (group 0, pipe 0).
 std::vector<float> train_weights(Scheme scheme, SyncMode mode,
-                                 comm::AllreduceAlgo algo, int depth = kDepth) {
+                                 comm::AllreduceAlgo algo, int depth = kDepth,
+                                 optim::Rule rule = optim::Rule::kSgd) {
   const nn::SmallModelConfig model = test_model();
   PipelineTrainer t(model, scheme, {depth, kMicros, 1, ScaleMethod::kDirect},
-                    options_for(mode, algo));
+                    options_for(mode, algo, rule));
   const int samples = kMicroBatch * kMicros * kGroups;
   for (int it = 0; it < 2; ++it)
     t.train_iteration(make_batch(model, samples, 7100 + it));
@@ -106,15 +118,26 @@ TEST_P(GradSyncSchemes, BlockingAndOverlapBitwiseIdenticalForEveryAlgo) {
   }
 }
 
-TEST_P(GradSyncSchemes, ZeroShardingBitwiseMatchesRingPath) {
-  // The ZeRO-1 strategy decomposes the ring allreduce into reduce-scatter →
-  // shard update → allgather; the trained weights must match the blocking
-  // ring path bit for bit.
-  const auto ring = train_weights(GetParam(), SyncMode::kBlocking,
-                                  comm::AllreduceAlgo::kRing);
-  const auto zero = train_weights(GetParam(), SyncMode::kZero,
-                                  comm::AllreduceAlgo::kRing);
-  EXPECT_EQ(ring, zero);
+TEST_P(GradSyncSchemes, OnlyTheRingPathShardsOptimizerState) {
+  // Ring replicas never step their own Optimizer: the state lives in the
+  // ranks' segments. Every other algorithm steps each replica, which then
+  // holds one momentum value per parameter value.
+  const nn::SmallModelConfig model = test_model();
+  for (comm::AllreduceAlgo algo : kAlgos) {
+    PipelineTrainer t(model, GetParam(),
+                      {kDepth, kMicros, 1, ScaleMethod::kDirect},
+                      options_for(SyncMode::kOverlap, algo,
+                                  optim::Rule::kMomentum));
+    t.train_iteration(make_batch(model, kMicroBatch * kMicros * kGroups, 7150));
+    const bool sharded = algo == comm::AllreduceAlgo::kRing;
+    for (int g = 0; g < kGroups; ++g)
+      for (int p = 0; p < t.schedule().num_pipes; ++p)
+        for (int st = 0; st < kDepth; ++st)
+          EXPECT_EQ(t.optimizer_state_numel(g, p, st),
+                    sharded ? 0u : t.stage_weights(g, p, st).size())
+              << comm::allreduce_algo_name(algo) << " group " << g
+              << " pipe " << p << " stage " << st;
+  }
 }
 
 TEST_P(GradSyncSchemes, EveryAlgoMatchesSequentialReference) {
@@ -170,12 +193,19 @@ INSTANTIATE_TEST_SUITE_P(ChimeraAndDapple, GradSyncSchemes,
 TEST(GradSyncAlgos, DappleTwoOperandGroupsBitwiseAgreeAcrossAlgorithms) {
   // DAPPLE at W = 2 synchronizes over two-operand groups: every algorithm
   // performs the same single commutative addition, so even *across*
-  // algorithms the results are bitwise identical.
-  const auto ref = train_weights(Scheme::kDapple, SyncMode::kBlocking,
-                                 comm::AllreduceAlgo::kNaive);
-  for (comm::AllreduceAlgo algo : kAlgos)
-    EXPECT_EQ(train_weights(Scheme::kDapple, SyncMode::kBlocking, algo), ref)
-        << comm::allreduce_algo_name(algo);
+  // algorithms the results are bitwise identical — and since ring shards
+  // the update while naive replicates it, this is the end-to-end sharded ≡
+  // replicated check, for every elementwise rule.
+  for (optim::Rule rule : {optim::Rule::kSgd, optim::Rule::kMomentum,
+                           optim::Rule::kAdam, optim::Rule::kAdamW}) {
+    const auto ref = train_weights(Scheme::kDapple, SyncMode::kBlocking,
+                                   comm::AllreduceAlgo::kNaive, kDepth, rule);
+    for (comm::AllreduceAlgo algo : kAlgos)
+      EXPECT_EQ(train_weights(Scheme::kDapple, SyncMode::kBlocking, algo,
+                              kDepth, rule),
+                ref)
+          << optim::rule_name(rule) << " " << comm::allreduce_algo_name(algo);
+  }
 }
 
 TEST(GradSyncAlgos, ChimeraFourOperandGroupsAgreeUpToReassociation) {
@@ -192,10 +222,11 @@ TEST(GradSyncAlgos, ChimeraFourOperandGroupsAgreeUpToReassociation) {
         << comm::allreduce_algo_name(algo);
 }
 
-TEST(GradSyncGems, OddDepthLocalReplicasBlockingOverlapZeroBitwise) {
+TEST(GradSyncGems, OddDepthLocalReplicasBlockingOverlapBitwise) {
   // GEMS at D = 3 hosts stage 1 twice on worker 1 (once per pipe): the two
   // local replicas' gradients add into the first's before the collective
-  // and the result is copied back out after it, in every strategy.
+  // and the result (or, on the sharded ring path, the updated weights) is
+  // copied back out after it.
   constexpr int kOdd = 3;
   const nn::SmallModelConfig model = test_model();
   PipelineTrainer t(model, Scheme::kGems, {kOdd, kMicros, 1, ScaleMethod::kDirect},
@@ -208,11 +239,7 @@ TEST(GradSyncGems, OddDepthLocalReplicasBlockingOverlapZeroBitwise) {
               blocking)
         << comm::allreduce_algo_name(algo);
   }
-  EXPECT_EQ(train_weights(Scheme::kGems, SyncMode::kZero,
-                          comm::AllreduceAlgo::kRing, kOdd),
-            train_weights(Scheme::kGems, SyncMode::kBlocking,
-                          comm::AllreduceAlgo::kRing, kOdd));
-  for (SyncMode mode : {SyncMode::kBlocking, SyncMode::kOverlap, SyncMode::kZero}) {
+  for (SyncMode mode : {SyncMode::kBlocking, SyncMode::kOverlap}) {
     PipelineTrainer run(model, Scheme::kGems,
                         {kOdd, kMicros, 1, ScaleMethod::kDirect},
                         options_for(mode, comm::AllreduceAlgo::kRing));
@@ -224,6 +251,114 @@ TEST(GradSyncGems, OddDepthLocalReplicasBlockingOverlapZeroBitwise) {
         EXPECT_EQ(run.stage_weights(g, 1, st), run.stage_weights(0, 0, st))
             << "mode " << static_cast<int>(mode) << " group " << g
             << " stage " << st;
+  }
+}
+
+/// Parameters of assorted shapes — a zero-size one included — whose flat
+/// views cut every segment of small groups mid-piece.
+std::vector<nn::Param> make_params() {
+  std::vector<nn::Param> ps;
+  for (auto [r, c] : std::vector<std::pair<int, int>>{
+           {3, 5}, {1, 1}, {0, 4}, {7, 2}, {1, 9}, {4, 4}})
+    ps.emplace_back("p", r, c);
+  return ps;
+}
+
+comm::FlatView view_of(std::vector<nn::Param>& ps, bool values) {
+  comm::FlatView v;
+  for (nn::Param& p : ps) {
+    Tensor& t = values ? p.value : p.grad;
+    v.append(t.data(), t.numel());
+  }
+  return v;
+}
+
+TEST(ShardedStep, BitwiseMatchesRingAllreduceThenReplicatedStep) {
+  // One group of g ranks, identical starting weights, per-rank gradients.
+  // Replicated: ring allreduce of the gradient view, then Optimizer::step
+  // on every rank. Sharded, as GradSyncEngine runs it: reduce-scatter
+  // (blocking or nonblocking) handing the rank its segment of the sums,
+  // apply_flat over each piece of that segment of the value view with
+  // state for the segment only, the new values copied into the segment
+  // message, and an allgather forwarding it. Three steps (so momentum and
+  // the Adam moments carry over; the last one clipped by a grad scale)
+  // must leave every rank's weights bitwise equal under both.
+  constexpr int kSteps = 3;
+  for (optim::Rule rule : {optim::Rule::kSgd, optim::Rule::kMomentum,
+                           optim::Rule::kAdam, optim::Rule::kAdamW}) {
+    optim::OptimizerConfig cfg;
+    cfg.rule = rule;
+    cfg.lr = 0.03f;
+    cfg.weight_decay = 0.01f;
+    const int slots = optim::state_slots(rule);
+    for (int g = 1; g <= 6; ++g) {
+      std::vector<int> group(static_cast<std::size_t>(g));
+      for (int r = 0; r < g; ++r) group[static_cast<std::size_t>(r)] = r;
+      std::vector<std::vector<nn::Param>> repl(g), shard(g);
+      Rng rng(4100 + g);
+      for (int r = 0; r < g; ++r) {
+        repl[r] = make_params();
+        shard[r] = make_params();
+      }
+      for (std::size_t i = 0; i < repl[0].size(); ++i)
+        for (std::size_t e = 0; e < repl[0][i].value.numel(); ++e) {
+          const float w = static_cast<float>(rng.normal());
+          for (int r = 0; r < g; ++r) repl[r][i].value[e] = shard[r][i].value[e] = w;
+        }
+      comm::World world_r(g), world_s(g);
+      std::vector<std::thread> threads;
+      for (int r = 0; r < g; ++r) {
+        threads.emplace_back([&, r] {
+          comm::Communicator cr(world_r, r), cs(world_s, r);
+          std::vector<nn::Param*> ptrs;
+          for (nn::Param& p : repl[r]) ptrs.push_back(&p);
+          optim::Optimizer opt(ptrs, cfg);
+          const comm::FlatView grads = view_of(shard[r], false);
+          const comm::FlatView values = view_of(shard[r], true);
+          const std::size_t n = grads.size();
+          const std::size_t lo = comm::segment_begin(n, g, r);
+          const std::size_t hi = comm::segment_begin(n, g, r + 1);
+          std::vector<std::vector<float>> state(
+              static_cast<std::size_t>(slots), std::vector<float>(hi - lo));
+          Rng grng(977 + 31 * r + g);
+          for (int step = 1; step <= kSteps; ++step) {
+            const float scale = step == kSteps ? 0.5f : 1.0f;
+            for (std::size_t i = 0; i < repl[r].size(); ++i)
+              for (std::size_t e = 0; e < repl[r][i].grad.numel(); ++e)
+                repl[r][i].grad[e] = shard[r][i].grad[e] =
+                    static_cast<float>(grng.normal());
+            cr.allreduce_sum(view_of(repl[r], false), group, 1);
+            opt.step(1.0, scale);
+            Tensor own;
+            if (step % 2 == 0)
+              cs.ireduce_scatter_segment(grads, group, 1, &own).wait();
+            else
+              own = cs.reduce_scatter_segment(grads, group, 1);
+            EXPECT_EQ(own.numel(), hi - lo);
+            values.for_each_piece(lo, hi, [&](std::size_t k, std::size_t off,
+                                              std::size_t at, std::size_t len) {
+              float* w = values.piece_data(k) + off;
+              optim::apply_flat(cfg, step, 1.0, scale, w, own.data() + at,
+                                slots > 0 ? state[0].data() + at : nullptr,
+                                slots > 1 ? state[1].data() + at : nullptr,
+                                len);
+              std::memcpy(own.data() + at, w, len * sizeof(float));
+            });
+            cs.allgather(values, group, 1, std::move(own));
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      for (int r = 0; r < g; ++r)
+        for (std::size_t i = 0; i < repl[r].size(); ++i) {
+          const std::size_t n = repl[r][i].value.numel();
+          EXPECT_TRUE(n == 0 || std::memcmp(repl[r][i].value.data(),
+                                            shard[r][i].value.data(),
+                                            n * sizeof(float)) == 0)
+              << optim::rule_name(rule) << " g=" << g << " rank " << r
+              << " param " << i;
+        }
+    }
   }
 }
 

@@ -506,6 +506,24 @@ TEST(ObsReport, ArmedPlanTimesReproduceReplayBitwise) {
     EXPECT_EQ(rep.workers[w].predicted_bubble_us, rr.bubble[w]);
   }
 
+  // Flush spans: one optimizer step per rank, and — every Chimera stage
+  // syncs over two ranks on the ring, so its update is sharded — one
+  // parameter allgather per hosted stage; the report averages both per
+  // iteration.
+  {
+    TraceDoc flush = doc;
+    for (TraceEvent& e : flush.events) {
+      if (e.kind == EventKind::kOptimStep) e.t1_us = e.t0_us + 7.0;
+      if (e.kind == EventKind::kGradSync) e.t1_us = e.t0_us + 3.0;
+    }
+    const TraceReport fr = analyze_trace(flush);
+    for (int w = 0; w < sc.depth; ++w) {
+      EXPECT_EQ(fr.workers[w].optim_step_us, 7.0) << "rank " << w;
+      EXPECT_EQ(fr.workers[w].grad_sync_us, 6.0) << "rank " << w;
+    }
+    EXPECT_NE(format_report(fr).find("optim_step_us"), std::string::npos);
+  }
+
   // check_trace catches corruption of the same document.
   {
     TraceDoc bad = doc;  // reordered events

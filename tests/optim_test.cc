@@ -10,6 +10,7 @@
 
 #include "optim/lr_schedule.h"
 #include "optim/optimizer.h"
+#include "support/rng.h"
 #include "tensor/compute_pool.h"
 #include "tensor/kernels.h"
 
@@ -203,6 +204,43 @@ TEST(Clipping, GradSqNormSumsAllParams) {
   b.grad[1] = 2.0f;
   Optimizer opt({&a, &b}, OptimizerConfig{});
   EXPECT_DOUBLE_EQ(opt.grad_sq_norm(), 9.0 + 16.0 + 1.0 + 4.0);
+}
+
+TEST(Clipping, FlatSqNormAccumulatesInDoubleAtAnyHelperCount) {
+  // 2^20 squares of magnitude ~1, the size of a stage segment: a float
+  // running sum is off by ~1e-4 relative here, the double accumulation
+  // stays within 1e-11 of a long-double reference — whole, or chained over
+  // two halves through `acc` — and is bitwise the same at any helper count.
+  constexpr std::size_t kN = std::size_t{1} << 20;
+  std::vector<float> x(kN);
+  Rng rng(2026);
+  long double ref = 0.0L;
+  for (float& v : x) {
+    v = static_cast<float>(1.0 + 0.5 * rng.normal());
+    ref += static_cast<long double>(v) * v;
+  }
+  std::vector<double> got;
+  for (int helpers : {0, 3}) {
+    ComputePool::instance().set_helpers(helpers);
+    got.push_back(sq_norm(x.data(), kN));
+  }
+  ComputePool::instance().set_helpers(0);
+  EXPECT_EQ(got[0], got[1]);
+  EXPECT_LT(std::abs(static_cast<long double>(got[0]) - ref) / ref, 1e-11L);
+  const double chained = sq_norm(x.data() + kN / 2, kN / 2,
+                                 sq_norm(x.data(), kN / 2));
+  EXPECT_LT(std::abs(static_cast<long double>(chained) - ref) / ref, 1e-11L);
+  EXPECT_EQ(sq_norm(x.data(), 0, 1.5), 1.5);
+}
+
+TEST(OptimizerState, AllocatedOnFirstStep) {
+  nn::Param a("a", 3, 4), b("b", 1, 5);
+  OptimizerConfig cfg;
+  cfg.rule = Rule::kAdamW;
+  Optimizer opt({&a, &b}, cfg);
+  EXPECT_EQ(opt.state_numel(), 0u);
+  opt.step();
+  EXPECT_EQ(opt.state_numel(), 2u * (12 + 5));
 }
 
 // ---- sharded / tiered step parity ---------------------------------------

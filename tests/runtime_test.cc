@@ -244,30 +244,37 @@ TEST(Equivalence, BlockingAndOverlappedSyncBitwiseIdentical) {
   EXPECT_EQ(results[0], results[1]);
 }
 
-TEST(Equivalence, ZeroShardingBitwiseMatchesRingAllreduce) {
-  // ZeRO-1 (reduce-scatter → shard update → allgather) decomposes exactly
-  // the arithmetic of the ring allreduce followed by a replicated update, so
-  // the trained weights must match bit for bit.
+TEST(Equivalence, ShardedRingUpdateBitwiseMatchesReplicatedNaive) {
+  // Chimera at W = 1 syncs two-operand groups, where every algorithm adds
+  // the same two gradients. The ring path shards the update (reduce-scatter
+  // → segment update → allgather); the naive path allreduces and steps
+  // every replica. The trained weights must match bit for bit, and only
+  // the replicated run's replicas hold optimizer state.
   const nn::SmallModelConfig model = test_model();
   const ScheduleConfig sc{4, 4, 1, ScaleMethod::kDirect};
   std::vector<std::vector<float>> results;
-  for (bool zero : {false, true}) {
+  for (comm::AllreduceAlgo algo :
+       {comm::AllreduceAlgo::kRing, comm::AllreduceAlgo::kNaive}) {
     TrainerOptions opts;
-    opts.zero_shard = zero;
     opts.optimizer.rule = optim::Rule::kAdam;
     opts.optimizer.lr = 0.01f;
-    opts.allreduce = comm::AllreduceAlgo::kRing;
+    opts.allreduce = algo;
     PipelineTrainer t(model, Scheme::kChimera, sc, opts);
     for (int it = 0; it < 3; ++it)
       t.train_iteration(make_batch(model, 8, 960 + it));
     results.push_back(t.stage_weights(0, 0, 1));
+    const bool sharded = algo == comm::AllreduceAlgo::kRing;
+    for (int p = 0; p < 2; ++p)
+      for (int st = 0; st < sc.depth; ++st)
+        EXPECT_EQ(t.optimizer_state_numel(0, p, st) == 0, sharded)
+            << comm::allreduce_algo_name(algo) << " pipe " << p << " stage "
+            << st;
   }
   EXPECT_EQ(results[0], results[1]);
 }
 
-TEST(Equivalence, ZeroShardingMatchesSequential) {
+TEST(Equivalence, ShardedUpdateMatchesSequential) {
   TrainerOptions opts;
-  opts.zero_shard = true;
   opts.optimizer.rule = optim::Rule::kMomentum;
   opts.optimizer.momentum = 0.9f;
   EXPECT_LT(equivalence_gap(Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect},
@@ -275,9 +282,8 @@ TEST(Equivalence, ZeroShardingMatchesSequential) {
             5e-5);
 }
 
-TEST(Equivalence, ZeroShardingWithHybridDataParallelMatchesSequential) {
+TEST(Equivalence, ShardedUpdateWithHybridDataParallelMatchesSequential) {
   TrainerOptions opts;
-  opts.zero_shard = true;
   opts.data_parallel = 2;  // shard group spans 2·num_pipes ranks
   EXPECT_LT(equivalence_gap(Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect},
                             opts, 2, 2),
