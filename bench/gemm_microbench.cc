@@ -5,24 +5,30 @@
 // backward and decode (DESIGN.md §2 item 18's perf trajectory), and the
 // rate decode's Linear forwards run at when their weights stream from L3.
 //
-// Shapes are the ones the GPT-2-like default of bench_runtime_throughput
-// actually executes (rows = B·seq = 64, hidden 192, mlp 768, vocab 768,
-// per-head dk 24), so the reported speedups are the kernel-level view of
-// the end-to-end iters/s gains, plus the fused bias+GELU Linear forward
-// (gemm_bias_gelu_panel; its y is bitwise, its GELU output tolerance-equal
-// across tiers) beside the unfused gemm + add_bias + gelu_forward it
-// replaces, and softmax_rows over causally masked (−1e9) scores, whose
-// masked lanes take the vector exp's flush path. The streamed leg cycles through one decode worker's Linear
-// weights, row-major against the panel layout nn::Linear stores: a single
-// hot weight stays in L2 and reads far faster than decode ever does. Every
-// JSON record carries the build type and compiler: fast-tier GFLOP/s
-// depends on the -O level. Helpers are pinned to 0: this measures the
-// microkernels, not the pool. While measuring, the bench also checks each
-// op's cross-tier contract — bitwise equality for the ops the table marks
-// bitwise (gemm, gemm_tn, add_bias, bias_backward, the optimizer, the panel
-// forms), abs tolerance for the lane-reduced/polynomial ops — and that the
-// panel forward equals the row-major one, and exits nonzero on a
-// violation, so the CI smoke run guards the contract alongside the numbers.
+// Shapes are the ones perfbench's training workloads execute: train_chimera
+// (rows = B·seq = 64, hidden 192, mlp 768, vocab 768, per-head dk 24 —
+// also bench_runtime_throughput's default) and, for Linear's dX,
+// train_dp_eager (16 rows, hidden 256, mlp 1024). So the reported speedups
+// are the kernel-level view of the end-to-end gains, plus the fused
+// bias+GELU Linear forward (gemm_bias_gelu_panel; its y is bitwise, its
+// GELU output tolerance-equal across tiers) beside the unfused gemm +
+// add_bias + gelu_forward it replaces, and softmax_rows over causally
+// masked (−1e9) scores, whose masked lanes take the vector exp's flush
+// path. An m sweep runs Linear's forward (gemm_bias_panel) and dX
+// (gemm_nt_panel) at the MLP's two (k, n) shapes over row counts 1–64:
+// prefill runs m = prompt length, and the tile and dot block heights
+// balance differently at each. The streamed leg cycles through one decode
+// worker's Linear weights, row-major against the panel layout nn::Linear
+// stores: a single hot weight stays in L2 and reads far faster than decode
+// ever does. Every JSON record carries the build type and compiler:
+// fast-tier GFLOP/s depends on the -O level. Helpers are pinned to 0: this
+// measures the microkernels, not the pool. While measuring, the bench also
+// checks each op's cross-tier contract — bitwise equality for the ops the
+// table marks bitwise (gemm, gemm_tn, add_bias, bias_backward, the
+// optimizer, the panel forms), abs tolerance for the lane-reduced/polynomial
+// ops — and that the panel forward equals the row-major one, and exits
+// nonzero on a violation, so the CI smoke run guards the contract alongside
+// the numbers.
 //
 //   $ ./bench_gemm_microbench [--json BENCH_gemm_micro.json] [--small]
 //
@@ -34,8 +40,10 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "optim/optimizer.h"
@@ -49,9 +57,9 @@ using namespace chimera::bench;
 
 namespace {
 
-/// The GPT-2 bench shapes (bench_runtime_throughput defaults) of each GEMM
-/// variant: gemm, gemm_tn, gemm_nt, the fused gemm_bias_gelu_panel or the
-/// unfused gemm + add_bias + gelu_forward it replaces, and Linear's dX
+/// The training shapes of each GEMM variant: gemm, gemm_tn, gemm_nt, the
+/// fused gemm_bias_gelu_panel or the unfused gemm + add_bias + gelu_forward
+/// it replaces, and Linear's forward (gemm_bias_panel) and dX
 /// (gemm_nt_panel: B = W [n, k] in panel layout).
 struct Shape {
   const char* variant;
@@ -79,6 +87,11 @@ const Shape kShapes[] = {
     {"gemm_nt_panel", 16, 1024, 256, "dp mlp fc dX"},
     {"gemm_nt_panel", 16, 256, 1024, "dp mlp proj dX"},
 };
+
+/// The m sweep's row counts, run at kSweepKn's (k, n) for gemm_bias_panel
+/// and gemm_nt_panel.
+const int kSweepRows[] = {1, 2, 4, 6, 8, 12, 13, 16, 24, 32, 48, 64};
+const std::pair<int, int> kSweepKn[] = {{192, 768}, {768, 192}};
 
 /// One GEMM's operands; `bp` (B in panel layout), `bias` and `g` (the GELU
 /// output) are used by the fused and unfused bias+GELU variants only.
@@ -215,11 +228,16 @@ int main(int argc, char** argv) {
   // (un)fused GELU output within GELU's 1e-5, the rest (their y included)
   // bitwise.
   Rng rng(31);
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  for (const char* v : {"gemm_bias_panel", "gemm_nt_panel"})
+    for (auto [k, n] : kSweepKn)
+      for (int m : kSweepRows) shapes.push_back({v, m, k, n, "m sweep"});
   std::vector<OpSpec> gemms;
-  for (const Shape& s : kShapes) {
+  for (const Shape& s : shapes) {
     const std::string v = s.variant;
     const bool tn = v == "gemm_tn", nt_panel = v == "gemm_nt_panel";
     const bool nt = v == "gemm_nt" || nt_panel;
+    const bool bias_panel = v == "gemm_bias_panel";
     const bool fused = v == "gemm_bias_gelu_panel";
     const bool unfused = v == "gemm+add_bias+gelu";
     auto o = std::make_shared<Operands>();
@@ -231,17 +249,18 @@ int main(int argc, char** argv) {
     o->a.randn(rng, 1.0f);
     o->b.randn(rng, 1.0f);
     o->bias.randn(rng, 1.0f);
-    if (fused || nt_panel) pack_panels(o->b, o->bp);
+    if (fused || bias_panel || nt_panel) pack_panels(o->b, o->bp);
     gemms.push_back(
         {v + " " + s.site,
          std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
              std::to_string(s.n),
          2.0 * s.m * s.k * s.n, !nt && !fused && !unfused,
          nt ? 1e-5f * s.k : 1e-5f, nullptr,
-         [o, tn, nt, nt_panel, fused, unfused] {
+         [o, tn, nt, nt_panel, bias_panel, fused, unfused] {
            if (tn) gemm_tn(o->a, o->b, o->c);
            else if (nt_panel) gemm_nt_panel(o->a, o->bp, o->c);
            else if (nt) gemm_nt(o->a, o->b, o->c);
+           else if (bias_panel) gemm_bias_panel(o->a, o->bp, o->bias, o->c);
            else if (fused)
              gemm_bias_gelu_panel(o->a, o->bp, o->bias, o->c, o->g);
            else gemm(o->a, o->b, o->c);

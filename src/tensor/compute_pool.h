@@ -18,6 +18,7 @@
 // rt::PipelineTrainer's sizing rule).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace chimera {
@@ -69,5 +70,36 @@ inline int shard_begin(int total, int shards, int shard) {
 /// cost of one unit in flops-ish terms.
 int plan_shards(int total_units, std::size_t work_per_unit,
                 std::size_t grain = 1 << 16);
+
+/// Runs range(lo, hi) on each shard of [0, total) that
+/// plan_shards(total, work_per_unit) and shard_begin fix — the one split
+/// every kernel's outer loop uses.
+template <typename F>
+void for_shards(int total, std::size_t work_per_unit, const F& range) {
+  const int shards = plan_shards(total, work_per_unit);
+  ComputePool::instance().parallel_for(shards, [&](int s) {
+    range(shard_begin(total, shards, s), shard_begin(total, shards, s + 1));
+  });
+}
+
+/// for_shards over rows, running row(r) for each.
+template <typename F>
+void for_rows(int rows, std::size_t work_per_row, const F& row) {
+  for_shards(rows, work_per_row, [&](int r0, int r1) {
+    for (int r = r0; r < r1; ++r) row(r);
+  });
+}
+
+/// The elementwise ops' split: for_shards over [0, n) in whole 256-element
+/// units, running span(i, len) on each shard's non-empty element range.
+template <typename F>
+void for_units(std::size_t n, const F& span) {
+  const auto at = [n](int unit) {
+    return std::min(n, static_cast<std::size_t>(unit) * 256);
+  };
+  for_shards(static_cast<int>(n / 256 + 1), 256 * 8, [&](int u0, int u1) {
+    if (at(u0) < at(u1)) span(at(u0), static_cast<int>(at(u1) - at(u0)));
+  });
+}
 
 }  // namespace chimera

@@ -113,10 +113,7 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   // Shards split the output rows; the kBlock×kBlock cache blocking runs
   // *inside* each shard. Per output element the accumulation order over l
   // (l0 blocks ascending, l ascending) is unchanged — bitwise ≡ serial.
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(m, shards, s);
-    const int r1 = shard_begin(m, shards, s + 1);
+  for_shards(m, static_cast<std::size_t>(k) * n, [&](int r0, int r1) {
     for (int i0 = r0; i0 < r1; i0 += kBlock) {
       const int i1 = std::min(r1, i0 + kBlock);
       for (int l0 = 0; l0 < k; l0 += kBlock) {
@@ -148,10 +145,7 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   // Shards split the output rows i (= columns of A); the l loop stays
   // outermost inside each shard, so per element the order over l — and the
   // result — is bitwise ≡ serial.
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int i0 = shard_begin(m, shards, s);
-    const int i1 = shard_begin(m, shards, s + 1);
+  for_shards(m, static_cast<std::size_t>(k) * n, [&](int i0, int i1) {
     for (int l = 0; l < k; ++l) {
       const float* arow = pa + static_cast<std::size_t>(l) * m;
       const float* brow = pb + static_cast<std::size_t>(l) * n;
@@ -182,10 +176,7 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   // C in that fixed order — a pure function of the shapes, so pooled runs
   // stay bitwise ≡ serial (and for k ≤ kBlock — every attention dk path —
   // the single block reproduces the old full-dot order exactly).
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(m, shards, s);
-    const int r1 = shard_begin(m, shards, s + 1);
+  for_shards(m, static_cast<std::size_t>(k) * n, [&](int r0, int r1) {
     for (int i0 = r0; i0 < r1; i0 += kBlock) {
       const int i1 = std::min(r1, i0 + kBlock);
       for (int l0 = 0; l0 < k; l0 += kBlock) {
@@ -228,12 +219,10 @@ void gemm_panel_ref(const Tensor& x, const Tensor& wp, Tensor& y) {
   // Row shards; each shard sweeps its rows per 16-column block, so the
   // block stays cache-hot across them, and sums 8 columns at a time in
   // locals (the lanes past a tail block's width are summed, never stored).
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r1 = shard_begin(m, shards, s + 1);
+  for_shards(m, static_cast<std::size_t>(k) * n, [&](int r0, int r1) {
     for (int j0 = 0; j0 < n; j0 += kPanelWidth) {
       const float* block = wp.data() + panel_offset(k, 0, j0);
-      for (int i = shard_begin(m, shards, s); i < r1; ++i)
+      for (int i = r0; i < r1; ++i)
         for (int h = 0; h < std::min(kPanelWidth, n - j0); h += 8) {
           float acc[8] = {};
           for (int l = 0; l < k; ++l) {
@@ -283,24 +272,20 @@ void gemm_nt_panel(const Tensor& dy, const Tensor& wp, Tensor& dx) {
   // to 0.0f in ascending order. A block spans whole 16-column panels, and
   // W row l's columns sit at stride 1 inside each.
   static_assert(kBlock % kPanelWidth == 0);
-  const int shards = plan_shards(m, static_cast<std::size_t>(k) * n);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r1 = shard_begin(m, shards, s + 1);
-    for (int i = shard_begin(m, shards, s); i < r1; ++i) {
-      const float* dyrow = dy.data() + static_cast<std::size_t>(i) * n;
-      for (int l = 0; l < k; ++l) {
-        float c = 0.0f;
-        for (int j0 = 0; j0 < n; j0 += kBlock) {
-          float acc = 0.0f;
-          for (int p0 = j0; p0 < std::min(n, j0 + kBlock); p0 += kPanelWidth) {
-            const float* wrow = wp.data() + panel_offset(k, l, p0);
-            const int width = std::min(kPanelWidth, n - p0);
-            for (int j = 0; j < width; ++j) acc += dyrow[p0 + j] * wrow[j];
-          }
-          c += acc;
+  for_rows(m, static_cast<std::size_t>(k) * n, [&](int i) {
+    const float* dyrow = dy.data() + static_cast<std::size_t>(i) * n;
+    for (int l = 0; l < k; ++l) {
+      float c = 0.0f;
+      for (int j0 = 0; j0 < n; j0 += kBlock) {
+        float acc = 0.0f;
+        for (int p0 = j0; p0 < std::min(n, j0 + kBlock); p0 += kPanelWidth) {
+          const float* wrow = wp.data() + panel_offset(k, l, p0);
+          const int width = std::min(kPanelWidth, n - p0);
+          for (int j = 0; j < width; ++j) acc += dyrow[p0 + j] * wrow[j];
         }
-        dx.at(i, l) = c;
+        c += acc;
       }
+      dx.at(i, l) = c;
     }
   });
 }
@@ -314,10 +299,7 @@ void gemm_tn_panel(const Tensor& x, const Tensor& dy, Tensor& dwp) {
   CHIMERA_CHECK(dy.rows() == rows && dwp.rows() == panel_rows(m, n) &&
                 dwp.cols() == kPanelWidth);
   // gemm_tn's scalar order: rows of X and dY ascending, one add per row.
-  const int shards = plan_shards(m, static_cast<std::size_t>(rows) * n);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int i0 = shard_begin(m, shards, s);
-    const int i1 = shard_begin(m, shards, s + 1);
+  for_shards(m, static_cast<std::size_t>(rows) * n, [&](int i0, int i1) {
     for (int l = 0; l < rows; ++l) {
       const float* dyrow = dy.data() + static_cast<std::size_t>(l) * n;
       for (int i = i0; i < i1; ++i) {
@@ -339,12 +321,8 @@ void add_bias(Tensor& y, const Tensor& bias) {
   }
   CHIMERA_CHECK(bias.cols() == y.cols() && bias.rows() == 1);
   const int R = y.rows(), C = y.cols();
-  const int shards = plan_shards(R, static_cast<std::size_t>(C));
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(R, shards, s);
-    const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r)
-      for (int c = 0; c < C; ++c) y.at(r, c) += bias.at(0, c);
+  for_rows(R, static_cast<std::size_t>(C), [&](int r) {
+    for (int c = 0; c < C; ++c) y.at(r, c) += bias.at(0, c);
   });
 }
 
@@ -357,10 +335,7 @@ void bias_backward(const Tensor& dy, Tensor& dbias) {
   const int R = dy.rows(), C = dy.cols();
   // Column shards: each dbias element accumulates its rows in ascending
   // order on exactly one shard — bitwise ≡ serial, no partials needed.
-  const int shards = plan_shards(C, static_cast<std::size_t>(R));
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int c0 = shard_begin(C, shards, s);
-    const int c1 = shard_begin(C, shards, s + 1);
+  for_shards(C, static_cast<std::size_t>(R), [&](int c0, int c1) {
     for (int r = 0; r < R; ++r)
       for (int c = c0; c < c1; ++c) dbias.at(0, c) += dy.at(r, c);
   });
@@ -372,14 +347,8 @@ void gelu_forward(const Tensor& x, Tensor& y) {
     return;
   }
   CHIMERA_CHECK(x.numel() == y.numel());
-  const std::size_t n = x.numel();
-  const int units = static_cast<int>(n / 256 + 1);  // split in 256-elem units
-  const int shards = plan_shards(units, 256 * 8);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const std::size_t i0 = static_cast<std::size_t>(shard_begin(units, shards, s)) * 256;
-    const std::size_t i1 =
-        std::min(n, static_cast<std::size_t>(shard_begin(units, shards, s + 1)) * 256);
-    for (std::size_t i = i0; i < i1; ++i) y[i] = detail::gelu_eval(x[i]);
+  for_units(x.numel(), [&](std::size_t i0, int len) {
+    for (std::size_t i = i0; i < i0 + len; ++i) y[i] = detail::gelu_eval(x[i]);
   });
 }
 
@@ -389,14 +358,8 @@ void gelu_backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
     return;
   }
   CHIMERA_CHECK(x.numel() == dy.numel() && x.numel() == dx.numel());
-  const std::size_t n = x.numel();
-  const int units = static_cast<int>(n / 256 + 1);
-  const int shards = plan_shards(units, 256 * 8);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const std::size_t i0 = static_cast<std::size_t>(shard_begin(units, shards, s)) * 256;
-    const std::size_t i1 =
-        std::min(n, static_cast<std::size_t>(shard_begin(units, shards, s + 1)) * 256);
-    for (std::size_t i = i0; i < i1; ++i)
+  for_units(x.numel(), [&](std::size_t i0, int len) {
+    for (std::size_t i = i0; i < i0 + len; ++i)
       dx[i] = dy[i] * detail::gelu_grad_eval(x[i]);
   });
 }
@@ -410,26 +373,21 @@ void layernorm_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   const int R = x.rows(), H = x.cols();
   CHIMERA_CHECK(gamma.cols() == H && beta.cols() == H);
   CHIMERA_CHECK(y.rows() == R && mean.rows() == R && rstd.rows() == R);
-  const int shards = plan_shards(R, static_cast<std::size_t>(H) * 4);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(R, shards, s);
-    const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r) {
-      float mu = 0.0f;
-      for (int c = 0; c < H; ++c) mu += x.at(r, c);
-      mu /= H;
-      float var = 0.0f;
-      for (int c = 0; c < H; ++c) {
-        const float d = x.at(r, c) - mu;
-        var += d * d;
-      }
-      var /= H;
-      const float rs = 1.0f / std::sqrt(var + 1e-5f);
-      mean.at(r, 0) = mu;
-      rstd.at(r, 0) = rs;
-      for (int c = 0; c < H; ++c)
-        y.at(r, c) = (x.at(r, c) - mu) * rs * gamma.at(0, c) + beta.at(0, c);
+  for_rows(R, static_cast<std::size_t>(H) * 4, [&](int r) {
+    float mu = 0.0f;
+    for (int c = 0; c < H; ++c) mu += x.at(r, c);
+    mu /= H;
+    float var = 0.0f;
+    for (int c = 0; c < H; ++c) {
+      const float d = x.at(r, c) - mu;
+      var += d * d;
     }
+    var /= H;
+    const float rs = 1.0f / std::sqrt(var + 1e-5f);
+    mean.at(r, 0) = mu;
+    rstd.at(r, 0) = rs;
+    for (int c = 0; c < H; ++c)
+      y.at(r, c) = (x.at(r, c) - mu) * rs * gamma.at(0, c) + beta.at(0, c);
   });
 }
 
@@ -442,35 +400,26 @@ void layernorm_backward(const Tensor& x, const Tensor& gamma,
     return;
   }
   const int R = x.rows(), H = x.cols();
-  ComputePool& pool = ComputePool::instance();
   // Pass 1, row shards: dx — each row's sums and outputs are self-contained.
-  const int row_shards = plan_shards(R, static_cast<std::size_t>(H) * 6);
-  pool.parallel_for(row_shards, [&](int s) {
-    const int r0 = shard_begin(R, row_shards, s);
-    const int r1 = shard_begin(R, row_shards, s + 1);
-    for (int r = r0; r < r1; ++r) {
-      const float mu = mean.at(r, 0);
-      const float rs = rstd.at(r, 0);
-      float sum_dyg = 0.0f, sum_dyg_xhat = 0.0f;
-      for (int c = 0; c < H; ++c) {
-        const float xhat = (x.at(r, c) - mu) * rs;
-        const float dyg = dy.at(r, c) * gamma.at(0, c);
-        sum_dyg += dyg;
-        sum_dyg_xhat += dyg * xhat;
-      }
-      for (int c = 0; c < H; ++c) {
-        const float xhat = (x.at(r, c) - mu) * rs;
-        const float dyg = dy.at(r, c) * gamma.at(0, c);
-        dx.at(r, c) = rs * (dyg - sum_dyg / H - xhat * sum_dyg_xhat / H);
-      }
+  for_rows(R, static_cast<std::size_t>(H) * 6, [&](int r) {
+    const float mu = mean.at(r, 0);
+    const float rs = rstd.at(r, 0);
+    float sum_dyg = 0.0f, sum_dyg_xhat = 0.0f;
+    for (int c = 0; c < H; ++c) {
+      const float xhat = (x.at(r, c) - mu) * rs;
+      const float dyg = dy.at(r, c) * gamma.at(0, c);
+      sum_dyg += dyg;
+      sum_dyg_xhat += dyg * xhat;
+    }
+    for (int c = 0; c < H; ++c) {
+      const float xhat = (x.at(r, c) - mu) * rs;
+      const float dyg = dy.at(r, c) * gamma.at(0, c);
+      dx.at(r, c) = rs * (dyg - sum_dyg / H - xhat * sum_dyg_xhat / H);
     }
   });
   // Pass 2, column shards: dgamma/dbeta — each parameter element accumulates
   // its rows in ascending order on exactly one shard, bitwise ≡ serial.
-  const int col_shards = plan_shards(H, static_cast<std::size_t>(R) * 3);
-  pool.parallel_for(col_shards, [&](int s) {
-    const int c0 = shard_begin(H, col_shards, s);
-    const int c1 = shard_begin(H, col_shards, s + 1);
+  for_shards(H, static_cast<std::size_t>(R) * 3, [&](int c0, int c1) {
     for (int r = 0; r < R; ++r) {
       const float mu = mean.at(r, 0);
       const float rs = rstd.at(r, 0);
@@ -490,13 +439,9 @@ void softmax_rows(const Tensor& x, Tensor& y) {
   }
   const int R = x.rows(), C = x.cols();
   CHIMERA_CHECK(y.rows() == R && y.cols() == C);
-  const int shards = plan_shards(R, static_cast<std::size_t>(C) * 4);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(R, shards, s);
-    const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r)
-      softmax_row_ref(x.data() + static_cast<std::size_t>(r) * C,
-                      y.data() + static_cast<std::size_t>(r) * C, C);
+  for_rows(R, static_cast<std::size_t>(C) * 4, [&](int r) {
+    softmax_row_ref(x.data() + static_cast<std::size_t>(r) * C,
+                    y.data() + static_cast<std::size_t>(r) * C, C);
   });
 }
 
@@ -523,16 +468,11 @@ float cross_entropy(const Tensor& logits, const std::vector<int>& targets,
     simd::cross_entropy_grad_fast(dlogits, targets, inv_rows * loss_scale,
                                   row_logp);
   } else {
-    const int shards = plan_shards(R, static_cast<std::size_t>(V) * 2);
-    ComputePool::instance().parallel_for(shards, [&](int s) {
-      const int r0 = shard_begin(R, shards, s);
-      const int r1 = shard_begin(R, shards, s + 1);
-      for (int r = r0; r < r1; ++r) {
-        const int t = targets[r];
-        row_logp[r] = std::log(std::max(dlogits.at(r, t), 1e-20f));
-        for (int c = 0; c < V; ++c) dlogits.at(r, c) *= inv_rows * loss_scale;
-        dlogits.at(r, t) -= inv_rows * loss_scale;
-      }
+    for_rows(R, static_cast<std::size_t>(V) * 2, [&](int r) {
+      const int t = targets[r];
+      row_logp[r] = std::log(std::max(dlogits.at(r, t), 1e-20f));
+      for (int c = 0; c < V; ++c) dlogits.at(r, c) *= inv_rows * loss_scale;
+      dlogits.at(r, t) -= inv_rows * loss_scale;
     });
   }
   float loss = 0.0f;
@@ -635,24 +575,20 @@ void attention_forward(const Tensor& qkv, int seq, int heads, bool causal,
   probs.reshape(units * seq, seq);
   merged.reshape(rows, hidden);
   const AttnRowOps& ops = attn_row_ops();
-  const int shards =
-      plan_shards(units, static_cast<std::size_t>(seq) * seq * dk * 2);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int u1 = shard_begin(units, shards, s + 1);
-    for (int u = shard_begin(units, shards, s); u < u1; ++u) {
-      const int b = u / heads;
-      const std::size_t off = static_cast<std::size_t>(u % heads) * dk;
-      const float* base = qkv.data() + static_cast<std::size_t>(b) * seq * ld;
-      KvRun run{base + hidden, base + 2 * hidden, 0};
-      for (int i = 0; i < seq; ++i) {
-        run.rows = causal ? i + 1 : seq;
-        float* p =
-            probs.data() + (static_cast<std::size_t>(u) * seq + i) * seq;
-        attend_row(ops, base + i * ld + off, &run, 1, ld, off, dk, scale, p,
-                   merged.data() +
-                       (static_cast<std::size_t>(b) * seq + i) * hidden + off);
-        std::fill(p + run.rows, p + seq, 0.0f);
-      }
+  const std::size_t work = static_cast<std::size_t>(seq) * seq * dk * 2;
+  for_rows(units, work, [&](int u) {
+    const int b = u / heads;
+    const std::size_t off = static_cast<std::size_t>(u % heads) * dk;
+    const float* base = qkv.data() + static_cast<std::size_t>(b) * seq * ld;
+    KvRun run{base + hidden, base + 2 * hidden, 0};
+    for (int i = 0; i < seq; ++i) {
+      run.rows = causal ? i + 1 : seq;
+      float* p =
+          probs.data() + (static_cast<std::size_t>(u) * seq + i) * seq;
+      attend_row(ops, base + i * ld + off, &run, 1, ld, off, dk, scale, p,
+                 merged.data() +
+                     (static_cast<std::size_t>(b) * seq + i) * hidden + off);
+      std::fill(p + run.rows, p + seq, 0.0f);
     }
   });
 }
@@ -671,13 +607,11 @@ void attention_backward(const Tensor& qkv, const Tensor& probs,
   dqkv.reshape(rows, 3 * hidden);
   dqkv.zero();  // dQ/dK/dV accumulate from +0, as the composed gemms did
   const AttnRowOps& ops = attn_row_ops();
-  const int shards =
-      plan_shards(units, static_cast<std::size_t>(seq) * seq * dk * 4);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
+  const std::size_t work = static_cast<std::size_t>(seq) * seq * dk * 4;
+  for_shards(units, work, [&](int u0, int u1) {
     float* dp = row_scratch(2 * static_cast<std::size_t>(seq));
     float* ds = dp + seq;
-    const int u1 = shard_begin(units, shards, s + 1);
-    for (int u = shard_begin(units, shards, s); u < u1; ++u) {
+    for (int u = u0; u < u1; ++u) {
       const int b = u / heads;
       const std::size_t off = static_cast<std::size_t>(u % heads) * dk;
       const std::size_t row0 = static_cast<std::size_t>(b) * seq;
@@ -721,12 +655,10 @@ void attention_decode(const Tensor& qkv, int heads,
   const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
   merged.reshape(rows, hidden);
   const AttnRowOps& ops = attn_row_ops();
-  const int shards =
-      plan_shards(units, keys * dk * 4 / std::max(rows, 1) + 1);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
+  const std::size_t work = keys * dk * 4 / std::max(rows, 1) + 1;
+  for_shards(units, work, [&](int u0, int u1) {
     float* p = row_scratch(keys);
-    const int u1 = shard_begin(units, shards, s + 1);
-    for (int u = shard_begin(units, shards, s); u < u1; ++u) {
+    for (int u = u0; u < u1; ++u) {
       const int r = u / heads;
       const std::size_t off = static_cast<std::size_t>(u % heads) * dk;
       const float* q = qkv.data() + r * 3 * static_cast<std::size_t>(hidden);

@@ -33,13 +33,15 @@
 // every accumulator index is a compile-time constant and the arrays become
 // registers.
 //
-// Three implementations share that structure: AVX-512 and AVX2+FMA
-// microkernels behind __attribute__((target)) with __builtin_cpu_supports
-// dispatch (active_isa()), and a portable mirror with the same blocking and
-// the same per-element accumulation orders (plain C++ the autovectorizer
-// may or may not vectorize — either way the arithmetic per element is
-// fixed). The AVX-512 dot blocks are the AVX2 template compiled for the
-// wider register file.
+// One source per kernel: the tiles, the dot blocks, exp/tanh/GELU and the
+// GELU rows are written once (tensor/kernels_simd_isa.inc) over the lane
+// types of tensor/simd_vec.h — 16-lane zmm, 8-lane ymm and a portable lane
+// array — and compiled once per ISA: included into one namespace inside
+// each ISA's `#pragma GCC target` region, since gcc cannot take a target
+// from a template parameter. active_isa() (CPUID) picks the namespace's
+// tables. The portable mirror has the same blocking and per-element orders;
+// the AVX-512 dot blocks are the 8-lane dot with AVX-512VL's 32 registers.
+// The other non-GEMM rows are AVX2-only.
 //
 // Determinism. gemm/gemm_tn tiles broadcast one A element against 16 B
 // lanes and pair every multiply with a separate add (vmulps + vaddps), so
@@ -63,26 +65,22 @@
 #include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <utility>
 
 #include "tensor/arena.h"
 #include "tensor/compute_pool.h"
 #include "tensor/kernels.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define CHIMERA_SIMD_X86 1
-// gcc 12's AVX-512 intrinsics pass _mm512_undefined_ps() as the unused
-// merge source of their unmasked forms, which -Wmaybe-uninitialized reports
-// at the header line of every inlined call (gcc bug 105593).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-#else
-#define CHIMERA_SIMD_X86 0
-#endif
+#include "tensor/simd_vec.h"
 
 namespace chimera::simd {
 namespace {
+
+using vec::Lanes;
+using vec::Vec;
+#if CHIMERA_SIMD_X86
+using vec::F16;
+using vec::F8;
+#endif
 
 constexpr int kNR = 16;       ///< panel width: two ymm or one zmm
 constexpr int kMR = 6;        ///< AVX2/portable tile rows (12 acc ymm + 4 live)
@@ -132,278 +130,18 @@ using DotBlockFn = void (*)(const float* pa, std::size_t lda, const float* pb,
                             std::size_t rs, std::size_t bs, int k, float* pc,
                             std::size_t ldc, bool accumulate);
 
-// ---------------------------------------------------------------------------
-// Portable mirror. Same blocking, same per-element accumulation orders.
-// ---------------------------------------------------------------------------
+/// mr/jt-indexed dispatch tables (index 0 unused; tile and dot entries past
+/// `mr` and `dot_mr` are null). The tiles' epilogue applies the GELU
+/// evaluation this ISA's gelu_forward uses, so fused ≡ unfused stays
+/// bitwise within the tier.
+struct Tables {
+  int mr;  ///< tile rows: gemm_panels splits m into ⌈m/mr⌉ tiles
+  TileFn tile[2][kMR512 + 1];  ///< [tail strip][rows]
+  int dot_mr;  ///< dot block rows: gemm_nt_rows splits m into ⌈m/dot_mr⌉
+  DotBlockFn dot[kDotMR512 + 1][kNtGroup + 1];  ///< [rows][columns]
+};
 
-// Unlike the AVX2 tile's, the 96 float accumulators here exceed baseline
-// x86-64's 16 SSE registers, so they live in L1 whatever the unrolling.
-template <int MR, bool kTail>
-void tile_portable_strip(const float* pa, std::size_t ra, std::size_t rl,
-                         int k, const float* pb, std::size_t ldb, float* pc,
-                         std::size_t ldc, int width, bool accumulate,
-                         const float* bias, float* pg) {
-  float acc[MR][kNR] = {};
-  if (accumulate)
-    for (int r = 0; r < MR; ++r)
-      for (int j = 0; j < width; ++j) acc[r][j] = pc[r * ldc + j];
-  for (int l = 0; l < k; ++l) {
-    const float* brow = pb + static_cast<std::size_t>(l) * ldb;
-    float tail[kNR] = {};
-    if (kTail) {
-      // The AVX2 tile's masked B load: dead lanes read as 0, never stored.
-      for (int j = 0; j < width; ++j) tail[j] = brow[j];
-      brow = tail;
-    }
-    for (int r = 0; r < MR; ++r) {
-      const float av = pa[r * ra + static_cast<std::size_t>(l) * rl];
-      for (int j = 0; j < kNR; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  if (bias)
-    for (int r = 0; r < MR; ++r)
-      for (int j = 0; j < width; ++j) acc[r][j] += bias[j];
-  for (int r = 0; r < MR; ++r)
-    for (int j = 0; j < width; ++j) pc[r * ldc + j] = acc[r][j];
-  // The shared scalar GELU: on the portable path the fast tier's
-  // gelu_forward runs the scalar reference, so fused ≡ unfused.
-  if (pg)
-    for (int r = 0; r < MR; ++r)
-      for (int j = 0; j < width; ++j)
-        pg[r * ldc + j] = chimera::detail::gelu_eval(acc[r][j]);
-}
-
-template <int MR>
-void tile_portable(const float* pa, std::size_t ra, std::size_t rl, int k,
-                   const float* pb, std::size_t ldb, float* pc,
-                   std::size_t ldc, int width, bool accumulate,
-                   const float* bias, float* pg) {
-  if (width == kNR)
-    tile_portable_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                                   accumulate, bias, pg);
-  else
-    tile_portable_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                                  accumulate, bias, pg);
-}
-
-/// lanes[r][g][t] += A row r[t]·chunk[g·rs + t] for one 8-lane chunk.
-template <int MR, int JT>
-inline void dot_chunk_portable(float (&lanes)[MR][JT][8], const float* pa,
-                               std::size_t lda, const float* chunk,
-                               std::size_t rs) {
-  for (int r = 0; r < MR; ++r)
-    for (int g = 0; g < JT; ++g)
-      for (int t = 0; t < 8; ++t)
-        lanes[r][g][t] += pa[r * lda + t] * chunk[g * rs + t];
-}
-
-template <int MR, int JT>
-void dot_block_portable(const float* pa, std::size_t lda, const float* pb,
-                        std::size_t rs, std::size_t bs, int k, float* pc,
-                        std::size_t ldc, bool accumulate) {
-  float lanes[MR][JT][8] = {};
-  int l = 0;
-  for (; l + kNR <= k; l += kNR, pb += bs) {
-    dot_chunk_portable<MR, JT>(lanes, pa + l, lda, pb, rs);
-    dot_chunk_portable<MR, JT>(lanes, pa + l + 8, lda, pb + 8, rs);
-  }
-  if (l + 8 <= k) {
-    dot_chunk_portable<MR, JT>(lanes, pa + l, lda, pb, rs);
-    l += 8;
-    pb += 8;
-  }
-  for (int r = 0; r < MR; ++r) {
-    const float* arow = pa + r * lda;
-    for (int g = 0; g < JT; ++g) {
-      // The exact combine tree of the AVX2 horizontal sum below.
-      const float* p = lanes[r][g];
-      float sum =
-          ((p[0] + p[4]) + (p[2] + p[6])) + ((p[1] + p[5]) + (p[3] + p[7]));
-      for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
-      float& c = pc[r * ldc + g];
-      c = (accumulate ? c : 0.0f) + sum;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2(+FMA) microkernels. Compiled for the ISA via target attributes so
-// the rest of the binary stays baseline x86-64; only entered after
-// cpu_supports_avx2_fma().
-// ---------------------------------------------------------------------------
-#if CHIMERA_SIMD_X86
-
-#define CHIMERA_TARGET_AVX2 __attribute__((target("avx2,fma")))
-
-/// -1 (all bits) marks a live lane; lane_mask(w) keeps the first w of 8.
-alignas(32) constexpr int kMaskTable[kNR] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                             0,  0,  0,  0,  0,  0,  0,  0};
-
-CHIMERA_TARGET_AVX2
-inline __m256i lane_mask(int live) {
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + 8 - live));
-}
-
-/// Eight lanes at p: a plain load, or on a tail strip a masked one (dead
-/// lanes read as 0 and never touch memory).
-template <bool kTail>
-CHIMERA_TARGET_AVX2 inline __m256 load8(const float* p, __m256i mask) {
-  return kTail ? _mm256_maskload_ps(p, mask) : _mm256_loadu_ps(p);
-}
-
-template <bool kTail>
-CHIMERA_TARGET_AVX2 inline void store8(float* p, __m256i mask, __m256 v) {
-  if (kTail)
-    _mm256_maskstore_ps(p, mask, v);
-  else
-    _mm256_storeu_ps(p, v);
-}
-
-/// The vector GELU (defined with the other vector math below), which the
-/// tile's fused epilogue applies to its accumulators.
-CHIMERA_TARGET_AVX2 inline __m256 gelu8(__m256 v);
-
-template <int MR, bool kTail>
-CHIMERA_TARGET_AVX2
-void tile_avx2_strip(const float* pa, std::size_t ra, std::size_t rl, int k,
-                     const float* pb, std::size_t ldb, float* pc,
-                     std::size_t ldc, int width, bool accumulate,
-                     const float* bias, float* pg) {
-  // 2·MR accumulators (≤ 12 ymm) + two B vectors + one broadcast stay
-  // within the 16 ymm registers for MR = 6; the unrolled row loops make
-  // every acc index a constant so none of them lives on the stack.
-  const __m256i m0 = lane_mask(std::min(width, 8));
-  const __m256i m1 = lane_mask(std::max(width - 8, 0));
-  __m256 acc[MR][2];
-#pragma GCC unroll 6
-  for (int r = 0; r < MR; ++r) {
-    const float* crow = pc + r * ldc;
-    acc[r][0] = accumulate ? load8<kTail>(crow, m0) : _mm256_setzero_ps();
-    acc[r][1] = accumulate ? load8<kTail>(crow + 8, m1) : _mm256_setzero_ps();
-  }
-  for (int l = 0; l < k; ++l, pb += ldb) {
-    const __m256 b0 = load8<kTail>(pb, m0);
-    const __m256 b1 = load8<kTail>(pb + 8, m1);
-    const float* al = pa + static_cast<std::size_t>(l) * rl;
-#pragma GCC unroll 6
-    for (int r = 0; r < MR; ++r) {
-      const __m256 av = _mm256_broadcast_ss(al + r * ra);
-      // Separate multiply and add — never vfmadd — so each element keeps
-      // the scalar tier's rounding exactly (file built -ffp-contract=off).
-      acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
-      acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
-    }
-  }
-  if (bias) {
-    // y + bias: add_bias's single add per element, on the registers.
-    const __m256 bias0 = load8<kTail>(bias, m0);
-    const __m256 bias1 = load8<kTail>(bias + 8, m1);
-#pragma GCC unroll 6
-    for (int r = 0; r < MR; ++r) {
-      acc[r][0] = _mm256_add_ps(acc[r][0], bias0);
-      acc[r][1] = _mm256_add_ps(acc[r][1], bias1);
-    }
-  }
-#pragma GCC unroll 6
-  for (int r = 0; r < MR; ++r) {
-    float* crow = pc + r * ldc;
-    store8<kTail>(crow, m0, acc[r][0]);
-    store8<kTail>(crow + 8, m1, acc[r][1]);
-  }
-  if (pg) {
-#pragma GCC unroll 6
-    for (int r = 0; r < MR; ++r) {
-      float* grow = pg + r * ldc;
-      store8<kTail>(grow, m0, gelu8(acc[r][0]));
-      store8<kTail>(grow + 8, m1, gelu8(acc[r][1]));
-    }
-  }
-}
-
-template <int MR>
-CHIMERA_TARGET_AVX2
-void tile_avx2(const float* pa, std::size_t ra, std::size_t rl, int k,
-               const float* pb, std::size_t ldb, float* pc, std::size_t ldc,
-               int width, bool accumulate, const float* bias, float* pg) {
-  if (width == kNR)
-    tile_avx2_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                               accumulate, bias, pg);
-  else
-    tile_avx2_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                              accumulate, bias, pg);
-}
-
-/// Fixed-tree horizontal sum: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) —
-/// dot_block_portable mirrors this order exactly.
-CHIMERA_TARGET_AVX2
-inline float hsum8(__m256 v) {
-  __m128 s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-  return _mm_cvtss_f32(s);
-}
-
-/// acc[r][g] += A row r[0..8)·chunk[g·rs..] for one 8-lane chunk (FMA).
-/// The MR A vectors are loaded once and each B vector once, then shared by
-/// the MR·JT accumulators; every accumulator sees exactly the FMA a lone
-/// row would.
-template <int MR, int JT>
-CHIMERA_TARGET_AVX2 __attribute__((always_inline)) inline void dot_chunk_avx2(
-    __m256 (&acc)[MR][JT], const float* pa, std::size_t lda,
-    const float* chunk, std::size_t rs) {
-  __m256 av[MR];
-#pragma GCC unroll 6
-  for (int r = 0; r < MR; ++r) av[r] = _mm256_loadu_ps(pa + r * lda);
-#pragma GCC unroll 4
-  for (int g = 0; g < JT; ++g) {
-    const __m256 bv = _mm256_loadu_ps(chunk + g * rs);
-#pragma GCC unroll 6
-    for (int r = 0; r < MR; ++r)
-      acc[r][g] = _mm256_fmadd_ps(av[r], bv, acc[r][g]);
-  }
-}
-
-/// C[0..MR)[0..JT) (+)= A rows · B rows, one dot product per element (the
-/// DotBlockFn contract). Always inlined, so the AVX-512 block below is this
-/// body compiled for the wider register file.
-template <int MR, int JT>
-CHIMERA_TARGET_AVX2 __attribute__((always_inline)) inline void dot_block_avx2(
-    const float* pa, std::size_t lda, const float* pb, std::size_t rs,
-    std::size_t bs, int k, float* pc, std::size_t ldc, bool accumulate) {
-  __m256 acc[MR][JT];
-#pragma GCC unroll 6
-  for (int r = 0; r < MR; ++r)
-#pragma GCC unroll 4
-    for (int g = 0; g < JT; ++g) acc[r][g] = _mm256_setzero_ps();
-  int l = 0;
-  for (; l + kNR <= k; l += kNR, pb += bs) {
-    dot_chunk_avx2<MR, JT>(acc, pa + l, lda, pb, rs);
-    dot_chunk_avx2<MR, JT>(acc, pa + l + 8, lda, pb + 8, rs);
-  }
-  if (l + 8 <= k) {
-    dot_chunk_avx2<MR, JT>(acc, pa + l, lda, pb, rs);
-    l += 8;
-    pb += 8;
-  }
-#pragma GCC unroll 6
-  for (int r = 0; r < MR; ++r) {
-    const float* arow = pa + r * lda;
-#pragma GCC unroll 4
-    for (int g = 0; g < JT; ++g) {
-      float sum = hsum8(acc[r][g]);
-      for (int t = l; t < k; ++t) sum += arow[t] * pb[g * rs + t - l];
-      float& c = pc[r * ldc + g];
-      c = (accumulate ? c : 0.0f) + sum;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Vector math for the non-GEMM fast tier (tolerance-equal ops).
-// ---------------------------------------------------------------------------
-
-/// Arguments below this produce a subnormal exp — exp8 flushes them to
+/// Arguments below this produce a subnormal exp — exp() flushes them to
 /// exactly 0.0f, which is what keeps masked (−1e9) softmax scores at
 /// exact-zero probability in the fast tier, same as std::exp underflow in
 /// the reference. Also the low clamp: for x ≥ kExpLo the biased exponent
@@ -414,82 +152,26 @@ CHIMERA_TARGET_AVX2 __attribute__((always_inline)) inline void dot_block_avx2(
 /// than the normal path (masked softmax columns, GELU inputs below ≈ −10).
 constexpr float kExpLo = -87.33654475f;
 constexpr float kExpHi = 88.3762626647949f;  // just below log(FLT_MAX)
-
-/// Cephes-style expf: n = round(x·log2e), two-part ln2 reduction, degree-5
-/// polynomial in the remainder, scale by 2^n via the exponent field.
-/// ~2 ulp over the clamped range; separate mul+add (no FMA — the combine
-/// sequence must not depend on contraction, this file is -ffp-contract=off).
-CHIMERA_TARGET_AVX2
-inline __m256 exp8(__m256 x) {
-  const __m256 flush = _mm256_cmp_ps(x, _mm256_set1_ps(kExpLo), _CMP_LT_OQ);
-  x = _mm256_andnot_ps(flush, x);
-  x = _mm256_max_ps(_mm256_min_ps(x, _mm256_set1_ps(kExpHi)),
-                    _mm256_set1_ps(kExpLo));
-  const __m256 n = _mm256_round_ps(
-      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m256 r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(0.693359375f)));
-  r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(-2.12194440e-4f)));
-  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.3981999507e-3f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(8.3334519073e-3f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(4.1665795894e-2f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.6666665459e-1f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(5.0000001201e-1f));
-  const __m256 z = _mm256_mul_ps(r, r);
-  __m256 y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, z), r),
-                           _mm256_set1_ps(1.0f));
-  const __m256i bits =
-      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));
-  y = _mm256_mul_ps(y, _mm256_castsi256_ps(_mm256_slli_epi32(bits, 23)));
-  return _mm256_andnot_ps(flush, y);
-}
-
-/// tanh(u) = (e^{2u} − 1)/(e^{2u} + 1). Exact at u = 0; saturates to ±1.0f
-/// exactly once e^{2u} leaves [≈3e-8, ≈3e7] — same saturation the libm
-/// tanh reaches, so large masked/outlier activations agree bitwise.
-CHIMERA_TARGET_AVX2
-inline __m256 tanh8(__m256 u) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 e = exp8(_mm256_mul_ps(u, _mm256_set1_ps(2.0f)));
-  return _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one));
-}
-
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
-/// Vector mirror of detail::gelu_eval (tolerance-equal: tanh8 vs libm).
-CHIMERA_TARGET_AVX2
-inline __m256 gelu8(__m256 v) {
-  const __m256 v2 = _mm256_mul_ps(v, v);
-  const __m256 inner = _mm256_add_ps(
-      v, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.044715f), v2), v));
-  const __m256 t = tanh8(_mm256_mul_ps(_mm256_set1_ps(kGeluC), inner));
-  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), v),
-                       _mm256_add_ps(_mm256_set1_ps(1.0f), t));
-}
+namespace portable {
+#include "tensor/kernels_simd_isa.inc"
+constexpr Tables kTables = make_tables<Lanes<kNR>, kMR, Lanes<8>, kDotMR>();
+}  // namespace portable
 
-/// Vector mirror of detail::gelu_grad_eval.
-CHIMERA_TARGET_AVX2
-inline __m256 gelu_grad8(__m256 v) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 v2 = _mm256_mul_ps(v, v);
-  const __m256 inner = _mm256_add_ps(
-      v, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.044715f), v2), v));
-  const __m256 t = tanh8(_mm256_mul_ps(_mm256_set1_ps(kGeluC), inner));
-  const __m256 du = _mm256_mul_ps(
-      _mm256_set1_ps(kGeluC),
-      _mm256_add_ps(one, _mm256_mul_ps(_mm256_set1_ps(3.0f * 0.044715f), v2)));
-  const __m256 left = _mm256_mul_ps(half, _mm256_add_ps(one, t));
-  const __m256 sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
-  const __m256 right =
-      _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(half, v), sech2), du);
-  return _mm256_add_ps(left, right);
-}
+#if CHIMERA_SIMD_X86
+// Only entered after active_isa() names the ISA; the rest of the binary
+// stays baseline x86-64.
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+namespace avx2 {
+#include "tensor/kernels_simd_isa.inc"
+constexpr Tables kTables = make_tables<F8, kMR, F8, kDotMR>();
+
+using V8 = Vec<F8>;
 
 /// Fixed-tree horizontal max (max is exact, so the tree shape is moot for
 /// the result; fixed anyway for determinism hygiene).
-CHIMERA_TARGET_AVX2
 inline float hmax8(__m256 v) {
   __m128 s = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
   s = _mm_max_ps(s, _mm_movehl_ps(s, s));
@@ -497,44 +179,13 @@ inline float hmax8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-/// Elementwise rows: every tail goes through the same vector code via a
-/// lane mask, so an element's value never depends on its position — the
-/// stability property the tolerance-tier contracts lean on.
-
-CHIMERA_TARGET_AVX2
-void gelu_row_avx2(const float* y, float* g, int n) {
-  int j = 0;
-  for (; j + 8 <= n; j += 8)
-    _mm256_storeu_ps(g + j, gelu8(_mm256_loadu_ps(y + j)));
-  if (j < n) {
-    const __m256i m = lane_mask(n - j);
-    _mm256_maskstore_ps(g + j, m, gelu8(_mm256_maskload_ps(y + j, m)));
-  }
-}
-
-CHIMERA_TARGET_AVX2
-void gelu_grad_row_avx2(const float* x, const float* dy, float* dx, int n) {
-  int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 gr = gelu_grad8(_mm256_loadu_ps(x + j));
-    _mm256_storeu_ps(dx + j, _mm256_mul_ps(_mm256_loadu_ps(dy + j), gr));
-  }
-  if (j < n) {
-    const __m256i m = lane_mask(n - j);
-    const __m256 gr = gelu_grad8(_mm256_maskload_ps(x + j, m));
-    _mm256_maskstore_ps(dx + j, m,
-                        _mm256_mul_ps(_mm256_maskload_ps(dy + j, m), gr));
-  }
-}
-
 /// Lane-summed row reduction: element i lands in lane i%8, the tail block
-/// is masked (dead lanes exactly 0.0f before the add), and hsum8 combines
+/// is masked (dead lanes exactly 0.0f before the add), and hsum combines
 /// with a fixed tree. Extending a row with elements whose f-value is
 /// exactly 0.0f therefore cannot change the sum bitwise — the
 /// zero-extension stability softmax needs for the decode contract.
 
-CHIMERA_TARGET_AVX2
-float row_max_avx2(const float* p, int n) {
+float row_max(const float* p, int n) {
   int j = 0;
   float mx;
   if (n >= 8) {
@@ -550,42 +201,40 @@ float row_max_avx2(const float* p, int n) {
   return mx;
 }
 
-CHIMERA_TARGET_AVX2
-void softmax_row_avx2(const float* px, float* py, int C) {
-  const __m256 bmx = _mm256_set1_ps(row_max_avx2(px, C));
+void softmax_row(const float* px, float* py, int C) {
+  const __m256 bmx = _mm256_set1_ps(row_max(px, C));
   __m256 acc = _mm256_setzero_ps();
   int j = 0;
   for (; j + 8 <= C; j += 8) {
-    const __m256 e = exp8(_mm256_sub_ps(_mm256_loadu_ps(px + j), bmx));
+    const __m256 e = exp(_mm256_sub_ps(_mm256_loadu_ps(px + j), bmx));
     _mm256_storeu_ps(py + j, e);
     acc = _mm256_add_ps(acc, e);
   }
   if (j < C) {
-    const __m256i m = lane_mask(C - j);
-    __m256 e = exp8(_mm256_sub_ps(_mm256_maskload_ps(px + j, m), bmx));
+    const __m256i m = V8::mask(C - j);
+    __m256 e = exp(_mm256_sub_ps(_mm256_maskload_ps(px + j, m), bmx));
     e = _mm256_and_ps(e, _mm256_castsi256_ps(m));  // dead lanes → exact 0
     _mm256_maskstore_ps(py + j, m, e);
     acc = _mm256_add_ps(acc, e);
   }
-  const float inv = 1.0f / hsum8(acc);
+  const float inv = 1.0f / V8::hsum(acc);
   const __m256 binv = _mm256_set1_ps(inv);
   for (j = 0; j + 8 <= C; j += 8)
     _mm256_storeu_ps(py + j, _mm256_mul_ps(_mm256_loadu_ps(py + j), binv));
   for (; j < C; ++j) py[j] *= inv;  // elementwise: scalar tail ≡ vector lane
 }
 
-CHIMERA_TARGET_AVX2
-void layernorm_row_avx2(const float* px, const float* gamma, const float* beta,
+void layernorm_row(const float* px, const float* gamma, const float* beta,
                         float* py, int H, float* mu_out, float* rs_out) {
   __m256 acc = _mm256_setzero_ps();
   int j = 0;
   for (; j + 8 <= H; j += 8)
     acc = _mm256_add_ps(acc, _mm256_loadu_ps(px + j));
   if (j < H) {
-    const __m256i m = lane_mask(H - j);
+    const __m256i m = V8::mask(H - j);
     acc = _mm256_add_ps(acc, _mm256_maskload_ps(px + j, m));
   }
-  const float mu = hsum8(acc) / H;
+  const float mu = V8::hsum(acc) / H;
   const __m256 bmu = _mm256_set1_ps(mu);
   acc = _mm256_setzero_ps();
   for (j = 0; j + 8 <= H; j += 8) {
@@ -593,12 +242,12 @@ void layernorm_row_avx2(const float* px, const float* gamma, const float* beta,
     acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
   }
   if (j < H) {
-    const __m256i m = lane_mask(H - j);
+    const __m256i m = V8::mask(H - j);
     const __m256 d = _mm256_sub_ps(_mm256_maskload_ps(px + j, m), bmu);
     acc = _mm256_add_ps(
         acc, _mm256_and_ps(_mm256_mul_ps(d, d), _mm256_castsi256_ps(m)));
   }
-  const float var = hsum8(acc) / H;
+  const float var = V8::hsum(acc) / H;
   const float rs = 1.0f / std::sqrt(var + 1e-5f);
   *mu_out = mu;
   *rs_out = rs;
@@ -614,8 +263,7 @@ void layernorm_row_avx2(const float* px, const float* gamma, const float* beta,
     py[j] = (px[j] - mu) * rs * gamma[j] + beta[j];
 }
 
-CHIMERA_TARGET_AVX2
-void layernorm_dx_row_avx2(const float* px, const float* gamma,
+void layernorm_dx_row(const float* px, const float* gamma,
                            const float* pdy, float mu, float rs, float* pdx,
                            int H) {
   const __m256 bmu = _mm256_set1_ps(mu);
@@ -632,7 +280,7 @@ void layernorm_dx_row_avx2(const float* px, const float* gamma,
     acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(dyg, xhat));
   }
   if (j < H) {
-    const __m256i m = lane_mask(H - j);
+    const __m256i m = V8::mask(H - j);
     const __m256 mm = _mm256_castsi256_ps(m);
     const __m256 xhat =
         _mm256_mul_ps(_mm256_sub_ps(_mm256_maskload_ps(px + j, m), bmu), brs);
@@ -641,8 +289,8 @@ void layernorm_dx_row_avx2(const float* px, const float* gamma,
     acc1 = _mm256_add_ps(acc1, _mm256_and_ps(dyg, mm));
     acc2 = _mm256_add_ps(acc2, _mm256_and_ps(_mm256_mul_ps(dyg, xhat), mm));
   }
-  const __m256 bq1 = _mm256_set1_ps(hsum8(acc1) / H);
-  const __m256 bq2 = _mm256_set1_ps(hsum8(acc2) / H);
+  const __m256 bq1 = _mm256_set1_ps(V8::hsum(acc1) / H);
+  const __m256 bq2 = _mm256_set1_ps(V8::hsum(acc2) / H);
   for (j = 0; j + 8 <= H; j += 8) {
     const __m256 xhat =
         _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(px + j), bmu), brs);
@@ -653,7 +301,7 @@ void layernorm_dx_row_avx2(const float* px, const float* gamma,
     _mm256_storeu_ps(pdx + j, dx);
   }
   if (j < H) {
-    const __m256i m = lane_mask(H - j);
+    const __m256i m = V8::mask(H - j);
     const __m256 xhat =
         _mm256_mul_ps(_mm256_sub_ps(_mm256_maskload_ps(px + j, m), bmu), brs);
     const __m256 dyg = _mm256_mul_ps(_mm256_maskload_ps(pdy + j, m),
@@ -667,8 +315,7 @@ void layernorm_dx_row_avx2(const float* px, const float* gamma,
 /// dgamma/dbeta for columns [c0, c1): vector lanes sit on columns and rows
 /// advance in the same ascending order as the reference, so every column's
 /// accumulation chain — and the result — is bitwise identical.
-CHIMERA_TARGET_AVX2
-void lnbwd_param_shard_avx2(const float* px, const float* pdy,
+void lnbwd_param_shard(const float* px, const float* pdy,
                             const float* pmu, const float* prs, float* dgamma,
                             float* dbeta, int R, int H, int c0, int c1) {
   for (int r = 0; r < R; ++r) {
@@ -695,8 +342,7 @@ void lnbwd_param_shard_avx2(const float* px, const float* pdy,
 }
 
 /// dbias column sums for columns [c0, c1): same column-lane layout.
-CHIMERA_TARGET_AVX2
-void bias_bwd_shard_avx2(const float* pdy, float* dbias, int R, int C, int c0,
+void bias_bwd_shard(const float* pdy, float* dbias, int R, int C, int c0,
                          int c1) {
   for (int r = 0; r < R; ++r) {
     const float* dyrow = pdy + static_cast<std::size_t>(r) * C;
@@ -708,8 +354,7 @@ void bias_bwd_shard_avx2(const float* pdy, float* dbias, int R, int C, int c0,
   }
 }
 
-CHIMERA_TARGET_AVX2
-void add_row_avx2(float* dst, const float* src, std::size_t n) {
+void add_row(float* dst, const float* src, std::size_t n) {
   std::size_t j = 0;
   for (; j + 8 <= n; j += 8)
     _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j),
@@ -717,8 +362,7 @@ void add_row_avx2(float* dst, const float* src, std::size_t n) {
   for (; j < n; ++j) dst[j] += src[j];
 }
 
-CHIMERA_TARGET_AVX2
-void scale_row_avx2(float* p, int n, float k) {
+void scale_row(float* p, int n, float k) {
   const __m256 bk = _mm256_set1_ps(k);
   int j = 0;
   for (; j + 8 <= n; j += 8)
@@ -726,8 +370,7 @@ void scale_row_avx2(float* p, int n, float k) {
   for (; j < n; ++j) p[j] *= k;
 }
 
-CHIMERA_TARGET_AVX2
-float max_abs_avx2(const float* x, std::size_t n) {
+float max_abs(const float* x, std::size_t n) {
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
   __m256 vmx = _mm256_setzero_ps();
   std::size_t j = 0;
@@ -738,8 +381,7 @@ float max_abs_avx2(const float* x, std::size_t n) {
   return mx;
 }
 
-CHIMERA_TARGET_AVX2
-void quantize_prep_avx2(const float* x, std::size_t n, float scale,
+void quantize_prep(const float* x, std::size_t n, float scale,
                         float levels, float* a, float* floor_a) {
   const __m256 absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
   const __m256 bscale = _mm256_set1_ps(scale);
@@ -762,8 +404,7 @@ void quantize_prep_avx2(const float* x, std::size_t n, float scale,
   }
 }
 
-CHIMERA_TARGET_AVX2
-void dequant_add_int8_avx2(const std::int8_t* q, std::size_t n, float unit,
+void dequant_add_int8(const std::int8_t* q, std::size_t n, float unit,
                            float* out) {
   const __m256 bunit = _mm256_set1_ps(unit);
   std::size_t j = 0;
@@ -785,14 +426,13 @@ void dequant_add_int8_avx2(const std::int8_t* q, std::size_t n, float unit,
 
 /// out[0..w) += Σⱼ wts[j]·x_j over rows x_j = x + j·ld, j ascending.
 template <int NV, bool kTail>
-CHIMERA_TARGET_AVX2
-void combine_avx2(const float* wts, int n, const float* x, std::size_t ld,
-                  int w, float* out) {
-  const __m256i mt = lane_mask(w - 8 * (NV - 1));
+void combine(const float* wts, int n, const float* x, std::size_t ld, int w,
+             float* out) {
+  const __m256i mt = V8::mask(w - 8 * (NV - 1));
   __m256 acc[NV];
 #pragma GCC unroll 4
   for (int v = 0; v < NV - 1; ++v) acc[v] = _mm256_loadu_ps(out + 8 * v);
-  acc[NV - 1] = load8<kTail>(out + 8 * (NV - 1), mt);
+  acc[NV - 1] = load_strip<F8, kTail>(out + 8 * (NV - 1), mt);
   for (int j = 0; j < n; ++j, x += ld) {
     const __m256 bw = _mm256_broadcast_ss(wts + j);
 #pragma GCC unroll 4
@@ -800,23 +440,23 @@ void combine_avx2(const float* wts, int n, const float* x, std::size_t ld,
       acc[v] = _mm256_add_ps(acc[v],
                              _mm256_mul_ps(bw, _mm256_loadu_ps(x + 8 * v)));
     acc[NV - 1] = _mm256_add_ps(
-        acc[NV - 1], _mm256_mul_ps(bw, load8<kTail>(x + 8 * (NV - 1), mt)));
+        acc[NV - 1],
+        _mm256_mul_ps(bw, load_strip<F8, kTail>(x + 8 * (NV - 1), mt)));
   }
 #pragma GCC unroll 4
   for (int v = 0; v < NV - 1; ++v) _mm256_storeu_ps(out + 8 * v, acc[v]);
-  store8<kTail>(out + 8 * (NV - 1), mt, acc[NV - 1]);
+  store_strip<F8, kTail>(out + 8 * (NV - 1), mt, acc[NV - 1]);
 }
 
 /// y_j[0..w) += wts[j]·x for rows y_j = y + j·ld.
 template <int NV, bool kTail>
-CHIMERA_TARGET_AVX2
-void outer_avx2(const float* wts, int n, const float* x, int w, float* y,
-                std::size_t ld) {
-  const __m256i mt = lane_mask(w - 8 * (NV - 1));
+void outer(const float* wts, int n, const float* x, int w, float* y,
+           std::size_t ld) {
+  const __m256i mt = V8::mask(w - 8 * (NV - 1));
   __m256 xv[NV];
 #pragma GCC unroll 4
   for (int v = 0; v < NV - 1; ++v) xv[v] = _mm256_loadu_ps(x + 8 * v);
-  xv[NV - 1] = load8<kTail>(x + 8 * (NV - 1), mt);
+  xv[NV - 1] = load_strip<F8, kTail>(x + 8 * (NV - 1), mt);
   for (int j = 0; j < n; ++j, y += ld) {
     const __m256 bw = _mm256_broadcast_ss(wts + j);
 #pragma GCC unroll 4
@@ -825,9 +465,9 @@ void outer_avx2(const float* wts, int n, const float* x, int w, float* y,
                        _mm256_add_ps(_mm256_loadu_ps(y + 8 * v),
                                      _mm256_mul_ps(bw, xv[v])));
     float* yt = y + 8 * (NV - 1);
-    store8<kTail>(yt, mt,
-                  _mm256_add_ps(load8<kTail>(yt, mt),
-                                _mm256_mul_ps(bw, xv[NV - 1])));
+    store_strip<F8, kTail>(yt, mt,
+                           _mm256_add_ps(load_strip<F8, kTail>(yt, mt),
+                                         _mm256_mul_ps(bw, xv[NV - 1])));
   }
 }
 
@@ -838,235 +478,39 @@ using OuterFn = void (*)(const float*, int, const float*, int, float*,
 
 /// [tail][NV] (NV index 0 unused).
 constexpr CombineFn kCombine[2][5] = {
-    {nullptr, combine_avx2<1, false>, combine_avx2<2, false>,
-     combine_avx2<3, false>, combine_avx2<4, false>},
-    {nullptr, combine_avx2<1, true>, combine_avx2<2, true>,
-     combine_avx2<3, true>, combine_avx2<4, true>}};
+    {nullptr, combine<1, false>, combine<2, false>, combine<3, false>,
+     combine<4, false>},
+    {nullptr, combine<1, true>, combine<2, true>, combine<3, true>,
+     combine<4, true>}};
 constexpr OuterFn kOuter[2][5] = {
-    {nullptr, outer_avx2<1, false>, outer_avx2<2, false>,
-     outer_avx2<3, false>, outer_avx2<4, false>},
-    {nullptr, outer_avx2<1, true>, outer_avx2<2, true>, outer_avx2<3, true>,
-     outer_avx2<4, true>}};
+    {nullptr, outer<1, false>, outer<2, false>, outer<3, false>,
+     outer<4, false>},
+    {nullptr, outer<1, true>, outer<2, true>, outer<3, true>,
+     outer<4, true>}};
 
-// ---------------------------------------------------------------------------
-// AVX-512 microkernels: one zmm covers a whole 16-lane panel row, so a tile
-// takes 12 rows with 12 accumulators; a tail panel masks its loads and
-// stores with an __mmask16. Only entered when active_isa() is kAvx512. The
-// dot blocks keep the AVX2 8-lane ymm arithmetic (a zmm dot would change
-// gemm_nt's order) and only gain the 32-entry register file of AVX-512VL.
-// ---------------------------------------------------------------------------
+}  // namespace avx2
+#pragma GCC pop_options
 
-#define CHIMERA_TARGET_AVX512 \
-  __attribute__((target("avx512f,avx512vl,avx2,fma")))
-
-/// dot_block_avx2 with ymm0–31 (EVEX) available: MR = 6 keeps 24
-/// accumulators, 6 A vectors and one B vector in registers.
-template <int MR, int JT>
-CHIMERA_TARGET_AVX512
-void dot_block_avx512(const float* pa, std::size_t lda, const float* pb,
-                      std::size_t rs, std::size_t bs, int k, float* pc,
-                      std::size_t ldc, bool accumulate) {
-  dot_block_avx2<MR, JT>(pa, lda, pb, rs, bs, k, pc, ldc, accumulate);
-}
-
-/// Sixteen lanes at p: a plain load, or on a tail strip a masked one (dead
-/// lanes read as 0 and never touch memory).
-template <bool kTail>
-CHIMERA_TARGET_AVX512 inline __m512 load16(const float* p, __mmask16 live) {
-  return kTail ? _mm512_maskz_loadu_ps(live, p) : _mm512_loadu_ps(p);
-}
-
-template <bool kTail>
-CHIMERA_TARGET_AVX512 inline void store16(float* p, __mmask16 live,
-                                          __m512 v) {
-  if (kTail)
-    _mm512_mask_storeu_ps(p, live, v);
-  else
-    _mm512_storeu_ps(p, v);
-}
-
-/// exp8 widened instruction for instruction, so every lane gets exp8's
-/// bits. AVX-512F has no float andnot, so the two andnots become zero-masked
-/// moves under the complement of the flush mask — the same +0.0f result.
-CHIMERA_TARGET_AVX512
-inline __m512 exp16(__m512 x) {
-  const __mmask16 keep = static_cast<__mmask16>(
-      ~_mm512_cmp_ps_mask(x, _mm512_set1_ps(kExpLo), _CMP_LT_OQ));
-  x = _mm512_maskz_mov_ps(keep, x);
-  x = _mm512_max_ps(_mm512_min_ps(x, _mm512_set1_ps(kExpHi)),
-                    _mm512_set1_ps(kExpLo));
-  const __m512 n = _mm512_roundscale_ps(
-      _mm512_mul_ps(x, _mm512_set1_ps(1.44269504088896341f)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m512 r = _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(0.693359375f)));
-  r = _mm512_sub_ps(r, _mm512_mul_ps(n, _mm512_set1_ps(-2.12194440e-4f)));
-  __m512 p = _mm512_set1_ps(1.9875691500e-4f);
-  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.3981999507e-3f));
-  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(8.3334519073e-3f));
-  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(4.1665795894e-2f));
-  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(1.6666665459e-1f));
-  p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(5.0000001201e-1f));
-  const __m512 z = _mm512_mul_ps(r, r);
-  __m512 y = _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(p, z), r),
-                           _mm512_set1_ps(1.0f));
-  const __m512i bits =
-      _mm512_add_epi32(_mm512_cvtps_epi32(n), _mm512_set1_epi32(127));
-  y = _mm512_mul_ps(y, _mm512_castsi512_ps(_mm512_slli_epi32(bits, 23)));
-  return _mm512_maskz_mov_ps(keep, y);
-}
-
-/// tanh8 widened.
-CHIMERA_TARGET_AVX512
-inline __m512 tanh16(__m512 u) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 e = exp16(_mm512_mul_ps(u, _mm512_set1_ps(2.0f)));
-  return _mm512_div_ps(_mm512_sub_ps(e, one), _mm512_add_ps(e, one));
-}
-
-/// gelu8 widened: the fused epilogue and gelu_forward_fast on AVX-512
-/// hosts, bitwise ≡ gelu8 per lane.
-CHIMERA_TARGET_AVX512
-inline __m512 gelu16(__m512 v) {
-  const __m512 v2 = _mm512_mul_ps(v, v);
-  const __m512 inner = _mm512_add_ps(
-      v, _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.044715f), v2), v));
-  const __m512 t = tanh16(_mm512_mul_ps(_mm512_set1_ps(kGeluC), inner));
-  return _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5f), v),
-                       _mm512_add_ps(_mm512_set1_ps(1.0f), t));
-}
-
-CHIMERA_TARGET_AVX512
-void gelu_row_avx512(const float* y, float* g, int n) {
-  int j = 0;
-  for (; j + kNR <= n; j += kNR)
-    _mm512_storeu_ps(g + j, gelu16(_mm512_loadu_ps(y + j)));
-  if (j < n) {
-    const __mmask16 m = static_cast<__mmask16>((1u << (n - j)) - 1);
-    _mm512_mask_storeu_ps(g + j, m, gelu16(_mm512_maskz_loadu_ps(m, y + j)));
-  }
-}
-
-template <int MR, bool kTail>
-CHIMERA_TARGET_AVX512
-void tile_avx512_strip(const float* pa, std::size_t ra, std::size_t rl,
-                       int k, const float* pb, std::size_t ldb, float* pc,
-                       std::size_t ldc, int width, bool accumulate,
-                       const float* bias, float* pg) {
-  // MR ≤ 12 accumulators + one B vector + one broadcast of the 32 zmm; the
-  // unrolled row loops make every acc index a constant.
-  const __mmask16 live = static_cast<__mmask16>((1u << width) - 1);
-  __m512 acc[MR];
-#pragma GCC unroll 12
-  for (int r = 0; r < MR; ++r)
-    acc[r] = accumulate ? load16<kTail>(pc + r * ldc, live)
-                        : _mm512_setzero_ps();
-  for (int l = 0; l < k; ++l, pb += ldb) {
-    const __m512 b = load16<kTail>(pb, live);
-    const float* al = pa + static_cast<std::size_t>(l) * rl;
-#pragma GCC unroll 12
-    for (int r = 0; r < MR; ++r)
-      // Separate multiply and add, as in the AVX2 tile.
-      acc[r] = _mm512_add_ps(acc[r],
-                             _mm512_mul_ps(_mm512_set1_ps(al[r * ra]), b));
-  }
-  if (bias) {
-    const __m512 bv = load16<kTail>(bias, live);
-#pragma GCC unroll 12
-    for (int r = 0; r < MR; ++r) acc[r] = _mm512_add_ps(acc[r], bv);
-  }
-#pragma GCC unroll 12
-  for (int r = 0; r < MR; ++r) store16<kTail>(pc + r * ldc, live, acc[r]);
-  if (pg) {
-#pragma GCC unroll 12
-    for (int r = 0; r < MR; ++r)
-      store16<kTail>(pg + r * ldc, live, gelu16(acc[r]));
-  }
-}
-
-template <int MR>
-CHIMERA_TARGET_AVX512
-void tile_avx512(const float* pa, std::size_t ra, std::size_t rl, int k,
-                 const float* pb, std::size_t ldb, float* pc, std::size_t ldc,
-                 int width, bool accumulate, const float* bias, float* pg) {
-  if (width == kNR)
-    tile_avx512_strip<MR, false>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                                 accumulate, bias, pg);
-  else
-    tile_avx512_strip<MR, true>(pa, ra, rl, k, pb, ldb, pc, ldc, width,
-                                accumulate, bias, pg);
-}
-
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512vl,avx2,fma")
+namespace avx512 {
+#include "tensor/kernels_simd_isa.inc"
+constexpr Tables kTables = make_tables<F16, kMR512, F8, kDotMR512>();
+}  // namespace avx512
+#pragma GCC pop_options
 #endif  // CHIMERA_SIMD_X86
-
-/// mr/jt-indexed dispatch tables (index 0 unused; tile and dot entries past
-/// `mr` and `dot_mr` are null). The tiles' epilogue applies the GELU
-/// evaluation this ISA's gelu_forward uses, so fused ≡ unfused stays
-/// bitwise within the tier.
-struct Tables {
-  int mr;  ///< tile rows: gemm_panels splits m into ⌈m/mr⌉ tiles
-  TileFn tile[kMR512 + 1];
-  int dot_mr;  ///< dot block rows: gemm_nt_rows splits m into ⌈m/dot_mr⌉
-  DotBlockFn dot[kDotMR512 + 1][kNtGroup + 1];  ///< [rows][columns]
-};
-
-constexpr Tables kPortable = {
-    kMR,
-    {nullptr, tile_portable<1>, tile_portable<2>, tile_portable<3>,
-     tile_portable<4>, tile_portable<5>, tile_portable<6>},
-    kDotMR,
-    {{},
-     {nullptr, dot_block_portable<1, 1>, dot_block_portable<1, 2>,
-      dot_block_portable<1, 3>, dot_block_portable<1, 4>},
-     {nullptr, dot_block_portable<2, 1>, dot_block_portable<2, 2>,
-      dot_block_portable<2, 3>, dot_block_portable<2, 4>},
-     {nullptr, dot_block_portable<3, 1>, dot_block_portable<3, 2>,
-      dot_block_portable<3, 3>, dot_block_portable<3, 4>}}};
-
-#if CHIMERA_SIMD_X86
-constexpr Tables kAvx2 = {
-    kMR,
-    {nullptr, tile_avx2<1>, tile_avx2<2>, tile_avx2<3>, tile_avx2<4>,
-     tile_avx2<5>, tile_avx2<6>},
-    kDotMR,
-    {{},
-     {nullptr, dot_block_avx2<1, 1>, dot_block_avx2<1, 2>,
-      dot_block_avx2<1, 3>, dot_block_avx2<1, 4>},
-     {nullptr, dot_block_avx2<2, 1>, dot_block_avx2<2, 2>,
-      dot_block_avx2<2, 3>, dot_block_avx2<2, 4>},
-     {nullptr, dot_block_avx2<3, 1>, dot_block_avx2<3, 2>,
-      dot_block_avx2<3, 3>, dot_block_avx2<3, 4>}}};
-
-constexpr Tables kAvx512 = {
-    kMR512,
-    {nullptr, tile_avx512<1>, tile_avx512<2>, tile_avx512<3>, tile_avx512<4>,
-     tile_avx512<5>, tile_avx512<6>, tile_avx512<7>, tile_avx512<8>,
-     tile_avx512<9>, tile_avx512<10>, tile_avx512<11>, tile_avx512<12>},
-    kDotMR512,
-    {{},
-     {nullptr, dot_block_avx512<1, 1>, dot_block_avx512<1, 2>,
-      dot_block_avx512<1, 3>, dot_block_avx512<1, 4>},
-     {nullptr, dot_block_avx512<2, 1>, dot_block_avx512<2, 2>,
-      dot_block_avx512<2, 3>, dot_block_avx512<2, 4>},
-     {nullptr, dot_block_avx512<3, 1>, dot_block_avx512<3, 2>,
-      dot_block_avx512<3, 3>, dot_block_avx512<3, 4>},
-     {nullptr, dot_block_avx512<4, 1>, dot_block_avx512<4, 2>,
-      dot_block_avx512<4, 3>, dot_block_avx512<4, 4>},
-     {nullptr, dot_block_avx512<5, 1>, dot_block_avx512<5, 2>,
-      dot_block_avx512<5, 3>, dot_block_avx512<5, 4>},
-     {nullptr, dot_block_avx512<6, 1>, dot_block_avx512<6, 2>,
-      dot_block_avx512<6, 3>, dot_block_avx512<6, 4>}}};
-#endif
 
 const Tables& tables() {
 #if CHIMERA_SIMD_X86
   switch (active_isa()) {
-    case Isa::kAvx512: return kAvx512;
-    case Isa::kAvx2: return kAvx2;
+    case Isa::kAvx512: return avx512::kTables;
+    case Isa::kAvx2: return avx2::kTables;
     case Isa::kPortable: break;
   }
 #endif
-  return kPortable;
+  return portable::kTables;
 }
+
 
 /// Copies the k×width strip at pb (row stride ldb) into a dense k×16
 /// panel. A full-width row is a fixed 64-byte copy, which the compiler
@@ -1110,13 +554,11 @@ void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
   const bool c_panels = layout == PanelOperand::kC;
   const bool pack = m > t.mr && !b_panels;
   const std::size_t ldc = c_panels ? kNR : n;
-  const int shards =
-      plan_shards(panels, static_cast<std::size_t>(m) * k * kNR);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
+  const std::size_t work = static_cast<std::size_t>(m) * k * kNR;
+  for_shards(panels, work, [&](int p0, int p1) {
     float* buf = pack ? panel_workspace(static_cast<std::size_t>(k) * kNR)
                       : nullptr;
-    const int p1 = shard_begin(panels, shards, s + 1);
-    for (int p = shard_begin(panels, shards, s); p < p1; ++p) {
+    for (int p = p0; p < p1; ++p) {
       const int j0 = p * kNR;
       const int width = std::min(kNR, n - j0);
       const float* panel =
@@ -1137,7 +579,7 @@ void gemm_panels(const float* pa, std::size_t ra, std::size_t rl, int m,
       const int tiles = (m + t.mr - 1) / t.mr;
       for (int ti = 0; ti < tiles; ++ti) {
         const int i = shard_begin(m, tiles, ti);
-        t.tile[shard_begin(m, tiles, ti + 1) - i](
+        t.tile[width < kNR][shard_begin(m, tiles, ti + 1) - i](
             pa + i * ra, ra, rl, k, panel, ldb, cpanel + i * ldc, ldc, width,
             accumulate, pbias, gpanel ? gpanel + i * ldc : nullptr);
       }
@@ -1156,13 +598,11 @@ void gemm_nt_rows(const float* pa, int m, int n, int k, const float* pb,
                   std::size_t rs, std::size_t bs, float* pc, bool accumulate) {
   const Tables& t = tables();
   const int groups = (n + kNtGroup - 1) / kNtGroup;
-  const int shards =
-      plan_shards(groups, static_cast<std::size_t>(m) * k * kNtGroup);
   const std::size_t lda = k, ldc = n;
   const int blocks = (m + t.dot_mr - 1) / t.dot_mr;
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int g1 = shard_begin(groups, shards, s + 1);
-    for (int g = shard_begin(groups, shards, s); g < g1; ++g) {
+  const std::size_t work = static_cast<std::size_t>(m) * k * kNtGroup;
+  for_shards(groups, work, [&](int g0, int g1) {
+    for (int g = g0; g < g1; ++g) {
       const int j0 = g * kNtGroup;
       const int jt = std::min(kNtGroup, n - j0);
       const float* bj = pb + static_cast<std::size_t>(j0) * rs;
@@ -1290,61 +730,36 @@ void dot_rows_fast(const float* a, const float* b, std::size_t ldb, int k,
 
 void add_bias_fast(Tensor& y, const Tensor& bias) {
   CHIMERA_CHECK(bias.cols() == y.cols() && bias.rows() == 1);
-  const int R = y.rows(), C = y.cols();
-  float* py = y.data();
-  const float* pb = bias.data();
-  const int shards = plan_shards(R, static_cast<std::size_t>(C));
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(R, shards, s);
-    const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r)
-      add_row_avx2(py + static_cast<std::size_t>(r) * C, pb,
-                   static_cast<std::size_t>(C));
+  const int C = y.cols();
+  for_rows(y.rows(), static_cast<std::size_t>(C), [&](int r) {
+    avx2::add_row(y.data() + static_cast<std::size_t>(r) * C, bias.data(),
+                  static_cast<std::size_t>(C));
   });
 }
 
 void bias_backward_fast(const Tensor& dy, Tensor& dbias) {
   CHIMERA_CHECK(dbias.cols() == dy.cols() && dbias.rows() == 1);
   const int R = dy.rows(), C = dy.cols();
-  const int shards = plan_shards(C, static_cast<std::size_t>(R));
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    bias_bwd_shard_avx2(dy.data(), dbias.data(), R, C,
-                        shard_begin(C, shards, s),
-                        shard_begin(C, shards, s + 1));
+  for_shards(C, static_cast<std::size_t>(R), [&](int c0, int c1) {
+    avx2::bias_bwd_shard(dy.data(), dbias.data(), R, C, c0, c1);
   });
 }
 
 void gelu_forward_fast(const Tensor& x, Tensor& y) {
   CHIMERA_CHECK(x.numel() == y.numel());
-  // gelu16 ≡ gelu8 per lane, so either row gives the same bits.
-  const auto row =
-      active_isa() == Isa::kAvx512 ? gelu_row_avx512 : gelu_row_avx2;
-  const std::size_t n = x.numel();
-  const int units = static_cast<int>(n / 256 + 1);
-  const int shards = plan_shards(units, 256 * 8);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const std::size_t i0 =
-        static_cast<std::size_t>(shard_begin(units, shards, s)) * 256;
-    const std::size_t i1 = std::min(
-        n, static_cast<std::size_t>(shard_begin(units, shards, s + 1)) * 256);
-    if (i0 < i1)
-      row(x.data() + i0, y.data() + i0, static_cast<int>(i1 - i0));
+  // One gelu source at either width: every lane gets the same bits.
+  const auto row = active_isa() == Isa::kAvx512 ? avx512::gelu_row<F16>
+                                                : avx2::gelu_row<F8>;
+  for_units(x.numel(), [&](std::size_t i, int len) {
+    row(x.data() + i, y.data() + i, len);
   });
 }
 
 void gelu_backward_fast(const Tensor& x, const Tensor& dy, Tensor& dx) {
   CHIMERA_CHECK(x.numel() == dy.numel() && x.numel() == dx.numel());
-  const std::size_t n = x.numel();
-  const int units = static_cast<int>(n / 256 + 1);
-  const int shards = plan_shards(units, 256 * 8);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const std::size_t i0 =
-        static_cast<std::size_t>(shard_begin(units, shards, s)) * 256;
-    const std::size_t i1 = std::min(
-        n, static_cast<std::size_t>(shard_begin(units, shards, s + 1)) * 256);
-    if (i0 < i1)
-      gelu_grad_row_avx2(x.data() + i0, dy.data() + i0, dx.data() + i0,
-                         static_cast<int>(i1 - i0));
+  for_units(x.numel(), [&](std::size_t i, int len) {
+    avx2::gelu_grad_row<F8>(x.data() + i, dy.data() + i, dx.data() + i,
+                            len);
   });
 }
 
@@ -1354,17 +769,10 @@ void layernorm_forward_fast(const Tensor& x, const Tensor& gamma,
   const int R = x.rows(), H = x.cols();
   CHIMERA_CHECK(gamma.cols() == H && beta.cols() == H);
   CHIMERA_CHECK(y.rows() == R && mean.rows() == R && rstd.rows() == R);
-  float* pmu = mean.data();
-  float* prs = rstd.data();
-  const int shards = plan_shards(R, static_cast<std::size_t>(H) * 4);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(R, shards, s);
-    const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r)
-      layernorm_row_avx2(x.data() + static_cast<std::size_t>(r) * H,
-                         gamma.data(), beta.data(),
-                         y.data() + static_cast<std::size_t>(r) * H, H,
-                         pmu + r, prs + r);
+  for_rows(R, static_cast<std::size_t>(H) * 4, [&](int r) {
+    const std::size_t off = static_cast<std::size_t>(r) * H;
+    avx2::layernorm_row(x.data() + off, gamma.data(), beta.data(),
+                        y.data() + off, H, mean.data() + r, rstd.data() + r);
   });
 }
 
@@ -1373,67 +781,48 @@ void layernorm_backward_fast(const Tensor& x, const Tensor& gamma,
                              const Tensor& dy, Tensor& dx, Tensor& dgamma,
                              Tensor& dbeta) {
   const int R = x.rows(), H = x.cols();
-  ComputePool& pool = ComputePool::instance();
-  const int row_shards = plan_shards(R, static_cast<std::size_t>(H) * 6);
-  pool.parallel_for(row_shards, [&](int s) {
-    const int r0 = shard_begin(R, row_shards, s);
-    const int r1 = shard_begin(R, row_shards, s + 1);
-    for (int r = r0; r < r1; ++r)
-      layernorm_dx_row_avx2(x.data() + static_cast<std::size_t>(r) * H,
-                            gamma.data(),
-                            dy.data() + static_cast<std::size_t>(r) * H,
-                            mean.at(r, 0), rstd.at(r, 0),
-                            dx.data() + static_cast<std::size_t>(r) * H, H);
+  for_rows(R, static_cast<std::size_t>(H) * 6, [&](int r) {
+    const std::size_t off = static_cast<std::size_t>(r) * H;
+    avx2::layernorm_dx_row(x.data() + off, gamma.data(), dy.data() + off,
+                           mean.at(r, 0), rstd.at(r, 0), dx.data() + off, H);
   });
-  const int col_shards = plan_shards(H, static_cast<std::size_t>(R) * 3);
-  pool.parallel_for(col_shards, [&](int s) {
-    lnbwd_param_shard_avx2(x.data(), dy.data(), mean.data(), rstd.data(),
-                           dgamma.data(), dbeta.data(), R, H,
-                           shard_begin(H, col_shards, s),
-                           shard_begin(H, col_shards, s + 1));
+  for_shards(H, static_cast<std::size_t>(R) * 3, [&](int c0, int c1) {
+    avx2::lnbwd_param_shard(x.data(), dy.data(), mean.data(), rstd.data(),
+                            dgamma.data(), dbeta.data(), R, H, c0, c1);
   });
 }
 
 void softmax_rows_fast(const Tensor& x, Tensor& y) {
   const int R = x.rows(), C = x.cols();
   CHIMERA_CHECK(y.rows() == R && y.cols() == C);
-  const int shards = plan_shards(R, static_cast<std::size_t>(C) * 4);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(R, shards, s);
-    const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r)
-      softmax_row_avx2(x.data() + static_cast<std::size_t>(r) * C,
-                       y.data() + static_cast<std::size_t>(r) * C, C);
+  for_rows(R, static_cast<std::size_t>(C) * 4, [&](int r) {
+    const std::size_t off = static_cast<std::size_t>(r) * C;
+    avx2::softmax_row(x.data() + off, y.data() + off, C);
   });
 }
 
 void cross_entropy_grad_fast(Tensor& probs, const std::vector<int>& targets,
                              float k, float* row_logp) {
-  const int R = probs.rows(), V = probs.cols();
-  const int shards = plan_shards(R, static_cast<std::size_t>(V) * 2);
-  ComputePool::instance().parallel_for(shards, [&](int s) {
-    const int r0 = shard_begin(R, shards, s);
-    const int r1 = shard_begin(R, shards, s + 1);
-    for (int r = r0; r < r1; ++r) {
-      const int t = targets[r];
-      float* prow = probs.data() + static_cast<std::size_t>(r) * V;
-      row_logp[r] = std::log(std::max(prow[t], 1e-20f));
-      scale_row_avx2(prow, V, k);
-      prow[t] -= k;
-    }
+  const int V = probs.cols();
+  for_rows(probs.rows(), static_cast<std::size_t>(V) * 2, [&](int r) {
+    const int t = targets[r];
+    float* prow = probs.data() + static_cast<std::size_t>(r) * V;
+    row_logp[r] = std::log(std::max(prow[t], 1e-20f));
+    avx2::scale_row(prow, V, k);
+    prow[t] -= k;
   });
 }
 
 void softmax_row_fast(const float* x, float* y, int n) {
-  softmax_row_avx2(x, y, n);
+  avx2::softmax_row(x, y, n);
 }
 
 void combine_rows_fast(const float* w, int n, const float* x, std::size_t ld,
                        int dk, float* out) {
   for (int c0 = 0; c0 < dk; c0 += 4 * 8) {
     const int width = std::min(4 * 8, dk - c0);
-    kCombine[width % 8 != 0][(width + 7) / 8](w, n, x + c0, ld, width,
-                                              out + c0);
+    avx2::kCombine[width % 8 != 0][(width + 7) / 8](w, n, x + c0, ld, width,
+                                                    out + c0);
   }
 }
 
@@ -1441,26 +830,27 @@ void outer_rows_fast(const float* w, int n, const float* x, int dk, float* y,
                      std::size_t ld) {
   for (int c0 = 0; c0 < dk; c0 += 4 * 8) {
     const int width = std::min(4 * 8, dk - c0);
-    kOuter[width % 8 != 0][(width + 7) / 8](w, n, x + c0, width, y + c0, ld);
+    avx2::kOuter[width % 8 != 0][(width + 7) / 8](w, n, x + c0, width, y + c0,
+                                                  ld);
   }
 }
 
 void vector_add_fast(float* dst, const float* src, std::size_t n) {
-  add_row_avx2(dst, src, n);
+  avx2::add_row(dst, src, n);
 }
 
 float max_abs_fast(const float* x, std::size_t n) {
-  return max_abs_avx2(x, n);
+  return avx2::max_abs(x, n);
 }
 
 void quantize_prep_fast(const float* x, std::size_t n, float scale,
                         float levels, float* a, float* floor_a) {
-  quantize_prep_avx2(x, n, scale, levels, a, floor_a);
+  avx2::quantize_prep(x, n, scale, levels, a, floor_a);
 }
 
 void dequant_add_int8_fast(const std::int8_t* q, std::size_t n, float unit,
                            float* out) {
-  dequant_add_int8_avx2(q, n, unit, out);
+  avx2::dequant_add_int8(q, n, unit, out);
 }
 
 #else  // !CHIMERA_SIMD_X86 — never dispatched to (see header comment).

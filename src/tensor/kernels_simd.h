@@ -6,10 +6,11 @@
 // implementations of the non-GEMM dense ops (bias, GELU, LayerNorm,
 // softmax, cross-entropy), the fused attention driver's row primitives
 // (gemm_nt's dot, the softmax row, row combine/outer updates) and the comm
-// inner loops. The GEMM tiles come in three implementations selected by
-// runtime CPU dispatch (active_isa()): AVX-512 (12×16 tiles, one zmm per
-// row), AVX2+FMA (6×16 tiles, two ymm per row) and a portable mirror of the
-// 6×16 blocking, all with the same per-element accumulation orders.
+// inner loops. The GEMM tiles are one source compiled for three ISAs,
+// selected by runtime CPU dispatch (active_isa()): AVX-512 (12×16 tiles,
+// one zmm per row), AVX2+FMA (6×16 tiles, two ymm per row) and a portable
+// mirror of the 6×16 blocking, all with the same per-element accumulation
+// orders.
 // gemm_nt shards 4-column dot groups and runs them in register-blocked dot
 // blocks of balanced height: up to 6 rows × 4 columns of 8-lane ymm
 // accumulators on AVX-512 (the AVX2 arithmetic with AVX-512VL's 32
@@ -37,8 +38,8 @@
 //  - The fused epilogue (gemm_bias_act_fast) adds the bias to the tile's
 //    accumulators and applies GELU to those registers — the same single
 //    add per element as add_bias, and the same GELU evaluation as this
-//    ISA's gelu_forward_fast (the AVX-512 gelu16 is the AVX2 gelu8 widened
-//    instruction for instruction, so both give each lane the same bits).
+//    ISA's gelu_forward_fast (one GELU source compiled for 16 and 8 lanes,
+//    so AVX-512 and AVX2 give each lane the same bits).
 //  - gelu_*_fast, softmax_rows_fast, cross_entropy_fast and the row
 //    statistics of layernorm_*_fast use a vector exp/tanh polynomial and
 //    lane-summed row reductions — tolerance-equal; every element is a pure

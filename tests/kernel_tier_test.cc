@@ -1231,5 +1231,152 @@ TEST(KernelTier, VectorIsasAgreeBitwise) {
   expect_same_bits(dx[1], dx[0], "gemm_nt_panel");
 }
 
+/// Uniform on [−scale, scale) from the generator's integer stream alone, so
+/// the data's bits never depend on libm.
+Tensor exact_tensor(int r, int c, Rng& rng, float scale = 1.0f) {
+  Tensor t(r, c);
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    t[i] = scale * static_cast<float>(
+                       static_cast<std::int32_t>(rng.next_u64() >> 40) -
+                       (1 << 23)) *
+           0x1p-23f;
+  return t;
+}
+
+/// FNV-1a over the bit patterns of a sequence of tensors.
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(const Tensor& t) {
+    for (std::size_t i = 0; i < t.numel(); ++i) {
+      std::uint32_t u;
+      std::memcpy(&u, t.data() + i, sizeof u);
+      h = (h ^ u) * 0x100000001b3ull;
+    }
+  }
+};
+
+TEST(KernelTier, ShapeSweepBitsMatchGolden) {
+  // Pins every GEMM form's and the vector GELU/softmax's exact output bits
+  // to hashes recorded from these kernels, so a kernel rewrite meant to be
+  // bitwise neutral — a new tile, a new ISA, one source in place of three —
+  // must reproduce them under every tier pin and ISA cap. Rows span the
+  // in-place and packed tile paths of every ISA (≤ 6 / ≤ 12, balanced
+  // multi-tile heights at 13, 19, 25 and 130) and every dot block height;
+  // k ∈ {1, 7, 24, 33, 72} covers the serial dot tail alone, a 16 + 8
+  // chunk pair, full chunks plus a tail, and a longer reduction; n covers
+  // lone tail panels, an exact panel, a tail behind full panels and every
+  // dot group width. Helpers 0 and 3 put shards on the pool. Columns: the
+  // fast tier on AVX2/AVX-512 (which agree bitwise), the fast tier under
+  // the portable cap, and the scalar tier; 0 marks a path whose bits come
+  // from libm (std::exp/std::tanh) and are not pinned.
+  struct Golden {
+    const char* op;
+    std::uint64_t vector, portable, scalar;
+  };
+  static constexpr Golden kGolden[] = {
+      {"gemm", 0xec30cff11fe450f7, 0xec30cff11fe450f7, 0xec30cff11fe450f7},
+      {"gemm acc", 0xa2ed46571f01baa1, 0xa2ed46571f01baa1, 0xa2ed46571f01baa1},
+      {"gemm_tn", 0xac93f5f93f746fda, 0xac93f5f93f746fda, 0xac93f5f93f746fda},
+      {"gemm_tn acc", 0x1b075cd64c599423, 0x1b075cd64c599423,
+       0x1b075cd64c599423},
+      {"gemm_nt", 0x43950b3ab8eac5a4, 0xb3ce89c1ea3bd63b, 0x9fd3fdca5bd1caca},
+      {"gemm_nt acc", 0x3c6b51beb46c696b, 0x616a2e2c506a2c60,
+       0xb82d5499e8b24c0b},
+      {"gemm_bias_panel", 0xce7691ba8c2c97ae, 0xce7691ba8c2c97ae,
+       0xce7691ba8c2c97ae},
+      {"gemm_bias_gelu_panel y", 0xce7691ba8c2c97ae, 0xce7691ba8c2c97ae,
+       0xce7691ba8c2c97ae},
+      {"gemm_bias_gelu_panel g", 0x1b6925d2f1e592d9, 0, 0},
+      {"gemm_nt_panel", 0x43950b3ab8eac5a4, 0xb3ce89c1ea3bd63b,
+       0x9fd3fdca5bd1caca},
+      {"gemm_tn_panel", 0x3301fe890343df4f, 0x3301fe890343df4f,
+       0x3301fe890343df4f},
+      {"softmax_rows masked", 0x6deb9c76ac311e1a, 0, 0},
+      {"gelu_forward std 14", 0xca2732d0c173c223, 0, 0},
+  };
+  constexpr int kOps = static_cast<int>(std::size(kGolden));
+  const int kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 11, 12,
+                       13, 16, 19, 24, 25, 64, 130};
+  const int kDepths[] = {1, 7, 24, 33, 72};
+  const int kCols[] = {1, 8, 15, 16, 17, 30, 40};
+  PolicyGuard guard;
+  bool scalar_done = false;
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    for (KernelPolicy p : testable_policies()) {
+      set_kernel_policy(p);
+      const bool scalar = active_kernel_tier() == KernelTier::kScalar;
+      if (scalar && scalar_done) continue;  // the scalar tier has no ISA
+      scalar_done |= scalar;
+      SCOPED_TRACE(scalar ? std::string("scalar tier")
+                          : std::string("fast tier, isa=") +
+                                simd::isa_name(isa));
+      BitHash hash[kOps];
+      Rng rng(41);
+      for (int helpers : {0, 3}) {
+        ComputePool::instance().set_helpers(helpers);
+        for (int m : kRows)
+          for (int n : kCols) {
+            for (int k : kDepths) {
+              const Tensor a = exact_tensor(m, k, rng);
+              const Tensor at = exact_tensor(k, m, rng);
+              const Tensor b = exact_tensor(k, n, rng);
+              const Tensor bt = exact_tensor(n, k, rng);
+              const Tensor c0 = exact_tensor(m, n, rng);
+              const Tensor bias = exact_tensor(1, n, rng);
+              Tensor bp, btp;
+              pack_panels(b, bp);
+              pack_panels(bt, btp);
+              Tensor c(m, n), g(m, n);
+              for (bool acc : {false, true}) {
+                const int base = acc ? 1 : 0;
+                c = acc ? c0 : Tensor(m, n);
+                gemm(a, b, c, acc);
+                hash[base].add(c);
+                c = acc ? c0 : Tensor(m, n);
+                gemm_tn(at, b, c, acc);
+                hash[2 + base].add(c);
+                c = acc ? c0 : Tensor(m, n);
+                gemm_nt(a, bt, c, acc);
+                hash[4 + base].add(c);
+              }
+              gemm_bias_panel(a, bp, bias, c);
+              hash[6].add(c);
+              gemm_bias_gelu_panel(a, bp, bias, c, g);
+              hash[7].add(c);
+              hash[8].add(g);
+              gemm_nt_panel(a, btp, c);
+              hash[9].add(c);
+              Tensor dwp;
+              pack_panels(c0, dwp);
+              gemm_tn_panel(at, b, dwp);
+              hash[10].add(dwp);
+            }
+            // Causal −1e9 mask: row i keeps columns j ≤ i.
+            Tensor s = exact_tensor(m, n, rng, 4.0f), y(m, n);
+            for (int i = 0; i < m; ++i)
+              for (int j = i + 1; j < n; ++j) s.at(i, j) = -1e9f;
+            softmax_rows(s, y);
+            hash[11].add(y);
+            // Uniform ±24 (std ≈ 14): the GELU's curve, saturation and flush.
+            gelu_forward(exact_tensor(m, n, rng, 24.0f), y);
+            hash[12].add(y);
+          }
+      }
+      ComputePool::instance().set_helpers(0);
+      for (int op = 0; op < kOps; ++op) {
+        const Golden& want = kGolden[op];
+        const std::uint64_t pinned =
+            scalar ? want.scalar
+            : isa == simd::Isa::kPortable ? want.portable
+                                          : want.vector;
+        if (pinned == 0) continue;
+        EXPECT_EQ(hash[op].h, pinned)
+            << want.op << ": got 0x" << std::hex << hash[op].h;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace chimera
