@@ -1,13 +1,13 @@
 // Substrate microbenchmarks (google-benchmark): GEMM kernels, allreduce
-// algorithms over the thread fabric, schedule construction and the
-// discrete-event engine.
+// algorithms over the thread fabric, schedule construction, plan lowering
+// and the costed plan executor.
 #include <benchmark/benchmark.h>
 
 #include <thread>
 
 #include "comm/world.h"
-#include "core/schedule_analysis.h"
-#include "sim/event_engine.h"
+#include "core/execution_plan.h"
+#include "core/sync_placement.h"
 #include "tensor/kernels.h"
 
 namespace chimera {
@@ -63,31 +63,40 @@ void BM_BuildChimeraSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildChimeraSchedule)->Arg(8)->Arg(32);
 
-void BM_EventEngine(benchmark::State& state) {
+void BM_LowerPlan(benchmark::State& state) {
   const int D = static_cast<int>(state.range(0));
   PipelineSchedule s =
       build_schedule(Scheme::kChimera, ScheduleConfig{D, 4 * D, 1, ScaleMethod::kDirect});
-  sim::EngineCosts costs;
-  costs.forward_seconds.assign(D, 1.0);
   for (auto _ : state) {
-    sim::EngineResult r = sim::run_engine(s, costs);
-    benchmark::DoNotOptimize(r.makespan);
+    ExecutionPlan plan(s);
+    benchmark::DoNotOptimize(&plan.worker_plan(0));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(s.total_ops()));
 }
-BENCHMARK(BM_EventEngine)->Arg(8)->Arg(32);
+BENCHMARK(BM_LowerPlan)->Arg(8)->Arg(32);
 
-void BM_DependencyReplay(benchmark::State& state) {
+/// The executor alone on a prebuilt plan: Chimera at-end, N = D, without a
+/// network (scan order) and with one (time order; links and collectives
+/// queue).
+void BM_PlanExecutor(benchmark::State& state) {
   const int D = static_cast<int>(state.range(0));
-  PipelineSchedule s =
-      build_schedule(Scheme::kChimera, ScheduleConfig{D, 4 * D, 1, ScaleMethod::kDirect});
+  const bool contended = state.range(1) != 0;
+  const PipelineSchedule s = with_gradient_sync(
+      build_schedule(Scheme::kChimera, {D, D, 1, ScaleMethod::kDirect}),
+      SyncPolicy::kAtEnd);
+  const ExecutionPlan plan(s);
+  ReplayCosts costs;
+  costs.allreduce = 1.5;
+  if (contended)
+    costs.network = ReplayCosts::Network{.alpha = 0.05, .beta = 1e-3,
+                                         .boundary_bytes = 400.0};
   for (auto _ : state) {
-    ReplayResult r = replay(s, ReplayCosts{});
+    ReplayResult r = replay(plan, costs);
     benchmark::DoNotOptimize(r.makespan);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(s.total_ops()));
 }
-BENCHMARK(BM_DependencyReplay)->Arg(8)->Arg(32);
+BENCHMARK(BM_PlanExecutor)->ArgsProduct({{8, 32}, {0, 1}});
 
 }  // namespace
 }  // namespace chimera

@@ -2,7 +2,7 @@
 // bench for the persistent parallel execution substrate.
 //
 // Unlike the fig/table benches (which replay the *analytic* models or the
-// event simulator), this binary trains a real nn::SmallModelConfig through
+// simulator), this binary trains a real nn::SmallModelConfig through
 // PipelineTrainer and clocks iterations per second: persistent worker pool,
 // intra-op kernel sharding, the vectorized kernel tier and the zero-realloc
 // hot path all show up here or not at all. Each configuration is measured

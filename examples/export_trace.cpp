@@ -7,9 +7,10 @@
 //   $ ./examples/export_trace [scheme] [D] [N] [out.json]
 //     scheme ∈ {chimera, gpipe, dapple, gems, 1f1b}; default chimera 8 8
 //
-// The engine bills forward = 1 unit, backward = 2 units and the eager-opt
-// gradient-sync placement, so the exported timeline matches the practical
-// schedules in the paper (uneven forward/backward, overlapped allreduce).
+// The replay bills forward = 1 unit, backward = 2 units and the eager-opt
+// gradient-sync placement on a contended network, so the exported timeline
+// matches the practical schedules in the paper (uneven forward/backward,
+// overlapped allreduce).
 // One unit is one second of simulated time, 1e6 µs in the trace.
 #include <cstdio>
 #include <cstring>
@@ -18,7 +19,7 @@
 #include "core/sync_placement.h"
 #include "nn/stage.h"
 #include "obs/trace_json.h"
-#include "sim/event_engine.h"
+#include "sim/simulate.h"
 #include "support/timeline.h"
 
 using namespace chimera;
@@ -48,12 +49,11 @@ int main(int argc, char** argv) {
   validate(sched);
   sched = with_gradient_sync(sched, sync);
 
-  sim::EngineCosts costs;
-  costs.forward_seconds.assign(D, 1.0);
-  costs.backward_factor = 2.0;
-  costs.allreduce_seconds.assign(D, 1.0);
+  ReplayCosts costs;
+  costs.allreduce = 1.0;
   costs.begin_cpu_fraction = 0.1;
-  const sim::EngineResult r = run_engine(sched, costs);
+  costs.network = ReplayCosts::Network{};  // collectives share ports
+  const ReplayResult r = replay(sched, costs);
 
   std::printf("%s D=%d N=%d: makespan %.1f units, bubble ratio %.1f%%\n",
               scheme_name(scheme), D, N, r.makespan, 100.0 * r.bubble_ratio());

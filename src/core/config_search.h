@@ -31,7 +31,7 @@ struct SearchResult {
 };
 
 /// Throughput evaluator: sequences/s for a (feasible) config. Benches plug
-/// in either the performance model or the discrete-event simulator.
+/// in either the performance model or the simulator.
 using Evaluator = std::function<double(const ExecConfig&, bool recompute)>;
 
 /// The partition planners in the default tuning space: the paper-faithful

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/rng.h"
+
 namespace chimera {
 
 std::int64_t ExecutionPlan::p2p_tag(OpKind kind, int pipe, int stage,
@@ -89,12 +91,14 @@ ExecutionPlan::ExecutionPlan(const PipelineSchedule& s)
 
 namespace {
 
-double op_cost(const Op& op, const ReplayCosts& c) {
+inline double op_cost(const Op& op, const ReplayCosts& c) {
   switch (op.kind) {
     case OpKind::kForward:
-      return c.forward_cost(op.stage) * op.chunk;
+      return c.forward_cost(op.stage) * op.chunk *
+             (op.chunk > 1 ? c.double_forward_scale : 1.0);
     case OpKind::kBackward: {
-      double t = c.backward_cost(op.stage) / op.half_count;
+      double t = c.backward_cost(op.stage) / op.half_count *
+                 (op.half_count > 1 ? c.half_backward_scale : 1.0);
       if (c.recompute) t += c.forward_cost(op.stage) / op.half_count;
       return t;
     }
@@ -106,6 +110,13 @@ double op_cost(const Op& op, const ReplayCosts& c) {
   return 0.0;
 }
 
+/// Deterministic multiplicative noise on the duration of compute op i of
+/// worker w.
+double jitter(const ReplayCosts& c, int w, int i) {
+  Rng rng = Rng(c.seed).split(static_cast<std::uint64_t>(w) * 1000003u + i);
+  return std::max(0.2, 1.0 + c.jitter * rng.normal());
+}
+
 /// Volume factor of a p2p transfer feeding `op` (micro-batches moved).
 double p2p_volume(const Op& op) {
   if (op.kind == OpKind::kForward) return op.chunk;
@@ -113,67 +124,154 @@ double p2p_volume(const Op& op) {
   return 0.0;
 }
 
-}  // namespace
-
-ReplayResult replay(const ExecutionPlan& plan, const ReplayCosts& costs) {
+/// The replay, compiled once per case so the uncontended scan — the
+/// analyzer's and the performance model's hot path — carries none of the
+/// network's bookkeeping.
+template <bool kNetwork>
+ReplayResult execute(const ExecutionPlan& plan, const ReplayCosts& costs) {
   const PipelineSchedule& s = plan.schedule();
   const int D = s.depth;
+  const ReplayCosts::Network* net = kNetwork ? &*costs.network : nullptr;
   ReplayResult r;
   r.times.resize(D);
   r.busy.assign(D, 0.0);
   r.bubble.assign(D, 0.0);
-  for (int w = 0; w < D; ++w) r.times[w].resize(s.worker_ops[w].size());
+  // Each op's jitter factor (1 without jitter) waits in its end time until
+  // the op runs: a libm call, or one more table, inside the loop below
+  // would cost every op of the scan its registers.
+  for (int w = 0; w < D; ++w) {
+    r.times[w].assign(s.worker_ops[w].size(), OpTiming{0.0, 1.0});
+    if (costs.jitter > 0.0)
+      for (int i = 0; i < static_cast<int>(s.worker_ops[w].size()); ++i)
+        if (s.worker_ops[w][i].is_compute())
+          r.times[w][i].end = jitter(costs, w, i);
+  }
 
   std::vector<int> next(D, 0);  // next op index per worker
   std::vector<double> free_at(D, 0.0);
-  // Completion time of the gradient allreduce per stage, filled lazily when
-  // the wait op of the first group member executes.
-  std::vector<double> ar_done(D, -1.0);
+  // Per-stage gradient allreduce: Begins still to run (one per group
+  // member), the latest Begin's end, and the completion time once the last
+  // Begin has run.
+  std::vector<int> ar_missing(D);
+  std::vector<double> ar_launch(D, 0.0), ar_done(D, 0.0);
+  for (int st = 0; st < D; ++st)
+    ar_missing[st] = static_cast<int>(plan.allreduce_group(st).size());
 
-  std::size_t remaining = s.total_ops();
-  while (remaining > 0) {
-    bool progress = false;
+  // Network only: each worker's sends in the order they queue on its
+  // out-link — by producing op, then by consumer (worker, index) — how many
+  // have gone, and each op's latest message arrival.
+  std::vector<std::vector<std::pair<int, OpRef>>> sends(net ? D : 0);
+  std::vector<std::size_t> sent(net ? D : 0, 0);
+  std::vector<std::vector<double>> arrival(net ? D : 0);
+  std::vector<double> link_free(net ? D : 0, 0.0), port_free = link_free;
+  if (net) {
     for (int w = 0; w < D; ++w) {
-      // Drain every currently-ready op of this worker before moving on; this
-      // keeps the scan count proportional to the makespan, not to op count.
-      while (next[w] < static_cast<int>(s.worker_ops[w].size())) {
-        const PlannedOp& pop = plan.worker_plan(w)[next[w]];
-        const Op& op = pop.op;
-        double ready = free_at[w];
-        bool ok = true;
-        for (const OpRef& d : pop.deps) {
-          if (d.worker == w) {
-            if (d.index >= next[w]) { ok = false; break; }
-            ready = std::max(ready, r.times[d.worker][d.index].end);
-          } else {
-            if (d.index >= next[d.worker]) { ok = false; break; }
-            ready = std::max(ready, r.times[d.worker][d.index].end +
-                                        costs.p2p * p2p_volume(op));
-          }
+      arrival[w].assign(s.worker_ops[w].size(), 0.0);
+      for (const PlannedOp& pop : plan.worker_plan(w))
+        for (const OpRef& d : pop.deps)
+          if (d.worker != w && pop.op.is_compute())
+            sends[d.worker].push_back({d.index, pop.ref});
+    }
+    for (auto& q : sends)
+      std::stable_sort(q.begin(), q.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      });
+  }
+
+  // Hoisted: the loop's stores to doubles could otherwise alias them.
+  const double p2p = costs.p2p;
+
+  // Start time of worker w's next op, or false while it has none or a
+  // dependency is still unexecuted. Forced inline into both selection
+  // loops below: an outlined call here doubles the scan's cost.
+  const auto ready = [&](int w, double& start) __attribute__((always_inline)) {
+    if (next[w] == static_cast<int>(s.worker_ops[w].size())) return false;
+    const PlannedOp& pop = plan.worker_plan(w)[next[w]];
+    const Op& op = pop.op;
+    start = free_at[w];
+    for (const OpRef& d : pop.deps) {
+      if (d.index >= next[d.worker]) return false;
+      double avail = r.times[d.worker][d.index].end;
+      if (d.worker != w && !net) avail += p2p * p2p_volume(op);
+      start = std::max(start, avail);
+    }
+    if (net && op.is_compute()) start = std::max(start, arrival[w][next[w]]);
+    if (op.kind == OpKind::kAllReduceWait)
+      start = std::max(start, ar_done[op.stage]);
+    return true;
+  };
+
+  for (std::size_t remaining = s.total_ops(); remaining > 0;) {
+    // The selection rule is the one place the two cases differ.
+    // Uncontended, any ASAP order gives the same times: drain every ready
+    // op of each worker in scan order, which keeps the scan count
+    // proportional to the makespan. Contended, shared links and ports make
+    // order matter: run only the earliest-starting ready op, ties to the
+    // highest worker (PlanExecutor.SweepBitsMatchGolden pins this order).
+    int lo = 0, hi = D;
+    if (net) {
+      double earliest = 0.0;
+      lo = hi = 0;  // nothing ready: deadlock, reported below
+      for (int w = 0; w < D; ++w) {
+        double start;
+        if (ready(w, start) && (hi == 0 || start <= earliest)) {
+          lo = w;
+          hi = w + 1;
+          earliest = start;
         }
-        if (!ok) break;
-        if (op.kind == OpKind::kAllReduceWait) {
-          if (ar_done[op.stage] < 0.0) {
-            double launch = 0.0;
-            for (int g : plan.allreduce_group(op.stage)) {
-              OpRef b = plan.index().allreduce_begin(g, op.stage);
-              launch = std::max(launch, r.times[b.worker][b.index].end);
-            }
-            ar_done[op.stage] = launch + costs.allreduce_cost(op.stage);
-          }
-          ready = std::max(ready, ar_done[op.stage]);
-        }
-        const double dur = op_cost(op, costs);
-        r.times[w][next[w]] = OpTiming{ready, ready + dur};
-        free_at[w] = ready + dur;
+      }
+    }
+    bool progress = false;
+    for (int w = lo; w < hi; ++w) {
+      double start;
+      while (ready(w, start)) {
+        const int i = next[w];
+        const Op& op = s.worker_ops[w][i];
+        const double dur = op_cost(op, costs) * r.times[w][i].end;
+        const double end = start + dur;
+        r.times[w][i] = OpTiming{start, end};
+        free_at[w] = end;
         if (op.is_compute()) {
           r.busy[w] += dur;
-          r.compute_makespan = std::max(r.compute_makespan, ready + dur);
+          r.compute_makespan = std::max(r.compute_makespan, end);
         }
-        r.makespan = std::max(r.makespan, ready + dur);
+        r.makespan = std::max(r.makespan, end);
+
+        if (op.kind == OpKind::kAllReduceBegin) {
+          ar_launch[op.stage] = std::max(ar_launch[op.stage], end);
+          if (--ar_missing[op.stage] == 0) {
+            // With a network, a collective occupies the port of every
+            // participant, so collectives sharing a worker serialize (the
+            // host-based GLOO reality). Eager placement exploits this:
+            // early stages' allreduces drain during bubbles instead of
+            // queueing together after the flush.
+            double t = ar_launch[op.stage];
+            if (net)
+              for (int g : plan.allreduce_group(op.stage))
+                t = std::max(t, port_free[g]);
+            ar_done[op.stage] = t + costs.allreduce_cost(op.stage);
+            if (net)
+              for (int g : plan.allreduce_group(op.stage))
+                port_free[g] = ar_done[op.stage];
+          }
+        }
+        for (; net && sent[w] < sends[w].size() &&
+               sends[w][sent[w]].first == i;
+             ++sent[w]) {
+          const OpRef c = sends[w][sent[w]].second;
+          const bool intra = net->node_size > 0 &&
+                             w / net->node_size == c.worker / net->node_size;
+          const double bytes = net->boundary_bytes * p2p_volume(s.op(c));
+          link_free[w] = std::max(link_free[w], end) +
+                         (intra ? net->intra_beta : net->beta) * bytes;
+          double& a = arrival[c.worker][c.index];
+          a = std::max(a, link_free[w] +
+                              (intra ? net->intra_alpha : net->alpha));
+        }
         ++next[w];
         --remaining;
         progress = true;
+        if (net) break;
       }
     }
     CHIMERA_CHECK_MSG(progress, "schedule deadlocked: circular wait between "
@@ -181,6 +279,13 @@ ReplayResult replay(const ExecutionPlan& plan, const ReplayCosts& costs) {
   }
   for (int w = 0; w < D; ++w) r.bubble[w] = r.compute_makespan - r.busy[w];
   return r;
+}
+
+}  // namespace
+
+ReplayResult replay(const ExecutionPlan& plan, const ReplayCosts& costs) {
+  return costs.network ? execute<true>(plan, costs)
+                       : execute<false>(plan, costs);
 }
 
 std::vector<int> max_live_cache_bindings(const ExecutionPlan& plan) {

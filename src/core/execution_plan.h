@@ -11,11 +11,13 @@
 //     the last backward half releases it),
 //   - the gradient-allreduce group of every stage.
 //
-// Three consumers execute the same plan: the analyzer's ASAP replay
-// (reference timing semantics), the discrete-event cluster simulator
-// (src/sim) and the threaded training runtime (src/runtime). Because all
-// three walk identical dependency lists and transfer units, properties
-// proven against the replay transfer to simulated and real execution.
+// Two executors run the same plan: the costed replay below and the threaded
+// training runtime (src/runtime). The replay is the reference timing
+// semantics of the analyzer and the performance model and, given a
+// contended network (ReplayCosts::network), the cluster simulator
+// (src/sim). Because both executors walk identical dependency lists and
+// transfer units, properties proven against the replay transfer to
+// simulated and real execution.
 #pragma once
 
 #include <cstdint>
@@ -92,9 +94,13 @@ class ExecutionPlan {
   std::vector<bool> halved_micro_;
 };
 
-/// Dependency-driven ASAP replay of the plan — the reference executor
-/// semantics (see core/schedule_analysis.h for the cost model). The
-/// PipelineSchedule/OpIndex overloads declared there lower onto this one.
+/// Dependency-driven replay of the plan — the one costed executor (see
+/// core/schedule_analysis.h for the cost model). Without a network every op
+/// starts as soon as its worker and its inputs are free (ASAP). With one,
+/// ops run earliest-start first, ties to the highest worker, so sends queue
+/// on out-links and collectives on ports in time order. Throws CheckError
+/// on deadlock. The PipelineSchedule overload declared there lowers onto
+/// this one.
 ReplayResult replay(const ExecutionPlan& plan, const ReplayCosts& costs);
 
 /// Per-worker high-water mark of stashed forward activations, in

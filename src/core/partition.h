@@ -18,7 +18,7 @@
 //                    profile.
 //
 // The analytic models (core/perf_model, core/memory_model), the
-// discrete-event simulator (sim/simulate) and the threaded runtime
+// simulator (sim/simulate) and the threaded runtime
 // (runtime/trainer → nn::StageModule) all consume the same Partition, so
 // they provably execute the same split. See DESIGN.md §3.
 #pragma once

@@ -52,7 +52,7 @@ PerfBreakdown PerfModel::breakdown(const ExecConfig& cfg) const {
   const ExecutionPlan plan(sched);  // one lowering, replayed with many costs
 
   // Planned stages are not equal-cost: bill the replay per stage, exactly
-  // the durations the discrete-event simulator charges.
+  // the durations the simulator's contended replay charges.
   ReplayCosts costs;
   costs.forward_by_stage.resize(cfg.D);
   costs.backward_by_stage.resize(cfg.D);

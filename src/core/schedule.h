@@ -1,13 +1,13 @@
 // Pipeline-schedule intermediate representation.
 //
-// A PipelineSchedule is the single data structure shared by the analyzer
-// (src/core/schedule_analysis.*), the discrete-event cluster simulator
-// (src/sim) and the real threaded training runtime (src/runtime). It stores,
-// for every worker, an *ordered* list of operations plus the stage→worker
-// mapping of every logical pipeline. Start times are never stored: both the
-// idealized equal-workload timing and the practical backward≈2×forward timing
-// are derived by dependency-driven (ASAP) replay, exactly like a real
-// deployment executes the order.
+// A PipelineSchedule is the single data structure shared by the costed
+// replay (core/execution_plan.h: the analyzer, the performance model and
+// the cluster simulator in src/sim) and the real threaded training runtime
+// (src/runtime). It stores, for every worker, an *ordered* list of
+// operations plus the stage→worker mapping of every logical pipeline. Start
+// times are never stored: both the idealized equal-workload timing and the
+// practical backward≈2×forward timing are derived by dependency-driven
+// (ASAP) replay, exactly like a real deployment executes the order.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,15 @@
-// Schedule analysis: dependency extraction, dependency-driven (ASAP) timing
-// replay, bubble accounting, activation high-water marks and the closed-form
-// expressions of the paper's Table 2 / Table 3.
+// Schedule analysis: dependency extraction, the costed plan executor's cost
+// and result types, bubble accounting, activation high-water marks and the
+// closed-form expressions of the paper's Table 2 / Table 3.
 //
 // OpIndex is the raw op-lookup/dependency layer. The shared ExecutionPlan
-// (core/execution_plan.h) is built on top of it and is what the analyzer's
-// replay, the discrete-event simulator (src/sim) and the threaded runtime
-// (src/runtime) all execute, so properties proven against the replay
-// transfer to simulated and real execution.
+// (core/execution_plan.h) is built on top of it and is what the costed
+// replay and the threaded runtime (src/runtime) both execute, so properties
+// proven against the replay transfer to simulated and real execution.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,12 +61,14 @@ class OpIndex {
   std::vector<std::vector<int>> ar_group_;
 };
 
-/// Abstract per-op costs for the timing replay. Units are arbitrary
-/// (the analyzer uses forward = 1; the performance model uses seconds).
+/// Per-op costs for the replay. Units are arbitrary (the analyzer uses
+/// forward = 1; the performance model and the simulator use seconds).
 struct ReplayCosts {
   double forward = 1.0;    ///< one micro-batch forward on one stage
   double backward = 2.0;   ///< one micro-batch backward (paper: ≈ 2×forward)
-  double p2p = 0.0;        ///< boundary-crossing activation/grad transfer
+  /// Boundary-crossing transfer per micro-batch moved, with no queueing:
+  /// the §3.4 latency. Ignored when `network` is set.
+  double p2p = 0.0;
   double allreduce = 0.0;  ///< duration of one stage's gradient allreduce
   /// Per-stage forward/backward durations (planned Partition stages are not
   /// equal-cost); override the scalars when non-empty.
@@ -77,6 +80,32 @@ struct ReplayCosts {
   /// collective duration (nonblocking-progression overhead, §3.2).
   double begin_cpu_fraction = 0.0;
   bool recompute = false;  ///< activation recomputation: backward += forward
+  /// §3.5 method costs: a halved backward runs B/2 at lower kernel
+  /// saturation (time × this, ≥ 1); a doubled forward fuses two
+  /// micro-batches into one better-saturated kernel (time × this, ≤ 1).
+  double half_backward_scale = 1.0;
+  double double_forward_scale = 1.0;
+  /// Multiplicative compute jitter (stddev fraction); 0 = deterministic.
+  double jitter = 0.0;
+  std::uint64_t seed = 0x5eed;
+
+  /// A contended machine. Each worker's out-link serializes its sends
+  /// (α–β: a message of bytes = boundary_bytes·volume holds the link for
+  /// β·bytes and lands α later), and each worker's collective port
+  /// serializes the allreduces it joins.
+  struct Network {
+    double alpha = 0.0;
+    double beta = 0.0;
+    double boundary_bytes = 0.0;
+    /// Hierarchical interconnect (MachineSpec::node_size): transfers between
+    /// workers in the same node_size block use the intra-node parameters.
+    int node_size = 0;
+    double intra_alpha = 0.0;
+    double intra_beta = 0.0;
+  };
+  /// Set: the simulator. Unset: p2p is the latency above and collectives
+  /// never contend — the performance model, trace report and sync placement.
+  std::optional<Network> network;
 
   double forward_cost(int stage) const {
     if (!forward_by_stage.empty()) return forward_by_stage.at(stage);
@@ -97,7 +126,7 @@ struct OpTiming {
   double end = 0.0;
 };
 
-/// Result of a dependency-driven ASAP replay.
+/// Result of a replay.
 struct ReplayResult {
   std::vector<std::vector<OpTiming>> times;  ///< [worker][op index]
   double makespan = 0.0;                     ///< end of last op (incl. waits)

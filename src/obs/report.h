@@ -82,7 +82,7 @@ struct TraceReport {
 };
 
 /// The span kind recorded for a training or serving plan op, shared by the
-/// runtime, the simulator's trace export and the analyzer.
+/// runtime, the replay's trace export (sim::engine_trace) and the analyzer.
 EventKind op_event_kind(OpKind k);
 
 /// Full analysis. Throws CheckError on traces that do not match their own

@@ -1,8 +1,8 @@
 // Runtime tracing: per-thread span recording for the real execution stack
 // (DESIGN.md §9).
 //
-// sim::engine_trace exports what the simulator *predicts* in the same trace
-// format; this recorder shows what the WorkerPool actually did. Every
+// sim::engine_trace exports what a replay (the simulator's or the model's)
+// *predicts* in the same trace format; this recorder shows what the WorkerPool actually did. Every
 // instrumented site follows one pattern: an RAII guard (Span / OpSpan) or a
 // one-shot instant() that appends a TraceEvent into a per-thread ring
 // buffer. Contracts:

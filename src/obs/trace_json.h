@@ -64,7 +64,8 @@ struct TraceDoc {
 /// Deterministic serialization: same doc -> byte-identical string.
 std::string trace_doc_to_json(const TraceDoc& doc);
 
-/// Parses a document produced by trace_doc_to_json or sim::engine_trace.
+/// Parses a document produced by trace_doc_to_json, from a recorded run or
+/// from a replay exported by sim::engine_trace.
 /// Throws CheckError on malformed input or schema violations; never
 /// partially succeeds.
 TraceDoc trace_from_json(const std::string& json);

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/partition.h"
-#include "core/schedule_analysis.h"
+#include "obs/report.h"
 
 namespace chimera::sim {
 
@@ -12,15 +12,7 @@ SimResult simulate(const ExecConfig& cfg, const ModelSpec& model,
   SimResult out;
 
   // ---- memory feasibility + recompute resolution -------------------------
-  bool recompute = false;
-  switch (cfg.recompute) {
-    case Recompute::kOff: recompute = false; break;
-    case Recompute::kOn: recompute = true; break;
-    case Recompute::kAuto:
-      recompute =
-          !memory_model(cfg, model, machine, /*recompute=*/false).fits(machine);
-      break;
-  }
+  const bool recompute = resolve_recompute(cfg, model, machine);
   out.memory = memory_model(cfg, model, machine, recompute);
   out.recompute = recompute;
   if (!out.memory.fits(machine)) {
@@ -64,15 +56,18 @@ SimResult simulate(const ExecConfig& cfg, const ModelSpec& model,
     return out;
   }
 
-  // ---- synchronous schemes: event engine ---------------------------------
+  // ---- synchronous schemes: replay on the contended machine -------------
   PipelineSchedule sched = build_schedule(cfg.scheme, cfg.schedule_config());
   sched = with_gradient_sync(sched, cfg.sync);
 
-  EngineCosts costs;
-  costs.forward_seconds.resize(cfg.D);
-  for (int st = 0; st < cfg.D; ++st)
-    costs.forward_seconds[st] = part.stage_fwd_flops(st, cfg.B) / eff;
-  costs.backward_factor = bf;
+  ReplayCosts costs;
+  costs.forward_by_stage.resize(cfg.D);
+  costs.backward_by_stage.resize(cfg.D);
+  for (int st = 0; st < cfg.D; ++st) {
+    const double f = part.stage_fwd_flops(st, cfg.B) / eff;
+    costs.forward_by_stage[st] = f;
+    costs.backward_by_stage[st] = f * bf;
+  }
   // §3.5 method costs: halved backwards lose kernel saturation, doubled
   // forwards gain it.
   const double sat_b = machine.micro_batch_saturation(cfg.B, model.seq);
@@ -80,24 +75,25 @@ SimResult simulate(const ExecConfig& cfg, const ModelSpec& model,
       sat_b / machine.micro_batch_saturation(cfg.B / 2.0, model.seq);
   costs.double_forward_scale =
       sat_b / machine.micro_batch_saturation(2.0 * cfg.B, model.seq);
-  costs.alpha = machine.alpha;
-  costs.beta = machine.beta;
-  costs.node_size = machine.node_size;
-  costs.intra_alpha = machine.intra_alpha;
-  costs.intra_beta = machine.intra_beta;
-  costs.boundary_bytes = model.boundary_bytes(cfg.B);
+  costs.network = ReplayCosts::Network{
+      .alpha = machine.alpha,
+      .beta = machine.beta,
+      .boundary_bytes = model.boundary_bytes(cfg.B),
+      .node_size = machine.node_size,
+      .intra_alpha = machine.intra_alpha,
+      .intra_beta = machine.intra_beta};
   const int replicas = cfg.allreduce_replicas(sched.num_pipes);
-  costs.allreduce_seconds.resize(cfg.D);
+  costs.allreduce_by_stage.resize(cfg.D);
   for (int st = 0; st < cfg.D; ++st)
-    costs.allreduce_seconds[st] = machine.allreduce_seconds(
+    costs.allreduce_by_stage[st] = machine.allreduce_seconds(
         replicas, 4.0 * static_cast<double>(part.stage_params(st)));
   costs.begin_cpu_fraction = machine.nonblocking_cpu_fraction;
   costs.jitter = opts.jitter;
   costs.seed = opts.seed;
 
-  out.engine = run_engine(sched, costs);
-  out.iteration_seconds = out.engine.makespan;
-  out.bubble_ratio = out.engine.bubble_ratio();
+  const ReplayResult r = replay(sched, costs);
+  out.iteration_seconds = r.makespan;
+  out.bubble_ratio = r.bubble_ratio();
   out.throughput = static_cast<double>(cfg.minibatch) / out.iteration_seconds;
   return out;
 }
@@ -106,6 +102,28 @@ double simulated_throughput(const ExecConfig& cfg, const ModelSpec& model,
                             const MachineSpec& machine) {
   const SimResult r = simulate(cfg, model, machine);
   return r.feasible ? r.throughput : 0.0;
+}
+
+obs::TraceDoc engine_trace(const PipelineSchedule& schedule,
+                           const ReplayResult& result, obs::TraceMeta meta) {
+  CHIMERA_CHECK(result.times.size() == schedule.worker_ops.size());
+  obs::TraceDoc doc;
+  doc.meta = std::move(meta);
+  for (int w = 0; w < schedule.depth; ++w) {
+    const std::vector<Op>& ops = schedule.worker_ops[w];
+    CHIMERA_CHECK(result.times[w].size() == ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+      doc.events.push_back({.kind = obs::op_event_kind(ops[i].kind),
+                            .worker = w,
+                            .micro = ops[i].micro,
+                            .stage = ops[i].stage,
+                            .pipe = ops[i].pipe,
+                            .op_index = static_cast<int>(i),
+                            .t0_us = result.times[w][i].start * 1e6,
+                            .t1_us = result.times[w][i].end * 1e6,
+                            .seq = i});
+  }
+  return doc;
 }
 
 }  // namespace chimera::sim

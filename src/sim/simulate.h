@@ -1,7 +1,10 @@
 // High-level simulation entry point: resolves an ExecConfig against a model
-// and machine, runs the event engine (synchronous schemes) or the bubble-free
-// steady-state model (asynchronous schemes), and reports the metrics the
-// paper's evaluation plots: throughput, bubble ratio, per-worker memory.
+// and machine, replays the plan on a contended machine (synchronous schemes;
+// ReplayCosts::network set: serializing α–β out-links, collectives that
+// queue on each participant's port, optional deterministic compute jitter)
+// or evaluates the bubble-free steady-state model (asynchronous schemes),
+// and reports the metrics the paper's evaluation plots: throughput, bubble
+// ratio, per-worker memory. It is the "measurement" side of Fig. 13.
 #pragma once
 
 #include <string>
@@ -10,7 +13,8 @@
 #include "core/exec_config.h"
 #include "core/memory_model.h"
 #include "core/model_spec.h"
-#include "sim/event_engine.h"
+#include "core/schedule_analysis.h"
+#include "obs/trace_json.h"
 
 namespace chimera::sim {
 
@@ -27,7 +31,6 @@ struct SimResult {
   bool feasible = false;     ///< false: OOM even with recomputation
   std::string note;
   MemoryReport memory;
-  EngineResult engine;       ///< populated for synchronous schemes
 };
 
 /// Simulates one training iteration of `cfg`. For PipeDream/PipeDream-2BW
@@ -41,5 +44,11 @@ SimResult simulate(const ExecConfig& cfg, const ModelSpec& model,
 /// Convenience evaluator for config_search.
 double simulated_throughput(const ExecConfig& cfg, const ModelSpec& model,
                             const MachineSpec& machine);
+
+/// A replay as the obs trace a measured run records, so trace_report reads
+/// both: one plan-op span per op on worker w, lane 0, seq = op_index = its
+/// position in w's program, times in µs. `meta` names the deployment.
+obs::TraceDoc engine_trace(const PipelineSchedule& schedule,
+                           const ReplayResult& result, obs::TraceMeta meta);
 
 }  // namespace chimera::sim

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/cost_model.h"
-#include "sim/event_engine.h"
 #include "sim/simulate.h"
 
 namespace chimera {
@@ -68,16 +67,18 @@ TEST(Topology, EngineBillsIntraNodeTransfersCheaper) {
   // 4-GPU nodes. The straddling one pays inter-node α–β on the boundary.
   const PipelineSchedule s =
       build_schedule(Scheme::kOneF1B, {8, 8, 1, ScaleMethod::kDirect});
-  sim::EngineCosts costs;
-  costs.forward_seconds.assign(8, 1e-3);
-  costs.boundary_bytes = 4.0e6;
-  costs.alpha = 25e-6;
-  costs.beta = 1.0 / 1.0e9;  // slow fabric: 4 ms per boundary
-  const sim::EngineResult cross = run_engine(s, costs);
-  costs.node_size = 8;  // now all 8 workers share a node
-  costs.intra_alpha = 1e-6;
-  costs.intra_beta = 1.0 / 50.0e9;
-  const sim::EngineResult intra = run_engine(s, costs);
+  ReplayCosts costs;
+  costs.forward_by_stage.assign(8, 1e-3);
+  costs.backward_by_stage.assign(8, 1e-3 * 2.0);
+  costs.network = ReplayCosts::Network{};
+  costs.network->boundary_bytes = 4.0e6;
+  costs.network->alpha = 25e-6;
+  costs.network->beta = 1.0 / 1.0e9;  // slow fabric: 4 ms per boundary
+  const ReplayResult cross = replay(s, costs);
+  costs.network->node_size = 8;  // now all 8 workers share a node
+  costs.network->intra_alpha = 1e-6;
+  costs.network->intra_beta = 1.0 / 50.0e9;
+  const ReplayResult intra = replay(s, costs);
   EXPECT_LT(intra.makespan, cross.makespan);
 }
 

@@ -1,7 +1,7 @@
 // Simulated runs exported as obs traces (sim::engine_trace): a simulated
 // timeline is a trace like a measured one. It passes the analyzer's
 // structural checks, round-trips bitwise through the trace JSON, and the
-// analyzer's measured bubble is the engine's own bubble ratio.
+// analyzer's measured bubble is the replay's own bubble ratio.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,19 +10,21 @@
 #include "core/sync_placement.h"
 #include "obs/report.h"
 #include "obs/trace_json.h"
-#include "sim/event_engine.h"
+#include "sim/simulate.h"
 
 namespace chimera::sim {
 namespace {
 
 /// Uneven stages and a nonzero allreduce launch cost, so neither compute
-/// nor the sync ops line up by accident.
-EngineCosts uneven_costs() {
-  EngineCosts c;
-  c.forward_seconds = {1.0, 1.25, 1.5, 0.75};
-  c.backward_factor = 2.0;
-  c.allreduce_seconds.assign(4, 0.5);
+/// nor the sync ops line up by accident; collectives contend on a network
+/// whose links cost nothing.
+ReplayCosts uneven_costs() {
+  ReplayCosts c;
+  c.forward_by_stage = {1.0, 1.25, 1.5, 0.75};
+  for (double f : c.forward_by_stage) c.backward_by_stage.push_back(f * 2.0);
+  c.allreduce_by_stage.assign(4, 0.5);
   c.begin_cpu_fraction = 0.1;
+  c.network = ReplayCosts::Network{};
   return c;
 }
 
@@ -51,7 +53,7 @@ TEST(SimTrace, EveryTrainingSchemeChecksRoundTripsAndKeepsItsBubble) {
                    sync_policy_name(sync));
       const PipelineSchedule s = with_gradient_sync(
           build_schedule(scheme, {4, 4, 1, ScaleMethod::kDirect}), sync);
-      const EngineResult r = run_engine(s, uneven_costs());
+      const ReplayResult r = replay(s, uneven_costs());
       const obs::TraceDoc doc =
           engine_trace(s, r, training_meta(scheme, sync, 4, 4));
       ASSERT_EQ(doc.events.size(), s.total_ops());
@@ -73,7 +75,7 @@ TEST(SimTrace, SpansCarryThePlanIdentityInMicroseconds) {
   const PipelineSchedule s = with_gradient_sync(
       build_schedule(Scheme::kChimera, {4, 4, 1, ScaleMethod::kDirect}),
       SyncPolicy::kEagerOpt);
-  const EngineResult r = run_engine(s, uneven_costs());
+  const ReplayResult r = replay(s, uneven_costs());
   const obs::TraceDoc doc = engine_trace(
       s, r, training_meta(Scheme::kChimera, SyncPolicy::kEagerOpt, 4, 4));
   std::size_t n = 0;
@@ -89,8 +91,8 @@ TEST(SimTrace, SpansCarryThePlanIdentityInMicroseconds) {
       EXPECT_EQ(e.micro, op.micro);
       EXPECT_EQ(e.stage, op.stage);
       EXPECT_EQ(e.pipe, op.pipe);
-      EXPECT_EQ(e.t0_us, r.op_start[w][i] * 1e6);
-      EXPECT_EQ(e.t1_us, r.op_end[w][i] * 1e6);
+      EXPECT_EQ(e.t0_us, r.times[w][i].start * 1e6);
+      EXPECT_EQ(e.t1_us, r.times[w][i].end * 1e6);
     }
   }
   EXPECT_EQ(n, doc.events.size());
