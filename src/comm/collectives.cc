@@ -1,9 +1,9 @@
 // Collective algorithms over the mailbox p2p layer. Every routine is a real
 // distributed algorithm (the message pattern a cluster implementation would
 // execute), not a shared-memory shortcut: ring reduce-scatter/allgather,
-// recursive doubling, recursive halving (Rabenseifner), binomial trees and
-// pairwise exchange — the textbook set (Thakur/Rabenseifner/Gropp 2005)
-// referenced by the paper's cost model (§3.4).
+// recursive doubling and recursive halving (Rabenseifner) — the allreduce
+// algorithms of Thakur/Rabenseifner/Gropp 2005 that the paper's cost model
+// prices (§3.4).
 #include <algorithm>
 #include <cstring>
 
@@ -25,15 +25,6 @@ const char* allreduce_algo_name(AllreduceAlgo a) {
 
 namespace {
 
-Tensor wrap(const float* data, std::size_t n) { return Tensor(data, n); }
-
-/// memcpy with the zero-size case made well-defined: a received empty
-/// segment (n < group size) wraps a null payload pointer, and passing that
-/// to memcpy is UB even at count 0 (nonnull attribute — UBSan flags it).
-void copy_floats(float* dst, const float* src, std::size_t count) {
-  if (count > 0) std::memcpy(dst, src, count * sizeof(float));
-}
-
 int index_in(const std::vector<int>& group, int rank) {
   auto it = std::find(group.begin(), group.end(), rank);
   CHIMERA_CHECK_MSG(it != group.end(), "rank not in group");
@@ -41,13 +32,6 @@ int index_in(const std::vector<int>& group, int rank) {
 }
 
 bool is_pow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
-
-/// Smallest power of two ≥ g (the binomial-tree fan-out of the root).
-int pow2_ceil(int g) {
-  int p = 1;
-  while (p < g) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -259,13 +243,7 @@ Request Communicator::launch(const std::vector<int>& group, std::size_t n,
   // launch order defines matching across ranks; only the message exchange
   // itself runs on the progress thread.
   const std::int64_t tag = collective_tag(context);
-  auto state = std::make_unique<Request::State>();
-  Request::State* raw = state.get();
-  raw->thread = std::thread([exchange = std::move(exchange), tag, raw] {
-    exchange(tag);
-    raw->done.store(true);
-  });
-  return Request{std::move(state)};
+  return Request{std::thread(std::move(exchange), tag)};
 }
 
 Request Communicator::iallreduce_sum(FlatView data,
@@ -300,66 +278,6 @@ Request Communicator::ireduce_scatter_segment(FlatView data,
                 });
 }
 
-void Communicator::broadcast(float* data, std::size_t n, int root_index,
-                             const std::vector<int>& group, std::int64_t context) {
-  const int g = static_cast<int>(group.size());
-  if (g <= 1 || n == 0) return;
-  CHIMERA_CHECK(root_index >= 0 && root_index < g);
-  const int me = index_in(group, rank_);
-  const std::int64_t tag = collective_tag(context);
-  // Binomial tree rooted at root_index: work in rank coordinates relative to
-  // the root; relative rank v receives from v − lowbit(v) and forwards to
-  // v + 2^k for all 2^k < lowbit-range above its reception round.
-  const int rel = (me - root_index + g) % g;
-  // Receive phase (non-roots): from the parent that clears my lowest set bit.
-  if (rel != 0) {
-    int lowbit = rel & -rel;
-    const int parent_rel = rel - lowbit;
-    Tensor part = recv(group[(parent_rel + root_index) % g], tag);
-    CHIMERA_CHECK(part.numel() == n);
-    copy_floats(data, part.data(), n);
-  }
-  // Send phase: forward to children rel + d, d descending from half my
-  // subtree span. The root's span is the smallest power of two ≥ g.
-  const int lowbit = rel == 0 ? pow2_ceil(g) : (rel & -rel);
-  for (int d = lowbit >> 1; d >= 1; d >>= 1) {
-    const int child_rel = rel + d;
-    if (child_rel < g)
-      send(group[(child_rel + root_index) % g], tag, wrap(data, n));
-  }
-}
-
-void Communicator::reduce_sum(float* data, std::size_t n, int root_index,
-                              const std::vector<int>& group, std::int64_t context) {
-  const int g = static_cast<int>(group.size());
-  if (g <= 1 || n == 0) return;
-  CHIMERA_CHECK(root_index >= 0 && root_index < g);
-  const int me = index_in(group, rank_);
-  const std::int64_t tag = collective_tag(context);
-  // Binomial tree, mirror image of broadcast: children send up first, each
-  // parent reduces in child order (deterministic summation order for a given
-  // group, required for cross-run determinism of the runtime).
-  const int rel = (me - root_index + g) % g;
-  const int lowbit = rel == 0 ? pow2_ceil(g) : (rel & -rel);
-  for (int d = 1; d < lowbit && rel + d < g; d <<= 1) {
-    Tensor part = recv(group[(rel + d + root_index) % g], tag);
-    CHIMERA_CHECK(part.numel() == n);
-    vector_add(data, part.data(), n);
-  }
-  if (rel != 0)
-    send(group[(rel - lowbit + root_index) % g], tag, wrap(data, n));
-}
-
-void Communicator::reduce_scatter_sum(const FlatView& data,
-                                      const std::vector<int>& group,
-                                      std::int64_t context) {
-  if (group.size() <= 1 || data.size() == 0) return;
-  const int g = static_cast<int>(group.size());
-  data.unpack(segment_begin(data.size(), g, index_in(group, rank_)),
-              reduce_scatter_with_tag(data, group, collective_tag(context),
-                                      first_partial(data, group)));
-}
-
 Tensor Communicator::reduce_scatter_segment(const FlatView& data,
                                             const std::vector<int>& group,
                                             std::int64_t context) {
@@ -370,78 +288,9 @@ Tensor Communicator::reduce_scatter_segment(const FlatView& data,
 }
 
 void Communicator::allgather(const FlatView& data, const std::vector<int>& group,
-                             std::int64_t context) {
-  if (group.size() <= 1 || data.size() == 0) return;
-  const int g = static_cast<int>(group.size());
-  const int me = index_in(group, rank_);
-  allgather(data, group, context,
-            data.pack(segment_begin(data.size(), g, me),
-                      segment_begin(data.size(), g, me + 1)));
-}
-
-void Communicator::allgather(const FlatView& data, const std::vector<int>& group,
                              std::int64_t context, Tensor own) {
   if (group.size() <= 1 || data.size() == 0) return;
   allgather_with_tag(data, group, collective_tag(context), std::move(own));
-}
-
-void Communicator::gather(const float* data, std::size_t n, float* out,
-                          int root_index, const std::vector<int>& group,
-                          std::int64_t context) {
-  const int g = static_cast<int>(group.size());
-  if (n == 0) return;
-  CHIMERA_CHECK(root_index >= 0 && root_index < g);
-  const int me = index_in(group, rank_);
-  const std::int64_t tag = collective_tag(context);
-  if (me == root_index) {
-    std::memcpy(out + static_cast<std::size_t>(me) * n, data, n * sizeof(float));
-    for (int r = 0; r < g; ++r) {
-      if (r == root_index) continue;
-      Tensor part = recv(group[r], tag + r);
-      CHIMERA_CHECK(part.numel() == n);
-      std::memcpy(out + static_cast<std::size_t>(r) * n, part.data(),
-                  n * sizeof(float));
-    }
-  } else {
-    send(group[root_index], tag + me, wrap(data, n));
-  }
-}
-
-void Communicator::alltoall(const float* send_buf, float* recv_buf, std::size_t n,
-                            const std::vector<int>& group, std::int64_t context) {
-  const int g = static_cast<int>(group.size());
-  if (n == 0) return;
-  const int me = index_in(group, rank_);
-  const std::int64_t tag = collective_tag(context);
-  std::memcpy(recv_buf + static_cast<std::size_t>(me) * n,
-              send_buf + static_cast<std::size_t>(me) * n, n * sizeof(float));
-  // Pairwise exchange: in round k exchange with me XOR k (power-of-two
-  // groups) or the (me+k, me−k) rotation otherwise.
-  for (int k = 1; k < g; ++k) {
-    int peer;
-    if (is_pow2(g)) {
-      peer = me ^ k;
-    } else {
-      peer = (me + k) % g;
-    }
-    const int from = is_pow2(g) ? peer : (me - k + g) % g;
-    send(group[peer], tag + k, wrap(send_buf + static_cast<std::size_t>(peer) * n, n));
-    Tensor part = recv(group[from], tag + k);
-    CHIMERA_CHECK(part.numel() == n);
-    std::memcpy(recv_buf + static_cast<std::size_t>(from) * n, part.data(),
-                n * sizeof(float));
-  }
-}
-
-void Communicator::barrier(const std::vector<int>& group, std::int64_t context) {
-  const int g = static_cast<int>(group.size());
-  if (g <= 1) return;
-  const int me = index_in(group, rank_);
-  const std::int64_t tag = collective_tag(context);
-  for (int dist = 1; dist < g; dist <<= 1) {
-    send(group[(me + dist) % g], tag + dist, Tensor(1, 1));
-    (void)recv(group[((me - dist) % g + g) % g], tag + dist);
-  }
 }
 
 }  // namespace chimera::comm

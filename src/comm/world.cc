@@ -10,6 +10,13 @@ World::World(int size) : size_(size) {
   for (int i = 0; i < size; ++i) boxes_.push_back(std::make_unique<Mailbox>());
 }
 
+Communicator::Communicator(World& world, int rank)
+    : world_(&world), rank_(rank) {
+  CHIMERA_CHECK_MSG(rank >= 0 && rank < world.size(),
+                    "communicator for rank " << rank << " outside a world of "
+                                             << world.size());
+}
+
 void Communicator::send(int dst, std::int64_t tag, Tensor payload) {
   CHIMERA_CHECK_MSG(dst >= 0 && dst < world_->size(), "send to rank " << dst);
   World::Mailbox& box = *world_->boxes_[dst];
@@ -21,6 +28,9 @@ void Communicator::send(int dst, std::int64_t tag, Tensor payload) {
 }
 
 Tensor Communicator::recv(int src, std::int64_t tag) {
+  // Checked before the wait: a receive from a rank that does not exist
+  // would otherwise block forever.
+  CHIMERA_CHECK_MSG(src >= 0 && src < world_->size(), "recv from rank " << src);
   World::Mailbox& box = *world_->boxes_[rank_];
   std::unique_lock<std::mutex> lock(box.mutex);
   const World::Key key{src, tag};
@@ -48,7 +58,7 @@ std::int64_t Communicator::collective_tag(std::int64_t context) {
 Request& Request::operator=(Request&& other) noexcept {
   if (this != &other) {
     wait();
-    state_ = std::move(other.state_);
+    thread_ = std::move(other.thread_);
   }
   return *this;
 }
@@ -56,9 +66,7 @@ Request& Request::operator=(Request&& other) noexcept {
 Request::~Request() { wait(); }
 
 void Request::wait() {
-  if (state_ && state_->thread.joinable()) state_->thread.join();
+  if (thread_.joinable()) thread_.join();
 }
-
-bool Request::test() const { return !state_ || state_->done.load(); }
 
 }  // namespace chimera::comm

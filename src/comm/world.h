@@ -13,7 +13,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -44,9 +43,8 @@ const char* allreduce_algo_name(AllreduceAlgo a);
 class Communicator;
 
 /// Piecewise flat view: an ordered list of (float*, count) pieces addressed
-/// as one index space [0, size()). Every allreduce algorithm and
-/// reduce_scatter_sum/allgather runs over one, through the message
-/// primitives below, so a stage's gradients are reduced where they live
+/// as one index space [0, size()). Every collective runs over one, through
+/// the message primitives below, so a stage's gradients are reduced where they live
 /// (GradSyncEngine) instead of through a staging copy. A `float* data, n`
 /// entry point is the one-piece view. The view does not own the storage.
 class FlatView {
@@ -89,11 +87,11 @@ class FlatView {
   std::size_t size_ = 0;
 };
 
-/// Handle for a nonblocking collective. The operation progresses on a
-/// dedicated helper thread (the "progress thread" model of MPI nonblocking
-/// collectives); wait() blocks until completion, test() polls. Destroying an
-/// incomplete Request waits for it — a collective is never abandoned
-/// half-way through its message exchanges.
+/// Handle for a nonblocking collective: the move-only owner of the helper
+/// thread the operation progresses on (the "progress thread" model of MPI
+/// nonblocking collectives). wait() blocks until completion; assigning over
+/// or destroying an incomplete Request waits for it too — a collective is
+/// never abandoned half-way through its message exchanges.
 class Request {
  public:
   Request() = default;
@@ -103,19 +101,11 @@ class Request {
 
   /// Blocks until the collective has completed on this rank.
   void wait();
-  /// Returns true once the collective has completed on this rank.
-  bool test() const;
-  /// True if this handle refers to a launched operation.
-  bool valid() const { return state_ != nullptr; }
 
  private:
   friend class Communicator;
-  struct State {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  explicit Request(std::unique_ptr<State> s) : state_(std::move(s)) {}
-  std::unique_ptr<State> state_;
+  explicit Request(std::thread thread) : thread_(std::move(thread)) {}
+  std::thread thread_;
 };
 
 /// Shared mailbox fabric for `size` ranks. Create one World, then one
@@ -158,7 +148,7 @@ class World {
 /// must match.
 class Communicator {
  public:
-  Communicator(World& world, int rank) : world_(&world), rank_(rank) {}
+  Communicator(World& world, int rank);
 
   int rank() const { return rank_; }
   int world_size() const { return world_->size(); }
@@ -189,28 +179,10 @@ class Communicator {
     return iallreduce_sum(FlatView(data, n), group, context, algo);
   }
 
-  /// Broadcast from `group[root_index]` to all of `group` (binomial tree).
-  void broadcast(float* data, std::size_t n, int root_index,
-                 const std::vector<int>& group, std::int64_t context);
-
-  /// Sum-reduce to `group[root_index]` (binomial tree). Non-root buffers are
-  /// left unspecified (they are used as scratch).
-  void reduce_sum(float* data, std::size_t n, int root_index,
-                  const std::vector<int>& group, std::int64_t context);
-
-  /// Ring reduce-scatter: on return, rank i of the group holds the fully
-  /// reduced segment [seg_begin(i), seg_begin(i+1)) of `data` (the canonical
-  /// even split of its size over the group); other positions are scratch.
-  void reduce_scatter_sum(const FlatView& data, const std::vector<int>& group,
-                          std::int64_t context);
-  void reduce_scatter_sum(float* data, std::size_t n, const std::vector<int>& group,
-                          std::int64_t context) {
-    reduce_scatter_sum(FlatView(data, n), group, context);
-  }
-
-  /// The same ring reduce-scatter, handing this rank's reduced segment to
-  /// the caller as a message instead of writing it home (the whole view is
-  /// left as scratch) — the first half of the sharded optimizer step
+  /// Ring reduce-scatter: returns rank i's fully reduced segment
+  /// [segment_begin(i), segment_begin(i+1)) of `data` (the canonical even
+  /// split of its size over the group) as a message, and leaves the whole
+  /// view as scratch — the first half of the sharded optimizer step
   /// (runtime/grad_sync.h), which reads the sums from the message and
   /// refills it with the updated parameters as allgather's `own`. A group
   /// of one returns the whole view.
@@ -223,35 +195,12 @@ class Communicator {
   Request ireduce_scatter_segment(FlatView data, const std::vector<int>& group,
                                   std::int64_t context, Tensor* own);
 
-  /// Ring allgather of the canonical segments: each rank contributes its own
-  /// segment of `data` and on return every rank holds all segments. The
-  /// inverse of reduce_scatter_sum; together they form the ZeRO-1 step.
-  void allgather(const FlatView& data, const std::vector<int>& group,
-                 std::int64_t context);
-  void allgather(float* data, std::size_t n, const std::vector<int>& group,
-                 std::int64_t context) {
-    allgather(FlatView(data, n), group, context);
-  }
-  /// Allgather whose own segment arrives already packed: `own` must hold
-  /// this rank's segment of `data`, which it is forwarded as (the view's
-  /// own segment is neither read nor written).
+  /// Ring allgather of the canonical segments, the inverse of
+  /// reduce_scatter_segment: `own` must hold this rank's segment of `data`,
+  /// which it is forwarded as (the view's own segment is neither read nor
+  /// written); on return every rank's view holds every other segment.
   void allgather(const FlatView& data, const std::vector<int>& group,
                  std::int64_t context, Tensor own);
-
-  /// Gather `n` elements from every rank to `group[root_index]`. On the root
-  /// `out` must have group.size()·n elements (filled in group order); on
-  /// other ranks it is ignored.
-  void gather(const float* data, std::size_t n, float* out, int root_index,
-              const std::vector<int>& group, std::int64_t context);
-
-  /// Pairwise-exchange alltoall: `send_buf` holds group.size() blocks of `n`
-  /// elements (block j for rank j of the group); on return `recv_buf[j·n..]`
-  /// holds the block rank j addressed to this rank.
-  void alltoall(const float* send_buf, float* recv_buf, std::size_t n,
-                const std::vector<int>& group, std::int64_t context);
-
-  /// Dissemination barrier over `group`.
-  void barrier(const std::vector<int>& group, std::int64_t context);
 
  private:
   std::int64_t collective_tag(std::int64_t context);
@@ -282,7 +231,7 @@ class Communicator {
   std::unordered_map<std::int64_t, std::int64_t> seq_;
 };
 
-/// Canonical segment bounds used by reduce_scatter_sum/allgather: segment i
+/// Canonical segment bounds of the ring reduce-scatter/allgather: segment i
 /// of g over n elements is [n·i/g, n·(i+1)/g).
 inline std::size_t segment_begin(std::size_t n, int g, int i) {
   return n * static_cast<std::size_t>(i) / static_cast<std::size_t>(g);

@@ -83,19 +83,14 @@ struct IterationResult {
 /// Configuration of the forward-only inference engine (rt::ServingEngine),
 /// threaded exactly like TrainerOptions is through the trainer. See
 /// docs/OPTIONS.md for the full reference and DESIGN.md §5 for the
-/// batcher's deadline/padding contract.
+/// batcher's padding contract.
 struct ServeOptions : EngineOptions {
   /// B: requests the micro-batcher coalesces into one micro-batch slot.
   /// Dispatched tail batches are padded to this many rows; the padded rows'
   /// logits are computed and discarded.
   int max_batch = 4;
-  /// A partial batch is dispatched once its oldest request has waited this
-  /// long (µs). 0 = never hold a request back waiting for company.
-  long batch_deadline_us = 0;
-  /// Test hook: microsecond clock used for batch-deadline decisions and the
-  /// enqueue→logits latency stamps. Null = monotonic wall clock. The
-  /// background serving loop sleeps in real time regardless — a fake clock
-  /// is for deterministic batcher/latency tests via serve_pending().
+  /// Test hook: microsecond clock of the enqueue→logits latency stamps.
+  /// Null = monotonic wall clock.
   std::function<long()> clock;
 };
 

@@ -47,9 +47,9 @@ inline void validate_tokens(const std::vector<int>& tokens, int min_len,
                          " outside vocab of " + std::to_string(vocab));
 }
 
-/// Microsecond clock of the request stamps (enqueue, first token, done) and
-/// the batcher's deadline decisions: `fake` when set — the ServeOptions /
-/// DecodeOptions::clock test hook — else monotonic time since construction.
+/// Microsecond clock of the request stamps (enqueue, first token, done):
+/// `fake` when set — the ServeOptions / DecodeOptions::clock test hook —
+/// else monotonic time since construction.
 class EngineClock {
  public:
   explicit EngineClock(std::function<long()> fake)

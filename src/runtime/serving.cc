@@ -1,27 +1,18 @@
 #include "runtime/serving.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <thread>
 
 #include "obs/trace.h"
 
 namespace chimera::rt {
 
-Round form_round(std::deque<PendingRequest>& queue, const BatchPolicy& policy,
-                 int num_slots, long now_us) {
-  CHIMERA_CHECK(policy.max_batch >= 1 && num_slots >= 1);
+Round form_round(std::deque<PendingRequest>& queue, int max_batch,
+                 int num_slots) {
+  CHIMERA_CHECK(max_batch >= 1 && num_slots >= 1);
   Round round;
-  const int B = policy.max_batch;
   while (static_cast<int>(round.slots.size()) < num_slots && !queue.empty()) {
-    if (static_cast<int>(queue.size()) < B &&
-        !policy.should_flush(static_cast<int>(queue.size()),
-                             queue.front().enqueue_us, now_us))
-      break;  // partial tail still inside its deadline — leave it queued
     std::vector<PendingRequest> slot;
-    for (int r = 0; r < B && !queue.empty(); ++r) {
+    for (int r = 0; r < max_batch && !queue.empty(); ++r) {
       slot.push_back(std::move(queue.front()));
       queue.pop_front();
     }
@@ -35,7 +26,6 @@ obs::MetricsRegistry ServingStats::metrics() const {
   reg.set_counter("requests", static_cast<double>(requests));
   reg.set_counter("rounds", static_cast<double>(rounds));
   reg.set_counter("padded_rows", static_cast<double>(padded_rows));
-  reg.set_counter("dropped_results", static_cast<double>(dropped_results));
   reg.set_gauge("queue_depth", static_cast<double>(queue_depth));
   reg.set_gauge("max_queue_depth", static_cast<double>(max_queue_depth));
   reg.set_histogram("latency_us", latencies);
@@ -47,7 +37,6 @@ ServingEngine::ServingEngine(const nn::SmallModelConfig& model, Scheme scheme,
                              const ServeOptions& opts)
     : model_(model), opts_(opts), clock_(opts.clock) {
   CHIMERA_CHECK_MSG(opts.max_batch >= 1, "max_batch must be positive");
-  CHIMERA_CHECK_MSG(opts.batch_deadline_us >= 0, "deadline must be >= 0");
   PipelineSchedule sched = build_inference_schedule(scheme, sched_cfg);
   const int D = sched.depth;
   round_inputs_.resize(sched.num_micro);
@@ -62,21 +51,6 @@ ServingEngine::ServingEngine(const nn::SmallModelConfig& model, Scheme scheme,
       });
 }
 
-ServingEngine::~ServingEngine() {
-  if (!driver_running_) return;
-  // Unlike an explicit stop(), destruction must not rethrow a stored
-  // driver error — throwing out of a destructor std::terminates.
-  try {
-    stop();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ServingEngine: dropping serving-loop error during "
-                         "destruction: %s\n", e.what());
-  } catch (...) {
-    std::fprintf(stderr, "ServingEngine: dropping serving-loop error during "
-                         "destruction\n");
-  }
-}
-
 std::uint64_t ServingEngine::submit(std::vector<int> tokens) {
   // Reject malformed requests here, where only the caller is affected — a
   // bad token id reaching a rank thread mid-round would take the whole
@@ -84,12 +58,9 @@ std::uint64_t ServingEngine::submit(std::vector<int> tokens) {
   // recoverable by design: catch, fix the request, keep submitting.
   validate_tokens(tokens, model_.seq, model_.seq, model_.vocab);
   std::lock_guard<std::mutex> lock(mutex_);
-  // Fail fast once the serving loop has died — accepting requests a dead
-  // loop will never serve would turn the engine into a silent black hole.
-  if (driver_error_) std::rethrow_exception(driver_error_);
-  // Admission control: the intake side is bounded like the output side. A
-  // producer sustained above round throughput gets an error it can back
-  // off on, not unbounded queue growth and unbounded latency.
+  // Admission control: the intake is bounded. A producer sustained above
+  // round throughput gets an error it can back off on, not unbounded queue
+  // growth and unbounded latency.
   if (queue_.size() >= kMaxQueuedRequests)
     throw RequestError("request queue full (" +
                        std::to_string(queue_.size()) +
@@ -98,7 +69,6 @@ std::uint64_t ServingEngine::submit(std::vector<int> tokens) {
   queue_.push_back(PendingRequest{id, std::move(tokens), clock_.now_us()});
   stats_.max_queue_depth =
       std::max(stats_.max_queue_depth, static_cast<long>(queue_.size()));
-  cv_.notify_all();
   return id;
 }
 
@@ -153,7 +123,7 @@ std::vector<ServeResult> ServingEngine::execute_round(Round round) {
 
   round_active_slots_ = active;
   {
-    // One span per serving round on the dispatching (driver) thread; micro
+    // One span per serving round on the dispatching thread; micro
     // carries the active slot count, tag the coalesced request count.
     obs::Span round_span(obs::EventKind::kServeRound, obs::thread_worker(),
                          active, -1, -1, round.requests());
@@ -189,111 +159,17 @@ std::vector<ServeResult> ServingEngine::execute_round(Round round) {
 }
 
 std::vector<ServeResult> ServingEngine::serve_pending() {
-  CHIMERA_CHECK_MSG(!driver_running_,
-                    "serve_pending() while the background loop is running");
   std::vector<ServeResult> out;
-  const BatchPolicy drain{opts_.max_batch, 0};  // a drain never waits
   for (;;) {
     Round round;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (queue_.empty()) break;
-      round = form_round(queue_, drain, dep_->schedule().num_micro,
-                         clock_.now_us());
+      round = form_round(queue_, opts_.max_batch, dep_->schedule().num_micro);
     }
     std::vector<ServeResult> served = execute_round(std::move(round));
     for (auto& r : served) out.push_back(std::move(r));
   }
-  return out;
-}
-
-void ServingEngine::start() {
-  CHIMERA_CHECK_MSG(!driver_running_, "serving loop already running");
-  stopping_ = false;
-  driver_running_ = true;
-  driver_ = std::thread([this] { driver_main(); });
-}
-
-void ServingEngine::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-    cv_.notify_all();
-  }
-  if (driver_.joinable()) driver_.join();
-  driver_running_ = false;
-  if (driver_error_) {
-    std::exception_ptr e = driver_error_;
-    driver_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
-void ServingEngine::driver_main() {
-  try {
-    driver_loop();
-  } catch (...) {
-    // Surface the failure on stop() instead of std::terminate-ing the
-    // process from a detached context (the training path likewise rethrows
-    // rank exceptions on the caller).
-    std::lock_guard<std::mutex> lock(mutex_);
-    driver_error_ = std::current_exception();
-  }
-}
-
-void ServingEngine::driver_loop() {
-  const BatchPolicy policy{opts_.max_batch, opts_.batch_deadline_us};
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    // Hold until the flush rule fires: a full batch is always dispatchable,
-    // a partial one waits out the *remainder* of the oldest request's
-    // deadline; stop() flushes immediately. The deadline sleep is real time
-    // — a fake opts_.clock only steers flush *decisions* and stamps.
-    if (!stopping_ &&
-        !policy.should_flush(static_cast<int>(queue_.size()),
-                             queue_.front().enqueue_us, clock_.now_us())) {
-      const long waited = clock_.now_us() - queue_.front().enqueue_us;
-      const long remaining =
-          std::max<long>(0, opts_.batch_deadline_us - waited);
-      cv_.wait_for(lock, std::chrono::microseconds(remaining), [&] {
-        return stopping_ ||
-               static_cast<int>(queue_.size()) >= policy.max_batch;
-      });
-      if (queue_.empty()) continue;
-    }
-    const BatchPolicy now_policy =
-        stopping_ ? BatchPolicy{opts_.max_batch, 0} : policy;
-    Round round = form_round(queue_, now_policy, dep_->schedule().num_micro,
-                             clock_.now_us());
-    if (round.slots.empty()) continue;  // deadline not yet reached
-    lock.unlock();
-    std::vector<ServeResult> served = execute_round(std::move(round));
-    lock.lock();
-    for (auto& r : served) {
-      completed_.push_back(std::move(r));
-      if (completed_.size() > ServingStats::kMaxCompletedResults) {
-        completed_.pop_front();
-        ++stats_.dropped_results;
-      }
-    }
-  }
-}
-
-std::vector<ServeResult> ServingEngine::take_completed() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Surface a dead serving loop to the poller instead of returning empty
-  // results forever (stop() clears the error after rethrowing it).
-  if (driver_error_ && completed_.empty())
-    std::rethrow_exception(driver_error_);
-  std::vector<ServeResult> out;
-  out.reserve(completed_.size());
-  for (auto& r : completed_) out.push_back(std::move(r));
-  completed_.clear();
   return out;
 }
 

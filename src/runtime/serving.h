@@ -19,9 +19,7 @@
 // executes the plan's num_micro slots across the pipes. Each request is
 // stamped at enqueue and again when its round's logits land, so the engine
 // reports true enqueue→logits latency. serve_pending() drains the queue
-// synchronously; start()/stop() run the steady-state loop on a driver
-// thread, dispatching a round whenever a full round is pending or the
-// oldest request has waited out the batch deadline.
+// on the caller's thread, one round after another.
 //
 // Why the bidirectional geometry wins at serving: per-stage forward costs
 // are imbalanced (the LM head ≈ several transformer layers at GPT
@@ -33,13 +31,10 @@
 // stage replicas, zero activation stash). DESIGN.md §5.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/inference_schedule.h"
@@ -68,24 +63,9 @@ struct ServeResult {
   long latency_us() const { return done_us - enqueue_us; }
 };
 
-/// The micro-batcher's flush rule (DESIGN.md §5), pure so it is
-/// unit-testable under a fake clock: a full batch is always dispatchable; a
-/// partial batch is dispatched once its oldest request has waited
-/// deadline_us (0 = immediately).
-struct BatchPolicy {
-  int max_batch = 1;
-  long deadline_us = 0;
-
-  bool should_flush(int pending, long oldest_enqueue_us, long now_us) const {
-    if (pending <= 0) return false;
-    if (pending >= max_batch) return true;
-    return now_us - oldest_enqueue_us >= deadline_us;
-  }
-};
-
 /// Batches formed for one serving round: slots[i] holds the requests
 /// coalesced into micro-batch slot i (≤ max_batch each). Slots beyond
-/// slots.size() run as pure padding when the round executes.
+/// slots.size() are skipped when the round executes.
 struct Round {
   std::vector<std::vector<PendingRequest>> slots;
   int requests() const {
@@ -95,29 +75,22 @@ struct Round {
   }
 };
 
-/// Deterministic round formation — the micro-batcher. Takes requests off
-/// the front of `queue` in FIFO order into up to `num_slots` slots of
-/// `policy.max_batch`; a trailing partial batch is taken only if
-/// policy.should_flush allows it at `now_us`. Pure given (queue, now): the
-/// fake-clock unit of tests/serving_test.cc.
-Round form_round(std::deque<PendingRequest>& queue, const BatchPolicy& policy,
-                 int num_slots, long now_us);
+/// Deterministic round formation — the micro-batcher (DESIGN.md §5). Takes
+/// requests off the front of `queue` in FIFO order into up to `num_slots`
+/// slots of `max_batch`; the last slot taken may be partial (the round pads
+/// it). Pure given the queue: the unit of tests/serving_test.cc.
+Round form_round(std::deque<PendingRequest>& queue, int max_batch,
+                 int num_slots);
 
 /// Cumulative accounting of one engine.
 struct ServingStats {
   /// Latency reservoir bound: long-running loops keep the most recent
   /// samples (overwritten ring-style) instead of growing without limit.
   static constexpr std::size_t kMaxLatencySamples = 1 << 16;
-  /// Background-loop back-pressure: results not drained by
-  /// take_completed() are retained up to this many; beyond it the oldest
-  /// are dropped (counted in dropped_results) — a stalled consumer must
-  /// not OOM the engine (each result holds a seq×vocab logits tensor).
-  static constexpr std::size_t kMaxCompletedResults = 4096;
 
-  long requests = 0;         ///< completed requests
-  long rounds = 0;           ///< pool dispatches
-  long padded_rows = 0;      ///< padding request-rows computed and discarded
-  long dropped_results = 0;  ///< results evicted before take_completed()
+  long requests = 0;     ///< completed requests
+  long rounds = 0;       ///< pool dispatches
+  long padded_rows = 0;  ///< padding request-rows computed and discarded
   /// Batcher-efficiency counters (emitted into BENCH_*.json): requests
   /// waiting at the moment stats() was taken, and the high-water mark over
   /// the engine's lifetime — a max_queue_depth near kMaxQueuedRequests
@@ -144,7 +117,6 @@ class ServingEngine {
   /// replicas of a stage, exactly as a deployment would broadcast them.
   ServingEngine(const nn::SmallModelConfig& model, Scheme scheme,
                 const ScheduleConfig& sched_cfg, const ServeOptions& opts);
-  ~ServingEngine();
 
   const PipelineSchedule& schedule() const { return dep_->schedule(); }
   const ExecutionPlan& plan() const { return dep_->plan(); }
@@ -156,47 +128,24 @@ class ServingEngine {
   /// throw RequestError (runtime/request.h), which is recoverable: the
   /// engine and every other request are unaffected. RequestError is also
   /// thrown when the queue holds kMaxQueuedRequests (admission control —
-  /// back off and retry). A background loop that died of an internal error
-  /// rethrows its stored exception instead. Returns the request id results
-  /// are keyed by.
+  /// back off and retry). Returns the request id results are keyed by.
   std::uint64_t submit(std::vector<int> tokens);
 
-  /// Intake bound enforced by submit(); pairs with
-  /// ServingStats::kMaxCompletedResults on the output side.
+  /// Intake bound enforced by submit().
   static constexpr std::size_t kMaxQueuedRequests = 1 << 16;
 
   /// Synchronously serves everything queued at call time (and whatever
-  /// arrives while rounds run): forms rounds ignoring the batch deadline —
-  /// a drain never holds a request back — and executes them on the worker
-  /// pool until the queue is empty. Returns the results this call
-  /// completed. Must not be called while the background loop is running.
+  /// arrives while rounds run): forms rounds and executes them on the
+  /// worker pool until the queue is empty. Returns the results this call
+  /// completed. A round that fails (a rank threw) rethrows here, as
+  /// WorkerPool::run does.
   std::vector<ServeResult> serve_pending();
-
-  /// Steady-state serving loop on a driver thread: a round is dispatched
-  /// as soon as a full batch (max_batch requests) is pending or the oldest
-  /// request has waited out opts.batch_deadline_us. Results accumulate for
-  /// take_completed().
-  void start();
-  /// Drains the queue, then stops and joins the driver thread. If a round
-  /// failed inside the loop (a rank threw), the first exception is
-  /// rethrown here — the serving counterpart of WorkerPool::run's
-  /// rethrow-on-caller contract.
-  void stop();
-
-  /// Removes and returns all results completed by the background loop.
-  /// The engine retains at most ServingStats::kMaxCompletedResults
-  /// undrained results (oldest dropped first, counted in
-  /// stats().dropped_results) — poll faster than that under sustained
-  /// load.
-  std::vector<ServeResult> take_completed();
 
   ServingStats stats() const;
 
  private:
   std::vector<ServeResult> execute_round(Round round);
   void run_worker(int worker);
-  void driver_main();
-  void driver_loop();
 
   nn::SmallModelConfig model_;
   ServeOptions opts_;
@@ -209,18 +158,10 @@ class ServingEngine {
   std::vector<Tensor> round_logits_;          ///< [slot], written by last stages
   int round_active_slots_ = 0;
 
-  mutable std::mutex mutex_;  ///< guards queue_/completed_/stats_/next_id_
-  std::condition_variable cv_;
+  mutable std::mutex mutex_;  ///< guards queue_/stats_/next_id_
   std::deque<PendingRequest> queue_;
-  std::deque<ServeResult> completed_;  ///< bounded; see kMaxCompletedResults
   ServingStats stats_;
   std::uint64_t next_id_ = 1;
-  bool stopping_ = false;
-  /// Atomic so the serve_pending()/start() mutual-exclusion CHECK is a
-  /// reliable fail-fast even when callers misuse the API across threads.
-  std::atomic<bool> driver_running_{false};
-  std::exception_ptr driver_error_;  ///< set by driver_main, rethrown by stop()
-  std::thread driver_;
   /// Last member: its pool parks and joins the rank threads while the state
   /// above is still alive (same contract as PipelineTrainer).
   std::unique_ptr<Deployment<nn::StageModule>> dep_;

@@ -1,16 +1,19 @@
-// Collective-algorithm tests beyond allreduce: broadcast, reduce,
-// reduce-scatter, allgather, gather and alltoall — each checked against a
-// straightforward reference over randomized inputs, across group sizes
-// (including non-power-of-two and non-contiguous subgroups) and payload
-// sizes (including payloads smaller than the group, which exercise empty
-// ring segments).
+// Collective tests beyond allreduce itself: the ring reduce-scatter/allgather
+// pair of the sharded optimizer step (`reduce_scatter_segment` /
+// `ireduce_scatter_segment` + `allgather(…, own)`), checked bit for bit
+// against the ring allreduce across group sizes (including non-power-of-two
+// and non-contiguous subgroups) and payload sizes (including payloads smaller
+// than the group, which exercise empty ring segments); the segment bounds
+// they share; and disjoint groups running at once.
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "comm/world.h"
+#include "support/rng.h"
 
 namespace chimera::comm {
 namespace {
@@ -36,11 +39,9 @@ std::vector<std::vector<float>> random_inputs(int g, int n, unsigned seed) {
   return data;
 }
 
-std::vector<float> elementwise_sum(const std::vector<std::vector<float>>& in) {
-  std::vector<float> out(in[0].size(), 0.0f);
-  for (const auto& row : in)
-    for (std::size_t i = 0; i < row.size(); ++i) out[i] += row[i];
-  return out;
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 class GroupedCollective : public ::testing::TestWithParam<std::tuple<int, int>> {
@@ -57,141 +58,52 @@ class GroupedCollective : public ::testing::TestWithParam<std::tuple<int, int>> 
   int world_size() const { return 2 * group_size() + 1; }
 };
 
-TEST_P(GroupedCollective, BroadcastFromEveryRoot) {
+TEST_P(GroupedCollective, SegmentPairBitwiseMatchesRingAllreduce) {
+  // The reduce-scatter hands each member's segment over as a message
+  // (blocking or not), which is unpacked home and forwarded by the allgather
+  // as its own; the buffer then ends as the ring allreduce, bit for bit.
   const int g = group_size(), n = payload();
   World world(world_size());
   const auto group = make_group();
-  for (int root = 0; root < g; ++root) {
-    auto data = random_inputs(g, n, 100 + root);
-    const std::vector<float> expect = data[root];
+  const auto inputs = random_inputs(g, n, 700 + n);
+  auto reference = inputs;
+  run_group(world, group, [&](int i, Communicator& c) {
+    c.allreduce_sum(reference[i].data(), n, group, 1, AllreduceAlgo::kRing);
+  });
+  for (bool nonblocking : {false, true}) {
+    auto data = inputs;
+    std::vector<std::vector<float>> segments(g);
     run_group(world, group, [&](int i, Communicator& c) {
-      c.broadcast(data[i].data(), n, root, group, /*context=*/root);
+      const FlatView view(data[i].data(), n);
+      Tensor own;
+      if (nonblocking)
+        c.ireduce_scatter_segment(view, group, 2, &own).wait();
+      else
+        own = c.reduce_scatter_segment(view, group, 2);
+      segments[i].assign(own.data(), own.data() + own.numel());
+      view.unpack(segment_begin(n, g, i), own);
+      c.allgather(view, group, 3, std::move(own));
     });
-    for (int i = 0; i < g; ++i) EXPECT_EQ(data[i], expect) << "member " << i;
+    for (int i = 0; i < g; ++i) {
+      const std::vector<float> expect(
+          reference[i].begin() + segment_begin(n, g, i),
+          reference[i].begin() + segment_begin(n, g, i + 1));
+      EXPECT_TRUE(same_bits(segments[i], expect))
+          << "segment of member " << i << (nonblocking ? " nonblocking" : "");
+      EXPECT_TRUE(same_bits(data[i], reference[i]))
+          << "member " << i << (nonblocking ? " nonblocking" : "");
+    }
   }
-}
-
-TEST_P(GroupedCollective, ReduceSumsToEveryRoot) {
-  const int g = group_size(), n = payload();
-  World world(world_size());
-  const auto group = make_group();
-  for (int root = 0; root < g; ++root) {
-    auto data = random_inputs(g, n, 300 + root);
-    const auto expect = elementwise_sum(data);
-    run_group(world, group, [&](int i, Communicator& c) {
-      c.reduce_sum(data[i].data(), n, root, group, root);
-    });
-    for (int j = 0; j < n; ++j)
-      EXPECT_NEAR(data[root][j], expect[j], 1e-4 * g) << "element " << j;
-  }
-}
-
-TEST_P(GroupedCollective, ReduceScatterLeavesReducedSegments) {
-  const int g = group_size(), n = payload();
-  World world(world_size());
-  const auto group = make_group();
-  auto data = random_inputs(g, n, 500);
-  const auto expect = elementwise_sum(data);
-  run_group(world, group, [&](int i, Communicator& c) {
-    c.reduce_scatter_sum(data[i].data(), n, group, 0);
-  });
-  for (int i = 0; i < g; ++i) {
-    const std::size_t b = segment_begin(n, g, i);
-    const std::size_t e = segment_begin(n, g, i + 1);
-    for (std::size_t j = b; j < e; ++j)
-      EXPECT_NEAR(data[i][j], expect[j], 1e-4 * g) << "rank " << i << " el " << j;
-  }
-}
-
-TEST_P(GroupedCollective, AllgatherReassemblesSegments) {
-  const int g = group_size(), n = payload();
-  World world(world_size());
-  const auto group = make_group();
-  // Every rank starts with only its own segment correct; the rest is junk.
-  std::vector<float> truth(n);
-  std::iota(truth.begin(), truth.end(), 1.0f);
-  std::vector<std::vector<float>> data(g, std::vector<float>(n, -999.0f));
-  for (int i = 0; i < g; ++i) {
-    const std::size_t b = segment_begin(n, g, i);
-    const std::size_t e = segment_begin(n, g, i + 1);
-    for (std::size_t j = b; j < e; ++j) data[i][j] = truth[j];
-  }
-  run_group(world, group, [&](int i, Communicator& c) {
-    c.allgather(data[i].data(), n, group, 0);
-  });
-  for (int i = 0; i < g; ++i) EXPECT_EQ(data[i], truth) << "member " << i;
-}
-
-TEST_P(GroupedCollective, ReduceScatterThenAllgatherEqualsAllreduce) {
-  // The composition the ZeRO-style sharded optimizer step relies on.
-  const int g = group_size(), n = payload();
-  World world(world_size());
-  const auto group = make_group();
-  auto data = random_inputs(g, n, 700);
-  auto reference = data;
-  run_group(world, group, [&](int i, Communicator& c) {
-    c.reduce_scatter_sum(data[i].data(), n, group, 1);
-    c.allgather(data[i].data(), n, group, 2);
-  });
-  run_group(world, group, [&](int i, Communicator& c) {
-    c.allreduce_sum(reference[i].data(), n, group, 3, AllreduceAlgo::kRing);
-  });
-  // The ring allreduce is exactly RS+AG, so results agree bitwise.
-  for (int i = 0; i < g; ++i) EXPECT_EQ(data[i], reference[i]) << "member " << i;
-}
-
-TEST_P(GroupedCollective, GatherCollectsInGroupOrder) {
-  const int g = group_size(), n = payload();
-  World world(world_size());
-  const auto group = make_group();
-  auto data = random_inputs(g, n, 900);
-  std::vector<float> out(static_cast<std::size_t>(g) * n, 0.0f);
-  const int root = g / 2;
-  run_group(world, group, [&](int i, Communicator& c) {
-    c.gather(data[i].data(), n, i == root ? out.data() : nullptr, root, group, 0);
-  });
-  for (int i = 0; i < g; ++i)
-    for (int j = 0; j < n; ++j)
-      EXPECT_FLOAT_EQ(out[static_cast<std::size_t>(i) * n + j], data[i][j])
-          << "block " << i << " el " << j;
-}
-
-TEST_P(GroupedCollective, AlltoallTransposesBlocks) {
-  const int g = group_size(), n = payload();
-  World world(world_size());
-  const auto group = make_group();
-  // send[i][j·n + k] = value identifying (from=i, to=j, k).
-  std::vector<std::vector<float>> send(g), recv(g);
-  for (int i = 0; i < g; ++i) {
-    send[i].resize(static_cast<std::size_t>(g) * n);
-    recv[i].assign(static_cast<std::size_t>(g) * n, -1.0f);
-    for (int j = 0; j < g; ++j)
-      for (int k = 0; k < n; ++k)
-        send[i][static_cast<std::size_t>(j) * n + k] =
-            static_cast<float>(i * 10000 + j * 100 + k);
-  }
-  run_group(world, group, [&](int i, Communicator& c) {
-    c.alltoall(send[i].data(), recv[i].data(), n, group, 0);
-  });
-  for (int i = 0; i < g; ++i)
-    for (int j = 0; j < g; ++j)
-      for (int k = 0; k < n; ++k)
-        EXPECT_FLOAT_EQ(recv[i][static_cast<std::size_t>(j) * n + k],
-                        static_cast<float>(j * 10000 + i * 100 + k))
-            << "at=" << i << " from=" << j << " el=" << k;
-}
-
-std::string grouped_name(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  return "g" + std::to_string(std::get<0>(info.param)) + "_n" +
-         std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SizesAndPayloads, GroupedCollective,
     ::testing::Combine(::testing::Values(2, 3, 4, 5, 8),
                        ::testing::Values(1, 3, 64, 513)),
-    grouped_name);
+    [](const auto& info) {
+      return "g" + std::to_string(std::get<0>(info.param)) + "_n" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(Collectives, SegmentBoundsCoverExactly) {
   for (int g : {1, 2, 3, 7, 8}) {
@@ -204,17 +116,10 @@ TEST(Collectives, SegmentBoundsCoverExactly) {
   }
 }
 
-TEST(Collectives, BroadcastSingleMemberIsNoop) {
-  World world(1);
-  Communicator c(world, 0);
-  float x = 3.5f;
-  c.broadcast(&x, 1, 0, {0}, 0);
-  EXPECT_FLOAT_EQ(x, 3.5f);
-}
-
 TEST(Collectives, ConcurrentDisjointGroupsDoNotInterfere) {
   // Two disjoint halves of the world run different collectives at the same
-  // time — the fabric must keep them fully independent.
+  // time — the fabric must keep them fully independent. The second half
+  // mixes blocking and nonblocking launches of one ring allreduce.
   World world(8);
   std::vector<int> a{0, 1, 2, 3}, b{4, 5, 6, 7};
   std::vector<float> va{1, 2, 3, 4}, vb{10, 20, 30, 40};
@@ -226,13 +131,16 @@ TEST(Collectives, ConcurrentDisjointGroupsDoNotInterfere) {
     });
     threads.emplace_back([&, i] {
       Communicator c(world, b[i]);
-      c.broadcast(&vb[i], 1, 0, b, 0);
+      if (i % 2 == 0)
+        c.allreduce_sum(&vb[i], 1, b, 0, AllreduceAlgo::kRing);
+      else
+        c.iallreduce_sum(&vb[i], 1, b, 0, AllreduceAlgo::kRing).wait();
     });
   }
   for (auto& t : threads) t.join();
   for (int i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(va[i], 10.0f);
-    EXPECT_FLOAT_EQ(vb[i], 10.0f);
+    EXPECT_FLOAT_EQ(vb[i], 100.0f);
   }
 }
 

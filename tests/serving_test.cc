@@ -1,9 +1,9 @@
 // The serving engine's contracts:
 //  1. Inference schedules are forward-only (no backward/collective ops, no
 //     stash events) and keep per-pipe FIFO order on every worker.
-//  2. The micro-batcher is deterministic under a fake clock: full batches
-//     always dispatch, partial batches wait out exactly the deadline, tail
-//     batches pad.
+//  2. The micro-batcher is deterministic: FIFO slots of max_batch, capped
+//     at the round's slot count, with a partial tail slot that flushes at
+//     once and pads; under a fake clock the latency stamps are exact.
 //  3. Served logits are bitwise equal to a direct single-process forward of
 //     the same model — pipelining, batching and padding change *nothing*
 //     about each request's arithmetic ({Chimera f∈{1,2}, GPipe} at D=4).
@@ -114,46 +114,25 @@ TEST(InferenceSchedule, RejectsSchemesWithoutServingLowering) {
 
 // ------------------------------------------------------------------ 2 ----
 
-std::deque<PendingRequest> pending_at(const std::vector<long>& enqueue_us) {
+std::deque<PendingRequest> pending(int n) {
   std::deque<PendingRequest> q;
-  std::uint64_t id = 1;
-  for (long t : enqueue_us) q.push_back(PendingRequest{id++, {}, t});
+  for (int i = 1; i <= n; ++i)
+    q.push_back(PendingRequest{static_cast<std::uint64_t>(i), {}, 0});
   return q;
 }
 
-TEST(MicroBatcher, FlushRuleIsDeterministicUnderFakeClock) {
-  const BatchPolicy policy{/*max_batch=*/4, /*deadline_us=*/100};
-
-  // Five requests at t = 0, 10, 20, 30, 40: one full batch dispatches at
-  // any time; the tail (t=40) waits until exactly t = 140.
-  std::deque<PendingRequest> q = pending_at({0, 10, 20, 30, 40});
-  Round r = form_round(q, policy, /*num_slots=*/2, /*now_us=*/50);
-  ASSERT_EQ(r.slots.size(), 1u);
-  ASSERT_EQ(r.slots[0].size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(r.slots[0][i].id, i + 1);
-  EXPECT_EQ(q.size(), 1u);
-
-  r = form_round(q, policy, 2, 139);  // waited 99 µs < deadline
-  EXPECT_TRUE(r.slots.empty());
-  EXPECT_EQ(q.size(), 1u);
-
-  r = form_round(q, policy, 2, 140);  // waited exactly the deadline
-  ASSERT_EQ(r.slots.size(), 1u);
-  ASSERT_EQ(r.slots[0].size(), 1u);
-  EXPECT_EQ(r.slots[0][0].id, 5u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(MicroBatcher, ZeroDeadlineDispatchesImmediatelyAndSlotsCap) {
-  const BatchPolicy policy{/*max_batch=*/4, /*deadline_us=*/0};
-  std::deque<PendingRequest> q = pending_at(std::vector<long>(11, 0));
-  Round r = form_round(q, policy, /*num_slots=*/2, /*now_us=*/0);
+TEST(MicroBatcher, FifoSlotsCapAndPartialTailFlushes) {
+  std::deque<PendingRequest> q = pending(11);
+  Round r = form_round(q, /*max_batch=*/4, /*num_slots=*/2);
   ASSERT_EQ(r.slots.size(), 2u);  // capped at the round's slot count
   EXPECT_EQ(r.requests(), 8);
+  for (std::uint64_t i = 0; i < 8; ++i)
+    EXPECT_EQ(r.slots[i / 4][i % 4].id, i + 1);  // FIFO order
   EXPECT_EQ(q.size(), 3u);
-  r = form_round(q, policy, 2, 0);  // remaining partial flushes at once
+  r = form_round(q, 4, 2);  // remaining partial flushes at once
   ASSERT_EQ(r.slots.size(), 1u);
   EXPECT_EQ(r.slots[0].size(), 3u);
+  EXPECT_EQ(r.slots[0][0].id, 9u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -230,28 +209,6 @@ TEST(Serving, LogitsBitwiseEqualDirectForward) {
     }
     EXPECT_GT(engine.stats().padded_rows, 0);
   }
-  ComputePool::instance().set_helpers(0);
-}
-
-TEST(Serving, BackgroundLoopServesEverythingOnStop) {
-  const nn::SmallModelConfig model = serving_model();
-  ServeOptions opts;
-  opts.max_batch = 2;
-  opts.batch_deadline_us = 50'000;
-  ServingEngine engine(model, Scheme::kChimera,
-                       ScheduleConfig{4, 2, 1, ScaleMethod::kDirect}, opts);
-  engine.start();
-  std::vector<std::uint64_t> ids;
-  for (int r = 0; r < 5; ++r)
-    ids.push_back(engine.submit(make_tokens(model, 500 + r)));
-  engine.stop();  // drains the queue before joining
-  std::vector<ServeResult> results = engine.take_completed();
-  ASSERT_EQ(results.size(), ids.size());
-  for (const ServeResult& res : results) {
-    EXPECT_GE(res.latency_us(), 0);
-    EXPECT_EQ(res.logits.rows(), model.seq);
-  }
-  EXPECT_EQ(engine.stats().requests, 5);
   ComputePool::instance().set_helpers(0);
 }
 
