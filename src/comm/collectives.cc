@@ -5,6 +5,7 @@
 // algorithms of Thakur/Rabenseifner/Gropp 2005 that the paper's cost model
 // prices (§3.4).
 #include <algorithm>
+#include <climits>
 #include <cstring>
 
 #include "comm/world.h"
@@ -36,10 +37,12 @@ bool is_pow2(int x) { return x > 0 && (x & (x - 1)) == 0; }
 }  // namespace
 
 Tensor FlatView::pack(std::size_t b, std::size_t e) const {
-  Tensor msg = Tensor::reserved_row(e - b);
-  for_each_piece(b, e, [&](std::size_t k, std::size_t off, std::size_t,
+  CHIMERA_CHECK(e - b <= static_cast<std::size_t>(INT_MAX));
+  Tensor msg;
+  msg.reshape(1, static_cast<int>(e - b));  // arena storage, not zeroed
+  for_each_piece(b, e, [&](std::size_t k, std::size_t off, std::size_t at,
                            std::size_t len) {
-    msg.append(pieces_[k].data + off, len);
+    std::memcpy(msg.data() + at, pieces_[k].data + off, len * sizeof(float));
   });
   return msg;
 }

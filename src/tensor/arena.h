@@ -41,6 +41,15 @@ struct AlignedAllocator {
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, kAlignment);
   }
+  /// Default-initializes, so resize(n) leaves new floats unset instead of
+  /// zeroing them: a buffer about to be overwritten in full (a reshaped
+  /// output, a packed message) costs no extra pass. Zeros are asked for
+  /// explicitly (assign(n, 0.0f)); construction from a value falls back to
+  /// allocator_traits' own.
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
   template <class U>
   bool operator==(const AlignedAllocator<U>&) const {
     return true;

@@ -58,6 +58,22 @@ bool use_fast_nongemm() {
   return use_fast_tier() && simd::cpu_supports_avx2_fma();
 }
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define CHIMERA_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define CHIMERA_FMA_CLONES
+#endif
+
+/// y[j] = fma(a, x[j], y[j]) for j in [0, n): the one multiply-accumulate
+/// row of every gemm-family reference loop, each element's c + a·b rounded
+/// once (DESIGN.md §2 item 18). std::fma is correctly rounded wherever it
+/// runs, so the clone the loader picks changes no bit: "fma" runs it as
+/// vfmadd on FMA hosts, "default" calls libm's fmaf, which is far slower.
+CHIMERA_FMA_CLONES void fma_row(float a, const float* __restrict x,
+                                float* __restrict y, int n) {
+  for (int j = 0; j < n; ++j) y[j] = std::fma(a, x[j], y[j]);
+}
+
 /// The scalar reference of one softmax_rows row; x and y may alias.
 void softmax_row_ref(const float* x, float* y, int C) {
   float mx = x[0];
@@ -119,12 +135,10 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
       for (int l0 = 0; l0 < k; l0 += kBlock) {
         const int l1 = std::min(k, l0 + kBlock);
         for (int i = i0; i < i1; ++i) {
-          for (int l = l0; l < l1; ++l) {
-            const float av = pa[static_cast<std::size_t>(i) * k + l];
-            const float* brow = pb + static_cast<std::size_t>(l) * n;
-            float* crow = pc + static_cast<std::size_t>(i) * n;
-            for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
+          for (int l = l0; l < l1; ++l)
+            fma_row(pa[static_cast<std::size_t>(i) * k + l],
+                    pb + static_cast<std::size_t>(l) * n,
+                    pc + static_cast<std::size_t>(i) * n, n);
         }
       }
     }
@@ -149,11 +163,8 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
     for (int l = 0; l < k; ++l) {
       const float* arow = pa + static_cast<std::size_t>(l) * m;
       const float* brow = pb + static_cast<std::size_t>(l) * n;
-      for (int i = i0; i < i1; ++i) {
-        const float av = arow[i];
-        float* crow = pc + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
+      for (int i = i0; i < i1; ++i)
+        fma_row(arow[i], brow, pc + static_cast<std::size_t>(i) * n, n);
     }
   });
 }
@@ -211,28 +222,25 @@ void pack_panels(const Tensor& w, Tensor& panels) {
 namespace {
 
 /// gemm's scalar order over a panel-layout W:
-/// y[i, j] = 0.0f + Σₗ x[i,l]·W[l,j], l ascending.
+/// y[i, j] = fma chain from 0.0f over x[i,l]·W[l,j], l ascending.
 void gemm_panel_ref(const Tensor& x, const Tensor& wp, Tensor& y) {
   const int m = x.rows(), k = x.cols(), n = y.cols();
   CHIMERA_CHECK(y.rows() == m && wp.rows() == panel_rows(k, n) &&
                 wp.cols() == kPanelWidth);
   // Row shards; each shard sweeps its rows per 16-column block, so the
-  // block stays cache-hot across them, and sums 8 columns at a time in
-  // locals (the lanes past a tail block's width are summed, never stored).
+  // block stays cache-hot across them, and sums the block's live columns
+  // in locals.
   for_shards(m, static_cast<std::size_t>(k) * n, [&](int r0, int r1) {
     for (int j0 = 0; j0 < n; j0 += kPanelWidth) {
       const float* block = wp.data() + panel_offset(k, 0, j0);
-      for (int i = r0; i < r1; ++i)
-        for (int h = 0; h < std::min(kPanelWidth, n - j0); h += 8) {
-          float acc[8] = {};
-          for (int l = 0; l < k; ++l) {
-            const float av = x.at(i, l);
-            const float* brow = block + l * kPanelWidth + h;
-            for (int t = 0; t < 8; ++t) acc[t] += av * brow[t];
-          }
-          float* yrow = y.data() + static_cast<std::size_t>(i) * n + j0 + h;
-          std::copy(acc, acc + std::min(8, n - j0 - h), yrow);
-        }
+      const int width = std::min(kPanelWidth, n - j0);
+      for (int i = r0; i < r1; ++i) {
+        float acc[kPanelWidth] = {};
+        for (int l = 0; l < k; ++l)
+          fma_row(x.at(i, l), block + l * kPanelWidth, acc, width);
+        std::copy(acc, acc + width,
+                  y.data() + static_cast<std::size_t>(i) * n + j0);
+      }
     }
   });
 }
@@ -303,12 +311,9 @@ void gemm_tn_panel(const Tensor& x, const Tensor& dy, Tensor& dwp) {
     for (int l = 0; l < rows; ++l) {
       const float* dyrow = dy.data() + static_cast<std::size_t>(l) * n;
       for (int i = i0; i < i1; ++i) {
-        const float av = x.at(l, i);
-        for (int j0 = 0; j0 < n; j0 += kPanelWidth) {
-          float* crow = dwp.data() + panel_offset(m, i, j0);
-          for (int j = 0; j < std::min(kPanelWidth, n - j0); ++j)
-            crow[j] += av * dyrow[j0 + j];
-        }
+        for (int j0 = 0; j0 < n; j0 += kPanelWidth)
+          fma_row(x.at(l, i), dyrow + j0, dwp.data() + panel_offset(m, i, j0),
+                  std::min(kPanelWidth, n - j0));
       }
     }
   });
@@ -503,15 +508,13 @@ void dot_rows_ref(const float* a, const float* b, std::size_t ldb, int k,
 /// out += Σⱼ w[j]·x_j, j ascending (gemm's per-element order).
 void combine_rows_ref(const float* w, int n, const float* x, std::size_t ld,
                       int dk, float* out) {
-  for (int j = 0; j < n; ++j, x += ld)
-    for (int c = 0; c < dk; ++c) out[c] += w[j] * x[c];
+  for (int j = 0; j < n; ++j, x += ld) fma_row(w[j], x, out, dk);
 }
 
 /// y_j += w[j]·x (gemm_tn's order when called for ascending query rows).
 void outer_rows_ref(const float* w, int n, const float* x, int dk, float* y,
                     std::size_t ld) {
-  for (int j = 0; j < n; ++j, y += ld)
-    for (int c = 0; c < dk; ++c) y[c] += w[j] * x[c];
+  for (int j = 0; j < n; ++j, y += ld) fma_row(w[j], x, y, dk);
 }
 
 /// The row primitives the composed attention ops dispatch to in the

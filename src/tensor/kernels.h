@@ -18,10 +18,12 @@
 // their row-major counterparts in each tier. Tier selection is the
 // process-wide KernelPolicy below, overridable by the CHIMERA_KERNEL_TIER
 // environment variable. The cross-tier contract is per op (the full table
-// lives in DESIGN.md §2 item 18): ops whose fast tier keeps each element's
-// serial accumulation order and pairs multiply with add (gemm, gemm_tn,
-// add_bias, bias_backward, layernorm's dgamma/dbeta, the comm inner loops
-// below) are bitwise identical across tiers; ops that reduce across vector
+// lives in DESIGN.md §2 item 18): ops whose every tier keeps each element's
+// serial accumulation order with the same rounding per term (gemm, gemm_tn
+// and their panel forms as an fma chain, c = fma(a_l, b_l, c) over
+// ascending l; add_bias, bias_backward, layernorm's dgamma/dbeta and the
+// comm inner loops below, one exact op per element) are bitwise identical
+// across tiers; ops that reduce across vector
 // lanes or substitute a polynomial exp/tanh for the libm call (gemm_nt,
 // GELU, layernorm's row statistics, softmax, cross-entropy, and attention,
 // which is built from gemm_nt's dot and the softmax row) are
@@ -66,11 +68,12 @@ KernelTier active_kernel_tier();
 const char* kernel_policy_name(KernelPolicy policy);
 const char* kernel_tier_name(KernelTier tier);
 
-/// C = A·B (+ C if accumulate). A: [m,k], B: [k,n], C: [m,n].
-/// Bitwise identical across kernel tiers.
+/// C = A·B (+ C if accumulate). A: [m,k], B: [k,n], C: [m,n]. Each element
+/// is the chain c = fma(a[i,l], b[l,j], c) over ascending l, from 0 or from
+/// C: bitwise identical across kernel tiers.
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
-/// C = Aᵀ·B. A: [k,m], B: [k,n], C: [m,n].
-/// Bitwise identical across kernel tiers.
+/// C = Aᵀ·B. A: [k,m], B: [k,n], C: [m,n]. gemm's fma chain over
+/// ascending l: bitwise identical across kernel tiers.
 void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
 /// C = A·Bᵀ. A: [m,k], B: [n,k], C: [m,n].
 /// Fast tier is tolerance-equal only: the dot-product inner loop reduces
@@ -183,8 +186,8 @@ float cross_entropy(const Tensor& logits, const std::vector<int>& targets,
 // row i of a head reads its Q, K and V rows in place and works only over
 // its key prefix (j ≤ i when causal, all keys otherwise), calling the row
 // primitives the composed ops dispatch to in the active tier: gemm_nt's
-// dot for scores and dP, the softmax_rows row, and ascending separate
-// mul+add sums for the context, dQ, dK and dV (gemm/gemm_tn's order).
+// dot for scores and dP, the softmax_rows row, and ascending fma chains
+// for the context, dQ, dK and dV (gemm/gemm_tn's order and rounding).
 // The composed gemm_nt → scale → −1e9 mask → softmax_rows → gemm path
 // (and its backward) would add only exact ±0 terms past the prefix, so
 // every output is bitwise equal to it within each tier; across tiers it

@@ -44,13 +44,15 @@
 // The other non-GEMM rows are AVX2-only.
 //
 // Determinism. gemm/gemm_tn tiles broadcast one A element against 16 B
-// lanes and pair every multiply with a separate add (vmulps + vaddps), so
-// each output element performs the exact serial ascending-l reduction of
-// the scalar reference — bitwise identical on every host and in every ISA,
-// whatever the tile height, the panel split or whether B was packed, which
-// is why this file must be compiled with -ffp-contract=off (gcc otherwise
-// contracts mul+add — intrinsic or not — into one differently-rounded FMA
-// inside an fma-target function; CMakeLists pins the flag). gemm_nt reduces
+// lanes and fold each term in with one fused multiply-add (Vec::madd:
+// vfmadd231ps, or a per-lane std::fma on the portable lanes), so each
+// output element performs the scalar reference's serial ascending-l chain
+// c = fma(a_l, b_l, c). fma is correctly rounded, so the chain is bitwise
+// identical on every host and in every ISA, whatever the tile height, the
+// panel split or whether B was packed. Every fusion here is explicit: the
+// file is compiled with -ffp-contract=off (CMakeLists pins the flag), so
+// the mul+add sequences that must stay two roundings — the exp polynomial,
+// the GELU, gemm_nt's scalar tail — are never contracted. gemm_nt reduces
 // a dot product across lanes: 8 strided partials, a fixed combine tree,
 // explicit FMA intrinsics in the vector body, and a scalar tail —
 // tolerance-equal to the reference, but a pure function of k and the data:
@@ -58,7 +60,7 @@
 // loads, so results never depend on the block height, the row count or the
 // shard split. The fused attention row primitives reuse both:
 // dot_rows_fast runs gemm_nt's 1-row dot blocks, and combine/outer_rows_fast
-// pair each multiply with a separate add like the gemm tiles.
+// run the gemm tiles' fma chain.
 #include "tensor/kernels_simd.h"
 
 #include <algorithm>
@@ -420,8 +422,8 @@ void dequant_add_int8(const std::int8_t* q, std::size_t n, float unit,
 
 /// Fused-attention row updates (tensor/kernels.cc's attention driver):
 /// NV vectors cover a column block of width w ∈ (8(NV−1), 8NV]; a tail
-/// block's last vector is masked. Every term is one separate multiply and
-/// add, so each element is bitwise the scalar loop's — the same rounding
+/// block's last vector is masked. Every term is one fused multiply-add, so
+/// each element is bitwise the scalar loop's — the same rounding
 /// gemm/gemm_tn's tiles produce.
 
 /// out[0..w) += Σⱼ wts[j]·x_j over rows x_j = x + j·ld, j ascending.
@@ -437,11 +439,9 @@ void combine(const float* wts, int n, const float* x, std::size_t ld, int w,
     const __m256 bw = _mm256_broadcast_ss(wts + j);
 #pragma GCC unroll 4
     for (int v = 0; v < NV - 1; ++v)
-      acc[v] = _mm256_add_ps(acc[v],
-                             _mm256_mul_ps(bw, _mm256_loadu_ps(x + 8 * v)));
-    acc[NV - 1] = _mm256_add_ps(
-        acc[NV - 1],
-        _mm256_mul_ps(bw, load_strip<F8, kTail>(x + 8 * (NV - 1), mt)));
+      acc[v] = _mm256_fmadd_ps(bw, _mm256_loadu_ps(x + 8 * v), acc[v]);
+    acc[NV - 1] = _mm256_fmadd_ps(
+        bw, load_strip<F8, kTail>(x + 8 * (NV - 1), mt), acc[NV - 1]);
   }
 #pragma GCC unroll 4
   for (int v = 0; v < NV - 1; ++v) _mm256_storeu_ps(out + 8 * v, acc[v]);
@@ -461,13 +461,11 @@ void outer(const float* wts, int n, const float* x, int w, float* y,
     const __m256 bw = _mm256_broadcast_ss(wts + j);
 #pragma GCC unroll 4
     for (int v = 0; v < NV - 1; ++v)
-      _mm256_storeu_ps(y + 8 * v,
-                       _mm256_add_ps(_mm256_loadu_ps(y + 8 * v),
-                                     _mm256_mul_ps(bw, xv[v])));
+      _mm256_storeu_ps(y + 8 * v, _mm256_fmadd_ps(bw, xv[v],
+                                                  _mm256_loadu_ps(y + 8 * v)));
     float* yt = y + 8 * (NV - 1);
-    store_strip<F8, kTail>(yt, mt,
-                           _mm256_add_ps(load_strip<F8, kTail>(yt, mt),
-                                         _mm256_mul_ps(bw, xv[NV - 1])));
+    store_strip<F8, kTail>(
+        yt, mt, _mm256_fmadd_ps(bw, xv[NV - 1], load_strip<F8, kTail>(yt, mt)));
   }
 }
 

@@ -25,9 +25,10 @@
 //
 // Contract recap (full per-op table: DESIGN.md §2 item 18):
 //  - gemm_fast / gemm_tn_fast keep each output element's serial ascending
-//    reduction over the contraction dimension and pair every multiply with
-//    a separate add (no FMA contraction) — bitwise ≡ scalar reference on
-//    every host. Same for add_bias_fast, bias_backward_fast, the
+//    reduction over the contraction dimension as an fma chain, one
+//    rounding per term (Vec::madd) — bitwise ≡ the scalar reference's
+//    std::fma chain on every host. Bitwise too: add_bias_fast,
+//    bias_backward_fast, the
 //    dgamma/dbeta pass of layernorm_backward_fast (column lanes, ascending
 //    rows) and the comm loops (one exact op per element).
 //  - gemm_nt_fast reduces a dot product across lanes (8 strided partials,
@@ -50,8 +51,8 @@
 //    0.0f, preserving the masked-softmax exact-zero contract.
 //  - The attention row primitives reuse those orders: dot_rows_fast is
 //    gemm_nt_fast's dot, softmax_row_fast softmax_rows_fast's row, and
-//    combine/outer_rows_fast pair each multiply with a separate add like
-//    gemm/gemm_tn — so the fused attention over a causal prefix is bitwise
+//    combine/outer_rows_fast run gemm/gemm_tn's fma chain — so the fused
+//    attention over a causal prefix is bitwise
 //    the composed ops over the masked full rows, within the tier.
 #pragma once
 
@@ -161,7 +162,7 @@ void cross_entropy_grad_fast(Tensor& probs, const std::vector<int>& targets,
 /// softmax_rows_fast on one row of n ≥ 1 elements; x and y may alias.
 void softmax_row_fast(const float* x, float* y, int n);
 /// out[0..dk) += Σⱼ w[j]·x_j over the n rows x_j = x + j·ld, j ascending,
-/// one separate multiply and add per term — bitwise ≡ the scalar loop
+/// one fused multiply-add per term — bitwise ≡ the scalar loop
 /// (and ≡ gemm's per-element order). The attention context and dQ rows.
 void combine_rows_fast(const float* w, int n, const float* x, std::size_t ld,
                        int dk, float* out);

@@ -8,11 +8,15 @@
 // +, −, · and / are the vector extension's operators (a scalar operand is
 // splat): the same vaddps/vsubps/vmulps/vdivps the _mm*_ps intrinsics emit.
 // Vec<V> adds plain and tail-masked loads and stores, broadcast, min, max,
-// FMA and the exp building blocks. The x86 ops are defined inside
-// `#pragma GCC target` regions, so they inline into code compiled for that
-// ISA or a wider one; like kernels_simd.cc, they rely on -ffp-contract=off.
+// the exp building blocks and madd, the one fused multiply-add: vfmadd on
+// the x86 types and a per-lane std::fma on the portable lanes, so every
+// lane type rounds c + a·b once and gives the same bits. The x86 ops are
+// defined inside `#pragma GCC target` regions, so they inline into code
+// compiled for that ISA or a wider one; like kernels_simd.cc, they rely on
+// -ffp-contract=off, so a plain a·b + c stays two roundings.
 #pragma once
 
+#include <cmath>
 #include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -69,8 +73,11 @@ struct Vec<Lanes<N>> {
   static void store(float* p, Mask live, V v) {
     std::memcpy(p, &v.l, sizeof(float) * live);
   }
-  /// c + a·b, a separate multiply and add: there is no FMA to match.
-  static V madd(V a, V b, V c) { return c + a * b; }
+  /// c + a·b rounded once, lane by lane: the x86 types' vfmadd bits.
+  static V madd(V a, V b, V c) {
+    for (int t = 0; t < N; ++t) c.l[t] = std::fma(a.l[t], b.l[t], c.l[t]);
+    return c;
+  }
   /// The AVX2 hsum's tree over 8 lanes.
   static float hsum(V v) {
     const auto& p = v.l;
@@ -147,6 +154,7 @@ struct Vec<F16> {
   static V load(const float* p, Mask m) { return _mm512_maskz_loadu_ps(m, p); }
   static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
   static void store(float* p, Mask m, V v) { _mm512_mask_storeu_ps(p, m, v); }
+  static V madd(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
   static V min(V a, V b) { return _mm512_min_ps(a, b); }
   static V max(V a, V b) { return _mm512_max_ps(a, b); }
   static Mask lt(V a, V b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }

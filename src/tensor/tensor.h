@@ -40,21 +40,6 @@ class Tensor {
     CHIMERA_CHECK(n <= static_cast<std::size_t>(INT_MAX));
     v_.assign(src, src + n);
   }
-  /// Empty 1×0 row with storage for `n` floats: append() then fills it in
-  /// one pass (no zero-fill) — how a message is packed from several pieces.
-  static Tensor reserved_row(std::size_t n) {
-    CHIMERA_CHECK(n <= static_cast<std::size_t>(INT_MAX));
-    Tensor t;
-    t.rows_ = 1;
-    t.v_ = detail::arena_acquire(n);
-    return t;
-  }
-  /// Appends src[0..n) to this 1×k row, making it 1×(k+n).
-  void append(const float* src, std::size_t n) {
-    CHIMERA_CHECK(rows_ == 1 && v_.size() + n <= static_cast<std::size_t>(INT_MAX));
-    v_.insert(v_.end(), src, src + n);
-    cols_ = static_cast<int>(v_.size());
-  }
 
   Tensor(const Tensor& o)
       : rows_(o.rows_), cols_(o.cols_), v_(detail::arena_acquire(o.v_.size())) {

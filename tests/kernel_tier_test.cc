@@ -1,8 +1,8 @@
 // The kernel-tier contract (DESIGN.md §2 item 18).
 //
-// gemm / gemm_tn must be BITWISE identical across tiers: the fast tier's
-// microkernels keep every output element's serial ascending reduction over
-// the contraction dimension and never contract mul+add into FMA. gemm_nt's
+// gemm / gemm_tn must be BITWISE identical across tiers: every tier computes
+// each output element as the serial ascending chain c = fma(a_l, b_l, c)
+// over the contraction dimension, one rounding per term. gemm_nt's
 // fast tier reduces dot products across vector lanes, so it is only
 // tolerance-equal to the reference — but it follows one documented order
 // (pinned bitwise by an in-test model below), and each element is a pure
@@ -69,16 +69,17 @@ Tensor random_tensor(int r, int c, Rng& rng, float scale = 1.0f) {
 }
 
 // Serial replicas of the scalar reference tier's per-element accumulation
-// orders (kernels.cc): ascending l for gemm/gemm_tn, ascending kBlock
-// partial dots for gemm_nt. Plain mul+add — like the reference, these are
-// compiled for baseline x86-64 where no FMA contraction exists.
+// orders (kernels.cc): an ascending-l fma chain for gemm/gemm_tn, ascending
+// kBlock partial dots of plain mul+add for gemm_nt (compiled for baseline
+// x86-64, where no FMA contraction exists).
 constexpr int kRefBlock = 48;
 
 void ref_gemm(const Tensor& a, const Tensor& b, Tensor& c, bool acc) {
   for (int i = 0; i < a.rows(); ++i)
     for (int j = 0; j < b.cols(); ++j) {
       float s = acc ? c.at(i, j) : 0.0f;
-      for (int l = 0; l < a.cols(); ++l) s += a.at(i, l) * b.at(l, j);
+      for (int l = 0; l < a.cols(); ++l)
+        s = std::fma(a.at(i, l), b.at(l, j), s);
       c.at(i, j) = s;
     }
 }
@@ -87,7 +88,8 @@ void ref_gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, bool acc) {
   for (int i = 0; i < a.cols(); ++i)
     for (int j = 0; j < b.cols(); ++j) {
       float s = acc ? c.at(i, j) : 0.0f;
-      for (int l = 0; l < a.rows(); ++l) s += a.at(l, i) * b.at(l, j);
+      for (int l = 0; l < a.rows(); ++l)
+        s = std::fma(a.at(l, i), b.at(l, j), s);
       c.at(i, j) = s;
     }
 }
@@ -242,6 +244,91 @@ TEST(KernelTier, GemmTnBitwiseMatchesReferenceInEveryTier) {
   }
 }
 
+TEST(KernelTier, FusedProductsBitwiseInEveryTier) {
+  // Every gemm-family element is the chain c = fma(a_l, b_l, c), one
+  // rounding per term, in every tier and ISA. a = b = 1 + 2⁻¹² with
+  // c = −(1 + 2⁻¹¹) tells the rules apart: a·b = 1 + 2⁻¹¹ + 2⁻²⁴ exactly,
+  // so fma(a, b, c) = 2⁻²⁴, while the rounded product ties to the even
+  // 1 + 2⁻¹¹ and c + fl(a·b) = 0. With k = 2 the chain's first term puts c
+  // in the accumulator (c·1) and the second adds a·a; with accumulate, C
+  // starts at c. Rows 3 and 13 take the in-place and the packed tiles of
+  // every ISA, 17 and 40 columns a tail panel behind a full one.
+  const float a = 1.0f + 0x1p-12f, c = -(1.0f + 0x1p-11f), want = 0x1p-24f;
+  volatile float product = a * a;  // rounded alone: no target contracts it
+  ASSERT_EQ(c + product, 0.0f);     // the unfused rule, for contrast
+  auto expect_all = [&](const Tensor& t, const char* what) {
+    for (std::size_t i = 0; i < t.numel(); ++i)
+      ASSERT_EQ(t[i], want) << what << " element " << i;
+  };
+  PolicyGuard guard;
+  for (simd::Isa isa : host_isas()) {
+    simd::ScopedIsaCap cap(isa);
+    for (KernelPolicy p : testable_policies()) {
+      set_kernel_policy(p);
+      SCOPED_TRACE(std::string(kernel_tier_name(active_kernel_tier())) +
+                   " tier, isa=" + simd::isa_name(isa));
+      for (auto [m, n] : {std::pair{3, 17}, std::pair{13, 40}}) {
+        Tensor x(m, 2), xt(2, m), w(2, n), y(m, n);
+        for (int i = 0; i < m; ++i) {
+          x.at(i, 0) = xt.at(0, i) = c;
+          x.at(i, 1) = xt.at(1, i) = a;
+        }
+        for (int j = 0; j < n; ++j) {
+          w.at(0, j) = 1.0f;
+          w.at(1, j) = a;
+        }
+        gemm(x, w, y);
+        expect_all(y, "gemm");
+        gemm_tn(xt, w, y);
+        expect_all(y, "gemm_tn");
+        Tensor wp;
+        pack_panels(w, wp);
+        gemm_bias_panel(x, wp, Tensor(1, n), y);
+        expect_all(y, "gemm_bias_panel");
+        Tensor dwp, dw(m, n);
+        pack_panels(Tensor(m, n), dwp);
+        gemm_tn_panel(xt, w, dwp);
+        for (int i = 0; i < m; ++i)
+          for (int j = 0; j < n; ++j) dw.at(i, j) = dwp[panel_offset(m, i, j)];
+        expect_all(dw, "gemm_tn_panel");
+        Tensor xa(m, 1), wa(1, n);
+        xa.fill(a);
+        wa.fill(a);
+        y.fill(c);
+        gemm(xa, wa, y, /*accumulate=*/true);
+        expect_all(y, "gemm acc");
+        y.fill(c);
+        gemm_tn(Tensor(xa.data(), m), wa, y, /*accumulate=*/true);
+        expect_all(y, "gemm_tn acc");
+      }
+      // An attention row: one key gives p = 1 and the context v under
+      // either rule, so the query (all zeros) attends over three keys of
+      // equal score, p = fl(1/3) in every tier. Its context is the chain
+      // fma(p, v₂, fma(p, v₁, fma(p, v₀, 0))); the data must tell it from
+      // the mul+add chain, and dk = 20 leaves a masked tail vector.
+      const int dk = 20;
+      const std::size_t ld = 3 * dk;
+      Rng rng(61);
+      Tensor kv = random_tensor(3, 3 * dk, rng), q(1, 3 * dk), merged;
+      const float pr = 1.0f / 3.0f;
+      Tensor fused(1, dk), unfused(1, dk);
+      for (int col = 0; col < dk; ++col)
+        for (int j = 0; j < 3; ++j) {
+          const float v = kv.at(j, 2 * dk + col);
+          fused.at(0, col) = std::fma(pr, v, fused.at(0, col));
+          volatile float pv = pr * v;
+          unfused.at(0, col) = unfused.at(0, col) + pv;
+        }
+      ASSERT_NE(std::memcmp(fused.data(), unfused.data(), dk * sizeof(float)),
+                0);
+      attention_decode(q, /*heads=*/1,
+                       {KvRun{kv.data() + dk, kv.data() + 2 * dk, 3}}, {0, 1},
+                       ld, merged);
+      expect_bitwise(merged, fused);
+    }
+  }
+}
+
 TEST(KernelTier, GemmNtToleranceAgainstReference) {
   PolicyGuard guard;
   for (simd::Isa isa : host_isas()) {
@@ -275,17 +362,15 @@ TEST(KernelTier, GemmNtToleranceAgainstReference) {
 
 /// The fast tier's documented gemm_nt order for one output element: eight
 /// strided lane partials over the k/8·8 prefix (lane t takes l ≡ t mod 8;
-/// fused multiply-add on AVX2+FMA hosts, separate mul+add on the portable
-/// path), the fixed ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)) combine tree, a
-/// serial mul+add tail, and finally C + sum.
-float model_gemm_nt_element(const float* a, const float* b, int k, float c,
-                            bool fused) {
+/// fused multiply-add in every ISA, the portable lanes included), the fixed
+/// ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)) combine tree, a serial mul+add
+/// tail, and finally C + sum.
+float model_gemm_nt_element(const float* a, const float* b, int k, float c) {
   float lane[8] = {};
   int l = 0;
   for (; l + 8 <= k; l += 8)
     for (int t = 0; t < 8; ++t)
-      lane[t] = fused ? std::fmaf(a[l + t], b[l + t], lane[t])
-                      : lane[t] + a[l + t] * b[l + t];
+      lane[t] = std::fmaf(a[l + t], b[l + t], lane[t]);
   float sum = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
               ((lane[1] + lane[5]) + (lane[3] + lane[7]));
   for (; l < k; ++l) sum += a[l] * b[l];
@@ -302,7 +387,6 @@ TEST(KernelTier, GemmNtFastTierBitwiseMatchesOrderModel) {
     simd::ScopedIsaCap cap(isa);
     SCOPED_TRACE(std::string("isa=") + simd::isa_name(isa));
     Rng rng(37);
-    const bool fused = simd::cpu_supports_avx2_fma();
     for (auto [m, k, n] : kShapes) {
       const Tensor a = random_tensor(m, k, rng);
       const Tensor b = random_tensor(n, k, rng);  // stores Bᵀ
@@ -314,7 +398,7 @@ TEST(KernelTier, GemmNtFastTierBitwiseMatchesOrderModel) {
             want.at(i, j) = model_gemm_nt_element(
                 a.data() + static_cast<std::size_t>(i) * k,
                 b.data() + static_cast<std::size_t>(j) * k, k,
-                accumulate ? seed.at(i, j) : 0.0f, fused);
+                accumulate ? seed.at(i, j) : 0.0f);
         for (KernelPolicy p : testable_policies()) {
           set_kernel_policy(p);
           if (active_kernel_tier() != KernelTier::kFast) continue;
@@ -1268,29 +1352,31 @@ TEST(KernelTier, ShapeSweepBitsMatchGolden) {
   // dot group width. Helpers 0 and 3 put shards on the pool. Columns: the
   // fast tier on AVX2/AVX-512 (which agree bitwise), the fast tier under
   // the portable cap, and the scalar tier; 0 marks a path whose bits come
-  // from libm (std::exp/std::tanh) and are not pinned.
+  // from libm (std::exp/std::tanh) and are not pinned. Every fma-chain row
+  // (gemm, gemm_tn and their panel forms) carries one hash in all three
+  // columns, and gemm_nt's portable dot is its vector dot.
   struct Golden {
     const char* op;
     std::uint64_t vector, portable, scalar;
   };
   static constexpr Golden kGolden[] = {
-      {"gemm", 0xec30cff11fe450f7, 0xec30cff11fe450f7, 0xec30cff11fe450f7},
-      {"gemm acc", 0xa2ed46571f01baa1, 0xa2ed46571f01baa1, 0xa2ed46571f01baa1},
-      {"gemm_tn", 0xac93f5f93f746fda, 0xac93f5f93f746fda, 0xac93f5f93f746fda},
-      {"gemm_tn acc", 0x1b075cd64c599423, 0x1b075cd64c599423,
-       0x1b075cd64c599423},
-      {"gemm_nt", 0x43950b3ab8eac5a4, 0xb3ce89c1ea3bd63b, 0x9fd3fdca5bd1caca},
-      {"gemm_nt acc", 0x3c6b51beb46c696b, 0x616a2e2c506a2c60,
+      {"gemm", 0x598805e04b9a04b0, 0x598805e04b9a04b0, 0x598805e04b9a04b0},
+      {"gemm acc", 0xf8917c6712972103, 0xf8917c6712972103, 0xf8917c6712972103},
+      {"gemm_tn", 0xc3cd3cfdd0e6424e, 0xc3cd3cfdd0e6424e, 0xc3cd3cfdd0e6424e},
+      {"gemm_tn acc", 0x21f15dae65aafa9c, 0x21f15dae65aafa9c,
+       0x21f15dae65aafa9c},
+      {"gemm_nt", 0x43950b3ab8eac5a4, 0x43950b3ab8eac5a4, 0x9fd3fdca5bd1caca},
+      {"gemm_nt acc", 0x3c6b51beb46c696b, 0x3c6b51beb46c696b,
        0xb82d5499e8b24c0b},
-      {"gemm_bias_panel", 0xce7691ba8c2c97ae, 0xce7691ba8c2c97ae,
-       0xce7691ba8c2c97ae},
-      {"gemm_bias_gelu_panel y", 0xce7691ba8c2c97ae, 0xce7691ba8c2c97ae,
-       0xce7691ba8c2c97ae},
-      {"gemm_bias_gelu_panel g", 0x1b6925d2f1e592d9, 0, 0},
-      {"gemm_nt_panel", 0x43950b3ab8eac5a4, 0xb3ce89c1ea3bd63b,
+      {"gemm_bias_panel", 0x9d5a9df3bd789ec0, 0x9d5a9df3bd789ec0,
+       0x9d5a9df3bd789ec0},
+      {"gemm_bias_gelu_panel y", 0x9d5a9df3bd789ec0, 0x9d5a9df3bd789ec0,
+       0x9d5a9df3bd789ec0},
+      {"gemm_bias_gelu_panel g", 0x8543887c83747d0a, 0, 0},
+      {"gemm_nt_panel", 0x43950b3ab8eac5a4, 0x43950b3ab8eac5a4,
        0x9fd3fdca5bd1caca},
-      {"gemm_tn_panel", 0x3301fe890343df4f, 0x3301fe890343df4f,
-       0x3301fe890343df4f},
+      {"gemm_tn_panel", 0x6ae55a6233e15b54, 0x6ae55a6233e15b54,
+       0x6ae55a6233e15b54},
       {"softmax_rows masked", 0x6deb9c76ac311e1a, 0, 0},
       {"gelu_forward std 14", 0xca2732d0c173c223, 0, 0},
   };
